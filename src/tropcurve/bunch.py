@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import GeometryError
+from .geom import GeometryError, RefusalError
 from .curve import TropicalCurve
 
 
-class DisconnectedCurveError(GeometryError):
+class DisconnectedCurveError(RefusalError):
     """Cycle topology is only defined for connected curves."""
 
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain refusal (hypotheses unmet, imbalance),
-2 input or usage error.  `--json` switches every subcommand to
-machine-readable output on stdout.
+Exit codes: 0 success, 1 domain refusal (any RefusalError: imbalance, a
+self-crossing, unmet hypotheses), 2 input or usage error.  Every curve file
+passes the validity gate on load, except in `validate`, which reports.
+`--json` switches every subcommand to machine-readable output on stdout.
 """
 
 from __future__ import annotations
@@ -13,37 +14,26 @@ import random
 import sys
 from fractions import Fraction
 
-from .geom import GeometryError
-from .curve import validate
-from .bunch import DisconnectedCurveError, NotABouquet, bouquet_structure, bunch, classify_edges
+from .geom import GeometryError, IntVector, RefusalError
+from .curve import TropicalCurve, require_valid, validate
+from .bunch import NotABouquet, bouquet_structure, bunch, classify_edges
 from .intersect import bezout_degree, is_transversal, stable_intersection
 from .jacobian import (
-    UnsupportedCurveError,
     abel_coordinate,
     cycle_system,
     linearly_equivalent,
+    require_reduced,
     sigma,
 )
 from .newton import convex_hull, newton_complex, newton_polygon
 from .params import curve_from_params, params_from_curve, perturb
 from .polyfront import corner_locus, parse as parse_poly
 from . import jsonio, svgout
-from .geom import IntVector
 
 
-def _strict_system(curve):
-    system = cycle_system(curve)
-    for e in curve.edges:
-        if e.weight != 1:
-            raise UnsupportedCurveError(
-                f"curve is not reduced: an edge has weight {e.weight}"
-            )
-    for r in curve.rays:
-        if r.weight != 1:
-            raise UnsupportedCurveError(
-                f"curve is not reduced: a ray has weight {r.weight}"
-            )
-    return system
+def _load(path: str) -> TropicalCurve:
+    """Read a curve file; refuse it unless it is balanced and embedded."""
+    return require_valid(jsonio.load_curve(path))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -96,7 +86,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    c = jsonio.load_curve(args.curve)
+    c = _load(args.curve)
     nc = newton_complex(c)
     poly = newton_polygon(c)
     if args.svg:
@@ -120,8 +110,8 @@ def cmd_newton(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    c1 = jsonio.load_curve(args.curve1)
-    c2 = jsonio.load_curve(args.curve2)
+    c1 = _load(args.curve1)
+    c2 = _load(args.curve2)
     d = stable_intersection(c1, c2)
     if args.svg:
         scene = svgout.Scene(
@@ -155,8 +145,8 @@ def cmd_bezout(args) -> int:
     else:
         if not (args.curve1 and args.curve2):
             raise GeometryError("bezout needs two curve files or --deg c d")
-        p = newton_polygon(jsonio.load_curve(args.curve1))
-        q = newton_polygon(jsonio.load_curve(args.curve2))
+        p = newton_polygon(_load(args.curve1))
+        q = newton_polygon(_load(args.curve2))
     n = bezout_degree(p, q)
     if args.json:
         _emit_json({"degree": n})
@@ -166,7 +156,7 @@ def cmd_bezout(args) -> int:
 
 
 def cmd_bunch(args) -> int:
-    c = jsonio.load_curve(args.curve)
+    c = _load(args.curve)
     classes = classify_edges(c)
     b = bunch(c)
     bq = bouquet_structure(c, b)
@@ -215,8 +205,8 @@ def cmd_bunch(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    c = jsonio.load_curve(args.curve)
-    system = _strict_system(c)
+    c = _load(args.curve)
+    system = cycle_system(require_reduced(c))
     moduli = [jsonio.fraction_to_str(m) for m in system.moduli()]
     payload: dict = {"genus": system.genus, "moduli": moduli}
     if args.divisor:
@@ -235,8 +225,8 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    c = jsonio.load_curve(args.curve)
-    system = _strict_system(c)
+    c = _load(args.curve)
+    system = cycle_system(require_reduced(c))
     d1 = jsonio.load_divisor(args.divisor1, host=c)
     d2 = jsonio.load_divisor(args.divisor2, host=c)
     verdict = linearly_equivalent(system, d1, d2)
@@ -262,9 +252,9 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    c = jsonio.load_curve(args.curve)
-    system = _strict_system(c)
-    mobile = jsonio.load_curve(args.mobile)
+    c = _load(args.curve)
+    system = cycle_system(require_reduced(c))
+    mobile = _load(args.mobile)
     coord = sigma(system, mobile)
     if args.json:
         _emit_json({"sigma": _abel_payload(coord)})
@@ -278,9 +268,9 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    host = jsonio.load_curve(args.host)
-    system = _strict_system(host)
-    mobile = jsonio.load_curve(args.mobile)
+    host = _load(args.host)
+    system = cycle_system(require_reduced(host))
+    mobile = _load(args.mobile)
     p = params_from_curve(mobile)
     rng = random.Random(args.seed)
     for step in range(args.steps):
@@ -311,7 +301,7 @@ def cmd_from_poly(args) -> int:
 def cmd_render(args) -> int:
     layers = []
     palette = [svgout.PALETTE["curve"], svgout.PALETTE["mobile"], "#2ca02c", "#9467bd"]
-    curves = [jsonio.load_curve(path) for path in args.curves]
+    curves = [_load(path) for path in args.curves]
     for i, c in enumerate(curves):
         layers.append(svgout.CurveLayer(c, color=palette[i % len(palette)]))
     if args.newton:
@@ -409,13 +399,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedCurveError, DisconnectedCurveError) as err:
+    except RefusalError as err:
         print(f"refused: {err}", file=sys.stderr)
         return 1
-    except GeometryError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (GeometryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ integer direction).  Weights are positive integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -15,6 +16,7 @@ from .geom import (
     GeometryError,
     IntVector,
     Point,
+    RefusalError,
     cross,
     dot,
     is_primitive,
@@ -27,6 +29,10 @@ from .geom import (
 
 class StructureError(GeometryError):
     """Malformed curve data: bad indices, zero weights, coincident vertices."""
+
+
+class InvalidCurveError(RefusalError):
+    """Well-formed curve data that is unbalanced or crosses itself."""
 
 
 class LoopError(GeometryError):
@@ -129,22 +135,30 @@ def items(c: TropicalCurve) -> tuple[Item, ...]:
     return tuple(out)
 
 
-def _item_intersection(a: Item, b: Item):
+class _Overlap(Enum):
+    OVERLAP = "overlap"
+
+
+#: Two items share a segment of positive length.
+OVERLAP = _Overlap.OVERLAP
+
+
+def _item_intersection(a: Item, b: Item) -> Point | _Overlap | None:
     """Intersection of two closed items.
 
-    Returns ('none',), ('pt', point) or ('over',) for a collinear overlap of
-    more than one point.
+    Returns None when they are disjoint, the meeting Point when they meet in
+    one point, or OVERLAP for a collinear overlap of more than one point.
     """
     if cross(a.vec, b.vec) != 0:
         den = cross(a.vec, b.vec)
         s = Fraction(cross(b.origin - a.origin, b.vec)) / den
         t = Fraction(cross(b.origin - a.origin, a.vec)) / den
         if a.contains_param(s) and b.contains_param(t):
-            return ("pt", a.point_at(s))
-        return ("none",)
+            return a.point_at(s)
+        return None
     # parallel
     if cross(a.vec, b.origin - a.origin) != 0:
-        return ("none",)
+        return None
     # same line: compare parameter intervals in units of a.vec
     lo_b: Fraction | None
     hi_b: Fraction | None
@@ -165,10 +179,10 @@ def _item_intersection(a: Item, b: Item):
     else:
         hi = min(hi_a, hi_b)
     if hi is not None and lo > hi:
-        return ("none",)
+        return None
     if hi is not None and lo == hi:
-        return ("pt", a.point_at(lo))
-    return ("over",)
+        return a.point_at(lo)
+    return OVERLAP
 
 
 @dataclass(frozen=True)
@@ -267,16 +281,15 @@ def validate(c: TropicalCurve) -> BalanceReport:
     for i in range(len(its)):
         for j in range(i + 1, len(its)):
             shared = endpoint_indices[i] & endpoint_indices[j]
-            kind = _item_intersection(its[i], its[j])
-            if kind[0] == "none":
+            p = _item_intersection(its[i], its[j])
+            if p is None:
                 continue
-            if kind[0] == "over":
+            if p is OVERLAP:
                 violations.append(
                     f"{its[i].kind} {its[i].index} and {its[j].kind} "
                     f"{its[j].index} overlap along a segment"
                 )
                 continue
-            p = kind[1]
             if not any(c.vertices[s] == p for s in shared):
                 violations.append(
                     f"{its[i].kind} {its[i].index} and {its[j].kind} "
@@ -284,6 +297,25 @@ def validate(c: TropicalCurve) -> BalanceReport:
                     "shared vertex"
                 )
     return BalanceReport(tuple(residuals), tuple(violations))
+
+
+def require_valid(c: TropicalCurve) -> TropicalCurve:
+    """Return c if it is a balanced embedded curve, else refuse it.
+
+    Malformed data raises StructureError; imbalance or a crossing raises
+    InvalidCurveError naming the first defect found by validate.
+    """
+    report = validate(c)
+    for v, r in enumerate(report.residuals):
+        if r:
+            raise InvalidCurveError(
+                f"curve is not balanced: vertex {v} has residual ({r.x}, {r.y})"
+            )
+    if report.embedding_violations:
+        raise InvalidCurveError(
+            f"curve crosses itself: {report.embedding_violations[0]}"
+        )
+    return c
 
 
 def translate(c: TropicalCurve, t: Point) -> TropicalCurve:
@@ -366,13 +398,13 @@ def _check_loop(loop: Sequence[Point]) -> None:
             adjacent = j == i + 1 or (i == 0 and j == n - 1)
             ia = Item("edge", 0, a1, b1 - a1, 1, IntVector(1, 0))
             ib = Item("edge", 0, a2, b2 - a2, 1, IntVector(1, 0))
-            kind = _item_intersection(ia, ib)
-            if kind[0] == "none":
+            p = _item_intersection(ia, ib)
+            if p is None:
                 continue
-            if kind[0] == "over" or not adjacent:
+            if p is OVERLAP or not adjacent:
                 raise LoopError("loop is not a simple polygon")
             shared = b1 if j == i + 1 else a1
-            if kind[1] != shared:
+            if p != shared:
                 raise LoopError("loop is not a simple polygon")
 
 
@@ -391,14 +423,13 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
         for k in range(n):
             a, b = loop[k], loop[(k + 1) % n]
             side = Item("edge", 0, a, b - a, 1, IntVector(1, 0))
-            kind = _item_intersection(it, side)
-            if kind[0] == "none":
+            p = _item_intersection(it, side)
+            if p is None:
                 continue
-            if kind[0] == "over":
+            if p is OVERLAP:
                 raise LoopError(
                     f"loop runs along {it.kind} {it.index}"
                 )
-            p = kind[1]
             if p in corners:
                 raise LoopError("loop corner touches the curve")
             t = it.param_of(p)
@@ -467,19 +498,19 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     for i in range(len(all_items)):
         for j in range(i + 1, len(all_items)):
             a, b = all_items[i], all_items[j]
-            kind = _item_intersection(a, b)
-            if kind[0] == "pt":
-                add_split(i, kind[1])
-                add_split(j, kind[1])
-            elif kind[0] == "over":
+            p = _item_intersection(a, b)
+            if p is OVERLAP:
                 ends_b = [b.origin] + ([b.origin + b.vec] if b.bounded else [])
                 ends_a = [a.origin] + ([a.origin + a.vec] if a.bounded else [])
-                for p in ends_b:
-                    if a.contains_param(a.param_of(p)):
-                        add_split(i, p)
-                for p in ends_a:
-                    if b.contains_param(b.param_of(p)):
-                        add_split(j, p)
+                for q in ends_b:
+                    if a.contains_param(a.param_of(q)):
+                        add_split(i, q)
+                for q in ends_a:
+                    if b.contains_param(b.param_of(q)):
+                        add_split(j, q)
+            elif p is not None:
+                add_split(i, p)
+                add_split(j, p)
 
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}

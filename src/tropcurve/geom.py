@@ -23,6 +23,13 @@ class GeometryError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class RefusalError(GeometryError):
+    """Well-formed input outside the supported domain, refused by name.
+
+    The CLI exits 1 on these and 2 on every other GeometryError.
+    """
+
+
 @dataclass(frozen=True)
 class IntVector:
     """Integer lattice vector."""
@@ -57,10 +64,6 @@ class IntVector:
 
     def to_point(self) -> "Point":
         return Point(Fraction(self.x), Fraction(self.y))
-
-
-#: An IntVector with coprime entries; enforced by callers via is_primitive().
-PrimitiveVector = IntVector
 
 
 @dataclass(frozen=True)
@@ -175,32 +178,3 @@ def pseudo_angle(v: IntVector) -> PseudoAngle:
     half = 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
     u, _ = primitive_decompose(v)
     return PseudoAngle(half, u)
-
-
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """True when p lies on the closed segment [a, b]."""
-    d = b - a
-    if cross(d, p - a) != 0:
-        return False
-    t = dot(p - a, d)
-    return 0 <= t <= dot(d, d)
-
-
-def on_ray(p: Point, origin: Point, direction: IntVector) -> bool:
-    """True when p lies on the closed ray from origin along direction."""
-    d = direction.to_point()
-    return cross(d, p - origin) == 0 and dot(p - origin, d) >= 0
-
-
-def line_intersection(
-    p1: Point, d1: Point, p2: Point, d2: Point
-) -> Point | None:
-    """Intersection point of two lines given as point + direction.
-
-    Returns None for parallel lines (coincident included).
-    """
-    den = cross(d1, d2)
-    if den == 0:
-        return None
-    s = Fraction(cross(p2 - p1, d2), den)
-    return p1 + d1 * s

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import GeometryError, IntVector, Point, cross
-from .curve import TropicalCurve, _item_intersection, items, local_star
+from .curve import OVERLAP, TropicalCurve, _item_intersection, items, local_star
 from .newton import LatticePolygon, minkowski_sum, star_multiplicity
 
 
@@ -52,9 +52,6 @@ class Divisor:
 
     def points(self) -> tuple[Point, ...]:
         return tuple(p for p, _ in self.entries)
-
-    def as_dict(self) -> dict[Point, int]:
-        return {p: m for p, m in self.entries}
 
     def _merge_host(self, other: "Divisor") -> TropicalCurve | None:
         if self.host is not None and other.host is not None:
@@ -188,8 +185,9 @@ def perturbation_oracle(
     zero = _Eps(Fraction(0))
     one = _Eps(Fraction(1))
     acc: dict[Point, int] = {}
+    its2 = items(c2)
     for a in items(c1):
-        for b in items(c2):
+        for b in its2:
             den = cross(a.vec, b.vec)
             if den == 0:
                 continue  # parallel pairs separate immediately
@@ -212,23 +210,22 @@ def perturbation_oracle(
 
 
 def has_shared_segment(c1: TropicalCurve, c2: TropicalCurve) -> bool:
-    for a in items(c1):
-        for b in items(c2):
-            if _item_intersection(a, b)[0] == "over":
-                return True
-    return False
+    its2 = items(c2)
+    return any(
+        _item_intersection(a, b) is OVERLAP for a in items(c1) for b in its2
+    )
 
 
 def is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     """True when every common point is a plain interior-interior crossing."""
+    its2 = items(c2)
     for a in items(c1):
-        for b in items(c2):
-            kind = _item_intersection(a, b)
-            if kind[0] == "none":
+        for b in its2:
+            p = _item_intersection(a, b)
+            if p is None:
                 continue
-            if kind[0] == "over":
+            if p is OVERLAP:
                 return False
-            p = kind[1]
             sa = a.param_of(p)
             sb = b.param_of(p)
             if sa == 0 or (a.bounded and sa == 1):
@@ -245,14 +242,15 @@ def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     segments route through the perturbation oracle with an automatically
     chosen generic direction.
     """
-    if has_shared_segment(c1, c2):
-        return perturbation_oracle(c1, c2, generic_direction(c1, c2))
     points: set[Point] = set()
+    its2 = items(c2)
     for a in items(c1):
-        for b in items(c2):
-            kind = _item_intersection(a, b)
-            if kind[0] == "pt":
-                points.add(kind[1])
+        for b in its2:
+            p = _item_intersection(a, b)
+            if p is OVERLAP:
+                return perturbation_oracle(c1, c2, generic_direction(c1, c2))
+            if p is not None:
+                points.add(p)
     acc: dict[Point, int] = {}
     for p in points:
         s1 = local_star(c1, p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, Point, cross, primitive_direction
+from .geom import GeometryError, Point, RefusalError, cross, primitive_direction
 from .curve import TropicalCurve, locate
 from .bunch import (
     BouquetStructure,
@@ -26,7 +26,7 @@ from .bunch import (
 from .intersect import Divisor, stable_intersection
 
 
-class UnsupportedCurveError(GeometryError):
+class UnsupportedCurveError(RefusalError):
     """The equivalence decision requires a reduced curve with a bouquet bunch."""
 
 
@@ -211,18 +211,13 @@ def abel_coordinate(system: CycleSystem, d: Divisor) -> AbelCoordinate:
     return AbelCoordinate(d.degree, tuple(res))
 
 
-def _require_hypotheses(system: CycleSystem) -> None:
-    c = system.curve
-    for e in c.edges:
-        if e.weight != 1:
-            raise UnsupportedCurveError(
-                f"curve is not reduced: an edge has weight {e.weight}"
-            )
-    for r in c.rays:
-        if r.weight != 1:
-            raise UnsupportedCurveError(
-                f"curve is not reduced: a ray has weight {r.weight}"
-            )
+def require_reduced(curve: TropicalCurve) -> TropicalCurve:
+    """Return the curve if every edge and ray has weight 1, else refuse it."""
+    if not curve.is_reduced():
+        raise UnsupportedCurveError(
+            "curve is not reduced: an edge or ray has weight above 1"
+        )
+    return curve
 
 
 def linearly_equivalent(system: CycleSystem, d1: Divisor, d2: Divisor) -> bool:
@@ -230,7 +225,7 @@ def linearly_equivalent(system: CycleSystem, d1: Divisor, d2: Divisor) -> bool:
 
     Only valid for reduced curves whose bunch is a bouquet; refused otherwise.
     """
-    _require_hypotheses(system)
+    require_reduced(system.curve)
     a = abel_coordinate(system, d1)
     b = abel_coordinate(system, d2)
     return a.degree == b.degree and a.residues == b.residues

@@ -19,7 +19,7 @@ from .curve import Item, TropicalCurve, items, local_star, locate
 
 
 class DualityError(GeometryError):
-    """Inconsistent dual propagation: the input was not actually balanced."""
+    """Inconsistent dual propagation: the input was not a balanced embedded curve."""
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def newton_complex(c: TropicalCurve, order: str = "bfs") -> NewtonComplex:
     """Propagate dual lattice points across face adjacencies.
 
     The result is independent of traversal order; an inconsistency during
-    propagation means the input was not balanced.
+    propagation means the input was unbalanced or crossed itself.
     """
     fs = face_structure(c)
     edges = []
@@ -315,7 +315,8 @@ def newton_complex(c: TropicalCurve, order: str = "bfs") -> NewtonComplex:
                 frontier.append(g)
             elif w[g] != cand:
                 raise DualityError(
-                    "dual propagation is inconsistent; curve is not balanced"
+                    "dual propagation is inconsistent; "
+                    "curve is unbalanced or crosses itself"
                 )
     if any(x is None for x in w):
         raise DualityError("face adjacency graph is not connected")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, pt
+from .geom import GeometryError, IntVector, Point, primitive_decompose, pt
 from .curve import Edge, Ray, TropicalCurve
 from .newton import LatticePolygon, convex_hull
 
@@ -63,9 +63,6 @@ def polynomial(
 # constants and powers of x, y.  Tropical product adds coefficients and
 # exponents; duplicate exponents merge by the tropical sum.
 # ---------------------------------------------------------------------------
-
-
-_TOKENS = ("number", "x", "y", "+", "*", "^", "(", ")", "-", "/", "end")
 
 
 def _tokenize(text: str):
@@ -290,8 +287,6 @@ def _collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:
     pts = [IntVector(i, j) for (i, j), _ in g.terms]
     base = min(pts, key=lambda v: (v.x, v.y))
     far = max(pts, key=lambda v: (v.x, v.y))
-    from .geom import primitive_decompose
-
     direction, _ = primitive_decompose(far - base)
 
     def coord(v: IntVector) -> int:
@@ -350,8 +345,6 @@ def corner_locus(f: TropicalPolynomial) -> TropicalCurve:
 
 
 def _lattice_length(d: IntVector) -> int:
-    from .geom import primitive_decompose
-
     return primitive_decompose(d)[1]
 
 
@@ -383,8 +376,6 @@ def _planar_corner_locus(sub: DualSubdivision) -> TropicalCurve:
                 if ((ka, kb) if ka <= kb else (kb, ka)) == key:
                     out = (b - a).rot_cw()
                     break
-            from .geom import primitive_decompose
-
             direction, _ = primitive_decompose(out)
             rays.append(Ray(owners[0], direction, w))
         else:
@@ -393,8 +384,6 @@ def _planar_corner_locus(sub: DualSubdivision) -> TropicalCurve:
 
 
 def _collinear_corner_locus(sub: DualSubdivision) -> TropicalCurve:
-    from .geom import primitive_decompose
-
     vertices = []
     rays = []
     for idx, cell in enumerate(sub.cells):

@@ -1,6 +1,10 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures_lib import (
     theta_curve,
@@ -215,3 +219,109 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["validate", "--bogus"])
     assert err.value.code == 2
+
+
+# Two tropical lines in one file: balanced, but the lines cross at (1, 1).
+_CROSSING_LINES = curve(
+    [(0, 0), (1, 2)],
+    rays=[(v, d) for v in (0, 1) for d in [(-1, 0), (0, -1), (1, 1)]],
+)
+# A tropical line whose northeast ray stops at (3, 3), unbalanced there; it
+# still crosses the tropical line with vertex (1, -1), at (0, -1).
+_DANGLING_EDGE = curve([(0, 0), (3, 3)], edges=[(0, 1)], rays=[(0, (-1, 0)), (0, (0, -1))])
+_UNBALANCED = curve([(0, 0)], rays=[(0, (1, 0)), (0, (0, 1))])
+_ZERO_WEIGHT_RAY = curve([(0, 0)], rays=[(0, (-1, 0)), (0, (0, -1)), (0, (1, 1), 0)])
+_MISSING_VERTEX = curve([(0, 0)], edges=[(0, 3)], rays=[(0, (-1, 0)), (0, (0, -1))])
+
+
+@pytest.mark.parametrize(
+    "command, bad, code, says",
+    [
+        ("newton", _UNBALANCED, 1, "not balanced"),
+        ("newton", _CROSSING_LINES, 1, "crosses itself"),
+        ("intersect", _DANGLING_EDGE, 1, "not balanced"),
+        ("intersect", _ZERO_WEIGHT_RAY, 2, "non-positive weight"),
+        ("newton", _MISSING_VERTEX, 2, "edge 0"),
+        ("intersect", _MISSING_VERTEX, 2, "edge 0"),
+        ("sigma", _MISSING_VERTEX, 2, "edge 0"),
+        ("bunch", _MISSING_VERTEX, 2, "edge 0"),
+    ],
+    ids=[
+        "newton-unbalanced", "newton-crossing", "intersect-dangling-edge",
+        "intersect-zero-weight", "newton-missing-vertex",
+        "intersect-missing-vertex", "sigma-missing-vertex", "bunch-missing-vertex",
+    ],
+)
+def test_refused_curves_exit_codes(paths, capsys, command, bad, code, says):
+    _, wc, _ = paths
+    f = wc("bad.json", bad)
+    other = wc("line.json", tropical_line((1, -1)))
+    argv = [command, f] if command in ("newton", "bunch") else [command, f, other]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert says in captured.err
+    if says != "not balanced":
+        assert "not balanced" not in captured.err
+    assert "degree:" not in captured.out
+
+
+@st.composite
+def broken_curve_files(draw):
+    """A curve file with one defect, and the exit code the defect must get.
+
+    Malformed data (bad index, weight 0 or -1, zero or non-primitive ray
+    direction) exits 2; a dropped or extra ray unbalances a vertex and
+    exits 1.
+    """
+    base = draw(st.sampled_from([tropical_line(), triangle_cycle_host()]))
+    d = jsonio.curve_to_dict(base)
+    n = len(d["vertices"])
+    ray = d["rays"][draw(st.integers(0, len(d["rays"]) - 1))]
+    defect = draw(
+        st.sampled_from(["index", "weight", "zero dir", "scaled dir", "drop ray", "add ray"])
+    )
+    if defect == "index":
+        bad = draw(st.one_of(st.integers(n, n + 5), st.integers(-5, -1)))
+        if d["edges"] and draw(st.booleans()):
+            edge = d["edges"][draw(st.integers(0, len(d["edges"]) - 1))]
+            edge["v"][draw(st.integers(0, 1))] = bad
+        else:
+            ray["v"] = bad
+        return d, 2
+    if defect == "weight":
+        weighted = d["edges"] + d["rays"]
+        weighted[draw(st.integers(0, len(weighted) - 1))]["w"] = draw(st.sampled_from([0, -1]))
+        return d, 2
+    if defect == "zero dir":
+        ray["dir"] = [0, 0]
+        return d, 2
+    if defect == "scaled dir":
+        k = draw(st.integers(2, 4))
+        ray["dir"] = [k * x for x in ray["dir"]]
+        return d, 2
+    if defect == "drop ray":
+        d["rays"].remove(ray)
+        return d, 1
+    direction = draw(st.sampled_from([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [2, -1], [-1, 3]]))
+    d["rays"].append({"v": draw(st.integers(0, n - 1)), "dir": direction, "w": 1})
+    return d, 1
+
+
+@pytest.mark.parametrize("command", ["newton", "intersect", "bunch", "sigma"])
+@settings(max_examples=20, deadline=None)
+@given(case=broken_curve_files(), first=st.booleans())
+def test_exit_code_map(command, case, first):
+    """Each defect gets its exit code from main, in any argument position."""
+    data, code = case
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad.json")
+        good = os.path.join(tmp, "good.json")
+        with open(bad, "w") as fh:
+            json.dump(data, fh)
+        with open(good, "w") as fh:
+            fh.write(jsonio.curve_to_json(triangle_cycle_host()))
+        if command in ("newton", "bunch"):
+            argv = [command, bad]
+        else:
+            argv = [command] + ([bad, good] if first else [good, bad])
+        assert main(argv) == code
