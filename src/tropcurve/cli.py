@@ -12,11 +12,10 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .geom import GeometryError, IntVector, RefusalError
 from .curve import TropicalCurve, require_valid, validate
-from .bunch import NotABouquet, bouquet_structure, bunch, classify_edges
+from .bunch import NotABouquet, bouquet_structure, bunch
 from .intersect import bezout_degree, is_transversal, stable_intersection
 from .jacobian import (
     abel_coordinate,
@@ -136,6 +135,8 @@ def cmd_intersect(args) -> int:
 def cmd_bezout(args) -> int:
     if args.deg:
         c, dd = args.deg
+        if c < 0 or dd < 0:
+            raise GeometryError(f"degrees must be non-negative, got {c} {dd}")
         p = convex_hull(
             [IntVector(0, 0), IntVector(c, 0), IntVector(0, c)]
         )
@@ -157,8 +158,11 @@ def cmd_bezout(args) -> int:
 
 def cmd_bunch(args) -> int:
     c = _load(args.curve)
-    classes = classify_edges(c)
     b = bunch(c)
+    cycle_edges = {i for i, _, _ in b.arcs}
+    classes = tuple(
+        "cycle" if i in cycle_edges else "tentacle" for i in range(len(c.edges))
+    )
     bq = bouquet_structure(c, b)
     if args.svg:
         colors = {}

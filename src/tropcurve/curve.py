@@ -8,6 +8,7 @@ integer direction).  Weights are positive integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,7 +22,6 @@ from .geom import (
     dot,
     is_primitive,
     moment,
-    primitive_decompose,
     primitive_direction,
     pt,
 )
@@ -59,14 +59,24 @@ class TropicalCurve:
     edges: tuple[Edge, ...]
     rays: tuple[Ray, ...]
 
-    def edge_displacement(self, i: int) -> Point:
-        e = self.edges[i]
-        return self.vertices[e.b] - self.vertices[e.a]
-
     def is_reduced(self) -> bool:
         return all(e.weight == 1 for e in self.edges) and all(
             r.weight == 1 for r in self.rays
         )
+
+    @cached_property
+    def _items(self) -> tuple[Item, ...]:
+        vs = self.vertices
+        edges = tuple(
+            _segment(i, e.a, e.b, vs[e.a], vs[e.b], e.weight)
+            for i, e in enumerate(self.edges)
+        )
+        rays = tuple(
+            Item(i, r.vertex, None, vs[r.vertex], r.direction.to_point(),
+                 r.weight, r.direction)
+            for i, r in enumerate(self.rays)
+        )
+        return edges + rays
 
 
 def curve(
@@ -89,18 +99,34 @@ def curve(
 
 @dataclass(frozen=True)
 class Item:
-    """Uniform geometric view of an edge or ray for intersection work."""
+    """One edge or ray, as every construction reads it.
 
-    kind: str  # 'edge' | 'ray'
-    index: int
-    origin: Point
+    The item leaves its tail vertex along the primitive direction prim.  An
+    edge reaches its head vertex after `length` lattice steps; a ray has no
+    head and no length.
+    """
+
+    index: int  # position among the curve's edges, or among its rays
+    tail: int
+    head: int | None
+    origin: Point  # position of the tail vertex
     vec: Point  # full displacement for edges, primitive direction for rays
     weight: int
     prim: IntVector
+    length: Fraction | None = None
 
     @property
     def bounded(self) -> bool:
-        return self.kind == "edge"
+        return self.head is not None
+
+    @property
+    def kind(self) -> str:
+        """'edge' or 'ray', for messages and JSON."""
+        return "edge" if self.bounded else "ray"
+
+    def out_of(self, v: int) -> IntVector:
+        """Primitive direction of the item leaving its end vertex v."""
+        return self.prim if v == self.tail else -self.prim
 
     def param_of(self, p: Point) -> Fraction:
         """Coordinate of a point on the item's line, in units of vec."""
@@ -115,24 +141,23 @@ class Item:
         return t <= 1 if self.bounded else True
 
 
+def _segment(
+    index: int, tail: int, head: int, a: Point, b: Point, weight: int = 1
+) -> Item:
+    """Item running from point a (vertex tail) to point b (vertex head)."""
+    u, length = primitive_direction(b - a)
+    return Item(index, tail, head, a, b - a, weight, u, length)
+
+
 def items(c: TropicalCurve) -> tuple[Item, ...]:
-    out = []
-    for i, e in enumerate(c.edges):
-        d = c.vertices[e.b] - c.vertices[e.a]
-        u, _ = primitive_direction(d)
-        out.append(Item("edge", i, c.vertices[e.a], d, e.weight, u))
-    for i, r in enumerate(c.rays):
-        out.append(
-            Item(
-                "ray",
-                i,
-                c.vertices[r.vertex],
-                r.direction.to_point(),
-                r.weight,
-                r.direction,
-            )
-        )
-    return tuple(out)
+    """The curve's edges, then its rays, as items; built once per curve."""
+    return c._items
+
+
+def item_at(c: TropicalCurve, hit: tuple[str, int]) -> Item:
+    """The item that locate names as ('edge', i) or ('ray', i)."""
+    kind, index = hit
+    return items(c)[index if kind == "edge" else len(c.edges) + index]
 
 
 class _Overlap(Enum):
@@ -232,30 +257,6 @@ def _structural_check(c: TropicalCurve) -> None:
             raise StructureError(f"vertex {i} is isolated")
 
 
-def _incidences(c: TropicalCurve) -> list[list[tuple[str, int]]]:
-    inc: list[list[tuple[str, int]]] = [[] for _ in c.vertices]
-    for i, e in enumerate(c.edges):
-        inc[e.a].append(("edge", i))
-        inc[e.b].append(("edge", i))
-    for i, r in enumerate(c.rays):
-        inc[r.vertex].append(("ray", i))
-    return inc
-
-
-def outgoing_vectors(c: TropicalCurve, vertex: int) -> list[IntVector]:
-    """Weighted primitive vectors of all items starting at a vertex."""
-    out = []
-    for e in c.edges:
-        if e.a == vertex or e.b == vertex:
-            other = e.b if e.a == vertex else e.a
-            u, _ = primitive_direction(c.vertices[other] - c.vertices[vertex])
-            out.append(u * e.weight)
-    for r in c.rays:
-        if r.vertex == vertex:
-            out.append(r.direction * r.weight)
-    return out
-
-
 def validate(c: TropicalCurve) -> BalanceReport:
     """Check balancing at every vertex and the embedding invariants.
 
@@ -263,38 +264,30 @@ def validate(c: TropicalCurve) -> BalanceReport:
     violations are reported, not raised.
     """
     _structural_check(c)
-    residuals = []
-    for v in range(len(c.vertices)):
-        total = IntVector(0, 0)
-        for w in outgoing_vectors(c, v):
-            total = total + w
-        residuals.append(total)
-    violations = []
     its = items(c)
-    endpoint_indices = []
+    residuals = [IntVector(0, 0)] * len(c.vertices)
     for it in its:
-        if it.kind == "edge":
-            e = c.edges[it.index]
-            endpoint_indices.append({e.a, e.b})
-        else:
-            endpoint_indices.append({c.rays[it.index].vertex})
+        residuals[it.tail] += it.prim * it.weight
+        if it.bounded:
+            residuals[it.head] -= it.prim * it.weight
+    violations = []
     for i in range(len(its)):
         for j in range(i + 1, len(its)):
-            shared = endpoint_indices[i] & endpoint_indices[j]
-            p = _item_intersection(its[i], its[j])
+            a, b = its[i], its[j]
+            p = _item_intersection(a, b)
             if p is None:
                 continue
             if p is OVERLAP:
                 violations.append(
-                    f"{its[i].kind} {its[i].index} and {its[j].kind} "
-                    f"{its[j].index} overlap along a segment"
+                    f"{a.kind} {a.index} and {b.kind} {b.index} overlap "
+                    "along a segment"
                 )
                 continue
-            if not any(c.vertices[s] == p for s in shared):
+            shared = {a.tail, a.head} & {b.tail, b.head}
+            if not any(s is not None and c.vertices[s] == p for s in shared):
                 violations.append(
-                    f"{its[i].kind} {its[i].index} and {its[j].kind} "
-                    f"{its[j].index} meet at ({p.x}, {p.y}) which is not a "
-                    "shared vertex"
+                    f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
+                    f"({p.x}, {p.y}) which is not a shared vertex"
                 )
     return BalanceReport(tuple(residuals), tuple(violations))
 
@@ -337,11 +330,8 @@ def locate(c: TropicalCurve, p: Point):
         if cross(it.vec, p - it.origin) != 0:
             continue
         t = it.param_of(p)
-        if it.bounded:
-            if 0 < t < 1:
-                return ("edge", it.index)
-        elif t > 0:
-            return ("ray", it.index)
+        if 0 < t and (t < 1 or not it.bounded):
+            return (it.kind, it.index)
     return None
 
 
@@ -354,15 +344,11 @@ def local_star(c: TropicalCurve, p: Point) -> list[IntVector]:
     hit = locate(c, p)
     if hit is None:
         return []
-    kind, idx = hit
-    if kind == "vertex":
-        return outgoing_vectors(c, idx)
-    if kind == "edge":
-        e = c.edges[idx]
-        u, _ = primitive_direction(c.vertices[e.b] - c.vertices[e.a])
-        return [u * e.weight, -u * e.weight]
-    r = c.rays[idx]
-    return [r.direction * r.weight, -r.direction * r.weight]
+    if hit[0] == "vertex":
+        v = hit[1]
+        return [it.out_of(v) * it.weight for it in items(c) if v in (it.tail, it.head)]
+    it = item_at(c, hit)
+    return [it.prim * it.weight, -it.prim * it.weight]
 
 
 # ---------------------------------------------------------------------------
@@ -383,29 +369,29 @@ def point_in_polygon(p: Point, loop: Sequence[Point]) -> bool:
     return inside
 
 
-def _check_loop(loop: Sequence[Point]) -> None:
+def _loop_sides(loop: Sequence[Point]) -> list[Item]:
+    """The sides of a simple closed polygon, side k from corner k to k + 1."""
     n = len(loop)
     if n < 3:
         raise LoopError("loop needs at least 3 points")
-    sides = [(loop[k], loop[(k + 1) % n]) for k in range(n)]
-    for a, b in sides:
-        if a == b:
-            raise LoopError("loop has a zero-length side")
+    if any(loop[k] == loop[(k + 1) % n] for k in range(n)):
+        raise LoopError("loop has a zero-length side")
+    sides = [
+        _segment(k, k, (k + 1) % n, loop[k], loop[(k + 1) % n])
+        for k in range(n)
+    ]
     for i in range(n):
         for j in range(i + 1, n):
-            a1, b1 = sides[i]
-            a2, b2 = sides[j]
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            ia = Item("edge", 0, a1, b1 - a1, 1, IntVector(1, 0))
-            ib = Item("edge", 0, a2, b2 - a2, 1, IntVector(1, 0))
-            p = _item_intersection(ia, ib)
+            p = _item_intersection(sides[i], sides[j])
             if p is None:
                 continue
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
             if p is OVERLAP or not adjacent:
                 raise LoopError("loop is not a simple polygon")
-            shared = b1 if j == i + 1 else a1
+            shared = sides[j].origin if j == i + 1 else sides[i].origin
             if p != shared:
                 raise LoopError("loop is not a simple polygon")
+    return sides
 
 
 def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
@@ -414,15 +400,12 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
     Yields (item, signed weighted primitive vector pointing out of the loop,
     crossing point).  Raises LoopError on any non-transversal contact.
     """
-    _check_loop(loop)
-    n = len(loop)
+    sides = _loop_sides(loop)
     corners = set(loop)
     out = []
     for it in items(c):
         params = []
-        for k in range(n):
-            a, b = loop[k], loop[(k + 1) % n]
-            side = Item("edge", 0, a, b - a, 1, IntVector(1, 0))
+        for side in sides:
             p = _item_intersection(it, side)
             if p is None:
                 continue
@@ -523,15 +506,11 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
         pts = [it.origin] + [it.point_at(t) for t in cuts]
         if it.bounded:
             pts.append(it.origin + it.vec)
-            for a, b in zip(pts, pts[1:]):
-                ka, kb = key_of(a), key_of(b)
-                key = (ka, kb) if ka <= kb else (kb, ka)
-                seg_weight[key] = seg_weight.get(key, 0) + it.weight
-        else:
-            for a, b in zip(pts, pts[1:]):
-                ka, kb = key_of(a), key_of(b)
-                key = (ka, kb) if ka <= kb else (kb, ka)
-                seg_weight[key] = seg_weight.get(key, 0) + it.weight
+        for a, b in zip(pts, pts[1:]):
+            ka, kb = key_of(a), key_of(b)
+            key = (ka, kb) if ka <= kb else (kb, ka)
+            seg_weight[key] = seg_weight.get(key, 0) + it.weight
+        if not it.bounded:
             tk = (key_of(pts[-1]), (it.prim.x, it.prim.y))
             tail_weight[tk] = tail_weight.get(tk, 0) + it.weight
 
@@ -559,57 +538,37 @@ def normalize(c: TropicalCurve) -> TropicalCurve:
     representable).  Explicit pass; construction never normalizes implicitly.
     """
     while True:
-        inc = _incidences(c)
-        fused = False
-        for v, incident in enumerate(inc):
-            if len(incident) != 2:
+        star: list[list[Item]] = [[] for _ in c.vertices]
+        for it in items(c):
+            star[it.tail].append(it)
+            if it.bounded:
+                star[it.head].append(it)
+        for v, pair in enumerate(star):
+            if len(pair) != 2:
                 continue
-            (k1, i1), (k2, i2) = incident
-            if k1 == "ray" and k2 == "ray":
-                continue
-            vecs = []
-            weights = []
-            for k, i in ((k1, i1), (k2, i2)):
-                if k == "edge":
-                    e = c.edges[i]
-                    other = e.b if e.a == v else e.a
-                    u, _ = primitive_direction(
-                        c.vertices[other] - c.vertices[v]
-                    )
-                    vecs.append(u)
-                    weights.append(e.weight)
-                else:
-                    vecs.append(c.rays[i].direction)
-                    weights.append(c.rays[i].weight)
-            if vecs[0] != -vecs[1] or weights[0] != weights[1]:
-                continue
-            c = _fuse_vertex(c, v, (k1, i1), (k2, i2))
-            fused = True
-            break
-        if not fused:
+            a, b = pair
+            if a.bounded or b.bounded:
+                if a.out_of(v) == -b.out_of(v) and a.weight == b.weight:
+                    c = _fuse_vertex(c, v, a, b)
+                    break
+        else:
             return c
 
 
-def _fuse_vertex(c, v, first, second) -> TropicalCurve:
-    keep_edges = [e for i, e in enumerate(c.edges)
-                  if (first != ("edge", i) and second != ("edge", i))]
-    keep_rays = [r for i, r in enumerate(c.rays)
-                 if (first != ("ray", i) and second != ("ray", i))]
-    ends = []
-    for k, i in (first, second):
-        if k == "edge":
-            e = c.edges[i]
-            ends.append(("v", e.b if e.a == v else e.a, e.weight))
-        else:
-            r = c.rays[i]
-            ends.append(("r", r.direction, r.weight))
-    w = ends[0][2]
-    if ends[0][0] == "v" and ends[1][0] == "v":
-        keep_edges.append(Edge(ends[0][1], ends[1][1], w))
+def _fuse_vertex(c: TropicalCurve, v: int, a: Item, b: Item) -> TropicalCurve:
+    """Replace the two items at vertex v by one, then drop v."""
+    def far(it: Item) -> int | None:
+        return it.head if it.tail == v else it.tail
+
+    gone_edges = {it.index for it in (a, b) if it.bounded}
+    gone_rays = {it.index for it in (a, b) if not it.bounded}
+    keep_edges = [e for i, e in enumerate(c.edges) if i not in gone_edges]
+    keep_rays = [r for i, r in enumerate(c.rays) if i not in gone_rays]
+    if a.bounded and b.bounded:
+        keep_edges.append(Edge(far(a), far(b), a.weight))
     else:
-        vert = ends[0] if ends[0][0] == "v" else ends[1]
-        ray = ends[1] if ends[0][0] == "v" else ends[0]
-        keep_rays.append(Ray(vert[1], ray[1], w))
+        edge, ray = (a, b) if a.bounded else (b, a)
+        keep_rays.append(Ray(far(edge), ray.prim, a.weight))
     # drop vertex v, reindex
     old_to_new = {}
     new_vertices = []

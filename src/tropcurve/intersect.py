@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, cross
+from .geom import GeometryError, IntVector, Point, cross, pt
 from .curve import OVERLAP, TropicalCurve, _item_intersection, items, local_star
 from .newton import LatticePolygon, minkowski_sum, star_multiplicity
 
@@ -159,8 +159,6 @@ def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
 
 def generic_direction(c1: TropicalCurve, c2: TropicalCurve) -> Point:
     """Deterministic direction passing the genericity test."""
-    from .geom import pt
-
     for k in range(1, 2000):
         t = pt(1, k)
         if _violations(c1, c2, t) is None:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, Point, RefusalError, cross, primitive_direction
-from .curve import TropicalCurve, locate
+from .geom import GeometryError, Point, RefusalError, cross
+from .curve import TropicalCurve, item_at, items, locate
 from .bunch import (
     BouquetStructure,
     BunchGraph,
@@ -49,26 +49,24 @@ class CycleParametrization:
     def point_at(self, curve: TropicalCurve, t: Fraction) -> Point:
         t = t % self.total_length
         for i in range(len(self.breakpoints) - 1):
-            if self.breakpoints[i] <= t <= self.breakpoints[i + 1]:
+            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
+            if lo <= t <= hi:
                 a = curve.vertices[self.vertex_path[i]]
                 b = curve.vertices[self.vertex_path[i + 1]]
-                u, _ = primitive_direction(b - a)
-                return a + u.to_point() * (t - self.breakpoints[i])
+                return a + (b - a) * ((t - lo) / (hi - lo))
         raise GeometryError("parameter out of range")  # unreachable
 
     def param_of(self, curve: TropicalCurve, p: Point) -> Fraction:
         """Inverse of point_at for points on the cycle."""
         for i in range(len(self.breakpoints) - 1):
             a = curve.vertices[self.vertex_path[i]]
-            b = curve.vertices[self.vertex_path[i + 1]]
-            d = b - a
+            d = curve.vertices[self.vertex_path[i + 1]] - a
             if cross(d, p - a) != 0:
                 continue
-            u, _ = primitive_direction(d)
-            s = (p.x - a.x) / u.x if u.x else (p.y - a.y) / u.y
-            seg_len = self.breakpoints[i + 1] - self.breakpoints[i]
-            if 0 <= s <= seg_len:
-                return (self.breakpoints[i] + s) % self.total_length
+            s = (p.x - a.x) / d.x if d.x else (p.y - a.y) / d.y
+            if 0 <= s <= 1:
+                lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
+                return (lo + s * (hi - lo)) % self.total_length
         raise GeometryError("point is not on this cycle")
 
 
@@ -93,10 +91,8 @@ def parametrize_cycles(
             path.reverse()
             edges.reverse()
         breaks = [Fraction(0)]
-        for i in range(len(path) - 1):
-            d = curve.vertices[path[i + 1]] - curve.vertices[path[i]]
-            _, ll = primitive_direction(d)
-            breaks.append(breaks[-1] + ll)
+        for e in edges:
+            breaks.append(breaks[-1] + items(curve)[e].length)
         out.append(
             CycleParametrization(
                 k,
@@ -137,13 +133,6 @@ def cycle_system(curve: TropicalCurve) -> CycleSystem:
     return CycleSystem(curve, g, bq, parametrize_cycles(curve, bq))
 
 
-def _cycle_of_edge(system: CycleSystem, edge_index: int) -> int | None:
-    for cp in system.cycles:
-        if edge_index in cp.edge_indices:
-            return cp.index
-    return None
-
-
 def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     """Quotient image of a curve point as (cycle index, residue).
 
@@ -155,17 +144,13 @@ def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     hit = locate(c, p)
     if hit is None:
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
-    kind, idx = hit
-    if kind == "edge":
-        k = _cycle_of_edge(system, idx)
-        if k is not None:
-            return (k, system.cycles[k].param_of(c, p))
-        node = system.graph.node_of_vertex[c.edges[idx].a]
-    elif kind == "ray":
-        node = system.graph.node_of_vertex[c.rays[idx].vertex]
-    else:
-        node = system.graph.node_of_vertex[idx]
-    return _node_image(system, node)
+    if hit[0] == "vertex":
+        return _node_image(system, system.graph.node_of_vertex[hit[1]])
+    it = item_at(c, hit)
+    for cp in system.cycles:
+        if it.bounded and it.index in cp.edge_indices:
+            return (cp.index, cp.param_of(c, p))
+    return _node_image(system, system.graph.node_of_vertex[it.tail])
 
 
 def _node_image(system: CycleSystem, node: int) -> tuple[int | None, Fraction]:

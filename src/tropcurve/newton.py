@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import GeometryError, IntVector, Point, cross, pseudo_angle
-from .curve import Item, TropicalCurve, items, local_star, locate
+from .curve import Item, TropicalCurve, items, local_star
 
 
 class DualityError(GeometryError):
@@ -167,12 +167,6 @@ class FaceStructure:
     vertex_faces: tuple[tuple[int, ...], ...]
     items: tuple[Item, ...]
 
-    def item_faces(self, item_index: int) -> tuple[int, int]:
-        return (
-            self.side_face[2 * item_index],
-            self.side_face[2 * item_index + 1],
-        )
-
     def bounded_faces(self) -> tuple[int, ...]:
         return tuple(f for f in range(self.count) if self.bounded[f])
 
@@ -208,12 +202,9 @@ def face_structure(c: TropicalCurve) -> FaceStructure:
     # ends at each vertex: (outgoing primitive direction, left side, right side)
     ends: list[list[tuple]] = [[] for _ in c.vertices]
     for k, it in enumerate(its):
-        if it.kind == "edge":
-            e = c.edges[it.index]
-            ends[e.a].append((it.prim, 2 * k, 2 * k + 1))
-            ends[e.b].append((-it.prim, 2 * k + 1, 2 * k))
-        else:
-            ends[c.rays[it.index].vertex].append((it.prim, 2 * k, 2 * k + 1))
+        ends[it.tail].append((it.prim, 2 * k, 2 * k + 1))
+        if it.bounded:
+            ends[it.head].append((-it.prim, 2 * k + 1, 2 * k))
 
     for v, lst in enumerate(ends):
         lst.sort(key=lambda t: pseudo_angle(t[0]))
@@ -228,7 +219,7 @@ def face_structure(c: TropicalCurve) -> FaceStructure:
 
     ray_sides = []
     for k, it in enumerate(its):
-        if it.kind == "ray":
+        if not it.bounded:
             offset = Fraction(cross(it.prim, it.origin))
             ray_sides.append((pseudo_angle(it.prim), offset, 2 * k, 2 * k + 1))
     ray_sides.sort(key=lambda t: (t[0], t[1]))

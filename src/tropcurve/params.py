@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, primitive_direction, pt
-from .curve import Edge, Ray, TropicalCurve, validate
+from .geom import GeometryError, IntVector, Point, pt
+from .curve import Edge, Ray, TropicalCurve, items, validate
 from .newton import newton_complex, newton_polygon
 
 
@@ -38,23 +38,16 @@ class ParamPoint:
     lengths: tuple[Fraction, ...]  # lattice length per finite edge, > 0
     anchor_pos: Point
 
-    def dimension(self) -> int:
-        return len(self.lengths) + 2
-
 
 def params_from_curve(c: TropicalCurve, anchor: int = 0) -> ParamPoint:
     """Extract (combinatorial type, lattice lengths, anchor position)."""
     if not (0 <= anchor < len(c.vertices)):
         raise GeometryError(f"no vertex {anchor}")
-    edges = []
-    lengths = []
-    for e in c.edges:
-        u, ll = primitive_direction(c.vertices[e.b] - c.vertices[e.a])
-        edges.append((e.a, e.b, u, e.weight))
-        lengths.append(ll)
+    its = items(c)[: len(c.edges)]
+    edges = tuple((it.tail, it.head, it.prim, it.weight) for it in its)
     rays = tuple((r.vertex, r.direction, r.weight) for r in c.rays)
-    skel = CurveSkeleton(len(c.vertices), tuple(edges), rays, anchor)
-    return ParamPoint(skel, tuple(lengths), c.vertices[anchor])
+    skel = CurveSkeleton(len(c.vertices), edges, rays, anchor)
+    return ParamPoint(skel, tuple(it.length for it in its), c.vertices[anchor])
 
 
 def _fundamental_cycles(skel: CurveSkeleton) -> list[list[tuple[int, int]]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, primitive_decompose, pt
+from .geom import GeometryError, IntVector, Point, primitive_decompose
 from .curve import Edge, Ray, TropicalCurve
 from .newton import LatticePolygon, convex_hull
 

@@ -108,10 +108,6 @@ class _Panel:
         return origin + d * best
 
 
-def _curve_points(c: TropicalCurve) -> list[Point]:
-    return list(c.vertices)
-
-
 def render(scene: Scene) -> str:
     """Emit an SVG 1.1 document; empty scenes give a minimal valid file."""
     main_layers = [l for l in scene.layers if not isinstance(l, ComplexPanel)]
@@ -120,7 +116,7 @@ def render(scene: Scene) -> str:
     pts: list[Point] = []
     for layer in main_layers:
         if isinstance(layer, CurveLayer):
-            pts.extend(_curve_points(layer.curve))
+            pts.extend(layer.curve.vertices)
         elif isinstance(layer, DivisorLayer):
             pts.extend(p for p, _ in layer.entries)
         elif isinstance(layer, LoopLayer):
@@ -178,7 +174,7 @@ def _render_main(panel: _Panel, layers) -> list[str]:
             a = it.origin
             b = (
                 it.origin + it.vec
-                if it.kind == "edge"
+                if it.bounded
                 else panel.clip_ray(it.origin, it.prim)
             )
             x1, y1 = panel.to_px(a)

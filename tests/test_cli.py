@@ -87,6 +87,14 @@ def test_bezout_deg(capsys):
     assert capsys.readouterr().out.strip() == "6"
 
 
+@pytest.mark.parametrize("degs", [["-1", "2"], ["2", "-1"], ["-2", "-3"]])
+def test_bezout_negative_degree_exit_2(capsys, degs):
+    assert main(["bezout", "--deg", *degs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
 def test_bezout_files(paths, capsys):
     _, wc, _ = paths
     a = wc("a.json", tropical_line())
