@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .geom import GeometryError, RefusalError
 from .curve import TropicalCurve
+from .newton import _UnionFind
 
 
 class DisconnectedCurveError(RefusalError):
@@ -27,67 +28,51 @@ def _adjacency(c: TropicalCurve) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _check_connected(c: TropicalCurve) -> None:
-    if not c.vertices:
-        raise DisconnectedCurveError("empty curve")
-    adj = _adjacency(c)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, _ in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(c.vertices):
-        raise DisconnectedCurveError("curve is disconnected")
-
-
 def bridges(c: TropicalCurve) -> set[int]:
     """Edge indices whose removal disconnects the finite-edge multigraph.
 
-    Iterative low-link search; parallel edges are tracked by edge id, so a
-    doubled edge is never a bridge.
+    Iterative low-link search from vertex 0; parallel edges are tracked by
+    edge id, so a doubled edge is never a bridge.  An empty or disconnected
+    curve is refused with DisconnectedCurveError.
     """
+    if not c.vertices:
+        raise DisconnectedCurveError("empty curve")
     adj = _adjacency(c)
     n = len(c.vertices)
     preorder = [-1] * n
     low = [0] * n
     out: set[int] = set()
-    counter = 0
-    for root in range(n):
-        if preorder[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        preorder[root] = low[root] = counter
-        counter += 1
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == in_edge:
-                    continue
-                if preorder[w] == -1:
-                    preorder[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], preorder[w])
-            if advanced:
+    preorder[0] = 0
+    counter = 1
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, in_edge, it = stack[-1]
+        advanced = False
+        for w, eid in it:
+            if eid == in_edge:
                 continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > preorder[parent]:
-                    out.add(in_edge)
+            if preorder[w] == -1:
+                preorder[w] = low[w] = counter
+                counter += 1
+                stack.append((w, eid, iter(adj[w])))
+                advanced = True
+                break
+            low[v] = min(low[v], preorder[w])
+        if advanced:
+            continue
+        stack.pop()
+        if stack:
+            parent = stack[-1][0]
+            low[parent] = min(low[parent], low[v])
+            if low[v] > preorder[parent]:
+                out.add(in_edge)
+    if counter != n:
+        raise DisconnectedCurveError("curve is disconnected")
     return out
 
 
 def classify_edges(c: TropicalCurve) -> tuple[str, ...]:
     """'tentacle' or 'cycle' for each finite edge of a connected curve."""
-    _check_connected(c)
     b = bridges(c)
     return tuple("tentacle" if i in b else "cycle" for i in range(len(c.edges)))
 
@@ -118,22 +103,15 @@ def bunch(c: TropicalCurve) -> BunchGraph:
     """Contract every tentacle and ray of a connected curve."""
     classes = classify_edges(c)
     n = len(c.vertices)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    uf = _UnionFind(n)
     for i, e in enumerate(c.edges):
         if classes[i] == "tentacle":
-            parent[find(e.a)] = find(e.b)
+            uf.merge(e.a, e.b)
     roots: dict[int, int] = {}
     node_of_vertex = []
     members: list[list[int]] = []
     for v in range(n):
-        r = find(v)
+        r = uf.find(v)
         if r not in roots:
             roots[r] = len(roots)
             members.append([])

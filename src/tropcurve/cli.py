@@ -20,7 +20,6 @@ from .intersect import bezout_degree, is_transversal, stable_intersection
 from .jacobian import (
     abel_coordinate,
     cycle_system,
-    linearly_equivalent,
     require_reduced,
     sigma,
 )
@@ -233,9 +232,9 @@ def cmd_equiv(args) -> int:
     system = cycle_system(require_reduced(c))
     d1 = jsonio.load_divisor(args.divisor1, host=c)
     d2 = jsonio.load_divisor(args.divisor2, host=c)
-    verdict = linearly_equivalent(system, d1, d2)
     a1 = abel_coordinate(system, d1)
     a2 = abel_coordinate(system, d2)
+    verdict = a1 == a2
     diff = [
         jsonio.fraction_to_str((r1 - r2) % cp.total_length)
         for r1, r2, cp in zip(a1.residues, a2.residues, system.cycles)

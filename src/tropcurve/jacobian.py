@@ -211,9 +211,7 @@ def linearly_equivalent(system: CycleSystem, d1: Divisor, d2: Divisor) -> bool:
     Only valid for reduced curves whose bunch is a bouquet; refused otherwise.
     """
     require_reduced(system.curve)
-    a = abel_coordinate(system, d1)
-    b = abel_coordinate(system, d2)
-    return a.degree == b.degree and a.residues == b.residues
+    return abel_coordinate(system, d1) == abel_coordinate(system, d2)
 
 
 def linearly_equivalent_on(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .geom import GeometryError, IntVector, Point, pt
@@ -24,12 +25,75 @@ class ClosureError(GeometryError):
 
 @dataclass(frozen=True)
 class CurveSkeleton:
-    """Combinatorial type: directed primitive edge data plus ray data."""
+    """Combinatorial type: directed primitive edge data plus ray data.
+
+    Its spanning forest and its closure basis are derived once, on first use.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int, IntVector, int], ...]  # (a, b, dir a->b, weight)
     rays: tuple[tuple[int, IntVector, int], ...]  # (vertex, dir, weight)
     anchor: int
+
+    @cached_property
+    def _forest(self) -> tuple[
+        dict[int, tuple[int, int, int] | None],
+        tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+    ]:
+        """Spanning forest by BFS from the anchor, then from every vertex not
+        yet reached, plus the fundamental cycle of each non-tree edge.
+
+        The first dict maps each vertex, in BFS order, to its link
+        (parent, parent edge, +1 when that edge runs parent -> vertex), or to
+        None at a root.  Each cycle is (non-tree edge, ((edge, sign along the
+        cycle), ...)); it runs along the non-tree edge, then back through the
+        tree, with the root-path edges both ends share cancelled.
+        """
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
+        for i, (a, b, _, _) in enumerate(self.edges):
+            adj[a].append((b, i, 1))
+            adj[b].append((a, i, -1))
+        link: dict[int, tuple[int, int, int] | None] = {}
+        for root in (self.anchor, *range(self.vertex_count)):
+            if root in link:
+                continue
+            link[root] = None
+            queue = [root]
+            for v in queue:  # the queue grows while it is read
+                for w, eid, sign in adj[v]:
+                    if w not in link:
+                        link[w] = (v, eid, sign)
+                        queue.append(w)
+        tree = {ln[1] for ln in link.values() if ln is not None}
+
+        def root_path(v: int) -> dict[int, int]:
+            path = {}
+            while (ln := link[v]) is not None:
+                v, eid, sign = ln
+                path[eid] = sign
+            return path
+
+        cycles = []
+        for i, (a, b, _, _) in enumerate(self.edges):
+            if i in tree:
+                continue
+            pa, pb = root_path(a), root_path(b)
+            # a -> b along edge i, b up to the fork, then down to a
+            cyc = [(i, 1)]
+            cyc += [(eid, -sign) for eid, sign in pb.items() if eid not in pa]
+            cyc += [(eid, sign) for eid, sign in pa.items() if eid not in pb]
+            cycles.append((i, tuple(cyc)))
+        return link, tuple(cycles)
+
+    @cached_property
+    def _closure_basis(self) -> tuple[list[Fraction], ...]:
+        """Orthogonal basis of the span of the closure rows (Gram-Schmidt)."""
+        basis: list[list[Fraction]] = []
+        for row in closure_matrix(self):
+            q = _reject(row, basis)
+            if any(q):
+                basis.append(q)
+        return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -50,58 +114,6 @@ def params_from_curve(c: TropicalCurve, anchor: int = 0) -> ParamPoint:
     return ParamPoint(skel, tuple(it.length for it in its), c.vertices[anchor])
 
 
-def _fundamental_cycles(skel: CurveSkeleton) -> list[list[tuple[int, int]]]:
-    """Cycle basis as lists of (edge index, sign along the cycle)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(skel.vertex_count)]
-    for i, (a, b, _, _) in enumerate(skel.edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    parent: dict[int, tuple[int, int, int] | None] = {}
-    order = []
-    tree_edges = set()
-    for root in range(skel.vertex_count):
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w, eid in adj[v]:
-                if w not in parent:
-                    parent[w] = (v, eid, 1 if skel.edges[eid][0] == v else -1)
-                    tree_edges.add(eid)
-                    queue.append(w)
-    cycles = []
-    for i, (a, b, _, _) in enumerate(skel.edges):
-        if i in tree_edges:
-            continue
-        # path b -> a through the tree, then close with edge i (a -> b)
-        def path_to_root(v):
-            out = []
-            while parent[v] is not None:
-                u, eid, sign = parent[v]
-                out.append((v, eid, sign))
-                v = u
-            return out, v
-
-        pa, ra = path_to_root(a)
-        pb, rb = path_to_root(b)
-        if ra != rb:
-            raise GeometryError("cycle endpoints in different components")
-        sa = {eid for _, eid, _ in pa}
-        sb = {eid for _, eid, _ in pb}
-        cyc = [(i, 1)]
-        for _, eid, sign in pb:
-            if eid not in sa:
-                cyc.append((eid, -sign))  # walking b -> root, against parent dir
-        for _, eid, sign in pa:
-            if eid not in sb:
-                cyc.append((eid, sign))
-        cycles.append(cyc)
-    return cycles
-
-
 def curve_from_params(p: ParamPoint) -> TropicalCurve:
     """Rebuild the embedded curve by propagating from the anchor.
 
@@ -114,53 +126,29 @@ def curve_from_params(p: ParamPoint) -> TropicalCurve:
     for i, ll in enumerate(p.lengths):
         if ll <= 0:
             raise ClosureError(f"edge {i} has non-positive lattice length {ll}")
-    pos: list[Point | None] = [None] * skel.vertex_count
-    pos[skel.anchor] = p.anchor_pos
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(skel.vertex_count)]
-    for i, (a, b, u, _) in enumerate(skel.edges):
-        adj[a].append((b, i, 1))
-        adj[b].append((a, i, -1))
-    queue = [skel.anchor]
-    tree_parent: dict[int, int] = {}
-    while queue:
-        v = queue.pop(0)
-        for w, eid, sign in adj[v]:
-            u = skel.edges[eid][2]
-            step = u.to_point() * (p.lengths[eid] * sign)
-            target = pos[v] + step
-            if pos[w] is None:
-                pos[w] = target
-                tree_parent[w] = eid
-                queue.append(w)
-            elif pos[w] != target:
-                cyc = _closing_cycle(skel, tree_parent, eid)
-                raise ClosureError(
-                    f"cycle through edges {cyc} does not close"
-                )
-    if any(q is None for q in pos):
+    link, cycles = skel._forest
+    if list(link.values()).count(None) > 1:
         raise ClosureError("skeleton is disconnected from the anchor")
-    # rays only attach to placed vertices
+    pos: list[Point] = [p.anchor_pos] * skel.vertex_count
+    for w, ln in link.items():
+        if ln is not None:
+            v, eid, sign = ln
+            pos[w] = pos[v] + skel.edges[eid][2].to_point() * (p.lengths[eid] * sign)
+    for eid, cyc in cycles:
+        a, b, u, _ = skel.edges[eid]
+        if pos[b] - pos[a] != u.to_point() * p.lengths[eid]:
+            raise ClosureError(
+                f"cycle through edges {sorted(e for e, _ in cyc)} does not close"
+            )
     es = tuple(Edge(a, b, w) for (a, b, _, w) in skel.edges)
     rs = tuple(Ray(v, d, w) for (v, d, w) in skel.rays)
     return TropicalCurve(tuple(pos), es, rs)
 
 
-def _closing_cycle(skel, tree_parent, closing_edge) -> list[int]:
-    a, b, _, _ = skel.edges[closing_edge]
-    seen = [closing_edge]
-    for v in (a, b):
-        while v in tree_parent:
-            eid = tree_parent[v]
-            seen.append(eid)
-            ea, eb, _, _ = skel.edges[eid]
-            v = ea if v == eb else eb
-    return sorted(set(seen))
-
-
 def closure_matrix(skel: CurveSkeleton) -> list[list[Fraction]]:
     """Two rows (x and y) per independent cycle, over the length variables."""
     rows = []
-    for cyc in _fundamental_cycles(skel):
+    for _, cyc in skel._forest[1]:
         rx = [Fraction(0)] * len(skel.edges)
         ry = [Fraction(0)] * len(skel.edges)
         for eid, sign in cyc:
@@ -172,35 +160,13 @@ def closure_matrix(skel: CurveSkeleton) -> list[list[Fraction]]:
     return rows
 
 
-def _independent_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    out = []
-    reduced: list[list[Fraction]] = []
-    for row in rows:
-        r = list(row)
-        for piv in reduced:
-            lead = next((j for j, x in enumerate(piv) if x != 0), None)
-            if lead is not None and r[lead] != 0:
-                f = r[lead] / piv[lead]
-                r = [a - f * b for a, b in zip(r, piv)]
-        if any(x != 0 for x in r):
-            reduced.append(r)
-            out.append(list(row))
+def _reject(v: list[Fraction], basis) -> list[Fraction]:
+    """v minus its orthogonal projection onto the span of an orthogonal basis."""
+    out = list(v)
+    for q in basis:
+        f = sum(x * y for x, y in zip(out, q)) / sum(y * y for y in q)
+        out = [x - f * y for x, y in zip(out, q)]
     return out
-
-
-def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                g = aug[r][col]
-                aug[r] = [a - g * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def project_to_closure(
@@ -208,21 +174,7 @@ def project_to_closure(
 ) -> list[Fraction]:
     """Orthogonal projection of a length-space direction onto the closure
     subspace (anchor coordinates are unconstrained and not included here)."""
-    rows = _independent_rows(closure_matrix(skel))
-    if not rows:
-        return list(direction)
-    m = len(rows)
-    gram = [
-        [sum(rows[i][k] * rows[j][k] for k in range(len(direction))) for j in range(m)]
-        for i in range(m)
-    ]
-    rhs = [sum(rows[i][k] * direction[k] for k in range(len(direction))) for i in range(m)]
-    y = _solve(gram, rhs)
-    out = list(direction)
-    for i in range(m):
-        for k in range(len(direction)):
-            out[k] -= y[i] * rows[i][k]
-    return out
+    return _reject(direction, skel._closure_basis)
 
 
 def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:

@@ -49,16 +49,18 @@ def test_classification_translation_invariant():
 
 
 def test_classify_disconnected_errors():
-    c = curve(
+    two_lines = curve(
         [(0, 0), (5, 5)],
         rays=[
             (0, (0, 1)), (0, (0, -1)),
             (1, (0, 1)), (1, (0, -1)),
         ],
     )
-    assert validate(c).passed
-    with pytest.raises(DisconnectedCurveError):
-        classify_edges(c)
+    empty = curve([])
+    for c, reason in ((two_lines, "curve is disconnected"), (empty, "empty curve")):
+        assert validate(c).passed
+        with pytest.raises(DisconnectedCurveError, match=reason):
+            classify_edges(c)
 
 
 def test_bunch_line_is_point():

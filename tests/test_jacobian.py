@@ -213,6 +213,7 @@ def _rebased_system(s: CycleSystem, offset: int) -> CycleSystem:
     (cp,) = s.cycles
     path = cp.vertex_path[:-1]
     path = path[offset:] + path[:offset]
+    edges = cp.edge_indices[offset:] + cp.edge_indices[:offset]
     c = s.curve
     from tropcurve.geom import primitive_direction
 
@@ -225,6 +226,7 @@ def _rebased_system(s: CycleSystem, offset: int) -> CycleSystem:
     new = dataclasses.replace(
         cp,
         vertex_path=path + (path[0],),
+        edge_indices=edges,
         breakpoints=tuple(breaks),
         base_vertex=path[0],
     )

@@ -20,10 +20,12 @@ from tropcurve.newton import newton_complex
 from tropcurve.params import (
     ClosureError,
     ParamPoint,
+    closure_matrix,
     curve_from_params,
     is_degeneration,
     params_from_curve,
     perturb,
+    project_to_closure,
     same_component,
 )
 
@@ -40,9 +42,19 @@ FIXTURES = [
 
 @pytest.mark.parametrize("c", FIXTURES)
 def test_round_trip(c):
-    p = params_from_curve(c)
-    back = curve_from_params(p)
-    assert canonical_form(back) == canonical_form(c)
+    # the skeleton's spanning tree is rooted at the anchor, so try each one
+    for anchor in range(len(c.vertices)):
+        back = curve_from_params(params_from_curve(c, anchor))
+        assert canonical_form(back) == canonical_form(c)
+
+
+def test_disconnected_skeleton_refused():
+    two_lines = curve(
+        [(0, 0), (5, 5)],
+        rays=[(0, (0, 1)), (0, (0, -1)), (1, (0, 1)), (1, (0, -1))],
+    )
+    with pytest.raises(ClosureError, match="disconnected"):
+        curve_from_params(params_from_curve(two_lines))
 
 
 def test_line_has_no_lengths():
@@ -70,12 +82,22 @@ def test_scaling_cycle():
 
 
 def test_closure_violation_named():
-    p = params_from_curve(unit_triangle_cycle())
-    lengths = list(p.lengths)
-    lengths[0] += 1
-    with pytest.raises(ClosureError) as err:
-        curve_from_params(ParamPoint(p.skeleton, tuple(lengths), p.anchor_pos))
-    assert "cycle" in str(err.value)
+    # (curve, anchor, edge whose length is doubled, edges of the open cycle);
+    # edge 6 of two_triangles_bridged is the bridge, on neither cycle
+    cases = [
+        (unit_triangle_cycle(), 0, 0, [0, 1, 2]),
+        (two_triangles_bridged(), 0, 3, [3, 4, 5]),
+        (two_triangles_bridged(), 3, 0, [0, 1, 2]),
+        (two_triangles_bridged(), 5, 1, [0, 1, 2]),
+        (theta_curve(), 0, 1, [0, 1, 2, 3]),
+    ]
+    for c, anchor, edge, cycle in cases:
+        p = params_from_curve(c, anchor)
+        lengths = list(p.lengths)
+        lengths[edge] *= 2
+        with pytest.raises(ClosureError) as err:
+            curve_from_params(ParamPoint(p.skeleton, tuple(lengths), p.anchor_pos))
+        assert str(err.value) == f"cycle through edges {cycle} does not close"
 
 
 def test_nonpositive_length_rejected():
@@ -100,6 +122,73 @@ def test_uniform_cycle_scaling_stays_in_cone():
     for f in (Fraction(1, 3), Fraction(5, 2), Fraction(7)):
         q = ParamPoint(p.skeleton, tuple(f * ll for ll in p.lengths), p.anchor_pos)
         assert validate(curve_from_params(q)).passed
+
+
+def _independent_rows(rows):
+    out = []
+    reduced = []
+    for row in rows:
+        r = list(row)
+        for piv in reduced:
+            lead = next((j for j, x in enumerate(piv) if x != 0), None)
+            if lead is not None and r[lead] != 0:
+                f = r[lead] / piv[lead]
+                r = [a - f * b for a, b in zip(r, piv)]
+        if any(x != 0 for x in r):
+            reduced.append(r)
+            out.append(list(row))
+    return out
+
+
+def _solve(matrix, rhs):
+    n = len(matrix)
+    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        f = aug[col][col]
+        aug[col] = [x / f for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                g = aug[r][col]
+                aug[r] = [a - g * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def _gram_projection(skel, direction):
+    """Reference: solve the Gram system of independent closure rows."""
+    rows = _independent_rows(closure_matrix(skel))
+    if not rows:
+        return list(direction)
+    m = len(rows)
+    gram = [
+        [sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(m)]
+        for i in range(m)
+    ]
+    rhs = [sum(a * b for a, b in zip(row, direction)) for row in rows]
+    y = _solve(gram, rhs)
+    out = list(direction)
+    for i in range(m):
+        for k in range(len(direction)):
+            out[k] -= y[i] * rows[i][k]
+    return out
+
+
+@pytest.mark.parametrize("c", FIXTURES)
+def test_projection_matches_gram_solve(c):
+    rng = random.Random(11)
+    for anchor in range(len(c.vertices)):
+        skel = params_from_curve(c, anchor).skeleton
+        rows = closure_matrix(skel)
+        for _ in range(5):
+            d = [
+                Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                for _ in skel.edges
+            ]
+            out = project_to_closure(skel, d)
+            assert out == _gram_projection(skel, d)
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, out)) == 0
 
 
 def test_perturb_zero_seedless_determinism():
