@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import combinations, groupby, product
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .geom import (
     GeometryError,
@@ -124,9 +126,12 @@ class Item:
         """'edge' or 'ray', for messages and JSON."""
         return "edge" if self.bounded else "ray"
 
-    def out_of(self, v: int) -> IntVector:
-        """Primitive direction of the item leaving its end vertex v."""
-        return self.prim if v == self.tail else -self.prim
+    @property
+    def ends(self) -> tuple[Point, ...]:
+        """Position of the tail vertex, then of the head vertex if any."""
+        if self.bounded:
+            return (self.origin, self.origin + self.vec)
+        return (self.origin,)
 
     def param_of(self, p: Point) -> Fraction:
         """Coordinate of a point on the item's line, in units of vec."""
@@ -210,6 +215,37 @@ def _item_intersection(a: Item, b: Item) -> Point | _Overlap | None:
     return OVERLAP
 
 
+def meetings(
+    xs: Sequence[Item], ys: Sequence[Item] | None = None
+) -> Iterator[tuple[Item, Item, Point | _Overlap]]:
+    """Every pair of items that meet, with the meeting Point or OVERLAP.
+
+    With one sequence, each pair of distinct positions once, earlier item
+    first; with two, every item of xs against every item of ys, xs-major.
+    """
+    pairs = combinations(xs, 2) if ys is None else product(xs, ys)
+    for a, b in pairs:
+        p = _item_intersection(a, b)
+        if p is not None:
+            yield a, b, p
+
+
+def star_at(p: Point, its: Iterable[Item]) -> list[IntVector]:
+    """Weighted primitive vectors leaving p along items that contain it.
+
+    An item leaves p forward unless p is its head, and backward unless p is
+    its tail, so an interior point gives both directions.
+    """
+    star = []
+    for it in its:
+        w = it.prim * it.weight
+        if not it.bounded or p != it.origin + it.vec:
+            star.append(w)
+        if p != it.origin:
+            star.append(-w)
+    return star
+
+
 @dataclass(frozen=True)
 class BalanceReport:
     """Per-vertex balancing residuals plus embedding diagnostics."""
@@ -271,24 +307,19 @@ def validate(c: TropicalCurve) -> BalanceReport:
         if it.bounded:
             residuals[it.head] -= it.prim * it.weight
     violations = []
-    for i in range(len(its)):
-        for j in range(i + 1, len(its)):
-            a, b = its[i], its[j]
-            p = _item_intersection(a, b)
-            if p is None:
-                continue
-            if p is OVERLAP:
-                violations.append(
-                    f"{a.kind} {a.index} and {b.kind} {b.index} overlap "
-                    "along a segment"
-                )
-                continue
-            shared = {a.tail, a.head} & {b.tail, b.head}
-            if not any(s is not None and c.vertices[s] == p for s in shared):
-                violations.append(
-                    f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
-                    f"({p.x}, {p.y}) which is not a shared vertex"
-                )
+    for a, b, p in meetings(its):
+        if p is OVERLAP:
+            violations.append(
+                f"{a.kind} {a.index} and {b.kind} {b.index} overlap "
+                "along a segment"
+            )
+            continue
+        shared = {a.tail, a.head} & {b.tail, b.head}
+        if not any(s is not None and c.vertices[s] == p for s in shared):
+            violations.append(
+                f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
+                f"({p.x}, {p.y}) which is not a shared vertex"
+            )
     return BalanceReport(tuple(residuals), tuple(violations))
 
 
@@ -345,10 +376,8 @@ def local_star(c: TropicalCurve, p: Point) -> list[IntVector]:
     if hit is None:
         return []
     if hit[0] == "vertex":
-        v = hit[1]
-        return [it.out_of(v) * it.weight for it in items(c) if v in (it.tail, it.head)]
-    it = item_at(c, hit)
-    return [it.prim * it.weight, -it.prim * it.weight]
+        return star_at(p, [it for it in items(c) if p in it.ends])
+    return star_at(p, [item_at(c, hit)])
 
 
 # ---------------------------------------------------------------------------
@@ -380,47 +409,37 @@ def _loop_sides(loop: Sequence[Point]) -> list[Item]:
         _segment(k, k, (k + 1) % n, loop[k], loop[(k + 1) % n])
         for k in range(n)
     ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = _item_intersection(sides[i], sides[j])
-            if p is None:
-                continue
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if p is OVERLAP or not adjacent:
-                raise LoopError("loop is not a simple polygon")
-            shared = sides[j].origin if j == i + 1 else sides[i].origin
-            if p != shared:
-                raise LoopError("loop is not a simple polygon")
+    for a, b, p in meetings(sides):
+        i, j = a.index, b.index
+        adjacent = j == i + 1 or (i == 0 and j == n - 1)
+        if p is OVERLAP or not adjacent:
+            raise LoopError("loop is not a simple polygon")
+        if p != (b.origin if j == i + 1 else a.origin):
+            raise LoopError("loop is not a simple polygon")
     return sides
 
 
 def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
     """Transversal crossings of curve items with the loop boundary.
 
-    Yields (item, signed weighted primitive vector pointing out of the loop,
-    crossing point).  Raises LoopError on any non-transversal contact.
+    A list of (item, signed weighted primitive vector pointing out of the
+    loop, crossing point).  Raises LoopError on any non-transversal contact.
     """
     sides = _loop_sides(loop)
     corners = set(loop)
     out = []
-    for it in items(c):
+    for it, met in groupby(meetings(items(c), sides), key=itemgetter(0)):
         params = []
-        for side in sides:
-            p = _item_intersection(it, side)
-            if p is None:
-                continue
+        for _, _, p in met:
             if p is OVERLAP:
                 raise LoopError(
                     f"loop runs along {it.kind} {it.index}"
                 )
             if p in corners:
                 raise LoopError("loop corner touches the curve")
-            t = it.param_of(p)
-            if t == 0 or (it.bounded and t == 1):
+            if p in it.ends:
                 raise LoopError("loop passes through a curve vertex")
-            params.append((t, p))
-        if not params:
-            continue
+            params.append((it.param_of(p), p))
         params.sort(key=lambda tp: tp[0])
         inside = point_in_polygon(it.origin, loop)
         w = it.prim * it.weight
@@ -468,32 +487,25 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     Edges split at all crossings and at vertices of the other curve;
     collinear overlapping portions merge with weights added.
     """
-    all_items = list(items(c1)) + list(items(c2))
-    splits: list[set[Fraction]] = [set() for _ in all_items]
+    all_items = items(c1) + items(c2)
+    # Keyed by value: an item that occurs twice, as in union(c, c), is one
+    # segment and is cut at the same points both times.
+    splits: dict[Item, set[Fraction]] = {it: set() for it in all_items}
 
-    def add_split(idx: int, p: Point) -> None:
-        it = all_items[idx]
+    def add_split(it: Item, p: Point) -> None:
         t = it.param_of(p)
-        if t <= 0 or (it.bounded and t >= 1):
-            return
-        splits[idx].add(t)
+        if t > 0 and (not it.bounded or t < 1):
+            splits[it].add(t)
 
-    for i in range(len(all_items)):
-        for j in range(i + 1, len(all_items)):
-            a, b = all_items[i], all_items[j]
-            p = _item_intersection(a, b)
-            if p is OVERLAP:
-                ends_b = [b.origin] + ([b.origin + b.vec] if b.bounded else [])
-                ends_a = [a.origin] + ([a.origin + a.vec] if a.bounded else [])
-                for q in ends_b:
-                    if a.contains_param(a.param_of(q)):
-                        add_split(i, q)
-                for q in ends_a:
-                    if b.contains_param(b.param_of(q)):
-                        add_split(j, q)
-            elif p is not None:
-                add_split(i, p)
-                add_split(j, p)
+    for a, b, p in meetings(all_items):
+        if p is OVERLAP:
+            for x, y in ((a, b), (b, a)):
+                for q in y.ends:
+                    if x.contains_param(x.param_of(q)):
+                        add_split(x, q)
+        else:
+            add_split(a, p)
+            add_split(b, p)
 
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}
@@ -501,11 +513,9 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     def key_of(p: Point) -> tuple:
         return (p.x, p.y)
 
-    for idx, it in enumerate(all_items):
-        cuts = sorted(splits[idx])
-        pts = [it.origin] + [it.point_at(t) for t in cuts]
-        if it.bounded:
-            pts.append(it.origin + it.vec)
+    for it in all_items:
+        cuts = [it.point_at(t) for t in sorted(splits[it])]
+        pts = [it.origin, *cuts, *it.ends[1:]]
         for a, b in zip(pts, pts[1:]):
             ka, kb = key_of(a), key_of(b)
             key = (ka, kb) if ka <= kb else (kb, ka)
@@ -547,10 +557,10 @@ def normalize(c: TropicalCurve) -> TropicalCurve:
             if len(pair) != 2:
                 continue
             a, b = pair
-            if a.bounded or b.bounded:
-                if a.out_of(v) == -b.out_of(v) and a.weight == b.weight:
-                    c = _fuse_vertex(c, v, a, b)
-                    break
+            wa, wb = star_at(c.vertices[v], pair)
+            if (a.bounded or b.bounded) and wa == -wb:
+                c = _fuse_vertex(c, v, a, b)
+                break
         else:
             return c
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import GeometryError, IntVector, Point, cross, pt
-from .curve import OVERLAP, TropicalCurve, _item_intersection, items, local_star
+from .curve import OVERLAP, Item, TropicalCurve, items, meetings, star_at
 from .newton import LatticePolygon, minkowski_sum, star_multiplicity
 
 
@@ -208,29 +208,15 @@ def perturbation_oracle(
 
 
 def has_shared_segment(c1: TropicalCurve, c2: TropicalCurve) -> bool:
-    its2 = items(c2)
-    return any(
-        _item_intersection(a, b) is OVERLAP for a in items(c1) for b in its2
-    )
+    return any(p is OVERLAP for _, _, p in meetings(items(c1), items(c2)))
 
 
 def is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     """True when every common point is a plain interior-interior crossing."""
-    its2 = items(c2)
-    for a in items(c1):
-        for b in its2:
-            p = _item_intersection(a, b)
-            if p is None:
-                continue
-            if p is OVERLAP:
-                return False
-            sa = a.param_of(p)
-            sb = b.param_of(p)
-            if sa == 0 or (a.bounded and sa == 1):
-                return False
-            if sb == 0 or (b.bounded and sb == 1):
-                return False
-    return True
+    return all(
+        p is not OVERLAP and p not in a.ends and p not in b.ends
+        for a, b, p in meetings(items(c1), items(c2))
+    )
 
 
 def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
@@ -240,19 +226,19 @@ def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     segments route through the perturbation oracle with an automatically
     chosen generic direction.
     """
-    points: set[Point] = set()
-    its2 = items(c2)
-    for a in items(c1):
-        for b in its2:
-            p = _item_intersection(a, b)
-            if p is OVERLAP:
-                return perturbation_oracle(c1, c2, generic_direction(c1, c2))
-            if p is not None:
-                points.add(p)
+    # Each common point with the items of each curve through it, in item
+    # order: with no overlap, every item of one curve through the point
+    # meets every item of the other there, so all of them are recorded.
+    met: dict[Point, tuple[list[Item], list[Item]]] = {}
+    for a, b, p in meetings(items(c1), items(c2)):
+        if p is OVERLAP:
+            return perturbation_oracle(c1, c2, generic_direction(c1, c2))
+        for it, through in zip((a, b), met.setdefault(p, ([], []))):
+            if it not in through:
+                through.append(it)
     acc: dict[Point, int] = {}
-    for p in points:
-        s1 = local_star(c1, p)
-        s2 = local_star(c2, p)
+    for p, (its1, its2) in met.items():
+        s1, s2 = star_at(p, its1), star_at(p, its2)
         m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
         if m % 2 != 0:
             raise GeometryError("odd multiplicity defect; inputs inconsistent")

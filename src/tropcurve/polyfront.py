@@ -351,33 +351,25 @@ def _lattice_length(d: IntVector) -> int:
 def _planar_corner_locus(sub: DualSubdivision) -> TropicalCurve:
     cells = sub.cells
     vertices = [c.dual_vertex for c in cells]
-    edge_owner: dict[tuple, list[int]] = {}
+    # Each owner of a boundary edge with the edge oriented along its polygon.
+    edge_owner: dict[tuple, list[tuple[int, IntVector]]] = {}
     for idx, cell in enumerate(cells):
         vs = cell.polygon.vertices
         for i in range(len(vs)):
             a, b = vs[i], vs[(i + 1) % len(vs)]
             ka, kb = (a.x, a.y), (b.x, b.y)
             key = (ka, kb) if ka <= kb else (kb, ka)
-            edge_owner.setdefault(key, []).append(idx)
+            edge_owner.setdefault(key, []).append((idx, b - a))
     edges = []
     rays = []
-    for key, owners in sorted(edge_owner.items()):
-        (ax, ay), (bx, by) = key
-        d = IntVector(bx - ax, by - ay)
-        w = _lattice_length(d)
+    for _, owners in sorted(edge_owner.items()):
         if len(owners) == 2:
-            edges.append(Edge(owners[0], owners[1], w))
+            (i, side), (j, _) = owners
+            edges.append(Edge(i, j, _lattice_length(side)))
         elif len(owners) == 1:
-            cell = cells[owners[0]]
-            vs = cell.polygon.vertices
-            for i in range(len(vs)):
-                a, b = vs[i], vs[(i + 1) % len(vs)]
-                ka, kb = (a.x, a.y), (b.x, b.y)
-                if ((ka, kb) if ka <= kb else (kb, ka)) == key:
-                    out = (b - a).rot_cw()
-                    break
-            direction, _ = primitive_decompose(out)
-            rays.append(Ray(owners[0], direction, w))
+            (i, side), = owners
+            direction, w = primitive_decompose(side.rot_cw())
+            rays.append(Ray(i, direction, w))
         else:
             raise GeometryError("a subdivision edge borders more than two cells")
     return TropicalCurve(tuple(vertices), tuple(edges), tuple(rays))

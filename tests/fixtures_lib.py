@@ -3,6 +3,21 @@
 from fractions import Fraction
 
 from tropcurve.curve import TropicalCurve, curve
+from tropcurve.geom import IntVector, primitive_direction
+
+
+def reference_outgoing(c: TropicalCurve, vertex: int) -> list[IntVector]:
+    """Weighted primitive vectors leaving a vertex, from raw edges and rays."""
+    out = []
+    for e in c.edges:
+        if e.a == vertex or e.b == vertex:
+            other = e.b if e.a == vertex else e.a
+            u, _ = primitive_direction(c.vertices[other] - c.vertices[vertex])
+            out.append(u * e.weight)
+    for r in c.rays:
+        if r.vertex == vertex:
+            out.append(r.direction * r.weight)
+    return out
 
 
 def tropical_line(at=(0, 0)) -> TropicalCurve:

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -5,14 +6,31 @@ import pytest
 from fixtures_lib import (
     anti_line,
     coordinate_cross,
+    diagonal_cross,
+    figure_eight,
+    reference_outgoing,
+    tail_cycle_curve,
+    theta_curve,
     triangle_cycle_host,
     tropical_line,
+    two_triangles_bridged,
+    unit_triangle_cycle,
     vertical_line,
+    weight_two_edge_curve,
     wedge_l,
     wedge_m,
 )
-from tropcurve.curve import translate, union, validate
-from tropcurve.geom import GeometryError, pt, vec
+from tropcurve.curve import (
+    OVERLAP,
+    TropicalCurve,
+    _item_intersection,
+    items,
+    locate,
+    translate,
+    union,
+    validate,
+)
+from tropcurve.geom import GeometryError, Point, primitive_direction, pt, vec
 from tropcurve.intersect import (
     Divisor,
     NonGenericDirection,
@@ -23,7 +41,8 @@ from tropcurve.intersect import (
     stable_intersection,
     transversal_multiplicity,
 )
-from tropcurve.newton import convex_hull, newton_polygon
+from tropcurve.newton import convex_hull, newton_polygon, star_multiplicity
+from tropcurve.polyfront import corner_locus, parse
 
 
 def poly(*pts):
@@ -174,10 +193,23 @@ def test_bezout_wedges():
 
 def test_is_transversal():
     a = tropical_line()
-    assert is_transversal(a, translate(a, pt(4, 1)))
-    assert not is_transversal(a, anti_line())  # vertex on vertex
-    assert not is_transversal(a, translate(a, pt(2, 2)))  # shared ray
-    assert not is_transversal(a, wedge_l((2, 2)))  # vertex on edge
+    cycle = unit_triangle_cycle()
+    crossing = [
+        (a, translate(a, pt(4, 1))),
+        (cycle, vertical_line(("1/2", 5))),  # crosses two edges inside
+    ]
+    touching = [
+        (a, anti_line()),  # vertex on vertex
+        (a, translate(a, pt(2, 2))),  # shared ray
+        (a, wedge_l((2, 2))),  # vertex inside a ray
+        (cycle, vertical_line((1, 5))),  # through the head of edge 0
+        (cycle, vertical_line((0, 5))),  # along edge 2
+        (weight_two_edge_curve(), diagonal_cross(("1/2", 0))),  # inside an edge
+    ]
+    for c1, c2 in crossing:
+        assert is_transversal(c1, c2) and is_transversal(c2, c1)
+    for c1, c2 in touching:
+        assert not is_transversal(c1, c2) and not is_transversal(c2, c1)
 
 
 def test_symmetry_and_bezout_on_fixture_pairs():
@@ -203,3 +235,81 @@ def test_transversal_mu_matches_formula():
     ((p, m),) = d.entries
     # crossing of the northeast ray of a with the west ray of b
     assert m == transversal_multiplicity(vec(1, 1), 1, vec(-1, 0), 1)
+
+
+# Vertex on vertex: most fixtures have a vertex at the origin, and the
+# shifted anti line sits on vertex (1, 0) of the unit triangle cycle and of
+# the figure eight.  Vertex inside an edge: the shifted diagonal cross sits
+# inside edge (0, 0)-(1, 0) of those two curves and inside the weight-2 edge.
+# Vertex inside a ray: the shifted wedge sits on the tropical line's
+# northeast ray.  The quadratic corner locus has rays of weight 2.
+PAIR_CURVES = [
+    tropical_line(),
+    anti_line(),
+    coordinate_cross(),
+    diagonal_cross(),
+    vertical_line(),
+    wedge_l(),
+    wedge_m(),
+    triangle_cycle_host(),
+    unit_triangle_cycle(),
+    figure_eight(),
+    two_triangles_bridged(),
+    theta_curve(),
+    weight_two_edge_curve(),
+    tail_cycle_curve(),
+    corner_locus(parse("0 + x^2 + y^2")),
+    diagonal_cross(("1/2", 0)),
+    anti_line((1, 0)),
+    wedge_l((2, 2)),
+    translate(theta_curve(), pt("1/3", "1/7")),
+]
+PAIRS = [(a, b) for a in PAIR_CURVES for b in PAIR_CURVES]
+
+
+def reference_star(c: TropicalCurve, p: Point):
+    """Weighted primitive vectors leaving p, from locate and raw curve data."""
+    hit = locate(c, p)
+    if hit is None:
+        return []
+    kind, i = hit
+    if kind == "vertex":
+        return reference_outgoing(c, i)
+    if kind == "edge":
+        e = c.edges[i]
+        u, _ = primitive_direction(c.vertices[e.b] - c.vertices[e.a])
+        w = u * e.weight
+    else:
+        w = c.rays[i].direction * c.rays[i].weight
+    return [w, -w]
+
+
+def reference_stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
+    """The dual-cell formula with each star found by locating the point."""
+    met = [_item_intersection(a, b) for a in items(c1) for b in items(c2)]
+    if any(p is OVERLAP for p in met):
+        return perturbation_oracle(c1, c2, generic_direction(c1, c2))
+    acc = {}
+    for p in {p for p in met if p is not None}:
+        s1, s2 = reference_star(c1, p), reference_star(c2, p)
+        m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
+        acc[p] = m // 2
+    return Divisor.of(acc, c1)
+
+
+@pytest.fixture(scope="module")
+def reference_divisors():
+    return [reference_stable_intersection(a, b) for a, b in PAIRS]
+
+
+def test_star_route_matches_locate_route(reference_divisors):
+    for (a, b), ref in zip(PAIRS, reference_divisors):
+        assert stable_intersection(a, b) == ref, (a, b)
+
+
+def test_stable_intersection_never_locates(monkeypatch, reference_divisors):
+    def refuse(c, p):
+        raise AssertionError("stable_intersection located a point")
+
+    monkeypatch.setattr(importlib.import_module("tropcurve.curve"), "locate", refuse)
+    assert [stable_intersection(a, b) for a, b in PAIRS] == reference_divisors

@@ -8,6 +8,7 @@ from fixtures_lib import (
     coordinate_cross,
     diagonal_cross,
     figure_eight,
+    reference_outgoing,
     tail_cycle_curve,
     theta_curve,
     triangle_cycle_host,
@@ -58,20 +59,6 @@ CURVES = SPLITTABLE + [
     corner_locus(parse("0 + x^2 + y^2")),
     corner_locus(parse("0 + x^3 + y^3 + 1*x*y")),
 ]
-
-
-def reference_outgoing(c: TropicalCurve, vertex: int) -> list[IntVector]:
-    """Weighted primitive vectors leaving a vertex, from raw edges and rays."""
-    out = []
-    for e in c.edges:
-        if e.a == vertex or e.b == vertex:
-            other = e.b if e.a == vertex else e.a
-            u, _ = primitive_direction(c.vertices[other] - c.vertices[vertex])
-            out.append(u * e.weight)
-    for r in c.rays:
-        if r.vertex == vertex:
-            out.append(r.direction * r.weight)
-    return out
 
 
 def reference_points(c: TropicalCurve):
