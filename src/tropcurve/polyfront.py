@@ -4,15 +4,18 @@ A polynomial is a finite map from lattice exponents to rational coefficients
 under the max-plus convention (min-plus available behind a flag).  Its corner
 locus, the set where the extremum is attained at least twice, is assembled
 as a weighted balanced curve dual to the regular subdivision induced by
-lifting each exponent to its coefficient.
+lifting each exponent to its coefficient.  The subdivision is the projection
+of the upper hull of the lifted support, found by gift-wrapping from facet to
+facet on the lift scaled to integers: O(cells * terms) integer operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, primitive_decompose
+from .geom import GeometryError, IntVector, Point, cross, dot, primitive_decompose
 from .curve import Edge, Ray, TropicalCurve
 from .newton import LatticePolygon, convex_hull
 
@@ -183,7 +186,9 @@ def dominant_terms(f: TropicalPolynomial, p: Point) -> tuple[tuple[int, int], ..
 
 
 # ---------------------------------------------------------------------------
-# Regular subdivision by exact upper hull of the lifted exponents.
+# Regular subdivision by exact upper hull of the lifted exponents: the
+# coefficients are scaled by the LCM of their denominators, and the hull is
+# gift-wrapped across cell sides with integer side and above-plane tests.
 # ---------------------------------------------------------------------------
 
 
@@ -230,55 +235,83 @@ def _max_form(f: TropicalPolynomial) -> TropicalPolynomial:
     return polynomial({e: -c for e, c in f.terms}, "max")
 
 
-def _plane_through(pts) -> tuple[Fraction, Fraction, Fraction] | None:
-    (i1, j1, c1), (i2, j2, c2), (i3, j3, c3) = pts
-    det = (i2 - i1) * (j3 - j1) - (i3 - i1) * (j2 - j1)
-    if det == 0:
-        return None
-    sx = Fraction((c2 - c1) * (j3 - j1) - (c3 - c1) * (j2 - j1), det)
-    sy = Fraction((i2 - i1) * (c3 - c1) - (i3 - i1) * (c2 - c1), det)
-    t = c1 - sx * i1 - sy * j1
-    return (sx, sy, t)
-
-
 def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     """Upper-hull subdivision of the support, with dual curve vertices.
 
     For the min convention the subdivision is computed on the negated
-    coefficients (the lower hull of the original lift).
+    coefficients (the lower hull of the original lift).  A full-dimensional
+    support is wrapped facet by facet from one hull edge; each cell holds
+    every term on its facet's plane, in support order, and the cells are
+    ordered by slope.
     """
     g = _max_form(f)
-    lifted = [(i, j, c) for (i, j), c in g.terms]
-    if len(lifted) < 2:
+    if len(g.terms) < 2:
         raise EmptyCurveError("single-term polynomial has no corner locus")
-    hull2d = convex_hull([IntVector(i, j) for i, j, _ in lifted])
+    hull2d = convex_hull([IntVector(i, j) for (i, j), _ in g.terms])
     if hull2d.area2() == 0:
         return _collinear_subdivision(g)
-    cells: dict[tuple, SubdivisionCell] = {}
-    n = len(lifted)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                plane = _plane_through((lifted[a], lifted[b], lifted[c]))
-                if plane is None or plane[:2] in cells:
-                    continue
-                sx, sy, t = plane
-                if all(ci <= sx * i + sy * j + t for i, j, ci in lifted):
-                    members = tuple(
-                        IntVector(i, j)
-                        for i, j, ci in lifted
-                        if ci == sx * i + sy * j + t
-                    )
-                    poly = convex_hull(list(members))
-                    if poly.area2() == 0:
-                        continue
-                    cells[(sx, sy)] = SubdivisionCell(
-                        (sx, sy), t, members, poly, Point(-sx, -sy)
-                    )
-    ordered = tuple(
-        cells[k] for k in sorted(cells, key=lambda s: (s[0], s[1]))
+    scale = math.lcm(*(c.denominator for _, c in g.terms))
+    lifted = [
+        (i, j, c.numerator * (scale // c.denominator)) for (i, j), c in g.terms
+    ]
+    height = {IntVector(i, j): h for i, j, h in lifted}
+
+    # Start edge: from the lex-min hull vertex a, the steepest term w on the
+    # next hull side.  The segment w-a is an upper-hull edge with the rest
+    # of the support on the right of w -> a.
+    a, b = hull2d.vertices[0], hull2d.vertices[1]
+    w = max(
+        (p for p in height if p != a and cross(b - a, p - a) == 0),
+        key=lambda p: Fraction(height[p] - height[a], dot(b - a, p - a)),
     )
-    return DualSubdivision(ordered)
+    cells: dict[tuple[Fraction, Fraction], SubdivisionCell] = {}
+    owned: set[tuple[IntVector, IntVector]] = set()  # sides of known cells
+    pending = [(w, a)]
+    while pending:
+        p, q = pending.pop()
+        if (q, p) in owned:
+            continue  # the cell beyond this side is known
+        u = (p.x, p.y, height[p])
+        normal = _wrap(lifted, u, (q.x, q.y, height[q]))
+        if normal is None:
+            continue  # a side of the support hull
+        nx, ny, nz = normal
+        level = nx * u[0] + ny * u[1] + nz * u[2]
+        members = tuple(
+            IntVector(i, j) for i, j, h in lifted if nx * i + ny * j + nz * h == level
+        )
+        poly = convex_hull(list(members))
+        sx, sy = Fraction(-nx, nz * scale), Fraction(-ny, nz * scale)
+        offset = Fraction(u[2], scale) - sx * p.x - sy * p.y
+        cells[(sx, sy)] = SubdivisionCell(
+            (sx, sy), offset, members, poly, Point(-sx, -sy)
+        )
+        vs = poly.vertices
+        sides = list(zip(vs, vs[1:] + vs[:1]))
+        owned.update(sides)
+        pending.extend(sides)
+    return DualSubdivision(tuple(cells[k] for k in sorted(cells)))
+
+
+def _wrap(lifted, u, v) -> tuple[int, int, int] | None:
+    """Upward normal (nz > 0) of the upper facet across the hull edge u-v
+    on the right of u -> v, or None when no term lies on that side.
+
+    Every plane through u, v and a term r strictly on the right is a turn of
+    one plane about the line uv, so "some term lies above r's plane" orders
+    the candidates totally and one pass finds the last turn.
+    """
+    ux, uy, uh = u
+    ex, ey, eh = v[0] - ux, v[1] - uy, v[2] - uh
+    best = None
+    for i, j, h in lifted:
+        dx, dy, dh = i - ux, j - uy, h - uh
+        if ex * dy - ey * dx >= 0:
+            continue
+        if best is None or best[0] * dx + best[1] * dy + best[2] * dh > 0:
+            # (r - u) x (v - u), whose z-part is positive on this side
+            best = (dy * eh - dh * ey, dh * ex - dx * eh, dx * ey - dy * ex)
+    return best
 
 
 def _collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:

@@ -1,9 +1,19 @@
 """Shared hand-built curves used across the test suite."""
 
+import random
 from fractions import Fraction
 
 from tropcurve.curve import TropicalCurve, curve
-from tropcurve.geom import IntVector, primitive_direction
+from tropcurve.geom import IntVector, Point, primitive_direction
+from tropcurve.newton import convex_hull
+from tropcurve.polyfront import (
+    DualSubdivision,
+    EmptyCurveError,
+    SubdivisionCell,
+    TropicalPolynomial,
+    _collinear_subdivision,
+    _max_form,
+)
 
 
 def reference_outgoing(c: TropicalCurve, vertex: int) -> list[IntVector]:
@@ -18,6 +28,100 @@ def reference_outgoing(c: TropicalCurve, vertex: int) -> list[IntVector]:
         if r.vertex == vertex:
             out.append(r.direction * r.weight)
     return out
+
+
+def _plane_through(pts) -> tuple[Fraction, Fraction, Fraction] | None:
+    (i1, j1, c1), (i2, j2, c2), (i3, j3, c3) = pts
+    det = (i2 - i1) * (j3 - j1) - (i3 - i1) * (j2 - j1)
+    if det == 0:
+        return None
+    sx = Fraction((c2 - c1) * (j3 - j1) - (c3 - c1) * (j2 - j1), det)
+    sy = Fraction((i2 - i1) * (c3 - c1) - (i3 - i1) * (c2 - c1), det)
+    t = c1 - sx * i1 - sy * j1
+    return (sx, sy, t)
+
+
+def reference_dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
+    """The regular subdivision by brute force: every plane through three
+    lifted terms that no term lies above is a cell.  O(n^4) in Fraction
+    arithmetic; the oracle for polyfront.dual_subdivision."""
+    g = _max_form(f)
+    lifted = [(i, j, c) for (i, j), c in g.terms]
+    if len(lifted) < 2:
+        raise EmptyCurveError("single-term polynomial has no corner locus")
+    hull2d = convex_hull([IntVector(i, j) for i, j, _ in lifted])
+    if hull2d.area2() == 0:
+        return _collinear_subdivision(g)
+    cells: dict[tuple, SubdivisionCell] = {}
+    n = len(lifted)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                plane = _plane_through((lifted[a], lifted[b], lifted[c]))
+                if plane is None or plane[:2] in cells:
+                    continue
+                sx, sy, t = plane
+                if all(ci <= sx * i + sy * j + t for i, j, ci in lifted):
+                    members = tuple(
+                        IntVector(i, j)
+                        for i, j, ci in lifted
+                        if ci == sx * i + sy * j + t
+                    )
+                    poly = convex_hull(list(members))
+                    cells[(sx, sy)] = SubdivisionCell(
+                        (sx, sy), t, members, poly, Point(-sx, -sy)
+                    )
+    ordered = tuple(
+        cells[k] for k in sorted(cells, key=lambda s: (s[0], s[1]))
+    )
+    return DualSubdivision(ordered)
+
+
+def _support(d: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+
+
+def concave_lift(rng: random.Random, d: int) -> dict:
+    """Coefficients of a smooth degree-d curve: the honeycomb lift
+    -6(i^2 + ij + j^2) plus a random linear term and jitters below 1, which
+    keep the subdivision unimodular."""
+    a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+    return {
+        (i, j): -6 * (i * i + i * j + j * j) + a * i + b * j
+        + Fraction(rng.randint(-15, 15), rng.randint(16, 24))
+        for i, j in _support(d)
+    }
+
+
+def sparse_lift(rng: random.Random, d: int) -> dict:
+    """A concave lift without a third of its non-corner terms: cells that
+    are not triangles and edges of weight above 1."""
+    full = concave_lift(rng, d)
+    inner = [e for e in sorted(full) if e not in {(0, 0), (d, 0), (0, d)}]
+    for e in rng.sample(inner, len(inner) // 3):
+        del full[e]
+    return full
+
+
+def tied_lift(rng: random.Random, d: int) -> dict:
+    """A lift depending on i + j only, up to a linear term: strip cells whose
+    shared sides carry weights 1, ..., d - 1."""
+    a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+    g = [-6 * k * k + Fraction(rng.randint(-15, 15), 16) for k in range(d + 1)]
+    return {(i, j): g[i + j] + a * i + b * j for i, j in _support(d)}
+
+
+def poly_text(coeffs: dict) -> str:
+    """The polynomial in the CLI's expression syntax, e.g. '(-3/7)*x^2*y'."""
+    terms = []
+    for (i, j), c in sorted(coeffs.items()):
+        factors = [f"({c})"]
+        if i:
+            factors.append("x" if i == 1 else f"x^{i}")
+        if j:
+            factors.append("y" if j == 1 else f"y^{j}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
 
 
 def tropical_line(at=(0, 0)) -> TropicalCurve:

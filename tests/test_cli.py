@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures_lib import (
+    concave_lift,
+    poly_text,
     theta_curve,
     triangle_cycle_host,
     tropical_line,
@@ -17,6 +20,7 @@ from fixtures_lib import (
 from tropcurve.cli import main
 from tropcurve.curve import canonical_form, curve
 from tropcurve.intersect import Divisor
+from tropcurve.polyfront import corner_locus, polynomial
 from tropcurve.geom import pt
 from tropcurve import jsonio
 
@@ -187,6 +191,15 @@ def test_from_poly_min_convention(paths, capsys):
     c = jsonio.curve_from_json(capsys.readouterr().out)
     dirs = sorted((r.direction.x, r.direction.y) for r in c.rays)
     assert dirs == [(-1, -1), (0, 1), (1, 0)]
+
+
+def test_from_poly_degree_12(tmp_path):
+    coeffs = concave_lift(random.Random(12), 12)
+    out = tmp_path / "locus.json"
+    assert main(["from-poly", poly_text(coeffs), "-o", str(out)]) == 0
+    c = jsonio.curve_from_json(out.read_text())
+    assert c == corner_locus(polynomial(coeffs))
+    assert (len(c.vertices), len(c.edges), len(c.rays)) == (144, 198, 36)
 
 
 def test_from_poly_bad_expression_exit_2(capsys):

@@ -2,8 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixtures_lib import anti_line, tropical_line
+from fixtures_lib import (
+    anti_line,
+    concave_lift,
+    reference_dual_subdivision,
+    sparse_lift,
+    tied_lift,
+    tropical_line,
+)
+from tropcurve import polyfront
 from tropcurve.bunch import bouquet_structure, bunch
 from tropcurve.curve import canonical_form, validate
 from tropcurve.geom import pt, vec
@@ -217,3 +227,82 @@ def test_gradient_jumps_across_edges():
         left = dominant_terms(f, mid + n * eps)
         right = dominant_terms(f, mid - n * eps)
         assert left != right
+
+
+# ---------------------------------------------------------------------------
+# The gift-wrapped subdivision against the brute-force triple scan.
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_reference(f):
+    """dual_subdivision and corner_locus equal the triple-scan route."""
+    want = reference_dual_subdivision(f)
+    assert dual_subdivision(f) == want
+    with pytest.MonkeyPatch.context() as mp:
+        # corner_locus assembled from the triple scan's cells
+        mp.setattr(polyfront, "dual_subdivision", lambda g: want)
+        old = corner_locus(f)
+    assert corner_locus(f) == old
+    return want
+
+
+@pytest.mark.parametrize("lift", [concave_lift, sparse_lift, tied_lift])
+@pytest.mark.parametrize("convention", ["max", "min"])
+def test_subdivision_matches_reference_on_seeded_lifts(lift, convention):
+    rng = random.Random(f"{lift.__name__}:{convention}")
+    for d in range(1, 8):
+        assert_matches_reference(polynomial(lift(rng, d), convention))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=7),
+        min_size=2,
+        max_size=12,
+    ),
+    st.sampled_from(["max", "min"]),
+)
+def test_subdivision_matches_reference_on_random_subsets(coeffs, convention):
+    assert_matches_reference(polynomial(coeffs, convention))
+
+
+def test_all_equal_lift_is_one_cell():
+    f = polynomial({(i, j): 0 for i in range(4) for j in range(4 - i)})
+    (cell,) = assert_matches_reference(f).cells
+    assert len(cell.members) == 10
+    assert cell.polygon == convex_hull([vec(0, 0), vec(3, 0), vec(0, 3)])
+
+
+def test_tied_unit_square_is_one_square_cell():
+    (cell,) = assert_matches_reference(parse("0 + x + y + x*y")).cells
+    assert cell.polygon.vertices == (vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1))
+    assert cell.dual_vertex == pt(0, 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # every term of the lex-min hull side at the same height
+        "0 + x + x^2 + x^3 + y + (-3)*x*y + (-1)*y^2",
+        # the steepest term from (0, 0) is inside that side, tied with the next
+        "0 + 2*x + 4*x^2 + 4*x^3 + (-3)*x^4 + y^2",
+        # the side's terms on one line in the lift: w is not the far end
+        "0 + x + 2*x^2 + 3*x^3 + (-1)*y + 4*x*y^2 + y^3",
+        # a diagonal side, with two interior terms tied at the top
+        "0 + x*y + x^2*y^2 + (-1)*x^3*y^3 + (-1)*y + y^3",
+    ],
+)
+def test_start_side_with_tied_interior_terms(text):
+    for convention in ("max", "min"):
+        assert_matches_reference(parse(text, convention))
+
+
+def test_smooth_degree_20_subdivision():
+    f = polynomial(concave_lift(random.Random(20), 20))
+    sub = dual_subdivision(f)
+    assert len(sub.cells) == 400
+    assert all(cell.polygon.area2() == 1 for cell in sub.cells)
+    c = corner_locus(f)
+    assert (len(c.vertices), len(c.edges), len(c.rays)) == (400, 570, 60)
