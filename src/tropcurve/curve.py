@@ -7,24 +7,23 @@ integer direction).  Weights are positive integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import chain, combinations, groupby, product
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geom import (
     GeometryError,
     IntVector,
     Point,
     RefusalError,
-    cross,
     dot,
     is_primitive,
     moment,
-    primitive_direction,
     pt,
 )
 
@@ -67,18 +66,55 @@ class TropicalCurve:
         )
 
     @cached_property
+    def _scale(self) -> int:
+        """The least common denominator of the vertex coordinates."""
+        return lcm(*(q.denominator for v in self.vertices for q in (v.x, v.y)))
+
+    @cached_property
+    def _grid(self) -> tuple[tuple[int, int], ...]:
+        """The vertices multiplied by the scale, as integer pairs."""
+        L = self._scale
+        return tuple(
+            (v.x.numerator * (L // v.x.denominator),
+             v.y.numerator * (L // v.y.denominator))
+            for v in self.vertices
+        )
+
+    @cached_property
     def _items(self) -> tuple[Item, ...]:
-        vs = self.vertices
-        edges = tuple(
-            _segment(i, e.a, e.b, vs[e.a], vs[e.b], e.weight)
-            for i, e in enumerate(self.edges)
-        )
-        rays = tuple(
-            Item(i, r.vertex, None, vs[r.vertex], r.direction.to_point(),
-                 r.weight, r.direction)
+        vs, grid, L = self.vertices, self._grid, self._scale
+        edges = []
+        for i, e in enumerate(self.edges):
+            (tx, ty), (hx, hy) = grid[e.a], grid[e.b]
+            vx, vy = hx - tx, hy - ty
+            g = gcd(vx, vy)
+            if not g:
+                raise GeometryError("zero vector has no direction")
+            edges.append(Item(
+                i, e.a, e.b, (vs[e.a], vs[e.b]), e.weight,
+                IntVector(vx // g, vy // g), Fraction(g, L), L, (tx, ty, vx, vy),
+            ))
+        rays = [
+            Item(i, r.vertex, None, (vs[r.vertex],), r.weight, r.direction,
+                 None, L, (*grid[r.vertex], r.direction.x, r.direction.y))
             for i, r in enumerate(self.rays)
-        )
-        return edges + rays
+        ]
+        return tuple(edges + rays)
+
+    @cached_property
+    def _vertex_index(self) -> dict[Point, int]:
+        """Each vertex position to its first index."""
+        index: dict[Point, int] = {}
+        for i, v in enumerate(self.vertices):
+            index.setdefault(v, i)
+        return index
+
+    @cached_property
+    def _dual_complex(self):
+        # newton imports this module, so the import waits for the first use.
+        from .newton import _propagate, face_structure
+
+        return _propagate(face_structure(self), "bfs")
 
 
 def curve(
@@ -106,16 +142,22 @@ class Item:
     The item leaves its tail vertex along the primitive direction prim.  An
     edge reaches its head vertex after `length` lattice steps; a ray has no
     head and no length.
+
+    The integer view is the item on the curve's grid: `lattice` holds the
+    origin times `scale` (the curve's least common denominator), then the
+    displacement times `scale` for an edge, or prim for a ray.  The pair
+    predicates run on it; it takes no part in equality.
     """
 
     index: int  # position among the curve's edges, or among its rays
     tail: int
     head: int | None
-    origin: Point  # position of the tail vertex
-    vec: Point  # full displacement for edges, primitive direction for rays
+    ends: tuple[Point, ...]  # position of the tail vertex, then of the head
     weight: int
     prim: IntVector
-    length: Fraction | None = None
+    length: Fraction | None
+    scale: int = field(compare=False, repr=False)
+    lattice: tuple[int, int, int, int] = field(compare=False, repr=False)
 
     @property
     def bounded(self) -> bool:
@@ -127,11 +169,16 @@ class Item:
         return "edge" if self.bounded else "ray"
 
     @property
-    def ends(self) -> tuple[Point, ...]:
-        """Position of the tail vertex, then of the head vertex if any."""
+    def origin(self) -> Point:
+        """Position of the tail vertex."""
+        return self.ends[0]
+
+    @cached_property
+    def vec(self) -> Point:
+        """Full displacement for an edge, primitive direction for a ray."""
         if self.bounded:
-            return (self.origin, self.origin + self.vec)
-        return (self.origin,)
+            return self.ends[1] - self.ends[0]
+        return self.prim.to_point()
 
     def param_of(self, p: Point) -> Fraction:
         """Coordinate of a point on the item's line, in units of vec."""
@@ -139,19 +186,6 @@ class Item:
 
     def point_at(self, t: Fraction) -> Point:
         return self.origin + self.vec * t
-
-    def contains_param(self, t: Fraction) -> bool:
-        if t < 0:
-            return False
-        return t <= 1 if self.bounded else True
-
-
-def _segment(
-    index: int, tail: int, head: int, a: Point, b: Point, weight: int = 1
-) -> Item:
-    """Item running from point a (vertex tail) to point b (vertex head)."""
-    u, length = primitive_direction(b - a)
-    return Item(index, tail, head, a, b - a, weight, u, length)
 
 
 def items(c: TropicalCurve) -> tuple[Item, ...]:
@@ -173,46 +207,122 @@ class _Overlap(Enum):
 OVERLAP = _Overlap.OVERLAP
 
 
+def _common_scale(its: Iterable[Item]) -> int:
+    """The least common multiple of the items' scales."""
+    return lcm(*{it.scale for it in its})
+
+
+class View(NamedTuple):
+    """An item's integer view on a grid shared with other items."""
+
+    item: Item
+    ox: int
+    oy: int
+    vx: int
+    vy: int
+
+
+def _lattice(its: Iterable[Item], scale: int) -> list[View]:
+    """Each item's integer view raised to a common scale.
+
+    A ray keeps its primitive direction; only its parameter unit changes.
+    """
+    out = []
+    for it in its:
+        ox, oy, vx, vy = it.lattice
+        f = scale // it.scale
+        if f != 1:
+            ox, oy = ox * f, oy * f
+            if it.head is not None:
+                vx, vy = vx * f, vy * f
+        out.append(View(it, ox, oy, vx, vy))
+    return out
+
+
+def _point_on(v: View, t: int, den: int, scale: int) -> Point:
+    """The point at parameter t/den along view v, with den > 0.
+
+    An end of the item is returned as the item's own Point; any other point
+    is the one Fraction built, from the grid of the given scale.
+    """
+    if t == 0:
+        return v.item.origin
+    if t == den and v.item.head is not None:
+        return v.item.ends[1]
+    n = scale * den
+    return Point(Fraction(v.ox * den + v.vx * t, n), Fraction(v.oy * den + v.vy * t, n))
+
+
+def _meet(a: View, b: View, scale: int) -> Point | _Overlap | None:
+    """Intersection of two closed items given as views of one scale.
+
+    Every test is a sign test on integers; a Point is built only for a
+    single meeting point.
+    """
+    ia, aox, aoy, avx, avy = a
+    ib, box, boy, bvx, bvy = b
+    dx, dy = box - aox, boy - aoy
+    den = avx * bvy - bvx * avy
+    if den:
+        # a meets b at a + s*va = b + t*vb, s = sn/den and t = tn/den
+        sn = dx * bvy - bvx * dy
+        tn = dx * avy - avx * dy
+        if den < 0:
+            den, sn, tn = -den, -sn, -tn
+        if sn < 0 or tn < 0:
+            return None
+        if (ia.head is not None and sn > den) or (ib.head is not None and tn > den):
+            return None
+        if tn == 0 or (tn == den and ib.head is not None):
+            return _point_on(b, tn, den, scale)
+        return _point_on(a, sn, den, scale)
+    if avx * dy - dx * avy:
+        return None
+    # same line: parameter intervals along a, in units of 1/|va|^2
+    q = avx * avx + avy * avy
+    c0 = dx * avx + dy * avy
+    lo: int | None
+    hi: int | None
+    if ib.head is not None:
+        c1 = c0 + bvx * avx + bvy * avy
+        lo, hi = min(c0, c1), max(c0, c1)
+    elif bvx * avx + bvy * avy > 0:
+        lo, hi = c0, None
+    else:
+        lo, hi = None, c0
+    lo = 0 if lo is None else max(0, lo)
+    if ia.head is not None:
+        hi = q if hi is None else min(q, hi)
+    if hi is not None and lo > hi:
+        return None
+    if hi is not None and lo == hi:
+        return _point_on(a, lo, q, scale)
+    return OVERLAP
+
+
+def _pair_grid(c1: TropicalCurve, c2: TropicalCurve):
+    """(scale, views of c1, views of c2, vertices of c1, vertices of c2), all
+    on the two curves' common scale."""
+    scale = lcm(c1._scale, c2._scale)
+    f1, f2 = scale // c1._scale, scale // c2._scale
+    return (
+        scale,
+        _lattice(items(c1), scale),
+        _lattice(items(c2), scale),
+        [(x * f1, y * f1) for x, y in c1._grid],
+        [(x * f2, y * f2) for x, y in c2._grid],
+    )
+
+
 def _item_intersection(a: Item, b: Item) -> Point | _Overlap | None:
     """Intersection of two closed items.
 
     Returns None when they are disjoint, the meeting Point when they meet in
     one point, or OVERLAP for a collinear overlap of more than one point.
     """
-    if cross(a.vec, b.vec) != 0:
-        den = cross(a.vec, b.vec)
-        s = Fraction(cross(b.origin - a.origin, b.vec)) / den
-        t = Fraction(cross(b.origin - a.origin, a.vec)) / den
-        if a.contains_param(s) and b.contains_param(t):
-            return a.point_at(s)
-        return None
-    # parallel
-    if cross(a.vec, b.origin - a.origin) != 0:
-        return None
-    # same line: compare parameter intervals in units of a.vec
-    lo_b: Fraction | None
-    hi_b: Fraction | None
-    c0 = a.param_of(b.origin)
-    if b.bounded:
-        c1 = a.param_of(b.origin + b.vec)
-        lo_b, hi_b = (c0, c1) if c0 <= c1 else (c1, c0)
-    elif dot(b.vec, a.vec) > 0:
-        lo_b, hi_b = c0, None
-    else:
-        lo_b, hi_b = None, c0
-    lo_a, hi_a = Fraction(0), Fraction(1) if a.bounded else None
-    lo = lo_a if lo_b is None else (max(lo_a, lo_b))
-    if hi_a is None:
-        hi = hi_b
-    elif hi_b is None:
-        hi = hi_a
-    else:
-        hi = min(hi_a, hi_b)
-    if hi is not None and lo > hi:
-        return None
-    if hi is not None and lo == hi:
-        return a.point_at(lo)
-    return OVERLAP
+    scale = _common_scale((a, b))
+    va, vb = _lattice((a, b), scale)
+    return _meet(va, vb, scale)
 
 
 def meetings(
@@ -222,12 +332,15 @@ def meetings(
 
     With one sequence, each pair of distinct positions once, earlier item
     first; with two, every item of xs against every item of ys, xs-major.
+    Both run on the integer views raised to the scale of all the items.
     """
-    pairs = combinations(xs, 2) if ys is None else product(xs, ys)
+    scale = _common_scale(chain(xs, ys or ()))
+    xv = _lattice(xs, scale)
+    pairs = combinations(xv, 2) if ys is None else product(xv, _lattice(ys, scale))
     for a, b in pairs:
-        p = _item_intersection(a, b)
+        p = _meet(a, b, scale)
         if p is not None:
-            yield a, b, p
+            yield a.item, b.item, p
 
 
 def star_at(p: Point, its: Iterable[Item]) -> list[IntVector]:
@@ -239,7 +352,7 @@ def star_at(p: Point, its: Iterable[Item]) -> list[IntVector]:
     star = []
     for it in its:
         w = it.prim * it.weight
-        if not it.bounded or p != it.origin + it.vec:
+        if not it.bounded or p != it.ends[1]:
             star.append(w)
         if p != it.origin:
             star.append(-w)
@@ -354,14 +467,18 @@ def locate(c: TropicalCurve, p: Point):
     Returns ('vertex', i), ('edge', i), ('ray', i) or None; edge/ray hits are
     interior (endpoints report as vertices).
     """
-    for i, v in enumerate(c.vertices):
-        if v == p:
-            return ("vertex", i)
-    for it in items(c):
-        if cross(it.vec, p - it.origin) != 0:
+    v = c._vertex_index.get(p)
+    if v is not None:
+        return ("vertex", v)
+    qx, qy = p.x.denominator, p.y.denominator
+    scale = lcm(c._scale, qx, qy)
+    px, py = p.x.numerator * (scale // qx), p.y.numerator * (scale // qy)
+    for it, ox, oy, vx, vy in _lattice(items(c), scale):
+        dx, dy = px - ox, py - oy
+        if vx * dy - dx * vy:
             continue
-        t = it.param_of(p)
-        if 0 < t and (t < 1 or not it.bounded):
+        t = dx * vx + dy * vy
+        if 0 < t and (it.head is None or t < vx * vx + vy * vy):
             return (it.kind, it.index)
     return None
 
@@ -398,17 +515,17 @@ def point_in_polygon(p: Point, loop: Sequence[Point]) -> bool:
     return inside
 
 
-def _loop_sides(loop: Sequence[Point]) -> list[Item]:
+def _loop_sides(loop: Sequence[Point]) -> tuple[Item, ...]:
     """The sides of a simple closed polygon, side k from corner k to k + 1."""
     n = len(loop)
     if n < 3:
         raise LoopError("loop needs at least 3 points")
     if any(loop[k] == loop[(k + 1) % n] for k in range(n)):
         raise LoopError("loop has a zero-length side")
-    sides = [
-        _segment(k, k, (k + 1) % n, loop[k], loop[(k + 1) % n])
-        for k in range(n)
-    ]
+    polygon = TropicalCurve(
+        tuple(loop), tuple(Edge(k, (k + 1) % n) for k in range(n)), ()
+    )
+    sides = items(polygon)
     for a, b, p in meetings(sides):
         i, j = a.index, b.index
         adjacent = j == i + 1 or (i == 0 and j == n - 1)
@@ -449,7 +566,7 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
         if not it.bounded and inside:
             raise LoopError("ray ends inside the loop (inconsistent crossings)")
         if it.bounded:
-            far_inside = point_in_polygon(it.origin + it.vec, loop)
+            far_inside = point_in_polygon(it.ends[1], loop)
             if far_inside != inside:
                 raise LoopError("inconsistent crossing parity on an edge")
     return out
@@ -501,8 +618,7 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
         if p is OVERLAP:
             for x, y in ((a, b), (b, a)):
                 for q in y.ends:
-                    if x.contains_param(x.param_of(q)):
-                        add_split(x, q)
+                    add_split(x, q)
         else:
             add_split(a, p)
             add_split(b, p)

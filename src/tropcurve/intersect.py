@@ -13,10 +13,20 @@ Two routes are implemented and cross-checked by the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .geom import GeometryError, IntVector, Point, cross, pt
-from .curve import OVERLAP, Item, TropicalCurve, items, meetings, star_at
+from .curve import (
+    OVERLAP,
+    Item,
+    TropicalCurve,
+    View,
+    _pair_grid,
+    _point_on,
+    items,
+    meetings,
+    star_at,
+)
 from .newton import LatticePolygon, minkowski_sum, star_multiplicity
 
 
@@ -92,34 +102,27 @@ def bezout_degree(p: LatticePolygon, q: LatticePolygon) -> int:
 
 
 # ---------------------------------------------------------------------------
-# First-order arithmetic in an infinitesimal
+# Perturbation on the integer grid
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Eps:
-    """Value a + b*eps for an infinitesimal eps > 0, compared lexicographically."""
+def _int_direction(t: Point) -> tuple[int, int]:
+    """A positive integer multiple of a rational direction."""
+    k = lcm(t.x.denominator, t.y.denominator)
+    return t.x.numerator * (k // t.x.denominator), t.y.numerator * (k // t.y.denominator)
 
-    const: Fraction
-    slope: Fraction = Fraction(0)
 
-    def __add__(self, other: "_Eps") -> "_Eps":
-        return _Eps(self.const + other.const, self.slope + other.slope)
+def _collinear_pair(a: View, its2: list[View]) -> View | None:
+    """The first view of its2 parallel to view a and on its line."""
+    for b in its2:
+        if a.vx * b.vy == b.vx * a.vy and _on_line(a, b.ox, b.oy):
+            return b
+    return None
 
-    def __sub__(self, other: "_Eps") -> "_Eps":
-        return _Eps(self.const - other.const, self.slope - other.slope)
 
-    def scaled(self, k: Fraction) -> "_Eps":
-        return _Eps(self.const * k, self.slope * k)
-
-    def key(self) -> tuple[Fraction, Fraction]:
-        return (self.const, self.slope)
-
-    def __lt__(self, other: "_Eps") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "_Eps") -> bool:
-        return self.key() <= other.key()
+def _on_line(b: View, x: int, y: int) -> bool:
+    """Whether the grid point (x, y) lies on the line of view b."""
+    return b.vx * (y - b.oy) == (x - b.ox) * b.vy
 
 
 def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
@@ -128,41 +131,57 @@ def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
     Rejects directions under which a parallel pair stays collinear, or which
     keep a vertex of one curve pinned on an item's line of the other.
     """
-    its1, its2 = items(c1), items(c2)
-    for a in its1:
-        for b in its2:
-            if cross(a.vec, b.vec) == 0:
-                if (
-                    cross(a.vec, b.origin - a.origin) == 0
-                    and cross(a.vec, t) == 0
-                ):
+    _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
+    tx, ty = _int_direction(t)
+    along1 = [a for a in its1 if a.vx * ty == tx * a.vy]
+    along2 = [b for b in its2 if b.vx * ty == tx * b.vy]
+    for a in along1:
+        b = _collinear_pair(a, its2)
+        if b is not None:
+            return (
+                f"{a.item.kind} {a.item.index} of the first curve stays "
+                f"collinear with {b.item.kind} {b.item.index} of the second"
+            )
+    for c, grid, along, mine, other in (
+        (c1, grid1, along2, "first", "second"),
+        (c2, grid2, along1, "second", "first"),
+    ):
+        for v, (x, y) in enumerate(grid):
+            for b in along:
+                if _on_line(b, x, y):
+                    q = c.vertices[v]
                     return (
-                        f"{a.kind} {a.index} of the first curve stays collinear "
-                        f"with {b.kind} {b.index} of the second"
+                        f"vertex ({q.x}, {q.y}) of the {mine} curve rides the "
+                        f"line of {b.item.kind} {b.item.index} of the {other}"
                     )
-    for v in c1.vertices:
-        for b in its2:
-            if cross(b.vec, t) == 0 and cross(b.vec, v - b.origin) == 0:
-                return (
-                    f"vertex ({v.x}, {v.y}) of the first curve rides the line "
-                    f"of {b.kind} {b.index} of the second"
-                )
-    for v in c2.vertices:
-        for a in its1:
-            if cross(a.vec, t) == 0 and cross(a.vec, v - a.origin) == 0:
-                return (
-                    f"vertex ({v.x}, {v.y}) of the second curve rides the line "
-                    f"of {a.kind} {a.index} of the first"
-                )
     return None
 
 
 def generic_direction(c1: TropicalCurve, c2: TropicalCurve) -> Point:
-    """Deterministic direction passing the genericity test."""
+    """Deterministic direction passing the genericity test: the first
+    (1, k), 1 <= k < 2000, that no item pins down.
+
+    Slope k is forbidden when (1, k) is parallel to an item of a collinear
+    parallel pair, or to an item whose line holds a vertex of the other
+    curve; all of them are collected in one pass.
+    """
+    _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
+    forbidden: set[int] = set()
+
+    def forbid(views: list[View], pinned) -> None:
+        for view in views:
+            if view.vx == 0 or view.vy % view.vx:
+                continue
+            k = view.vy // view.vx
+            if 1 <= k < 2000 and k not in forbidden and pinned(view):
+                forbidden.add(k)
+
+    forbid(its1, lambda a: _collinear_pair(a, its2) is not None)
+    forbid(its2, lambda b: any(_on_line(b, x, y) for x, y in grid1))
+    forbid(its1, lambda a: any(_on_line(a, x, y) for x, y in grid2))
     for k in range(1, 2000):
-        t = pt(1, k)
-        if _violations(c1, c2, t) is None:
-            return t
+        if k not in forbidden:
+            return pt(1, k)
     raise GeometryError("no generic direction found")
 
 
@@ -171,37 +190,36 @@ def perturbation_oracle(
 ) -> Divisor:
     """Limit of the transversal intersection under infinitesimal translation.
 
-    The second curve is translated by eps*direction; every crossing is
-    computed with exact first-order arithmetic in eps and mapped to its
-    eps -> 0 limit.
+    The second curve is translated by eps*direction.  On the common integer
+    grid, each crossing parameter is (p0 + p1*eps)/den with den > 0, so the
+    range tests compare the pair (p0, p1) lexicographically; the crossing is
+    mapped to its eps -> 0 limit.
     """
     if not direction:
         raise NonGenericDirection("zero direction")
     why = _violations(c1, c2, direction)
     if why is not None:
         raise NonGenericDirection(why)
-    zero = _Eps(Fraction(0))
-    one = _Eps(Fraction(1))
+    scale, its1, its2, _, _ = _pair_grid(c1, c2)
+    tx, ty = _int_direction(direction)
     acc: dict[Point, int] = {}
-    its2 = items(c2)
-    for a in items(c1):
-        for b in its2:
-            den = cross(a.vec, b.vec)
+    for a_view in its1:
+        a, aox, aoy, avx, avy = a_view
+        ta = tx * avy - avx * ty
+        for b, box, boy, bvx, bvy in its2:
+            den = avx * bvy - bvx * avy
             if den == 0:
                 continue  # parallel pairs separate immediately
-            s = _Eps(
-                Fraction(cross(b.origin - a.origin, b.vec)),
-                Fraction(cross(direction, b.vec)),
-            ).scaled(Fraction(1, den))
-            r = _Eps(
-                Fraction(cross(a.origin - b.origin, a.vec)),
-                Fraction(-cross(direction, a.vec)),
-            ).scaled(Fraction(1, -den))
-            if not (zero <= s and (not a.bounded or s <= one)):
+            dx, dy = box - aox, boy - aoy
+            s0, s1 = dx * bvy - bvx * dy, tx * bvy - bvx * ty
+            r0, r1 = dx * avy - avx * dy, ta
+            if den < 0:
+                den, s0, s1, r0, r1 = -den, -s0, -s1, -r0, -r1
+            if (s0, s1) < (0, 0) or (a.head is not None and (s0, s1) > (den, 0)):
                 continue
-            if not (zero <= r and (not b.bounded or r <= one)):
+            if (r0, r1) < (0, 0) or (b.head is not None and (r0, r1) > (den, 0)):
                 continue
-            limit = a.origin + a.vec * s.const
+            limit = _point_on(a_view, s0, den, scale)
             mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
             acc[limit] = acc.get(limit, 0) + mu
     return Divisor.of(acc, c1)

@@ -282,9 +282,16 @@ def newton_complex(c: TropicalCurve, order: str = "bfs") -> NewtonComplex:
     """Propagate dual lattice points across face adjacencies.
 
     The result is independent of traversal order; an inconsistency during
-    propagation means the input was unbalanced or crossed itself.
+    propagation means the input was unbalanced or crossed itself.  The
+    breadth-first complex is built once per curve.
     """
-    fs = face_structure(c)
+    if order == "bfs":
+        return c._dual_complex
+    return _propagate(face_structure(c), order)
+
+
+def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
+    """The dual complex of a face structure, in the given traversal order."""
     edges = []
     adj: list[list[tuple[int, IntVector, int]]] = [[] for _ in range(fs.count)]
     for k, it in enumerate(fs.items):

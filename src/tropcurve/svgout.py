@@ -173,7 +173,7 @@ def _render_main(panel: _Panel, layers) -> list[str]:
             )
             a = it.origin
             b = (
-                it.origin + it.vec
+                it.ends[1]
                 if it.bounded
                 else panel.clip_ray(it.origin, it.prim)
             )

@@ -1,10 +1,13 @@
 """Shared hand-built curves used across the test suite."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
-from tropcurve.curve import TropicalCurve, curve
-from tropcurve.geom import IntVector, Point, primitive_direction
+from tropcurve.curve import OVERLAP, Item, TropicalCurve, curve, items
+from tropcurve.geom import GeometryError, IntVector, Point, cross, dot, primitive_direction, pt
+from tropcurve.intersect import Divisor, NonGenericDirection
 from tropcurve.newton import convex_hull
 from tropcurve.polyfront import (
     DualSubdivision,
@@ -75,6 +78,171 @@ def reference_dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
         cells[k] for k in sorted(cells, key=lambda s: (s[0], s[1]))
     )
     return DualSubdivision(ordered)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer kernel of curve.meetings and the
+# perturbation oracle: the predicates as they read on rational points.
+# ---------------------------------------------------------------------------
+
+
+def _contains_param(it: Item, t: Fraction) -> bool:
+    if t < 0:
+        return False
+    return t <= 1 if it.bounded else True
+
+
+def reference_item_intersection(a: Item, b: Item):
+    """Intersection of two closed items in Fraction arithmetic: None, the
+    meeting Point, or OVERLAP."""
+    if cross(a.vec, b.vec) != 0:
+        den = cross(a.vec, b.vec)
+        s = Fraction(cross(b.origin - a.origin, b.vec)) / den
+        t = Fraction(cross(b.origin - a.origin, a.vec)) / den
+        if _contains_param(a, s) and _contains_param(b, t):
+            return a.point_at(s)
+        return None
+    if cross(a.vec, b.origin - a.origin) != 0:
+        return None
+    c0 = a.param_of(b.origin)
+    if b.bounded:
+        c1 = a.param_of(b.origin + b.vec)
+        lo_b, hi_b = (c0, c1) if c0 <= c1 else (c1, c0)
+    elif dot(b.vec, a.vec) > 0:
+        lo_b, hi_b = c0, None
+    else:
+        lo_b, hi_b = None, c0
+    lo_a, hi_a = Fraction(0), Fraction(1) if a.bounded else None
+    lo = lo_a if lo_b is None else max(lo_a, lo_b)
+    if hi_a is None:
+        hi = hi_b
+    elif hi_b is None:
+        hi = hi_a
+    else:
+        hi = min(hi_a, hi_b)
+    if hi is not None and lo > hi:
+        return None
+    if hi is not None and lo == hi:
+        return a.point_at(lo)
+    return OVERLAP
+
+
+def reference_meetings(xs, ys=None) -> list:
+    """curve.meetings as a list, each pair decided in Fraction arithmetic."""
+    pairs = combinations(xs, 2) if ys is None else product(xs, ys)
+    out = []
+    for a, b in pairs:
+        p = reference_item_intersection(a, b)
+        if p is not None:
+            out.append((a, b, p))
+    return out
+
+
+@dataclass(frozen=True)
+class Eps:
+    """Value a + b*eps for an infinitesimal eps > 0, compared lexicographically."""
+
+    const: Fraction
+    slope: Fraction = Fraction(0)
+
+    def scaled(self, k: Fraction) -> "Eps":
+        return Eps(self.const * k, self.slope * k)
+
+    def key(self) -> tuple[Fraction, Fraction]:
+        return (self.const, self.slope)
+
+    def __le__(self, other: "Eps") -> bool:
+        return self.key() <= other.key()
+
+
+def reference_violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
+    """Why direction t fails to separate the curves, or None (Fraction)."""
+    its1, its2 = items(c1), items(c2)
+    for a in its1:
+        for b in its2:
+            if cross(a.vec, b.vec) == 0:
+                if (
+                    cross(a.vec, b.origin - a.origin) == 0
+                    and cross(a.vec, t) == 0
+                ):
+                    return (
+                        f"{a.kind} {a.index} of the first curve stays collinear "
+                        f"with {b.kind} {b.index} of the second"
+                    )
+    for v in c1.vertices:
+        for b in its2:
+            if cross(b.vec, t) == 0 and cross(b.vec, v - b.origin) == 0:
+                return (
+                    f"vertex ({v.x}, {v.y}) of the first curve rides the line "
+                    f"of {b.kind} {b.index} of the second"
+                )
+    for v in c2.vertices:
+        for a in its1:
+            if cross(a.vec, t) == 0 and cross(a.vec, v - a.origin) == 0:
+                return (
+                    f"vertex ({v.x}, {v.y}) of the second curve rides the line "
+                    f"of {a.kind} {a.index} of the first"
+                )
+    return None
+
+
+def reference_generic_direction(c1: TropicalCurve, c2: TropicalCurve) -> Point:
+    """The first (1, k) that passes reference_violations, tried one by one."""
+    for k in range(1, 2000):
+        t = pt(1, k)
+        if reference_violations(c1, c2, t) is None:
+            return t
+    raise GeometryError("no generic direction found")
+
+
+def reference_perturbation_oracle(
+    c1: TropicalCurve, c2: TropicalCurve, direction: Point
+) -> Divisor:
+    """The perturbation oracle with first-order Eps values in Fraction
+    arithmetic."""
+    if not direction:
+        raise NonGenericDirection("zero direction")
+    why = reference_violations(c1, c2, direction)
+    if why is not None:
+        raise NonGenericDirection(why)
+    zero = Eps(Fraction(0))
+    one = Eps(Fraction(1))
+    acc: dict[Point, int] = {}
+    for a in items(c1):
+        for b in items(c2):
+            den = cross(a.vec, b.vec)
+            if den == 0:
+                continue
+            s = Eps(
+                Fraction(cross(b.origin - a.origin, b.vec)),
+                Fraction(cross(direction, b.vec)),
+            ).scaled(Fraction(1, den))
+            r = Eps(
+                Fraction(cross(a.origin - b.origin, a.vec)),
+                Fraction(-cross(direction, a.vec)),
+            ).scaled(Fraction(1, -den))
+            if not (zero <= s and (not a.bounded or s <= one)):
+                continue
+            if not (zero <= r and (not b.bounded or r <= one)):
+                continue
+            limit = a.origin + a.vec * s.const
+            mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
+            acc[limit] = acc.get(limit, 0) + mu
+    return Divisor.of(acc, c1)
+
+
+def reference_locate(c: TropicalCurve, p: Point):
+    """curve.locate by linear scans in Fraction arithmetic."""
+    for i, v in enumerate(c.vertices):
+        if v == p:
+            return ("vertex", i)
+    for it in items(c):
+        if cross(it.vec, p - it.origin) != 0:
+            continue
+        t = it.param_of(p)
+        if 0 < t and (t < 1 or not it.bounded):
+            return (it.kind, it.index)
+    return None
 
 
 def _support(d: int) -> list[tuple[int, int]]:

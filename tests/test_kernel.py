@@ -1,0 +1,251 @@
+"""The integer kernel against the Fraction references in fixtures_lib.
+
+`curve.meetings`, `_item_intersection`, `locate`, `_violations`,
+`generic_direction` and `perturbation_oracle` decide every predicate on the
+curves' integer grids.  Here they must give exactly what the rational
+predicates give: the same pairs in the same order, the same Points (as
+Fractions), the same refusal messages.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fixtures_lib import (
+    concave_lift,
+    coordinate_cross,
+    diagonal_cross,
+    reference_generic_direction,
+    reference_locate,
+    reference_meetings,
+    reference_perturbation_oracle,
+    reference_violations,
+    theta_curve,
+    triangle_cycle_host,
+    tropical_line,
+    two_triangles_bridged,
+    vertical_line,
+    weight_two_edge_curve,
+)
+from tropcurve.curve import (
+    OVERLAP,
+    TropicalCurve,
+    _item_intersection,
+    curve,
+    items,
+    locate,
+    meetings,
+    translate,
+)
+from tropcurve.geom import GeometryError, Point, pt
+from tropcurve.intersect import (
+    Divisor,
+    _violations,
+    generic_direction,
+    perturbation_oracle,
+    stable_intersection,
+)
+from tropcurve.newton import star_multiplicity
+from tropcurve.polyfront import corner_locus, polynomial
+
+DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1),
+              (-1, 1), (1, 2), (2, 1), (-2, -1), (1, -2), (3, 1), (-1, 3)]
+
+# A 500-bit scale and offset, the size the walk's coordinates reach.
+BIG = Fraction(3 ** 320 + 1, 5 ** 215 + 2)
+BIG_SHIFT = pt(Fraction(7 ** 180, 11 ** 140 + 3), Fraction(-(2 ** 512) - 1, 13 ** 135))
+
+
+def bits(c: TropicalCurve) -> int:
+    return max(
+        max(q.numerator.bit_length(), q.denominator.bit_length())
+        for v in c.vertices for q in (v.x, v.y)
+    )
+
+
+@st.composite
+def grid_curves(draw, big=None):
+    """Unbalanced curve data on a small grid: edges and rays with shared
+    vertices, collinear runs and ends touching other items."""
+    # few grids, so that two drawn curves often share points and lines
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    off = pt(Fraction(draw(st.integers(-1, 1)), den), Fraction(draw(st.integers(-1, 1)), den))
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=2, max_size=6, unique=True))
+    vs = [pt(Fraction(i, den), Fraction(j, den)) + off for i, j in cells]
+    n = len(vs)
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2))
+        .filter(lambda e: e[0] != e[1]), max_size=6))
+    rays = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(DIRECTIONS), st.integers(1, 2)),
+        max_size=4))
+    if big is None:
+        big = draw(st.booleans())
+    if big:
+        vs = [v * BIG + BIG_SHIFT for v in vs]
+    return curve([(v.x, v.y) for v in vs], edges, rays)
+
+
+def assert_fraction_points(seq):
+    for _, _, p in seq:
+        if p is not OVERLAP:
+            assert type(p.x) is Fraction and type(p.y) is Fraction
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_curves(), grid_curves())
+def test_meetings_match_fraction_reference(c1, c2):
+    its1, its2 = items(c1), items(c2)
+    want = reference_meetings(its1, its2)
+    got = list(meetings(its1, its2))
+    assert got == want
+    assert_fraction_points(got)
+    one = list(meetings(its1 + its2))
+    assert one == reference_meetings(its1 + its2)
+    assert_fraction_points(one)
+    met = {(a, b): p for a, b, p in want}
+    for a in its1:
+        for b in its2:
+            assert _item_intersection(a, b) == met.get((a, b))
+
+
+@settings(max_examples=10, deadline=None)
+@given(grid_curves(big=True), grid_curves(big=True))
+def test_meetings_match_reference_at_500_bits(c1, c2):
+    assert bits(c1) > 500
+    assert list(meetings(items(c1), items(c2))) == reference_meetings(items(c1), items(c2))
+
+
+def test_parallel_cases_match_reference():
+    # collinear runs, touching ends, rays both ways, a shared vertex
+    c = curve(
+        [(0, 0), (1, 0), (2, 0), ("7/2", 0), ("1/3", "1/3"), (5, 0)],
+        edges=[(0, 1), (1, 2), (0, 2), (2, 3), (4, 1), (3, 5)],
+        rays=[(5, (1, 0)), (0, (-1, 0)), (1, (1, 0)), (3, (-1, 0)), (4, (1, 1))],
+    )
+    its = items(c)
+    got = list(meetings(its))
+    assert got == reference_meetings(its)
+    assert any(p is OVERLAP for _, _, p in got)
+    assert any(p is not OVERLAP for _, _, p in got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_curves(), grid_curves(), st.sampled_from(DIRECTIONS),
+       st.integers(1, 5))
+def test_oracle_and_violations_match_eps_reference(c1, c2, d, k):
+    t = pt(Fraction(d[0], k), Fraction(d[1], k + 1))
+    assert _violations(c1, c2, t) == reference_violations(c1, c2, t)
+    try:
+        want = reference_perturbation_oracle(c1, c2, t)
+    except GeometryError as err:
+        try:
+            perturbation_oracle(c1, c2, t)
+        except GeometryError as got:
+            assert type(got) is type(err) and str(got) == str(err)
+        else:
+            raise AssertionError("the integer oracle accepted a refused direction")
+    else:
+        assert perturbation_oracle(c1, c2, t) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_curves(), grid_curves())
+def test_generic_direction_matches_per_slope_loop(c1, c2):
+    for a, b in ((c1, c2), (c1, c1)):
+        assert generic_direction(a, b) == reference_generic_direction(a, b)
+
+
+def test_generic_direction_skips_every_pinned_slope():
+    # each ray of slope k is collinear with its copy in the self-pair
+    fan = curve([(0, 0)], rays=[(0, (1, k)) for k in range(1, 7)]
+                + [(0, (-1, -k)) for k in range(1, 7)])
+    assert generic_direction(fan, fan) == reference_generic_direction(fan, fan) == pt(1, 7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_curves(), st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 6))
+def test_locate_matches_linear_scan(c, i, j, q):
+    its = items(c)
+    probes = [pt(Fraction(i, q), Fraction(j, q)), *c.vertices]
+    probes += [it.origin + it.vec * Fraction(1, q + 1) for it in its]
+    probes += [it.origin + it.vec * (q + 1) for it in its if not it.bounded]
+    for p in probes:
+        assert locate(c, p) == reference_locate(c, p)
+
+
+# -- whole intersections over the fixtures and the benchmark's pool shapes --
+
+
+def reference_stable_intersection(c1: TropicalCurve, c2: TropicalCurve, met) -> Divisor:
+    """stable_intersection with every predicate in Fraction arithmetic, from
+    the pairs of reference_meetings."""
+    if any(p is OVERLAP for _, _, p in met):
+        return reference_perturbation_oracle(c1, c2, reference_generic_direction(c1, c2))
+    through: dict[Point, tuple[list, list]] = {}
+    for a, b, p in met:
+        for it, seen in zip((a, b), through.setdefault(p, ([], []))):
+            if it not in seen:
+                seen.append(it)
+    acc = {}
+    for p, (its1, its2) in through.items():
+        s1 = [w for it in its1 for w in _star(p, it)]
+        s2 = [w for it in its2 for w in _star(p, it)]
+        m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
+        if m:
+            acc[p] = m // 2
+    return Divisor.of(acc, c1)
+
+
+def _star(p, it):
+    w = it.prim * it.weight
+    out = []
+    if not it.bounded or p != it.origin + it.vec:
+        out.append(w)
+    if p != it.origin:
+        out.append(-w)
+    return out
+
+
+def _pool() -> list[TropicalCurve]:
+    """Smooth corner loci of degrees 2 to 4, some slid along one of their own
+    edges, as in the benchmark's intersect pool; then a translate at 500
+    bits."""
+    rng = random.Random(11)
+    pool = [corner_locus(polynomial(concave_lift(rng, d))) for d in (2, 3, 4)]
+    for c in pool[:2]:
+        e = c.edges[rng.randrange(len(c.edges))]
+        pool.append(translate(c, (c.vertices[e.b] - c.vertices[e.a]) * Fraction(rng.randint(1, 3), 4)))
+    pool.append(translate(pool[0], BIG_SHIFT))
+    return pool
+
+
+FIXTURES = [
+    tropical_line(), coordinate_cross(), vertical_line(), triangle_cycle_host(),
+    two_triangles_bridged(), weight_two_edge_curve(), diagonal_cross(("1/2", 0)),
+    translate(theta_curve(), pt("1/3", "1/7")),
+]
+
+
+def test_fixture_pairs_match_reference():
+    for c1 in FIXTURES:
+        for c2 in FIXTURES:
+            met = reference_meetings(items(c1), items(c2))
+            assert list(meetings(items(c1), items(c2))) == met
+            assert stable_intersection(c1, c2) == reference_stable_intersection(c1, c2, met)
+
+
+def test_pool_pairs_match_reference():
+    pool = _pool()
+    assert bits(pool[-1]) > 500
+    routes = set()
+    for c1 in pool:
+        for c2 in pool:
+            met = reference_meetings(items(c1), items(c2))
+            assert list(meetings(items(c1), items(c2))) == met
+            routes.add(any(p is OVERLAP for _, _, p in met))
+            assert stable_intersection(c1, c2) == reference_stable_intersection(c1, c2, met)
+    assert routes == {False, True}
