@@ -1,15 +1,16 @@
 """Cycle topology of a curve: tentacle classification, the contracted
 quotient multigraph, and bouquet detection.
 
-A tentacle is a finite edge whose interior disconnects the curve, i.e. a
-bridge of the finite-edge multigraph.  The bunch contracts every tentacle
-and every ray; what survives is a multigraph in which every arc lies on a
-cycle.
+A tentacle is a finite edge whose interior disconnects the curve: an edge on
+no fundamental cycle of spanning_forest, whose cycles also give params its
+closure equations.  The bunch contracts every tentacle and every ray; what
+survives is a multigraph in which every arc lies on a cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .geom import GeometryError, RefusalError
 from .curve import TropicalCurve
@@ -20,55 +21,74 @@ class DisconnectedCurveError(RefusalError):
     """Cycle topology is only defined for connected curves."""
 
 
-def _adjacency(c: TropicalCurve) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in c.vertices]
-    for i, e in enumerate(c.edges):
-        adj[e.a].append((e.b, i))
-        adj[e.b].append((e.a, i))
-    return adj
+def spanning_forest(
+    vertex_count: int, ends: Sequence[tuple[int, int]], root: int
+) -> tuple[
+    dict[int, tuple[int, int, int] | None],
+    tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
+]:
+    """Spanning forest by BFS from root, then from every vertex not yet
+    reached, plus the fundamental cycle of each non-tree edge.
+
+    ends[i] is the (a, b) pair of edge i.  The first dict maps each vertex,
+    in BFS order, to its link (parent, parent edge, +1 when that edge runs
+    parent -> vertex), or to None at a root.  Each cycle is (non-tree edge,
+    ((edge, sign along the cycle), ...)); it runs a -> b along the non-tree
+    edge, then back through the tree, with the root-path edges both ends
+    share cancelled.  These cycles form a basis of the cycle space.
+    """
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
+    for i, (a, b) in enumerate(ends):
+        adj[a].append((b, i, 1))
+        adj[b].append((a, i, -1))
+    link: dict[int, tuple[int, int, int] | None] = {}
+    for r in (root, *range(vertex_count)):
+        if r in link:
+            continue
+        link[r] = None
+        queue = [r]
+        for v in queue:  # the queue grows while it is read
+            for w, eid, sign in adj[v]:
+                if w not in link:
+                    link[w] = (v, eid, sign)
+                    queue.append(w)
+    tree = {ln[1] for ln in link.values() if ln is not None}
+
+    def root_path(v: int) -> dict[int, int]:
+        path = {}
+        while (ln := link[v]) is not None:
+            v, eid, sign = ln
+            path[eid] = sign
+        return path
+
+    cycles = []
+    for i, (a, b) in enumerate(ends):
+        if i in tree:
+            continue
+        pa, pb = root_path(a), root_path(b)
+        # a -> b along edge i, b up to the fork, then down to a
+        cyc = [(i, 1)]
+        cyc += [(eid, -sign) for eid, sign in pb.items() if eid not in pa]
+        cyc += [(eid, sign) for eid, sign in pa.items() if eid not in pb]
+        cycles.append((i, tuple(cyc)))
+    return link, tuple(cycles)
 
 
 def bridges(c: TropicalCurve) -> set[int]:
     """Edge indices whose removal disconnects the finite-edge multigraph.
 
-    Iterative low-link search from vertex 0; parallel edges are tracked by
-    edge id, so a doubled edge is never a bridge.  An empty or disconnected
-    curve is refused with DisconnectedCurveError.
+    They are the edges on no fundamental cycle of the forest rooted at vertex
+    0: a tree edge that is not a bridge has a non-tree edge across its cut,
+    whose fundamental cycle runs through it.  An empty or disconnected curve
+    is refused with DisconnectedCurveError.
     """
     if not c.vertices:
         raise DisconnectedCurveError("empty curve")
-    adj = _adjacency(c)
-    n = len(c.vertices)
-    preorder = [-1] * n
-    low = [0] * n
-    out: set[int] = set()
-    preorder[0] = 0
-    counter = 1
-    stack = [(0, -1, iter(adj[0]))]
-    while stack:
-        v, in_edge, it = stack[-1]
-        advanced = False
-        for w, eid in it:
-            if eid == in_edge:
-                continue
-            if preorder[w] == -1:
-                preorder[w] = low[w] = counter
-                counter += 1
-                stack.append((w, eid, iter(adj[w])))
-                advanced = True
-                break
-            low[v] = min(low[v], preorder[w])
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            parent = stack[-1][0]
-            low[parent] = min(low[parent], low[v])
-            if low[v] > preorder[parent]:
-                out.add(in_edge)
-    if counter != n:
+    link, cycles = spanning_forest(len(c.vertices), [(e.a, e.b) for e in c.edges], 0)
+    if list(link.values()).count(None) > 1:
         raise DisconnectedCurveError("curve is disconnected")
-    return out
+    on_cycle = {eid for _, cyc in cycles for eid, _ in cyc}
+    return set(range(len(c.edges))) - on_cycle
 
 
 def classify_edges(c: TropicalCurve) -> tuple[str, ...]:
@@ -100,12 +120,12 @@ class BunchGraph:
 
 
 def bunch(c: TropicalCurve) -> BunchGraph:
-    """Contract every tentacle and ray of a connected curve."""
-    classes = classify_edges(c)
+    """Contract every tentacle (bridges(c)) and ray of a connected curve."""
+    tentacles = bridges(c)
     n = len(c.vertices)
     uf = _UnionFind(n)
     for i, e in enumerate(c.edges):
-        if classes[i] == "tentacle":
+        if i in tentacles:
             uf.merge(e.a, e.b)
     roots: dict[int, int] = {}
     node_of_vertex = []
@@ -120,7 +140,7 @@ def bunch(c: TropicalCurve) -> BunchGraph:
     arcs = tuple(
         (i, node_of_vertex[e.a], node_of_vertex[e.b])
         for i, e in enumerate(c.edges)
-        if classes[i] == "cycle"
+        if i not in tentacles
     )
     return BunchGraph(
         tuple(node_of_vertex),

@@ -271,6 +271,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    if args.steps < 0:
+        raise GeometryError(f"step count must be non-negative, got {args.steps}")
     host = _load(args.host)
     system = cycle_system(require_reduced(host))
     mobile = _load(args.mobile)

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, groupby, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geom import (
@@ -21,6 +20,7 @@ from .geom import (
     IntVector,
     Point,
     RefusalError,
+    cross,
     dot,
     is_primitive,
     moment,
@@ -502,19 +502,6 @@ def local_star(c: TropicalCurve, p: Point) -> list[IntVector]:
 # ---------------------------------------------------------------------------
 
 
-def point_in_polygon(p: Point, loop: Sequence[Point]) -> bool:
-    """Even-odd test; p must not lie on the boundary."""
-    inside = False
-    n = len(loop)
-    for k in range(n):
-        a, b = loop[k], loop[(k + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            xi = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xi > p.x:
-                inside = not inside
-    return inside
-
-
 def _loop_sides(loop: Sequence[Point]) -> tuple[Item, ...]:
     """The sides of a simple closed polygon, side k from corner k to k + 1."""
     n = len(loop)
@@ -541,34 +528,23 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
 
     A list of (item, signed weighted primitive vector pointing out of the
     loop, crossing point).  Raises LoopError on any non-transversal contact.
+    Once every contact is transversal, the outward sign comes from the side
+    crossed: the interior lies left of a counterclockwise side, right of a
+    clockwise one.
     """
     sides = _loop_sides(loop)
+    ccw = sum(cross(*side.ends) for side in sides) > 0  # shoelace sign
     corners = set(loop)
     out = []
-    for it, met in groupby(meetings(items(c), sides), key=itemgetter(0)):
-        params = []
-        for _, _, p in met:
-            if p is OVERLAP:
-                raise LoopError(
-                    f"loop runs along {it.kind} {it.index}"
-                )
-            if p in corners:
-                raise LoopError("loop corner touches the curve")
-            if p in it.ends:
-                raise LoopError("loop passes through a curve vertex")
-            params.append((it.param_of(p), p))
-        params.sort(key=lambda tp: tp[0])
-        inside = point_in_polygon(it.origin, loop)
+    for it, side, p in meetings(items(c), sides):
+        if p is OVERLAP:
+            raise LoopError(f"loop runs along {it.kind} {it.index}")
+        if p in corners:
+            raise LoopError("loop corner touches the curve")
+        if p in it.ends:
+            raise LoopError("loop passes through a curve vertex")
         w = it.prim * it.weight
-        for t, p in params:
-            out.append((it, w if inside else -w, p))
-            inside = not inside
-        if not it.bounded and inside:
-            raise LoopError("ray ends inside the loop (inconsistent crossings)")
-        if it.bounded:
-            far_inside = point_in_polygon(it.ends[1], loop)
-            if far_inside != inside:
-                raise LoopError("inconsistent crossing parity on an edge")
+        out.append((it, w if (cross(w, side.prim) > 0) == ccw else -w, p))
     return out
 
 

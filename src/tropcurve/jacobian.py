@@ -158,12 +158,9 @@ def _node_image(system: CycleSystem, node: int) -> tuple[int | None, Fraction]:
         return (None, Fraction(0))
     members = set(system.graph.nodes[node])
     for cp in system.cycles:
-        for v in cp.vertex_path[:-1]:
+        for v, t in zip(cp.vertex_path[:-1], cp.breakpoints):
             if v in members:
-                return (
-                    cp.index,
-                    cp.param_of(system.curve, system.curve.vertices[v]),
-                )
+                return (cp.index, t)
     raise GeometryError("quotient node attaches to no cycle")  # unreachable
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .geom import GeometryError, IntVector, Point, pt
 from .curve import Edge, Ray, TropicalCurve, items, validate
 from .newton import newton_complex, newton_polygon
+from .bunch import spanning_forest
 
 
 class ClosureError(GeometryError):
@@ -27,7 +28,8 @@ class ClosureError(GeometryError):
 class CurveSkeleton:
     """Combinatorial type: directed primitive edge data plus ray data.
 
-    Its spanning forest and its closure basis are derived once, on first use.
+    Its spanning forest (bunch.spanning_forest, rooted at the anchor) and its
+    closure basis, one equation per fundamental cycle, are derived once.
     """
 
     vertex_count: int
@@ -36,54 +38,9 @@ class CurveSkeleton:
     anchor: int
 
     @cached_property
-    def _forest(self) -> tuple[
-        dict[int, tuple[int, int, int] | None],
-        tuple[tuple[int, tuple[tuple[int, int], ...]], ...],
-    ]:
-        """Spanning forest by BFS from the anchor, then from every vertex not
-        yet reached, plus the fundamental cycle of each non-tree edge.
-
-        The first dict maps each vertex, in BFS order, to its link
-        (parent, parent edge, +1 when that edge runs parent -> vertex), or to
-        None at a root.  Each cycle is (non-tree edge, ((edge, sign along the
-        cycle), ...)); it runs along the non-tree edge, then back through the
-        tree, with the root-path edges both ends share cancelled.
-        """
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
-        for i, (a, b, _, _) in enumerate(self.edges):
-            adj[a].append((b, i, 1))
-            adj[b].append((a, i, -1))
-        link: dict[int, tuple[int, int, int] | None] = {}
-        for root in (self.anchor, *range(self.vertex_count)):
-            if root in link:
-                continue
-            link[root] = None
-            queue = [root]
-            for v in queue:  # the queue grows while it is read
-                for w, eid, sign in adj[v]:
-                    if w not in link:
-                        link[w] = (v, eid, sign)
-                        queue.append(w)
-        tree = {ln[1] for ln in link.values() if ln is not None}
-
-        def root_path(v: int) -> dict[int, int]:
-            path = {}
-            while (ln := link[v]) is not None:
-                v, eid, sign = ln
-                path[eid] = sign
-            return path
-
-        cycles = []
-        for i, (a, b, _, _) in enumerate(self.edges):
-            if i in tree:
-                continue
-            pa, pb = root_path(a), root_path(b)
-            # a -> b along edge i, b up to the fork, then down to a
-            cyc = [(i, 1)]
-            cyc += [(eid, -sign) for eid, sign in pb.items() if eid not in pa]
-            cyc += [(eid, sign) for eid, sign in pa.items() if eid not in pb]
-            cycles.append((i, tuple(cyc)))
-        return link, tuple(cycles)
+    def _forest(self):
+        ends = [e[:2] for e in self.edges]
+        return spanning_forest(self.vertex_count, ends, self.anchor)
 
     @cached_property
     def _closure_basis(self) -> tuple[list[Fraction], ...]:

@@ -21,7 +21,6 @@ PALETTE = {
     "tentacle": "#e6882e",
     "ray": "#7f7f7f",
     "divisor": "#2ca02c",
-    "loop": "#9467bd",
     "dual": "#333333",
 }
 
@@ -38,12 +37,6 @@ class CurveLayer:
 class DivisorLayer:
     entries: tuple  # ((Point, int), ...)
     color: str = PALETTE["divisor"]
-
-
-@dataclass(frozen=True)
-class LoopLayer:
-    points: tuple
-    color: str = PALETTE["loop"]
 
 
 @dataclass(frozen=True)
@@ -119,8 +112,6 @@ def render(scene: Scene) -> str:
             pts.extend(layer.curve.vertices)
         elif isinstance(layer, DivisorLayer):
             pts.extend(p for p, _ in layer.entries)
-        elif isinstance(layer, LoopLayer):
-            pts.extend(layer.points)
 
     if not pts and not panels:
         return (
@@ -154,16 +145,6 @@ def render(scene: Scene) -> str:
 
 def _render_main(panel: _Panel, layers) -> list[str]:
     out = []
-    for layer in layers:
-        if isinstance(layer, LoopLayer):
-            coords = " ".join(
-                ",".join(panel.to_px(p)) for p in layer.points
-            )
-            out.append(
-                f'<polygon points="{coords}" fill="none" '
-                f'stroke="{layer.color}" stroke-width="1" '
-                'stroke-dasharray="4 3"/>'
-            )
     for layer in layers:
         if not isinstance(layer, CurveLayer):
             continue

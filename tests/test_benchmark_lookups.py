@@ -1,9 +1,10 @@
-"""The benchmark's tracer finds the library functions it wraps by name.
+"""The benchmark finds the library names it calls and wraps by name.
 
-perfbench/tcbench/trace.py lists them in TARGETS, and the benchmark's own
-tests patch some `from ... import` bindings.  A rename in the library that
-misses one of these breaks the benchmark, not the library, so it is guarded
-here.
+perfbench/tcbench/trace.py lists the traced functions in TARGETS, the
+workloads call `tc.<module>.<name>` on the loaded modules, and the
+benchmark's own tests patch some `from ... import` bindings.  A rename or a
+deletion in the library that misses one of these breaks the benchmark, not
+the library, so it is guarded here.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "tcbench" / "trace.py"
+TCBENCH = Path(__file__).resolve().parents[1] / "perfbench" / "tcbench"
+TRACE = TCBENCH / "trace.py"
 
 
 def _targets() -> dict:
@@ -25,12 +27,44 @@ def _targets() -> dict:
     raise AssertionError("TARGETS not found in trace.py")
 
 
+def _workload_calls() -> set[str]:
+    """Every `tc.<module>.<name>` the benchmark's sources spell out."""
+    names = set()
+    for path in sorted(TCBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "tc"
+            ):
+                names.add(f"{node.value.attr}.{node.attr}")
+    return names
+
+
 @pytest.mark.parametrize(
     "name", [f"{m}.{f}" for m, fs in _targets().items() for f in fs]
 )
 def test_traced_function_exists(name):
     module, function = name.split(".")
     assert callable(getattr(importlib.import_module(f"tropcurve.{module}"), function))
+
+
+@pytest.mark.parametrize("name", sorted(_workload_calls()))
+def test_workload_name_exists(name):
+    module, attr = name.split(".")
+    assert hasattr(importlib.import_module(f"tropcurve.{module}"), attr)
+
+
+def test_workload_names_are_collected():
+    assert {
+        "curve.translate",
+        "jsonio.curve_from_json",
+        "polyfront.polynomial",
+        "jacobian.cycle_system",
+        "params.params_from_curve",
+        "intersect.has_shared_segment",
+    } <= _workload_calls()
 
 
 @pytest.mark.parametrize(

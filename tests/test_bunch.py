@@ -1,12 +1,26 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures_lib import (
+    anti_line,
+    concave_lift,
+    coordinate_cross,
+    diagonal_cross,
     figure_eight,
+    sparse_lift,
     tail_cycle_curve,
     theta_curve,
+    tied_lift,
     triangle_cycle_host,
     tropical_line,
     two_triangles_bridged,
+    unit_triangle_cycle,
+    vertical_line,
+    wedge_l,
+    wedge_m,
     weight_two_edge_curve,
 )
 from tropcurve.bunch import (
@@ -14,11 +28,13 @@ from tropcurve.bunch import (
     DisconnectedCurveError,
     NotABouquet,
     bouquet_structure,
+    bridges,
     bunch,
     classify_edges,
 )
-from tropcurve.curve import curve, translate, validate
+from tropcurve.curve import Edge, TropicalCurve, curve, translate, validate
 from tropcurve.geom import pt
+from tropcurve.polyfront import corner_locus, polynomial
 
 
 def test_classify_line():
@@ -145,3 +161,101 @@ def test_classification_invariant_under_subdivision():
     assert validate(sub).passed
     assert set(classify_edges(sub)) == {"cycle"}
     assert bunch(sub).genus() == 1
+
+
+# ---------------------------------------------------------------------------
+# bridges against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def _connected(n: int, ends) -> bool:
+    """Whether n vertices are connected by the given (a, b) edges."""
+    if n == 0:
+        return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for a, b in ends:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(seen) == n
+
+
+def reference_bridges(c: TropicalCurve) -> set[int]:
+    """Drop each edge in turn and test whether the rest stays connected."""
+    ends = [(e.a, e.b) for e in c.edges]
+    return {
+        i for i in range(len(ends))
+        if not _connected(len(c.vertices), ends[:i] + ends[i + 1:])
+    }
+
+
+FIXTURES = [
+    tropical_line, anti_line, coordinate_cross, diagonal_cross, vertical_line,
+    wedge_l, wedge_m, triangle_cycle_host, unit_triangle_cycle, figure_eight,
+    two_triangles_bridged, theta_curve, weight_two_edge_curve, tail_cycle_curve,
+]
+
+
+@pytest.mark.parametrize("make", FIXTURES, ids=lambda f: f.__name__)
+def test_bridges_match_reference_on_fixtures(make):
+    c = make()
+    assert bridges(c) == reference_bridges(c)
+
+
+@pytest.mark.parametrize("lift", [concave_lift, sparse_lift, tied_lift],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("d", range(2, 9))
+def test_bridges_match_reference_on_corner_loci(lift, d):
+    rng = random.Random(1000 * d + 7)
+    for _ in range(2):
+        c = corner_locus(polynomial(lift(rng, d)))
+        assert bridges(c) == reference_bridges(c)
+
+
+@st.composite
+def multigraphs(draw):
+    """Abstract finite-edge multigraphs: a random core with some edges
+    doubled, pendant trees hung on it, and sometimes a second piece."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ab: ab[0] != ab[1]
+    )
+    ends = draw(st.lists(pairs, max_size=10))
+    ends += draw(st.lists(st.sampled_from(ends), max_size=3)) if ends else []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        ends.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    if draw(st.booleans()):
+        extra = draw(st.integers(min_value=1, max_value=3))
+        ends += [(n + k, n + k + 1) for k in range(extra - 1)]
+        n += extra
+    order = draw(st.permutations(range(len(ends))))
+    es = tuple(Edge(*ends[k]) for k in order)
+    return TropicalCurve(tuple(pt(v, v * v) for v in range(n)), es, ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_bridges_match_reference_on_multigraphs(c):
+    ends = [(e.a, e.b) for e in c.edges]
+    if not _connected(len(c.vertices), ends):
+        with pytest.raises(DisconnectedCurveError, match="curve is disconnected"):
+            bridges(c)
+        return
+    found = bridges(c)
+    assert found == reference_bridges(c)
+    for i, (a, b) in enumerate(ends):
+        if ends.count((a, b)) + ends.count((b, a)) > 1:
+            assert i not in found  # a doubled edge is never a bridge
+
+
+def test_bridges_refusals():
+    with pytest.raises(DisconnectedCurveError, match="empty curve"):
+        bridges(curve([]))
+    apart = TropicalCurve((pt(0, 0), pt(1, 0), pt(5, 5)), (Edge(0, 1),), ())
+    with pytest.raises(DisconnectedCurveError, match="curve is disconnected"):
+        bridges(apart)

@@ -177,6 +177,18 @@ def test_walk_trace_and_determinism(paths, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_walk_negative_steps_exit_2(paths, capsys):
+    _, wc, _ = paths
+    host = wc("host.json", triangle_cycle_host())
+    mob = wc("mob.json", tropical_line((-3, -8)))
+    assert main(["walk", host, mob, "--steps", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err and "-1" in captured.err
+    assert main(["walk", host, mob, "--steps", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_from_poly_roundtrip(paths, capsys):
     assert main(["from-poly", "0 + x + y"]) == 0
     text = capsys.readouterr().out

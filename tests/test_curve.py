@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from fixtures_lib import (
     coordinate_cross,
     rect_loop,
+    reference_outgoing,
     figure_eight,
     square_loop,
     tail_cycle_curve,
@@ -18,8 +20,11 @@ from fixtures_lib import (
     wedge_m,
 )
 from tropcurve.curve import (
+    Edge,
     LoopError,
+    Ray,
     StructureError,
+    TropicalCurve,
     canonical_form,
     curve,
     global_balance_sum,
@@ -32,7 +37,7 @@ from tropcurve.curve import (
     union,
     validate,
 )
-from tropcurve.geom import IntVector, pt, vec
+from tropcurve.geom import IntVector, cross, dot, pt, vec
 
 
 ALL_FIXTURES = [
@@ -166,6 +171,98 @@ def test_moment_sum_cycle_loop():
     loop = rect_loop(Fraction(18, 7), 0, Fraction(17, 7), 3)
     assert moment_sum(c, loop, pt(5, 7)) == 0
     assert moment_sum(c, loop, pt("-3/7", "22/5")) == 0
+
+
+# Sixteen lattice directions in counterclockwise order.
+_STAR = [
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+    (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1),
+]
+
+
+def _random_unbalanced_curve(rng: random.Random) -> TropicalCurve:
+    """Distinct lattice vertices joined by random weighted edges and rays;
+    nothing balances, and edges may cross."""
+    pool = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    vs = tuple(pt(x, y) for x, y in rng.sample(pool, rng.randint(2, 6)))
+    n = len(vs)
+    es = []
+    for _ in range(rng.randint(1, 6)):
+        a, b = rng.sample(range(n), 2)
+        es.append(Edge(a, b, rng.randint(1, 3)))
+    rs = tuple(
+        Ray(rng.randrange(n), IntVector(*rng.choice(_STAR)), rng.randint(1, 2))
+        for _ in range(rng.randint(0, 4))
+    )
+    return TropicalCurve(vs, tuple(es), rs)
+
+
+def _random_star_loop(rng: random.Random) -> tuple:
+    """A simple polygon, star-shaped about a rational centre, in either
+    orientation: corners along some of the sixteen directions, no two
+    consecutive ones half a turn or more apart."""
+    while True:
+        keep = [k for k in range(16) if rng.random() < 0.6]
+        gaps = [(keep[(i + 1) % len(keep)] - keep[i]) % 16 for i in range(len(keep))]
+        if len(keep) >= 3 and max(gaps) < 8:
+            break
+    centre = pt(Fraction(rng.randint(-40, 40), 7), Fraction(rng.randint(-40, 40), 11))
+    loop = [
+        centre + pt(*_STAR[k]) * Fraction(rng.randint(3, 60), rng.choice([7, 13]))
+        for k in keep
+    ]
+    return tuple(loop if rng.random() < 0.5 else loop[::-1])
+
+
+def _on_boundary(p, loop) -> bool:
+    n = len(loop)
+    for k in range(n):
+        a, b = loop[k], loop[(k + 1) % n]
+        if cross(b - a, p - a) == 0 and 0 <= dot(p - a, b - a) <= dot(b - a, b - a):
+            return True
+    return False
+
+
+def _inside(p, loop) -> bool:
+    """Even-odd test for a point off the boundary."""
+    inside = False
+    n = len(loop)
+    for k in range(n):
+        a, b = loop[k], loop[(k + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            if a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y) > p.x:
+                inside = not inside
+    return inside
+
+
+def test_loop_sums_equal_enclosed_residuals():
+    """Outward crossing vectors add up to the residuals of the vertices the
+    loop encloses, and their moments to those residuals' moments."""
+    rng = random.Random(20061)
+    crossed = 0
+    for _ in range(300):
+        c = _random_unbalanced_curve(rng)
+        loop = _random_star_loop(rng)
+        if any(_on_boundary(v, loop) for v in c.vertices):
+            continue
+        try:
+            total = global_balance_sum(c, loop)
+        except LoopError:
+            continue
+        base = pt(Fraction(rng.randint(-30, 30), 4), Fraction(rng.randint(-30, 30), 3))
+        residuals = [
+            sum(reference_outgoing(c, v), IntVector(0, 0)) for v in range(len(c.vertices))
+        ]
+        enclosed = [v for v, p in enumerate(c.vertices) if _inside(p, loop)]
+        expect = IntVector(0, 0)
+        for v in enclosed:
+            expect = expect + residuals[v]
+        assert total == expect
+        assert moment_sum(c, loop, base) == sum(
+            cross(c.vertices[v] - base, residuals[v]) for v in enclosed
+        )
+        crossed += total != vec(0, 0)
+    assert crossed > 50
 
 
 def test_union_translated_lines():
