@@ -34,14 +34,15 @@ def spanning_forest(
     in BFS order, to its link (parent, parent edge, +1 when that edge runs
     parent -> vertex), or to None at a root.  Each cycle is (non-tree edge,
     ((edge, sign along the cycle), ...)); it runs a -> b along the non-tree
-    edge, then back through the tree, with the root-path edges both ends
-    share cancelled.  These cycles form a basis of the cycle space.
+    edge, then back through the tree by the two ends' paths up to the vertex
+    where they fork.  These cycles form a basis of the cycle space.
     """
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
     for i, (a, b) in enumerate(ends):
         adj[a].append((b, i, 1))
         adj[b].append((a, i, -1))
     link: dict[int, tuple[int, int, int] | None] = {}
+    depth = [0] * vertex_count
     for r in (root, *range(vertex_count)):
         if r in link:
             continue
@@ -51,26 +52,23 @@ def spanning_forest(
             for w, eid, sign in adj[v]:
                 if w not in link:
                     link[w] = (v, eid, sign)
+                    depth[w] = depth[v] + 1
                     queue.append(w)
     tree = {ln[1] for ln in link.values() if ln is not None}
-
-    def root_path(v: int) -> dict[int, int]:
-        path = {}
-        while (ln := link[v]) is not None:
-            v, eid, sign = ln
-            path[eid] = sign
-        return path
-
     cycles = []
     for i, (a, b) in enumerate(ends):
         if i in tree:
             continue
-        pa, pb = root_path(a), root_path(b)
         # a -> b along edge i, b up to the fork, then down to a
-        cyc = [(i, 1)]
-        cyc += [(eid, -sign) for eid, sign in pb.items() if eid not in pa]
-        cyc += [(eid, sign) for eid, sign in pa.items() if eid not in pb]
-        cycles.append((i, tuple(cyc)))
+        up_a, up_b = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, eid, sign = link[a]
+                up_a.append((eid, sign))
+            else:
+                b, eid, sign = link[b]
+                up_b.append((eid, -sign))
+        cycles.append((i, ((i, 1), *up_b, *up_a)))
     return link, tuple(cycles)
 
 

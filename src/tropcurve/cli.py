@@ -166,9 +166,7 @@ def cmd_bunch(args) -> int:
     if args.svg:
         colors = {}
         for i, kind in enumerate(classes):
-            colors[("edge", i)] = svgout.PALETTE[
-                "tentacle" if kind == "tentacle" else "cycle"
-            ]
+            colors[("edge", i)] = svgout.PALETTE[kind]
         for i in range(len(c.rays)):
             colors[("ray", i)] = svgout.PALETTE["ray"]
         scene = svgout.Scene(

@@ -193,12 +193,6 @@ def items(c: TropicalCurve) -> tuple[Item, ...]:
     return c._items
 
 
-def item_at(c: TropicalCurve, hit: tuple[str, int]) -> Item:
-    """The item that locate names as ('edge', i) or ('ray', i)."""
-    kind, index = hit
-    return items(c)[index if kind == "edge" else len(c.edges) + index]
-
-
 class _Overlap(Enum):
     OVERLAP = "overlap"
 
@@ -377,11 +371,10 @@ class BalanceReport:
 
 def _structural_check(c: TropicalCurve) -> None:
     n = len(c.vertices)
-    seen: dict[Point, int] = {}
+    first = c._vertex_index
     for i, v in enumerate(c.vertices):
-        if v in seen:
-            raise StructureError(f"vertices {seen[v]} and {i} coincide at ({v.x}, {v.y})")
-        seen[v] = i
+        if first[v] != i:
+            raise StructureError(f"vertices {first[v]} and {i} coincide at ({v.x}, {v.y})")
     used = [False] * n
     for i, e in enumerate(c.edges):
         if not (0 <= e.a < n and 0 <= e.b < n):
@@ -427,8 +420,7 @@ def validate(c: TropicalCurve) -> BalanceReport:
                 "along a segment"
             )
             continue
-        shared = {a.tail, a.head} & {b.tail, b.head}
-        if not any(s is not None and c.vertices[s] == p for s in shared):
+        if p not in a.ends or p not in b.ends:
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
                 f"({p.x}, {p.y}) which is not a shared vertex"
@@ -461,40 +453,39 @@ def translate(c: TropicalCurve, t: Point) -> TropicalCurve:
     )
 
 
-def locate(c: TropicalCurve, p: Point):
-    """Where a point sits on the curve.
-
-    Returns ('vertex', i), ('edge', i), ('ray', i) or None; edge/ray hits are
-    interior (endpoints report as vertices).
-    """
-    v = c._vertex_index.get(p)
-    if v is not None:
-        return ("vertex", v)
+def items_at(c: TropicalCurve, p: Point) -> list[Item]:
+    """Every item that contains p, ends included, in item order; the test
+    runs on the curve's grid raised to p's denominators."""
     qx, qy = p.x.denominator, p.y.denominator
     scale = lcm(c._scale, qx, qy)
     px, py = p.x.numerator * (scale // qx), p.y.numerator * (scale // qy)
+    out = []
     for it, ox, oy, vx, vy in _lattice(items(c), scale):
         dx, dy = px - ox, py - oy
         if vx * dy - dx * vy:
             continue
         t = dx * vx + dy * vy
-        if 0 < t and (it.head is None or t < vx * vx + vy * vy):
-            return (it.kind, it.index)
-    return None
+        if 0 <= t and (it.head is None or t <= vx * vx + vy * vy):
+            out.append(it)
+    return out
+
+
+def locate(c: TropicalCurve, p: Point):
+    """Where a point sits on the curve: ('vertex', i), else the first item of
+    items_at as ('edge', i) or ('ray', i) (interior, since its ends are
+    vertices), else None."""
+    v = c._vertex_index.get(p)
+    if v is not None:
+        return ("vertex", v)
+    hit = items_at(c, p)
+    return (hit[0].kind, hit[0].index) if hit else None
 
 
 def local_star(c: TropicalCurve, p: Point) -> list[IntVector]:
-    """Weighted primitive vectors leaving p along the curve.
-
-    Vertices report their full star, interior points of an edge or ray report
-    both directions, points off the curve report an empty star.
-    """
-    hit = locate(c, p)
-    if hit is None:
-        return []
-    if hit[0] == "vertex":
-        return star_at(p, [it for it in items(c) if p in it.ends])
-    return star_at(p, [item_at(c, hit)])
+    """Weighted primitive vectors leaving p along every item of items_at: a
+    vertex's full star, both directions of an item through an interior
+    point, nothing off the curve."""
+    return star_at(p, items_at(c, p))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from typing import Callable
 
 from .geom import GeometryError, IntVector, Point, cross, pt
 from .curve import (
@@ -112,73 +113,63 @@ def _int_direction(t: Point) -> tuple[int, int]:
     return t.x.numerator * (k // t.x.denominator), t.y.numerator * (k // t.y.denominator)
 
 
-def _collinear_pair(a: View, its2: list[View]) -> View | None:
-    """The first view of its2 parallel to view a and on its line."""
-    for b in its2:
-        if a.vx * b.vy == b.vx * a.vy and _on_line(a, b.ox, b.oy):
-            return b
-    return None
-
-
 def _on_line(b: View, x: int, y: int) -> bool:
     """Whether the grid point (x, y) lies on the line of view b."""
     return b.vx * (y - b.oy) == (x - b.ox) * b.vy
 
 
-def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
-    """Why direction t fails to separate the curves, or None.
+def _pins(c1: TropicalCurve, c2: TropicalCurve, keep: Callable[[View], bool]):
+    """Each kept view that a perturbation direction may not run along, as
+    (view, pin, whether the view is on c1), in the order _violations reports.
 
-    Rejects directions under which a parallel pair stays collinear, or which
-    keep a vertex of one curve pinned on an item's line of the other.
+    A view of c1 is pinned by the first parallel view of c2 on its line; then,
+    vertex by vertex and c1's first, a vertex (its Point) pins each kept view
+    of the other curve whose line holds it.
     """
     _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
-    tx, ty = _int_direction(t)
-    along1 = [a for a in its1 if a.vx * ty == tx * a.vy]
-    along2 = [b for b in its2 if b.vx * ty == tx * b.vy]
-    for a in along1:
-        b = _collinear_pair(a, its2)
-        if b is not None:
-            return (
-                f"{a.item.kind} {a.item.index} of the first curve stays "
-                f"collinear with {b.item.kind} {b.item.index} of the second"
-            )
-    for c, grid, along, mine, other in (
-        (c1, grid1, along2, "first", "second"),
-        (c2, grid2, along1, "second", "first"),
-    ):
-        for v, (x, y) in enumerate(grid):
-            for b in along:
+    kept1 = [a for a in its1 if keep(a)]
+    kept2 = [b for b in its2 if keep(b)]
+    for a in kept1:
+        for b in its2:
+            if a.vx * b.vy == b.vx * a.vy and _on_line(a, b.ox, b.oy):
+                yield a, b, True
+                break
+    for c, grid, kept, first in ((c1, grid1, kept2, False), (c2, grid2, kept1, True)):
+        for q, (x, y) in zip(c.vertices, grid):
+            for b in kept:
                 if _on_line(b, x, y):
-                    q = c.vertices[v]
-                    return (
-                        f"vertex ({q.x}, {q.y}) of the {mine} curve rides the "
-                        f"line of {b.item.kind} {b.item.index} of the {other}"
-                    )
+                    yield b, q, first
+
+
+def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
+    """Why direction t fails to separate the curves, or None: the first pin
+    of the views parallel to t, a collinear parallel pair or a vertex of one
+    curve riding an item's line of the other."""
+    tx, ty = _int_direction(t)
+    for view, pin, first in _pins(c1, c2, lambda v: v.vx * ty == tx * v.vy):
+        it = view.item
+        if isinstance(pin, View):
+            return (
+                f"{it.kind} {it.index} of the first curve stays collinear "
+                f"with {pin.item.kind} {pin.item.index} of the second"
+            )
+        mine, other = ("second", "first") if first else ("first", "second")
+        return (
+            f"vertex ({pin.x}, {pin.y}) of the {mine} curve rides the "
+            f"line of {it.kind} {it.index} of the {other}"
+        )
     return None
 
 
 def generic_direction(c1: TropicalCurve, c2: TropicalCurve) -> Point:
     """Deterministic direction passing the genericity test: the first
-    (1, k), 1 <= k < 2000, that no item pins down.
+    (1, k), 1 <= k < 2000, that no item pins down.  One pass of _pins over
+    the views along some (1, k) collects the forbidden slopes."""
 
-    Slope k is forbidden when (1, k) is parallel to an item of a collinear
-    parallel pair, or to an item whose line holds a vertex of the other
-    curve; all of them are collected in one pass.
-    """
-    _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
-    forbidden: set[int] = set()
+    def along(v: View) -> bool:
+        return v.vx != 0 and v.vy % v.vx == 0 and 1 <= v.vy // v.vx < 2000
 
-    def forbid(views: list[View], pinned) -> None:
-        for view in views:
-            if view.vx == 0 or view.vy % view.vx:
-                continue
-            k = view.vy // view.vx
-            if 1 <= k < 2000 and k not in forbidden and pinned(view):
-                forbidden.add(k)
-
-    forbid(its1, lambda a: _collinear_pair(a, its2) is not None)
-    forbid(its2, lambda b: any(_on_line(b, x, y) for x, y in grid1))
-    forbid(its1, lambda a: any(_on_line(a, x, y) for x, y in grid2))
+    forbidden = {v.vy // v.vx for v, _, _ in _pins(c1, c2, along)}
     for k in range(1, 2000):
         if k not in forbidden:
             return pt(1, k)

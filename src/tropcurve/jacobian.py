@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import GeometryError, Point, RefusalError, cross
-from .curve import TropicalCurve, item_at, items, locate
+from .curve import TropicalCurve, items, items_at
 from .bunch import (
     BouquetStructure,
     BunchGraph,
@@ -136,17 +136,19 @@ def cycle_system(curve: TropicalCurve) -> CycleSystem:
 def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     """Quotient image of a curve point as (cycle index, residue).
 
+    The point is a vertex or an interior point of the first item of items_at.
     Points on a cycle keep their parameter; points on tentacles and rays map
     to the cycle point where their contracted blob attaches; the bouquet
     center reports (None, 0).
     """
     c = system.curve
-    hit = locate(c, p)
-    if hit is None:
+    hit = items_at(c, p)
+    if not hit:
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
-    if hit[0] == "vertex":
-        return _node_image(system, system.graph.node_of_vertex[hit[1]])
-    it = item_at(c, hit)
+    it = hit[0]
+    if p in it.ends:
+        v = it.tail if p == it.origin else it.head
+        return _node_image(system, system.graph.node_of_vertex[v])
     for cp in system.cycles:
         if it.bounded and it.index in cp.edge_indices:
             return (cp.index, cp.param_of(c, p))

@@ -136,7 +136,9 @@ def project_to_closure(
 
 def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
     """Random step inside the cone: closure-preserving, positivity-preserving,
-    and shrunk until the rebuilt curve still validates."""
+    and halved until the rebuilt curve still validates (p after 60 halvings).
+    Every candidate closes exactly when p does, so a p that does not close,
+    or whose skeleton is disconnected, raises ClosureError."""
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, random.Random)
@@ -151,7 +153,7 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
         Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
         Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
     )
-    # exact scaling to keep every length strictly positive
+    # exact scaling that keeps every length at least half its value
     scale = Fraction(1)
     for ll, d in zip(p.lengths, step):
         if d < 0:
@@ -162,14 +164,8 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
             tuple(ll + scale * d for ll, d in zip(p.lengths, step)),
             p.anchor_pos + anchor_step * scale,
         )
-        if all(ll > 0 for ll in cand.lengths):
-            try:
-                c = curve_from_params(cand)
-            except ClosureError:
-                scale /= 2
-                continue
-            if validate(c).passed:
-                return cand
+        if validate(curve_from_params(cand)).passed:
+            return cand
         scale /= 2
     return p
 

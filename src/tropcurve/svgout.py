@@ -24,32 +24,30 @@ PALETTE = {
     "dual": "#333333",
 }
 
+MARGIN = Fraction(1)  # around the exact bounding box of each panel
+SIZE = 420  # pixels across the longer side of each panel
+
 
 @dataclass(frozen=True)
 class CurveLayer:
     curve: TropicalCurve
     color: str = PALETTE["curve"]
-    width: Fraction = Fraction(3, 2)
     item_colors: dict = field(default_factory=dict)  # ('edge'|'ray', idx) -> color
 
 
 @dataclass(frozen=True)
 class DivisorLayer:
     entries: tuple  # ((Point, int), ...)
-    color: str = PALETTE["divisor"]
 
 
 @dataclass(frozen=True)
 class ComplexPanel:
     complex: NewtonComplex
-    color: str = PALETTE["dual"]
 
 
 @dataclass(frozen=True)
 class Scene:
     layers: tuple
-    margin: Fraction = Fraction(1)
-    size: int = 420  # pixel height of each panel
 
 
 def _fmt(x: Fraction) -> str:
@@ -62,16 +60,16 @@ def _fmt(x: Fraction) -> str:
 class _Panel:
     """Exact-to-pixel transform for one drawing area."""
 
-    def __init__(self, pts: list[Point], margin: Fraction, size: int, x_offset: int):
+    def __init__(self, pts: list[Point], x_offset: int):
         if not pts:
             pts = [Point(Fraction(0), Fraction(0))]
-        self.minx = min(p.x for p in pts) - margin
-        self.maxx = max(p.x for p in pts) + margin
-        self.miny = min(p.y for p in pts) - margin
-        self.maxy = max(p.y for p in pts) + margin
+        self.minx = min(p.x for p in pts) - MARGIN
+        self.maxx = max(p.x for p in pts) + MARGIN
+        self.miny = min(p.y for p in pts) - MARGIN
+        self.maxy = max(p.y for p in pts) + MARGIN
         w = self.maxx - self.minx
         h = self.maxy - self.miny
-        self.scale = Fraction(size) / max(w, h, Fraction(1))
+        self.scale = Fraction(SIZE) / max(w, h, Fraction(1))
         self.width = int(w * self.scale) + 1
         self.height = int(h * self.scale) + 1
         self.x_offset = x_offset
@@ -124,14 +122,14 @@ def render(scene: Scene) -> str:
     total_w = 0
     total_h = 0
     if pts:
-        main = _Panel(pts, scene.margin, scene.size, 0)
+        main = _Panel(pts, 0)
         body.extend(_render_main(main, main_layers))
         x_cursor = main.width + 24
         total_w = main.width
         total_h = main.height
     for panel in panels:
         dual_pts = [w.to_point() for w in panel.complex.dual_vertices]
-        pan = _Panel(dual_pts, Fraction(1), scene.size, x_cursor)
+        pan = _Panel(dual_pts, x_cursor)
         body.extend(_render_complex(pan, panel))
         total_w = x_cursor + pan.width
         total_h = max(total_h, pan.height)
@@ -160,27 +158,25 @@ def _render_main(panel: _Panel, layers) -> list[str]:
             )
             x1, y1 = panel.to_px(a)
             x2, y2 = panel.to_px(b)
-            sw = _fmt(Fraction(layer.width))
             out.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="{color}" stroke-width="{sw}"/>'
+                f'stroke="{color}" stroke-width="1.5000"/>'
             )
         for v in layer.curve.vertices:
             x, y = panel.to_px(v)
             out.append(
                 f'<circle cx="{x}" cy="{y}" r="2.5" fill="{layer.color}"/>'
             )
+    color = PALETTE["divisor"]
     for layer in layers:
         if not isinstance(layer, DivisorLayer):
             continue
         for p, m in layer.entries:
             x, y = panel.to_px(p)
-            out.append(
-                f'<circle cx="{x}" cy="{y}" r="4" fill="{layer.color}"/>'
-            )
+            out.append(f'<circle cx="{x}" cy="{y}" r="4" fill="{color}"/>')
             out.append(
                 f'<text x="{x}" y="{y}" dx="6" dy="-6" '
-                f'font-size="12" fill="{layer.color}">{m}</text>'
+                f'font-size="12" fill="{color}">{m}</text>'
             )
     return out
 
@@ -188,6 +184,7 @@ def _render_main(panel: _Panel, layers) -> list[str]:
 def _render_complex(panel: _Panel, layer: ComplexPanel) -> list[str]:
     out = []
     nc = layer.complex
+    color = PALETTE["dual"]
     seen = set()
     for fi, fj, _, _ in nc.dual_edges:
         a, b = nc.dual_vertices[fi], nc.dual_vertices[fj]
@@ -200,9 +197,9 @@ def _render_complex(panel: _Panel, layer: ComplexPanel) -> list[str]:
         x2, y2 = panel.to_px(b.to_point())
         out.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            f'stroke="{layer.color}" stroke-width="1.5"/>'
+            f'stroke="{color}" stroke-width="1.5"/>'
         )
     for w in sorted(set(nc.dual_vertices), key=lambda v: (v.x, v.y)):
         x, y = panel.to_px(w.to_point())
-        out.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{layer.color}"/>')
+        out.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>')
     return out

@@ -1,4 +1,6 @@
+import importlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from fixtures_lib import (
     wedge_l,
     wedge_m,
 )
-from tropcurve.curve import canonical_form, curve, translate, validate
+from tropcurve.curve import BalanceReport, canonical_form, curve, translate, validate
 from tropcurve.geom import pt
 from tropcurve.newton import newton_complex
 from tropcurve.params import (
@@ -198,6 +200,47 @@ def test_perturb_zero_seedless_determinism():
     assert a == b
     c = perturb(p, 43)
     assert a != c
+
+
+def _step(p: ParamPoint, q: ParamPoint):
+    return [b - a for a, b in zip(p.lengths, q.lengths)], q.anchor_pos - p.anchor_pos
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_perturb_halves_the_step_per_refused_candidate(monkeypatch, k):
+    params = importlib.import_module("tropcurve.params")
+    p = params_from_curve(two_triangles_bridged())
+    seen = []
+
+    def refuse_first(n):
+        def fake(c):
+            seen.append(c)
+            report = validate(c)
+            if len(seen) > n:
+                return report
+            return BalanceReport(report.residuals, ("refused",))
+        return fake
+
+    monkeypatch.setattr(params, "validate", refuse_first(0))
+    base = perturb(p, 7)
+    assert len(seen) == 1  # the unpatched first candidate passes
+    seen.clear()
+    monkeypatch.setattr(params, "validate", refuse_first(k))
+    got = perturb(p, 7)
+    assert len(seen) == k + 1
+    lengths, anchor = _step(p, base)
+    assert _step(p, got) == ([d / 2 ** k for d in lengths], anchor * Fraction(1, 2 ** k))
+
+
+def test_perturb_refuses_a_point_that_does_not_close():
+    p = params_from_curve(two_triangles_bridged())
+    lengths = list(p.lengths)
+    lengths[3] *= 2
+    with pytest.raises(ClosureError, match="edges \\[3, 4, 5\\] does not close"):
+        perturb(ParamPoint(p.skeleton, tuple(lengths), p.anchor_pos), 7)
+    skel = replace(p.skeleton, vertex_count=p.skeleton.vertex_count + 1)
+    with pytest.raises(ClosureError, match="disconnected"):
+        perturb(ParamPoint(skel, p.lengths, p.anchor_pos), 7)
 
 
 def test_perturb_chain_stays_valid():
