@@ -4,7 +4,10 @@ quotient multigraph, and bouquet detection.
 A tentacle is a finite edge whose interior disconnects the curve: an edge on
 no fundamental cycle of spanning_forest, whose cycles also give params its
 closure equations.  The bunch contracts every tentacle and every ray; what
-survives is a multigraph in which every arc lies on a cycle.
+survives is a multigraph in which every arc lies on a cycle, so no node has
+degree 1.  It is a bouquet unless two or more nodes have degree >= 3; each
+circle of a bouquet is then read straight off the arcs, since it enters and
+leaves every contracted blob at one vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geom import GeometryError, RefusalError
+from .geom import RefusalError
 from .curve import TropicalCurve
 from .newton import _UnionFind
 
@@ -172,50 +175,34 @@ class NotABouquet:
     reason: str
 
 
-def _arc_endpoints(c: TropicalCurve, edge_index: int) -> tuple[int, int]:
-    e = c.edges[edge_index]
-    return e.a, e.b
-
-
 def _walk_circle(
-    c: TropicalCurve, b: BunchGraph, start_node: int, first_arc: int,
+    c: TropicalCurve, b: BunchGraph, center: int, first_arc: int,
     used: set[int], node_arcs: dict[int, list[int]],
 ) -> CurveCycle:
-    """Follow a circle of the quotient starting along first_arc."""
-    path_edges = [first_arc]
-    used.add(first_arc)
-    eidx, na, nb = b.arcs[first_arc]
-    node = nb if na == start_node else na
-    # entry vertex into `node` along this arc
-    ea, eb = _arc_endpoints(c, eidx)
-    enter = eb if b.node_of_vertex[ea] == start_node else ea
-    start_vertex = ea if b.node_of_vertex[ea] == start_node else eb
-    vertices = [start_vertex, enter]
-    while node != start_node:
-        nxt = None
-        for k in node_arcs[node]:
-            if k not in used:
-                nxt = k
-                break
-        if nxt is None:
-            raise GeometryError("quotient walk stuck; not a bouquet circle")
-        used.add(nxt)
-        path_edges.append(nxt)
-        eidx, na, nb = b.arcs[nxt]
-        ea, eb = _arc_endpoints(c, eidx)
-        leave = ea if b.node_of_vertex[ea] == node else eb
-        enter2 = eb if leave == ea else ea
-        if leave != vertices[-1]:
-            raise GeometryError(
-                "cycle passes through a blob at two different vertices"
-            )
-        node = nb if na == node else na
-        vertices.append(enter2)
-    if vertices[-1] != vertices[0]:
-        raise GeometryError("cycle does not close at its attachment vertex")
+    """Follow the circle of the quotient that leaves the center along
+    first_arc, taking the first unused arc at each node it reaches until it
+    is back at the center.
+
+    The circle enters and leaves each blob at one vertex, so each arc runs
+    from the vertex reached so far to the far end of its edge.
+    """
+    k = first_arc
+    e = c.edges[b.arcs[k][0]]
+    vertices = [e.a if b.node_of_vertex[e.a] == center else e.b]
+    arcs = []
+    while True:
+        used.add(k)
+        arcs.append(k)
+        e = c.edges[b.arcs[k][0]]
+        v = e.b if e.a == vertices[-1] else e.a
+        vertices.append(v)
+        node = b.node_of_vertex[v]
+        if node == center:
+            break
+        k = next(j for j in node_arcs[node] if j not in used)
     return CurveCycle(
         tuple(vertices),
-        tuple(b.arcs[k][0] for k in path_edges),
+        tuple(b.arcs[k][0] for k in arcs),
         vertices[0],
     )
 
@@ -225,19 +212,17 @@ def bouquet_structure(
 ):
     """Decide whether the bunch is a wedge of circles at one point.
 
-    Returns a BouquetStructure on success, otherwise a NotABouquet value
-    naming the obstruction.
+    Returns a BouquetStructure on success, otherwise NotABouquet naming how
+    many quotient nodes have degree >= 3, the one obstruction a connected
+    curve can meet: no node has degree 1 (an arc lies on a cycle of the
+    curve, so it is no bridge of the quotient), and with at most one node of
+    degree >= 3 every arc lies on a circle through that center.  With no
+    such node the center is the node holding the lex-min vertex, and a curve
+    with no arcs is the genus-0 bouquet of its one node.
     """
     if b is None:
         b = bunch(c)
-    if not b.arcs:
-        if len(b.nodes) != 1:
-            return NotABouquet("quotient has no arcs but several nodes")
-        return BouquetStructure(0, 0, ())
-    degrees = [b.degree(i) for i in range(len(b.nodes))]
-    heavy = [i for i, d in enumerate(degrees) if d >= 3]
-    if any(d == 1 for d in degrees):
-        return NotABouquet("a quotient node has degree 1")
+    heavy = [i for i in range(len(b.nodes)) if b.degree(i) >= 3]
     if len(heavy) >= 2:
         return NotABouquet(
             f"{len(heavy)} quotient nodes have degree >= 3"
@@ -250,7 +235,7 @@ def bouquet_structure(
     if heavy:
         center = heavy[0]
     else:
-        # single circle; pick the node holding the lex-min vertex on the circle
+        # at most one circle; pick the node holding the lex-min vertex
         def node_key(i: int) -> tuple:
             return min((c.vertices[v].x, c.vertices[v].y) for v in b.nodes[i])
 
@@ -258,14 +243,6 @@ def bouquet_structure(
     used: set[int] = set()
     cycles = []
     for k in node_arcs[center]:
-        if k in used:
-            continue
-        cycles.append(_walk_circle(c, b, center, k, used, node_arcs))
-    if len(used) != len(b.arcs):
-        return NotABouquet("arcs remain outside every circle through the center")
-    g = b.genus()
-    if len(cycles) != g:
-        return NotABouquet(
-            f"{len(cycles)} circles at the center but first Betti number {g}"
-        )
-    return BouquetStructure(g, center, tuple(cycles))
+        if k not in used:
+            cycles.append(_walk_circle(c, b, center, k, used, node_arcs))
+    return BouquetStructure(b.genus(), center, tuple(cycles))

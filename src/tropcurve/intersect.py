@@ -55,15 +55,6 @@ class Divisor:
     def degree(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def multiplicity(self, p: Point) -> int:
-        for q, m in self.entries:
-            if q == p:
-                return m
-        return 0
-
-    def points(self) -> tuple[Point, ...]:
-        return tuple(p for p, _ in self.entries)
-
     def _merge_host(self, other: "Divisor") -> TropicalCurve | None:
         if self.host is not None and other.host is not None:
             if self.host != other.host:

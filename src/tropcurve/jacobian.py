@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .geom import GeometryError, Point, RefusalError, cross
 from .curve import TropicalCurve, items, items_at
@@ -123,6 +124,18 @@ class CycleSystem:
         """Total lattice length of each cycle (the torus circumferences)."""
         return tuple(c.total_length for c in self.cycles)
 
+    @cached_property
+    def _node_images(self) -> dict[int, tuple[int | None, Fraction]]:
+        """Quotient image of each bunch node: (None, 0) at the center, else
+        its first (cycle, breakpoint) in cycle order, then path order."""
+        node_of = self.graph.node_of_vertex
+        images: dict[int, tuple[int | None, Fraction]] = {}
+        for cp in self.cycles:
+            for v, t in zip(cp.vertex_path[:-1], cp.breakpoints):
+                images.setdefault(node_of[v], (cp.index, t))
+        images[self.bouquet.center_node] = (None, Fraction(0))
+        return images
+
 
 def cycle_system(curve: TropicalCurve) -> CycleSystem:
     """Build the cycle coordinates; refuses non-bouquet topologies."""
@@ -137,9 +150,10 @@ def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     """Quotient image of a curve point as (cycle index, residue).
 
     The point is a vertex or an interior point of the first item of items_at.
-    Points on a cycle keep their parameter; points on tentacles and rays map
-    to the cycle point where their contracted blob attaches; the bouquet
-    center reports (None, 0).
+    Points on a cycle keep their parameter; a vertex, or a point on a
+    tentacle or ray, maps to the image of its contracted blob (the system's
+    node images): the cycle point where that blob attaches, or (None, 0) at
+    the bouquet center.
     """
     c = system.curve
     hit = items_at(c, p)
@@ -148,22 +162,11 @@ def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     it = hit[0]
     if p in it.ends:
         v = it.tail if p == it.origin else it.head
-        return _node_image(system, system.graph.node_of_vertex[v])
+        return system._node_images[system.graph.node_of_vertex[v]]
     for cp in system.cycles:
         if it.bounded and it.index in cp.edge_indices:
             return (cp.index, cp.param_of(c, p))
-    return _node_image(system, system.graph.node_of_vertex[it.tail])
-
-
-def _node_image(system: CycleSystem, node: int) -> tuple[int | None, Fraction]:
-    if node == system.bouquet.center_node:
-        return (None, Fraction(0))
-    members = set(system.graph.nodes[node])
-    for cp in system.cycles:
-        for v, t in zip(cp.vertex_path[:-1], cp.breakpoints):
-            if v in members:
-                return (cp.index, t)
-    raise GeometryError("quotient node attaches to no cycle")  # unreachable
+    return system._node_images[system.graph.node_of_vertex[it.tail]]
 
 
 @dataclass(frozen=True)

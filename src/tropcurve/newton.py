@@ -278,16 +278,14 @@ class NewtonComplex:
         return frozenset((v.x, v.y) for v in self.dual_vertices)
 
 
-def newton_complex(c: TropicalCurve, order: str = "bfs") -> NewtonComplex:
+def newton_complex(c: TropicalCurve) -> NewtonComplex:
     """Propagate dual lattice points across face adjacencies.
 
     The result is independent of traversal order; an inconsistency during
     propagation means the input was unbalanced or crossed itself.  The
     breadth-first complex is built once per curve.
     """
-    if order == "bfs":
-        return c._dual_complex
-    return _propagate(face_structure(c), order)
+    return c._dual_complex
 
 
 def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
@@ -359,10 +357,7 @@ def star_cell(star: list[IntVector]) -> LatticePolygon:
 
 
 def star_multiplicity(star: list[IntVector]) -> int:
-    if not star:
-        return 0
-    a2 = star_cell(star).area2()
-    return a2
+    return star_cell(star).area2()
 
 
 def dual_cell(c: TropicalCurve, vertex: int) -> LatticePolygon:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
 from tropcurve.curve import OVERLAP, Item, TropicalCurve, curve, items
 from tropcurve.geom import GeometryError, IntVector, Point, cross, dot, primitive_direction, pt
 from tropcurve.intersect import Divisor, NonGenericDirection
@@ -243,6 +244,102 @@ def reference_locate(c: TropicalCurve, p: Point):
         if 0 < t and (t < 1 or not it.bounded):
             return (it.kind, it.index)
     return None
+
+
+def _reference_arc_endpoints(c: TropicalCurve, edge_index: int) -> tuple[int, int]:
+    e = c.edges[edge_index]
+    return e.a, e.b
+
+
+def _reference_walk_circle(
+    c: TropicalCurve, b: BunchGraph, start_node: int, first_arc: int,
+    used: set[int], node_arcs: dict[int, list[int]],
+) -> CurveCycle:
+    """Follow a circle of the quotient starting along first_arc, checking
+    that it never gets stuck, crosses each blob at one vertex and closes."""
+    path_edges = [first_arc]
+    used.add(first_arc)
+    eidx, na, nb = b.arcs[first_arc]
+    node = nb if na == start_node else na
+    # entry vertex into `node` along this arc
+    ea, eb = _reference_arc_endpoints(c, eidx)
+    enter = eb if b.node_of_vertex[ea] == start_node else ea
+    start_vertex = ea if b.node_of_vertex[ea] == start_node else eb
+    vertices = [start_vertex, enter]
+    while node != start_node:
+        nxt = None
+        for k in node_arcs[node]:
+            if k not in used:
+                nxt = k
+                break
+        if nxt is None:
+            raise GeometryError("quotient walk stuck; not a bouquet circle")
+        used.add(nxt)
+        path_edges.append(nxt)
+        eidx, na, nb = b.arcs[nxt]
+        ea, eb = _reference_arc_endpoints(c, eidx)
+        leave = ea if b.node_of_vertex[ea] == node else eb
+        enter2 = eb if leave == ea else ea
+        if leave != vertices[-1]:
+            raise GeometryError(
+                "cycle passes through a blob at two different vertices"
+            )
+        node = nb if na == node else na
+        vertices.append(enter2)
+    if vertices[-1] != vertices[0]:
+        raise GeometryError("cycle does not close at its attachment vertex")
+    return CurveCycle(
+        tuple(vertices),
+        tuple(b.arcs[k][0] for k in path_edges),
+        vertices[0],
+    )
+
+
+def reference_bouquet_structure(c: TropicalCurve, b: BunchGraph | None = None):
+    """bunch.bouquet_structure with every refusal it once checked: no arcs
+    but several nodes, a node of degree 1, arcs outside every circle through
+    the center, and a circle count other than the first Betti number."""
+    if b is None:
+        b = bunch(c)
+    if not b.arcs:
+        if len(b.nodes) != 1:
+            return NotABouquet("quotient has no arcs but several nodes")
+        return BouquetStructure(0, 0, ())
+    degrees = [b.degree(i) for i in range(len(b.nodes))]
+    heavy = [i for i, d in enumerate(degrees) if d >= 3]
+    if any(d == 1 for d in degrees):
+        return NotABouquet("a quotient node has degree 1")
+    if len(heavy) >= 2:
+        return NotABouquet(
+            f"{len(heavy)} quotient nodes have degree >= 3"
+        )
+    node_arcs: dict[int, list[int]] = {i: [] for i in range(len(b.nodes))}
+    for k, (_, na, nb) in enumerate(b.arcs):
+        node_arcs[na].append(k)
+        if nb != na:
+            node_arcs[nb].append(k)
+    if heavy:
+        center = heavy[0]
+    else:
+        # single circle; pick the node holding the lex-min vertex on the circle
+        def node_key(i: int) -> tuple:
+            return min((c.vertices[v].x, c.vertices[v].y) for v in b.nodes[i])
+
+        center = min(range(len(b.nodes)), key=node_key)
+    used: set[int] = set()
+    cycles = []
+    for k in node_arcs[center]:
+        if k in used:
+            continue
+        cycles.append(_reference_walk_circle(c, b, center, k, used, node_arcs))
+    if len(used) != len(b.arcs):
+        return NotABouquet("arcs remain outside every circle through the center")
+    g = b.genus()
+    if len(cycles) != g:
+        return NotABouquet(
+            f"{len(cycles)} circles at the center but first Betti number {g}"
+        )
+    return BouquetStructure(g, center, tuple(cycles))
 
 
 def _support(d: int) -> list[tuple[int, int]]:

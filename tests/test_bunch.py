@@ -10,6 +10,7 @@ from fixtures_lib import (
     coordinate_cross,
     diagonal_cross,
     figure_eight,
+    reference_bouquet_structure,
     sparse_lift,
     tail_cycle_curve,
     theta_curve,
@@ -25,6 +26,7 @@ from fixtures_lib import (
 )
 from tropcurve.bunch import (
     BouquetStructure,
+    CurveCycle,
     DisconnectedCurveError,
     NotABouquet,
     bouquet_structure,
@@ -259,3 +261,84 @@ def test_bridges_refusals():
     apart = TropicalCurve((pt(0, 0), pt(1, 0), pt(5, 5)), (Edge(0, 1),), ())
     with pytest.raises(DisconnectedCurveError, match="curve is disconnected"):
         bridges(apart)
+
+
+# ---------------------------------------------------------------------------
+# bouquet_structure against the reference that checks every refusal
+# ---------------------------------------------------------------------------
+
+
+def _same_bouquet_or_refusal(c: TropicalCurve) -> None:
+    """bouquet_structure equals the reference, NotABouquet reason included,
+    or both refuse the curve with the same message."""
+    try:
+        want = reference_bouquet_structure(c)
+    except DisconnectedCurveError as err:
+        with pytest.raises(DisconnectedCurveError) as got:
+            bouquet_structure(c)
+        assert str(got.value) == str(err)
+        return
+    assert bouquet_structure(c) == want
+
+
+@pytest.mark.parametrize("make", FIXTURES, ids=lambda f: f.__name__)
+def test_bouquet_structure_matches_reference_on_fixtures(make):
+    _same_bouquet_or_refusal(make())
+
+
+@pytest.mark.parametrize("lift", [concave_lift, sparse_lift, tied_lift],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("d", range(2, 7))
+def test_bouquet_structure_matches_reference_on_corner_loci(lift, d):
+    rng = random.Random(1000 * d + 11)
+    for _ in range(3):
+        _same_bouquet_or_refusal(corner_locus(polynomial(lift(rng, d))))
+
+
+@st.composite
+def looped_multigraphs(draw):
+    """multigraphs() plus edges whose two ends are the same vertex and
+    cycles of length 1-4 hung on the rest by a bridge, with the vertex
+    positions shuffled so that any vertex may be the lex-min one."""
+    c = draw(multigraphs())
+    n = len(c.vertices)
+    ends = [(e.a, e.b) for e in c.edges]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        v = draw(st.integers(0, n - 1))
+        ends.append((v, v))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        k = draw(st.integers(min_value=1, max_value=4))
+        ends.append((draw(st.integers(0, n - 1)), n))
+        ends += [(n + i, n + (i + 1) % k) for i in range(k)]
+        n += k
+    order = draw(st.permutations(range(len(ends))))
+    pos = draw(st.permutations(range(n)))
+    es = tuple(Edge(*ends[k]) for k in order)
+    return TropicalCurve(tuple(pt(pos[v], pos[v] ** 2) for v in range(n)), es, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(looped_multigraphs())
+def test_bouquet_structure_matches_reference_on_multigraphs(c):
+    _same_bouquet_or_refusal(c)
+
+
+def test_bouquet_refusal_is_only_degree_three():
+    s = bouquet_structure(theta_curve())
+    assert s == NotABouquet("2 quotient nodes have degree >= 3")
+    # three parallel edges: two nodes of degree 3
+    triple = TropicalCurve((pt(0, 0), pt(1, 1)), (Edge(0, 1),) * 3, ())
+    assert bouquet_structure(triple) == NotABouquet(
+        "2 quotient nodes have degree >= 3"
+    )
+    # a self-loop edge at each end of a bridge: the bridge contracts, and
+    # each circle enters and leaves the one blob at its own vertex
+    dumbbell = TropicalCurve(
+        (pt(0, 0), pt(1, 1)), (Edge(0, 0), Edge(0, 1), Edge(1, 1)), ()
+    )
+    s = bouquet_structure(dumbbell)
+    assert s == BouquetStructure(2, 0, (
+        CurveCycle((0, 0), (0,), 0), CurveCycle((1, 1), (2,), 1),
+    ))
+    # with no arcs the one node is the genus-0 bouquet
+    assert bouquet_structure(tropical_line()) == BouquetStructure(0, 0, ())

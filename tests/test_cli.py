@@ -358,3 +358,61 @@ def test_exit_code_map(command, case, first):
         else:
             argv = [command] + ([bad, good] if first else [good, bad])
         assert main(argv) == code
+
+
+# Each schema refusal of jsonio, reached through the CLI: the file text, the
+# command that reads it, and the whole stderr line.  A curve file goes to
+# `validate`; a divisor file goes to `jacobi` on the tropical line.
+_LINE = jsonio.curve_to_json(tropical_line())
+_SCHEMA_ERRORS = [
+    ("curve", '{"vertices": [[1.5, "0"]], "edges": [], "rays": []}',
+     "vertices[0][0]: expected a rational string, got 1.5"),
+    ("curve", "[]", "curve: expected an object"),
+    ("curve", '{"vertices": {}, "edges": [], "rays": []}',
+     "curve.vertices: expected a list"),
+    ("curve", '{"vertices": [["0", "0"]], "edges": [5], "rays": []}',
+     "edges[0]: expected an object with 'v'"),
+    ("curve", '{"vertices": [["0", "0"]], "edges": [], "rays": [{"v": 0}]}',
+     "rays[0]: expected an object with 'v' and 'dir'"),
+    ("curve", '{"vertices": [["0", "0"]], "edges": [], "rays": [{"v": 0, "dir": [1]}]}',
+     "rays[0].dir: expected [dx, dy]"),
+    ("curve", "{", "curve: invalid JSON "
+     "(Expecting property name enclosed in double quotes at char 1)"),
+    ("divisor", "{}", "divisor: expected a list"),
+    ("divisor", "[5]", "divisor[0]: expected an object with 'point'"),
+    ("divisor", "[", "divisor: invalid JSON (Expecting value at char 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, text, message", _SCHEMA_ERRORS,
+    ids=[m.split(":")[0] + "-" + m.split(": ")[1][:12] for _, _, m in _SCHEMA_ERRORS],
+)
+def test_schema_errors_exit_2(tmp_path, capsys, kind, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if kind == "curve":
+        argv = ["validate", str(bad)]
+    else:
+        line = tmp_path / "line.json"
+        line.write_text(_LINE)
+        argv = ["jacobi", str(line), str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_bezout_one_curve_exit_2(paths, capsys):
+    _, wc, _ = paths
+    assert main(["bezout", wc("line.json", tropical_line())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bezout needs two curve files or --deg c d\n"
+
+
+def test_render_newton_without_curve_exit_2(capsys):
+    assert main(["render", "--newton"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: render --newton needs a curve\n"

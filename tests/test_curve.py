@@ -159,6 +159,23 @@ def test_loop_errors():
         global_balance_sum(line, square_loop(0, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "loop, message",
+    [
+        ([(5, 5), (6, 5)], "loop needs at least 3 points"),
+        ([(5, 5), (6, 5), (5, 5)], "loop has a zero-length side"),
+        ([(5, 5), (7, 5), (6, 5)], "loop is not a simple polygon"),  # sides overlap
+        ([(5, 5), (7, 7), (7, 5), (5, 7)], "loop is not a simple polygon"),  # bow tie
+        ([(-1, 1), (1, -1), (1, 2)], "loop passes through a curve vertex"),
+    ],
+    ids=["two-points", "zero-side", "overlap", "bow-tie", "through-vertex"],
+)
+def test_loop_error_messages(loop, message):
+    with pytest.raises(LoopError) as err:
+        global_balance_sum(tropical_line(), tuple(pt(x, y) for x, y in loop))
+    assert str(err.value) == message
+
+
 def test_moment_sum_line():
     line = tropical_line()
     loop = rect_loop(0, 0, 1, Fraction(1, 2))

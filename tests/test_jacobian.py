@@ -18,8 +18,8 @@ from fixtures_lib import (
     wedge_l,
     wedge_m,
 )
-from tropcurve.curve import items, translate, _item_intersection
-from tropcurve.geom import cross, pt
+from tropcurve.curve import items, items_at, translate, _item_intersection
+from tropcurve.geom import GeometryError, cross, pt
 from tropcurve.intersect import Divisor, stable_intersection
 from tropcurve.jacobian import (
     CycleSystem,
@@ -165,6 +165,22 @@ def test_equivalence_is_equivalence_relation():
     assert not linearly_equivalent(s, ds[0], ds[2])
 
 
+def test_linearly_equivalent_on():
+    c = unit_triangle_cycle()
+    (cp,) = cycle_system(c).cycles
+    a, b = Fraction(1, 3), Fraction(5, 4)
+    shift = Divisor.of({cp.point_at(c, a + 1): 1}) - Divisor.of({cp.point_at(c, a): 1})
+    same = Divisor.of({cp.point_at(c, b + 1): 1}) - Divisor.of({cp.point_at(c, b): 1})
+    other = Divisor.of({cp.point_at(c, b + 2): 1}) - Divisor.of({cp.point_at(c, b): 1})
+    assert linearly_equivalent_on(c, shift, same)
+    assert not linearly_equivalent_on(c, shift, other)
+    with pytest.raises(UnsupportedCurveError) as err:
+        linearly_equivalent_on(theta_curve(), shift, shift)
+    assert str(err.value) == (
+        "bunch is not a bouquet: 2 quotient nodes have degree >= 3"
+    )
+
+
 def test_refusals():
     with pytest.raises(UnsupportedCurveError):
         cycle_system(theta_curve())
@@ -239,6 +255,63 @@ def _rebased_system(s: CycleSystem, offset: int) -> CycleSystem:
         ),
     )
     return dataclasses.replace(s, cycles=(new,), bouquet=bq)
+
+
+def _reference_node_image(system: CycleSystem, node: int):
+    """The node image by a scan of every cycle path for a blob member."""
+    if node == system.bouquet.center_node:
+        return (None, Fraction(0))
+    members = set(system.graph.nodes[node])
+    for cp in system.cycles:
+        for v, t in zip(cp.vertex_path[:-1], cp.breakpoints):
+            if v in members:
+                return (cp.index, t)
+    raise GeometryError("quotient node attaches to no cycle")
+
+
+def _reference_project_point(system: CycleSystem, p):
+    """project_point with each node image found by _reference_node_image."""
+    c = system.curve
+    it = items_at(c, p)[0]
+    if p in it.ends:
+        v = it.tail if p == it.origin else it.head
+        return _reference_node_image(system, system.graph.node_of_vertex[v])
+    for cp in system.cycles:
+        if it.bounded and it.index in cp.edge_indices:
+            return (cp.index, cp.param_of(c, p))
+    return _reference_node_image(system, system.graph.node_of_vertex[it.tail])
+
+
+def _bouquet_hosts():
+    """Cycle systems of the genus >= 1 bouquet fixtures, plus reoriented
+    and rebased variants of the triangle host."""
+    out = [
+        cycle_system(make())
+        for make in (
+            triangle_cycle_host, unit_triangle_cycle, figure_eight,
+            two_triangles_bridged, tail_cycle_curve,
+        )
+    ]
+    s = out[0]
+    out += [
+        _reversed_system(s),
+        _rebased_system(s, 1),
+        _rebased_system(s, 2),
+        _reversed_system(_rebased_system(s, 1)),
+        _reversed_system(out[2], 1),
+    ]
+    return out
+
+
+def test_project_point_matches_reference_route():
+    for s in _bouquet_hosts():
+        assert s.genus >= 1
+        c = s.curve
+        # every vertex, every edge midpoint and one point on every ray
+        pts = list(c.vertices)
+        pts += [it.point_at(Fraction(1, 2) if it.bounded else 1) for it in items(c)]
+        for p in pts:
+            assert project_point(s, p) == _reference_project_point(s, p)
 
 
 def test_verdict_invariant_under_orientation_and_base():

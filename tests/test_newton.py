@@ -18,6 +18,7 @@ from tropcurve.curve import curve, translate, union, validate
 from tropcurve.geom import IntVector, pt, vec
 from tropcurve.newton import (
     LatticePolygon,
+    _propagate,
     convex_hull,
     dual_cell,
     dual_cell_from_faces,
@@ -100,8 +101,8 @@ def test_newton_complex_vertical_line():
 
 def test_newton_complex_traversal_independent():
     for c in [triangle_cycle_host(), figure_eight(), theta_curve()]:
-        a = newton_complex(c, order="bfs")
-        b = newton_complex(c, order="dfs")
+        a = newton_complex(c)
+        b = _propagate(face_structure(c), "dfs")
         assert a.dual_vertices == b.dual_vertices
         assert a.dual_edges == b.dual_edges
 

@@ -19,8 +19,10 @@ from fixtures_lib import (
 from tropcurve.curve import BalanceReport, canonical_form, curve, translate, validate
 from tropcurve.geom import pt
 from tropcurve.newton import newton_complex
+from tropcurve.polyfront import corner_locus, polynomial
 from tropcurve.params import (
     ClosureError,
+    _segment_covered,
     ParamPoint,
     closure_matrix,
     curve_from_params,
@@ -278,6 +280,24 @@ def test_degeneration_one_vertex_star():
 
 def test_degeneration_requires_equal_polygon():
     assert not is_degeneration(tropical_line(), unit_triangle_cycle())
+
+
+def test_degeneration_requires_covered_edges():
+    # the two triangulations of the unit square: the same dual vertices,
+    # but neither diagonal is covered by the other's edges
+    a = corner_locus(polynomial({(0, 0): 1, (1, 0): 0, (0, 1): 0, (1, 1): 1}))
+    b = corner_locus(polynomial({(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0}))
+    assert newton_complex(a).vertex_set() == newton_complex(b).vertex_set()
+    assert not is_degeneration(a, b)
+    assert not is_degeneration(b, a)
+
+
+def test_segment_covered():
+    whole = {((0, 0), (1, 0)), ((1, 0), (2, 0))}
+    assert _segment_covered((0, 0), (2, 0), whole)
+    assert not _segment_covered((0, 0), (2, 0), {((0, 0), (1, 0))})  # stops short
+    assert not _segment_covered((0, 0), (2, 0), {((1, 0), (2, 0))})  # starts late
+    assert not _segment_covered((0, 0), (2, 0), {((0, 1), (2, 1))})  # parallel
 
 
 def test_same_component():
