@@ -504,12 +504,10 @@ def _loop_sides(loop: Sequence[Point]) -> tuple[Item, ...]:
         tuple(loop), tuple(Edge(k, (k + 1) % n) for k in range(n)), ()
     )
     sides = items(polygon)
+    # Adjacent sides that do not overlap meet only at their shared corner.
     for a, b, p in meetings(sides):
         i, j = a.index, b.index
-        adjacent = j == i + 1 or (i == 0 and j == n - 1)
-        if p is OVERLAP or not adjacent:
-            raise LoopError("loop is not a simple polygon")
-        if p != (b.origin if j == i + 1 else a.origin):
+        if p is OVERLAP or not (j == i + 1 or (i == 0 and j == n - 1)):
             raise LoopError("loop is not a simple polygon")
     return sides
 

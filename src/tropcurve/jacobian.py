@@ -10,12 +10,13 @@ all residues agree.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .geom import GeometryError, Point, RefusalError, cross
-from .curve import TropicalCurve, items, items_at
+from .curve import OVERLAP, Item, TropicalCurve, items, items_at
 from .bunch import (
     BouquetStructure,
     BunchGraph,
@@ -24,7 +25,7 @@ from .bunch import (
     bouquet_structure,
     bunch,
 )
-from .intersect import Divisor, stable_intersection
+from .intersect import Divisor, _record, stable_intersection
 
 
 class UnsupportedCurveError(RefusalError):
@@ -49,13 +50,12 @@ class CycleParametrization:
 
     def point_at(self, curve: TropicalCurve, t: Fraction) -> Point:
         t = t % self.total_length
-        for i in range(len(self.breakpoints) - 1):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            if lo <= t <= hi:
-                a = curve.vertices[self.vertex_path[i]]
-                b = curve.vertices[self.vertex_path[i + 1]]
-                return a + (b - a) * ((t - lo) / (hi - lo))
-        raise GeometryError("parameter out of range")  # unreachable
+        # the first breakpoint at or past t; t < total_length, the last one
+        j = bisect_left(self.breakpoints, t, 1)
+        lo, hi = self.breakpoints[j - 1], self.breakpoints[j]
+        a = curve.vertices[self.vertex_path[j - 1]]
+        b = curve.vertices[self.vertex_path[j]]
+        return a + (b - a) * ((t - lo) / (hi - lo))
 
     def param_of(self, curve: TropicalCurve, p: Point) -> Fraction:
         """Inverse of point_at for points on the cycle."""
@@ -155,17 +155,23 @@ def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     node images): the cycle point where that blob attaches, or (None, 0) at
     the bouquet center.
     """
-    c = system.curve
-    hit = items_at(c, p)
+    hit = items_at(system.curve, p)
     if not hit:
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
-    it = hit[0]
+    return _project_on(system, hit[0], p)
+
+
+def _project_on(
+    system: CycleSystem, it: Item, p: Point
+) -> tuple[int | None, Fraction]:
+    """project_point for a point p of item it, it being the first item of
+    the curve that holds p."""
     if p in it.ends:
         v = it.tail if p == it.origin else it.head
         return system._node_images[system.graph.node_of_vertex[v]]
     for cp in system.cycles:
         if it.bounded and it.index in cp.edge_indices:
-            return (cp.index, cp.param_of(c, p))
+            return (cp.index, cp.param_of(system.curve, p))
     return system._node_images[system.graph.node_of_vertex[it.tail]]
 
 
@@ -187,9 +193,14 @@ class AbelCoordinate:
 
 def abel_coordinate(system: CycleSystem, d: Divisor) -> AbelCoordinate:
     """Residues of a divisor under the cycle parametrizations."""
+    return _coordinate(system, d, lambda p: project_point(system, p))
+
+
+def _coordinate(system: CycleSystem, d: Divisor, project) -> AbelCoordinate:
+    """abel_coordinate with each point's quotient image given by project."""
     res = [Fraction(0)] * system.genus
     for p, m in d.entries:
-        k, t = project_point(system, p)
+        k, t = project(p)
         if k is not None:
             res[k] += m * t
     res = [
@@ -223,7 +234,14 @@ def linearly_equivalent_on(
 
 
 def sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
-    """Abel coordinate of the stable intersection with a mobile curve."""
-    return abel_coordinate(
-        system, stable_intersection(system.curve, mobile)
-    )
+    """Abel coordinate of the stable intersection with a mobile curve.
+
+    Each point of a dual-cell divisor is projected from the first item of
+    the host through it in the intersection record; an oracle divisor's
+    points are looked up on the host.
+    """
+    d = stable_intersection(system.curve, mobile)
+    rec = _record(system.curve, mobile)
+    if rec is OVERLAP:
+        return abel_coordinate(system, d)
+    return _coordinate(system, d, lambda p: _project_on(system, rec.points[p][0][0], p))

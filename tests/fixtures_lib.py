@@ -6,10 +6,25 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
-from tropcurve.curve import OVERLAP, Item, TropicalCurve, curve, items
+from tropcurve.curve import (
+    OVERLAP,
+    Item,
+    TropicalCurve,
+    curve,
+    items,
+    meetings,
+    star_at,
+    translate,
+)
 from tropcurve.geom import GeometryError, IntVector, Point, cross, dot, primitive_direction, pt
-from tropcurve.intersect import Divisor, NonGenericDirection
-from tropcurve.newton import convex_hull
+from tropcurve.intersect import (
+    Divisor,
+    NonGenericDirection,
+    generic_direction,
+    perturbation_oracle,
+)
+from tropcurve.jacobian import AbelCoordinate, CycleSystem, abel_coordinate
+from tropcurve.newton import convex_hull, star_multiplicity
 from tropcurve.polyfront import (
     DualSubdivision,
     EmptyCurveError,
@@ -17,6 +32,8 @@ from tropcurve.polyfront import (
     TropicalPolynomial,
     _collinear_subdivision,
     _max_form,
+    corner_locus,
+    polynomial,
 )
 
 
@@ -232,6 +249,49 @@ def reference_perturbation_oracle(
     return Divisor.of(acc, c1)
 
 
+# ---------------------------------------------------------------------------
+# The intersection routes that read no intersection record: a star at every
+# common point, a second pair scan for transversality, and each divisor
+# point looked up on the host.
+# ---------------------------------------------------------------------------
+
+
+def reference_star_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
+    """stable_intersection from its own pair scan, with the dual-cell
+    formula on the overlay star at every common point; an overlap goes to
+    the checked perturbation_oracle."""
+    met: dict[Point, tuple[list[Item], list[Item]]] = {}
+    for a, b, p in meetings(items(c1), items(c2)):
+        if p is OVERLAP:
+            return perturbation_oracle(c1, c2, generic_direction(c1, c2))
+        for it, through in zip((a, b), met.setdefault(p, ([], []))):
+            if it not in through:
+                through.append(it)
+    acc = {}
+    for p, (its1, its2) in met.items():
+        s1, s2 = star_at(p, its1), star_at(p, its2)
+        m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
+        if m % 2 != 0 or m < 0:
+            raise GeometryError("inconsistent multiplicity")
+        if m:
+            acc[p] = m // 2
+    return Divisor.of(acc, c1)
+
+
+def reference_is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
+    """is_transversal from its own pair scan."""
+    return all(
+        p is not OVERLAP and p not in a.ends and p not in b.ends
+        for a, b, p in meetings(items(c1), items(c2))
+    )
+
+
+def reference_sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
+    """sigma with every divisor point projected through items_at
+    (abel_coordinate's project_point)."""
+    return abel_coordinate(system, reference_star_intersection(system.curve, mobile))
+
+
 def reference_locate(c: TropicalCurve, p: Point):
     """curve.locate by linear scans in Fraction arithmetic."""
     for i, v in enumerate(c.vertices):
@@ -356,6 +416,20 @@ def concave_lift(rng: random.Random, d: int) -> dict:
         + Fraction(rng.randint(-15, 15), rng.randint(16, 24))
         for i, j in _support(d)
     }
+
+
+def slid_pool(rng: random.Random, degrees, slid) -> list[TropicalCurve]:
+    """Smooth corner loci of the given degrees, then a copy of each locus
+    in slid translated by 1/4, 2/4 or 3/4 of one of its own edges, as in
+    the benchmark's intersect pool: each copy shares segments with its
+    original."""
+    pool = [corner_locus(polynomial(concave_lift(rng, d))) for d in degrees]
+    for i in slid:
+        c = pool[i]
+        e = c.edges[rng.randrange(len(c.edges))]
+        shift = (c.vertices[e.b] - c.vertices[e.a]) * Fraction(rng.randint(1, 3), 4)
+        pool.append(translate(c, shift))
+    return pool
 
 
 def sparse_lift(rng: random.Random, d: int) -> dict:

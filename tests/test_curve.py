@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from fixtures_lib import (
     coordinate_cross,
     rect_loop,
+    reference_item_intersection,
     reference_outgoing,
     figure_eight,
     square_loop,
@@ -20,11 +22,13 @@ from fixtures_lib import (
     wedge_m,
 )
 from tropcurve.curve import (
+    OVERLAP,
     Edge,
     LoopError,
     Ray,
     StructureError,
     TropicalCurve,
+    _loop_sides,
     canonical_form,
     curve,
     global_balance_sum,
@@ -174,6 +178,41 @@ def test_loop_error_messages(loop, message):
     with pytest.raises(LoopError) as err:
         global_balance_sum(tropical_line(), tuple(pt(x, y) for x, y in loop))
     assert str(err.value) == message
+
+
+def _reference_is_simple(loop) -> bool:
+    """Whether a closed polygon without zero-length sides is simple: sides
+    that are not adjacent are disjoint, adjacent ones share only their
+    corner.  Each pair is decided in Fraction arithmetic."""
+    n = len(loop)
+    polygon = TropicalCurve(tuple(loop), tuple(Edge(k, (k + 1) % n) for k in range(n)), ())
+    sides = items(polygon)
+    for i, j in combinations(range(n), 2):
+        corner = loop[j] if j == i + 1 else loop[0] if (i, j) == (0, n - 1) else None
+        p = reference_item_intersection(sides[i], sides[j])
+        if p is not None and (p is OVERLAP or p != corner):
+            return False
+    return True
+
+
+def test_loop_sides_refuses_exactly_the_non_simple_loops():
+    """The meeting scan's one raise catches every non-simple loop: random
+    integer loops of 3 to 6 corners in [-2, 2]^2."""
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(3, 6)
+        loop = [pt(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+        if any(loop[k] == loop[(k + 1) % n] for k in range(n)):
+            continue
+        simple = _reference_is_simple(loop)
+        seen[simple] += 1
+        if simple:
+            assert len(_loop_sides(loop)) == n
+        else:
+            with pytest.raises(LoopError, match="loop is not a simple polygon"):
+                _loop_sides(loop)
+    assert min(seen.values()) > 300
 
 
 def test_moment_sum_line():

@@ -1,14 +1,20 @@
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures_lib import (
     anti_line,
     coordinate_cross,
     diagonal_cross,
     figure_eight,
+    reference_is_transversal,
     reference_outgoing,
+    reference_star_intersection,
+    slid_pool,
     tail_cycle_curve,
     theta_curve,
     triangle_cycle_host,
@@ -24,6 +30,7 @@ from tropcurve.curve import (
     OVERLAP,
     TropicalCurve,
     _item_intersection,
+    curve,
     items,
     locate,
     translate,
@@ -31,11 +38,15 @@ from tropcurve.curve import (
     validate,
 )
 from tropcurve.geom import GeometryError, Point, primitive_direction, pt, vec
+from tropcurve import intersect
 from tropcurve.intersect import (
     Divisor,
     NonGenericDirection,
+    _crossings,
+    _record,
     bezout_degree,
     generic_direction,
+    has_shared_segment,
     is_transversal,
     perturbation_oracle,
     stable_intersection,
@@ -313,3 +324,144 @@ def test_stable_intersection_never_locates(monkeypatch, reference_divisors):
 
     monkeypatch.setattr(importlib.import_module("tropcurve.curve"), "locate", refuse)
     assert [stable_intersection(a, b) for a, b in PAIRS] == reference_divisors
+
+
+# ---------------------------------------------------------------------------
+# The intersection record against the routes that read none
+# ---------------------------------------------------------------------------
+
+# Seeded smooth corner loci and copies of two of them slid along their own
+# edges, as in the benchmark's intersect pool.
+POOL = slid_pool(random.Random(5), (2, 3, 3, 4), (1, 3))
+POOL_PAIRS = [(a, b) for a in POOL for b in POOL]
+
+
+def assert_record_routes(c1: TropicalCurve, c2: TropicalCurve) -> None:
+    assert stable_intersection(c1, c2) == reference_star_intersection(c1, c2)
+    assert is_transversal(c1, c2) == reference_is_transversal(c1, c2)
+
+
+def test_record_matches_star_route_on_fixture_pairs():
+    for a, b in PAIRS:
+        assert_record_routes(a, b)
+
+
+def test_record_matches_star_route_on_pool_pairs():
+    routes = set()
+    for a, b in POOL_PAIRS:
+        routes.add(_record(a, b) is OVERLAP)
+        assert_record_routes(a, b)
+    assert routes == {False, True}
+
+
+shifts = st.builds(
+    pt,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PAIR_CURVES), st.sampled_from(PAIR_CURVES), shifts)
+def test_record_matches_star_route_on_translates(c1, c2, shift):
+    # quarter-integer shifts put vertices on vertices, edges and rays
+    assert_record_routes(c1, translate(c2, shift))
+
+
+def test_self_crossing_first_curve_takes_the_star_route():
+    # the two edges of x cross each other at the origin, on an item of the
+    # other curve; the record puts both at the point, so its star is used
+    x = curve([(-1, -1), (1, 1), (-1, 1), (1, -1)], edges=[(0, 1), (2, 3)])
+    for other, mu in ((vertical_line((0, -3)), 2), (coordinate_cross(), 4)):
+        assert len(_record(x, other).points[pt(0, 0)][0]) == 2
+        assert entries(stable_intersection(x, other)) == {((0, 0), mu)}
+        assert_record_routes(x, other)
+        assert_record_routes(other, x)
+
+
+def test_loose_end_on_an_item_keeps_the_star_route():
+    # a lone segment's ends each have one item, whose star does not close:
+    # both routes refuse them, and agree on the crossing inside
+    seg = curve([(0, 0), (1, 0)], edges=[(0, 1)])
+    for x in (0, 1):
+        line = vertical_line((x, -3))
+        for a, b in ((seg, line), (line, seg)):
+            with pytest.raises(GeometryError, match="do not close up"):
+                reference_star_intersection(a, b)
+            with pytest.raises(GeometryError, match="do not close up"):
+                stable_intersection(a, b)
+    assert_record_routes(seg, vertical_line(("1/2", -3)))
+
+
+def test_unchecked_crossings_match_checked_oracle():
+    overlapping = [(a, b) for a, b in PAIRS + POOL_PAIRS if has_shared_segment(a, b)]
+    assert any(a in POOL and b in POOL and a is not b for a, b in overlapping)
+    for a, b in overlapping:
+        t = generic_direction(a, b)
+        oracle = perturbation_oracle(a, b, t)
+        assert _crossings(a, b, t) == oracle
+        assert stable_intersection(a, b) == oracle
+
+
+def _copy(c: TropicalCurve) -> TropicalCurve:
+    return TropicalCurve(c.vertices, c.edges, c.rays)
+
+
+def test_record_is_kept_by_identity():
+    a, b = triangle_cycle_host(), tropical_line(("8/3", "-3/4"))
+    a2 = _copy(a)
+    assert a2 == a and a2 is not a
+    d = stable_intersection(a, b)
+    d2 = stable_intersection(a2, b)
+    assert d2 == d and d2.host is a2
+    own = {id(it) for it in items(a2)}
+    assert all(
+        id(it) in own for its1, _ in _record(a2, b).points.values() for it in its1
+    )
+
+
+def test_is_transversal_before_stable_intersection():
+    for a, b in [
+        (triangle_cycle_host(), tropical_line(("8/3", "-3/4"))),
+        (tropical_line(), wedge_l((2, 2))),
+        (tropical_line(), translate(tropical_line(), pt(4, 1))),
+    ]:
+        assert is_transversal(a, b) == reference_is_transversal(a, b)
+        assert stable_intersection(a, b) == reference_star_intersection(a, b)
+
+
+def test_interleaved_pairs():
+    a = triangle_cycle_host()
+    b, c = wedge_l((0, 0)), wedge_m((2, 1))
+    for x in (b, c, b):
+        assert stable_intersection(a, x) == reference_star_intersection(a, x)
+        assert is_transversal(a, x) == reference_is_transversal(a, x)
+    assert stable_intersection(a, b) != stable_intersection(a, c)
+
+
+def test_overlap_pair_is_not_transversal():
+    a = tropical_line()
+    b = translate(a, pt(2, 2))
+    assert not is_transversal(a, b)
+    assert entries(stable_intersection(a, b)) == {((2, 2), 1)}
+    assert not is_transversal(a, b)
+    assert _record(a, b) is OVERLAP
+
+
+def test_one_pair_scan_serves_sigma_and_is_transversal(monkeypatch):
+    from tropcurve.jacobian import cycle_system, sigma
+
+    system = cycle_system(triangle_cycle_host())
+    mobile = tropical_line(("8/3", "-3/4"))
+    scans = []
+    real = intersect.meetings
+    monkeypatch.setattr(intersect, "meetings", lambda *a: scans.append(a) or real(*a))
+    sigma(system, mobile)
+    assert is_transversal(system.curve, mobile)
+    assert len(scans) == 1
+
+
+def test_has_shared_segment_keeps_no_record():
+    a, b = tropical_line(), anti_line()
+    assert not has_shared_segment(a, b)
+    assert intersect._last[0] is not a

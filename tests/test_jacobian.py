@@ -1,12 +1,18 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures_lib import (
+    anti_line,
+    coordinate_cross,
+    diagonal_cross,
     figure_eight,
+    reference_sigma,
+    slid_pool,
     tail_cycle_curve,
     theta_curve,
     triangle_cycle_host,
@@ -20,7 +26,7 @@ from fixtures_lib import (
 )
 from tropcurve.curve import items, items_at, translate, _item_intersection
 from tropcurve.geom import GeometryError, cross, pt
-from tropcurve.intersect import Divisor, stable_intersection
+from tropcurve.intersect import Divisor, has_shared_segment, stable_intersection
 from tropcurve.jacobian import (
     CycleSystem,
     UnsupportedCurveError,
@@ -416,3 +422,50 @@ def test_moment_mechanism_for_transversal_family():
         assert k0 == k1
         total += cross(p1 - p0, u)
     assert total == 0
+
+
+# Quarter-integer translates of these meet the hosts at every kind of
+# point: inside cycle edges and at their ends, on tentacles and rays, and at
+# the bouquet center; some share segments with a host.
+MOBILES = [
+    tropical_line(), anti_line(), coordinate_cross(), diagonal_cross(),
+    vertical_line(), wedge_l(), wedge_m(), weight_two_edge_curve(),
+]
+HOSTS = _bouquet_hosts()
+shifts = st.builds(
+    pt,
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(HOSTS), st.sampled_from(MOBILES), shifts)
+def test_sigma_matches_items_at_projection(system, mobile, shift):
+    moved = translate(mobile, shift)
+    assert sigma(system, moved) == reference_sigma(system, moved)
+
+
+def test_sigma_matches_items_at_projection_on_pool():
+    # a smooth cubic host against seeded loci and slid copies of the host,
+    # which share segments with it and take the oracle route
+    pool = slid_pool(random.Random(7), (3, 2, 3, 4), (0, 0))
+    system = cycle_system(pool[0])
+    assert system.genus == 1
+    assert {has_shared_segment(pool[0], m) for m in pool[1:]} == {False, True}
+    for mobile in pool:
+        assert sigma(system, mobile) == reference_sigma(system, mobile)
+
+
+@given(
+    st.sampled_from([unit_triangle_cycle, triangle_cycle_host, figure_eight]),
+    rationals,
+    st.integers(min_value=-3, max_value=3),
+)
+def test_point_at_lies_on_its_cycle(make, t, turns):
+    c = make()
+    for cp in cycle_system(c).cycles:
+        s = t + turns * cp.total_length
+        p = cp.point_at(c, s)
+        assert items_at(c, p)
+        assert cp.param_of(c, p) == s % cp.total_length

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures_lib import (
-    concave_lift,
     coordinate_cross,
     diagonal_cross,
     reference_generic_direction,
@@ -22,6 +21,7 @@ from fixtures_lib import (
     reference_meetings,
     reference_perturbation_oracle,
     reference_violations,
+    slid_pool,
     theta_curve,
     triangle_cycle_host,
     tropical_line,
@@ -48,7 +48,6 @@ from tropcurve.intersect import (
     stable_intersection,
 )
 from tropcurve.newton import star_multiplicity
-from tropcurve.polyfront import corner_locus, polynomial
 
 DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1),
               (-1, 1), (1, 2), (2, 1), (-2, -1), (1, -2), (3, 1), (-1, 3)]
@@ -214,11 +213,7 @@ def _pool() -> list[TropicalCurve]:
     """Smooth corner loci of degrees 2 to 4, some slid along one of their own
     edges, as in the benchmark's intersect pool; then a translate at 500
     bits."""
-    rng = random.Random(11)
-    pool = [corner_locus(polynomial(concave_lift(rng, d))) for d in (2, 3, 4)]
-    for c in pool[:2]:
-        e = c.edges[rng.randrange(len(c.edges))]
-        pool.append(translate(c, (c.vertices[e.b] - c.vertices[e.a]) * Fraction(rng.randint(1, 3), 4)))
+    pool = slid_pool(random.Random(11), (2, 3, 4), (0, 1))
     pool.append(translate(pool[0], BIG_SHIFT))
     return pool
 
