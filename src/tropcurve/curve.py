@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -308,15 +308,63 @@ def _pair_grid(c1: TropicalCurve, c2: TropicalCurve):
     )
 
 
-def _item_intersection(a: Item, b: Item) -> Point | _Overlap | None:
-    """Intersection of two closed items.
+def _boxes(views: Sequence[View]) -> list[list[int]]:
+    """Each view's closed bounding box [x low, x high, y low, y high] on its
+    grid.  A ray's open side ends one unit past the finite extent of all the
+    views, where no other box ends, so the boxes of two items that meet
+    overlap."""
+    boxes = []
+    for it, ox, oy, vx, vy in views:
+        ex, ey = (ox + vx, oy + vy) if it.head is not None else (ox, oy)
+        boxes.append([min(ox, ex), max(ox, ex), min(oy, ey), max(oy, ey)])
+    x0, y0 = min(b[0] for b in boxes) - 1, min(b[2] for b in boxes) - 1
+    x1, y1 = max(b[1] for b in boxes) + 1, max(b[3] for b in boxes) + 1
+    for b, (it, _, _, vx, vy) in zip(boxes, views):
+        if it.head is None:
+            if vx > 0:
+                b[1] = x1
+            elif vx < 0:
+                b[0] = x0
+            if vy > 0:
+                b[3] = y1
+            elif vy < 0:
+                b[2] = y0
+    return boxes
 
-    Returns None when they are disjoint, the meeting Point when they meet in
-    one point, or OVERLAP for a collinear overlap of more than one point.
+
+def _candidates(
+    xv: Sequence[View], yv: Sequence[View] | None = None
+) -> list[tuple[View, View]]:
+    """The pairs of views whose boxes overlap, in the order of the scan of
+    all pairs: with one sequence, positions i < j in lexicographic order;
+    with two, xv-major.
+
+    Sweep and prune: the boxes are visited by x low, each against the boxes
+    still open at that x (of the other sequence, when there are two), and a
+    pair is kept when its y intervals overlap too.
     """
-    scale = _common_scale((a, b))
-    va, vb = _lattice((a, b), scale)
-    return _meet(va, vb, scale)
+    views = [*xv, *(yv or ())]
+    if not views:
+        return []
+    # Each box is tested against the open boxes of side `side ^ two`: with
+    # one sequence every box is on side 0 and meets side 0; with two, the
+    # boxes of yv are on side 1 and each side meets the other.
+    n = len(xv) if yv is not None else len(views)
+    two = int(yv is not None)
+    boxes = _boxes(views)
+    open_: tuple[list, list] = ([], [])  # per side: (x high, y low, y high, k)
+    pairs = []
+    for k in sorted(range(len(views)), key=lambda k: boxes[k][0]):
+        x0, x1, y0, y1 = boxes[k]
+        side = int(k >= n)
+        other = open_[side ^ two]
+        other[:] = [o for o in other if o[0] >= x0]
+        for _, b0, b1, j in other:
+            if b0 <= y1 and y0 <= b1:
+                pairs.append((j, k) if j < k else (k, j))
+        open_[side].append((x1, y0, y1, k))
+    pairs.sort()
+    return [(views[i], views[j]) for i, j in pairs]
 
 
 def meetings(
@@ -326,12 +374,15 @@ def meetings(
 
     With one sequence, each pair of distinct positions once, earlier item
     first; with two, every item of xs against every item of ys, xs-major.
-    Both run on the integer views raised to the scale of all the items.
+    Both run on the integer views raised to the scale of all the items, and
+    only pairs whose bounding boxes overlap (`_candidates`) reach `_meet`;
+    they are tested in the order above, so the output is that of the scan
+    of all pairs.
     """
     scale = _common_scale(chain(xs, ys or ()))
     xv = _lattice(xs, scale)
-    pairs = combinations(xv, 2) if ys is None else product(xv, _lattice(ys, scale))
-    for a, b in pairs:
+    yv = None if ys is None else _lattice(ys, scale)
+    for a, b in _candidates(xv, yv):
         p = _meet(a, b, scale)
         if p is not None:
             yield a.item, b.item, p
@@ -371,10 +422,12 @@ class BalanceReport:
 
 def _structural_check(c: TropicalCurve) -> None:
     n = len(c.vertices)
-    first = c._vertex_index
-    for i, v in enumerate(c.vertices):
-        if first[v] != i:
-            raise StructureError(f"vertices {first[v]} and {i} coincide at ({v.x}, {v.y})")
+    first: dict[tuple[int, int], int] = {}
+    for i, g in enumerate(c._grid):
+        j = first.setdefault(g, i)
+        if j != i:
+            v = c.vertices[i]
+            raise StructureError(f"vertices {j} and {i} coincide at ({v.x}, {v.y})")
     used = [False] * n
     for i, e in enumerate(c.edges):
         if not (0 <= e.a < n and 0 <= e.b < n):

@@ -90,6 +90,13 @@ class Point:
     def __bool__(self) -> bool:
         return self.x != 0 or self.y != 0
 
+    def __hash__(self) -> int:
+        # Equal rationals have equal normalised numerator and denominator,
+        # so hashing those ints agrees with equality and skips the modular
+        # inverse that Fraction.__hash__ computes.
+        x, y = self.x, self.y
+        return hash((x.numerator, x.denominator, y.numerator, y.denominator))
+
 
 def pt(x: Scalar | str, y: Scalar | str) -> Point:
     """Build a Point, coercing ints and 'p/q' strings to Fraction."""

@@ -7,6 +7,11 @@ items share a segment, the mark OVERLAP.  `stable_intersection`,
 `is_transversal` and `jacobian.sigma` read it; only the last pair scanned is
 kept, by the identity of the two curves.
 
+The scan tests only the pairs whose integer bounding boxes overlap, found
+by the sweep of `curve.meetings` and taken in the order of the scan of all
+pairs; the oracle's crossing loop reads the same pairs, and its pin scan
+looks each vertex up by the lines of the items.
+
 Two routes are implemented and cross-checked by the test suite:
 
 * the multiplicity formula at each common point, used whenever the set
@@ -32,6 +37,7 @@ from .curve import (
     TropicalCurve,
     View,
     _Overlap,
+    _candidates,
     _pair_grid,
     _point_on,
     items,
@@ -114,9 +120,14 @@ def _int_direction(t: Point) -> tuple[int, int]:
     return t.x.numerator * (k // t.x.denominator), t.y.numerator * (k // t.y.denominator)
 
 
-def _on_line(b: View, x: int, y: int) -> bool:
-    """Whether the grid point (x, y) lies on the line of view b."""
-    return b.vx * (y - b.oy) == (x - b.ox) * b.vy
+def _line(v: View) -> tuple[int, int, int]:
+    """The line of view v as (dx, dy, dy*x - dx*y at any of its grid points),
+    (dx, dy) its primitive direction with the first nonzero entry positive:
+    two views lie on one line exactly when their keys are equal."""
+    dx, dy = v.item.prim.x, v.item.prim.y
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = -dx, -dy
+    return dx, dy, dy * v.ox - dx * v.oy
 
 
 def _pins(c1: TropicalCurve, c2: TropicalCurve, keep: Callable[[View], bool]):
@@ -125,21 +136,33 @@ def _pins(c1: TropicalCurve, c2: TropicalCurve, keep: Callable[[View], bool]):
 
     A view of c1 is pinned by the first parallel view of c2 on its line; then,
     vertex by vertex and c1's first, a vertex (its Point) pins each kept view
-    of the other curve whose line holds it.
+    of the other curve whose line holds it.  Both are lookups of line keys.
     """
     _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
     kept1 = [a for a in its1 if keep(a)]
     kept2 = [b for b in its2 if keep(b)]
+    first_on: dict[tuple[int, int, int], View] = {}
+    for b in its2:
+        first_on.setdefault(_line(b), b)
     for a in kept1:
-        for b in its2:
-            if a.vx * b.vy == b.vx * a.vy and _on_line(a, b.ox, b.oy):
-                yield a, b, True
-                break
+        b = first_on.get(_line(a))
+        if b is not None:
+            yield a, b, True
     for c, grid, kept, first in ((c1, grid1, kept2, False), (c2, grid2, kept1, True)):
+        # direction -> line constant -> the kept views on that line, by position
+        lines: dict[tuple[int, int], dict[int, list]] = {}
+        for i, b in enumerate(kept):
+            dx, dy, k = _line(b)
+            lines.setdefault((dx, dy), {}).setdefault(k, []).append((i, b))
         for q, (x, y) in zip(c.vertices, grid):
-            for b in kept:
-                if _on_line(b, x, y):
-                    yield b, q, first
+            hits = [
+                hit
+                for (dx, dy), on in lines.items()
+                for hit in on.get(dy * x - dx * y, ())
+            ]
+            hits.sort(key=lambda hit: hit[0])
+            for _, b in hits:
+                yield b, q, first
 
 
 def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
@@ -201,25 +224,25 @@ def _crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) -> Diviso
     scale, its1, its2, _, _ = _pair_grid(c1, c2)
     tx, ty = _int_direction(direction)
     acc: dict[Point, int] = {}
-    for a_view in its1:
+    # A crossing's eps -> 0 limit lies on both closed items, so only pairs
+    # whose boxes overlap can cross.
+    for a_view, (b, box, boy, bvx, bvy) in _candidates(its1, its2):
         a, aox, aoy, avx, avy = a_view
-        ta = tx * avy - avx * ty
-        for b, box, boy, bvx, bvy in its2:
-            den = avx * bvy - bvx * avy
-            if den == 0:
-                continue  # parallel pairs separate immediately
-            dx, dy = box - aox, boy - aoy
-            s0, s1 = dx * bvy - bvx * dy, tx * bvy - bvx * ty
-            r0, r1 = dx * avy - avx * dy, ta
-            if den < 0:
-                den, s0, s1, r0, r1 = -den, -s0, -s1, -r0, -r1
-            if (s0, s1) < (0, 0) or (a.head is not None and (s0, s1) > (den, 0)):
-                continue
-            if (r0, r1) < (0, 0) or (b.head is not None and (r0, r1) > (den, 0)):
-                continue
-            limit = _point_on(a_view, s0, den, scale)
-            mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
-            acc[limit] = acc.get(limit, 0) + mu
+        den = avx * bvy - bvx * avy
+        if den == 0:
+            continue  # parallel pairs separate immediately
+        dx, dy = box - aox, boy - aoy
+        s0, s1 = dx * bvy - bvx * dy, tx * bvy - bvx * ty
+        r0, r1 = dx * avy - avx * dy, tx * avy - avx * ty
+        if den < 0:
+            den, s0, s1, r0, r1 = -den, -s0, -s1, -r0, -r1
+        if (s0, s1) < (0, 0) or (a.head is not None and (s0, s1) > (den, 0)):
+            continue
+        if (r0, r1) < (0, 0) or (b.head is not None and (r0, r1) > (den, 0)):
+            continue
+        limit = _point_on(a_view, s0, den, scale)
+        mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
+        acc[limit] = acc.get(limit, 0) + mu
     return Divisor.of(acc, c1)
 
 

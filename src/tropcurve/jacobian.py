@@ -136,6 +136,12 @@ class CycleSystem:
         images[self.bouquet.center_node] = (None, Fraction(0))
         return images
 
+    @cached_property
+    def _cycle_edges(self) -> dict[int, tuple[CycleParametrization, int]]:
+        """Each edge on a cycle to (its cycle, its position i on the path),
+        the edge running from vertex_path[i] to vertex_path[i + 1]."""
+        return {e: (cp, i) for cp in self.cycles for i, e in enumerate(cp.edge_indices)}
+
 
 def cycle_system(curve: TropicalCurve) -> CycleSystem:
     """Build the cycle coordinates; refuses non-bouquet topologies."""
@@ -165,14 +171,26 @@ def _project_on(
     system: CycleSystem, it: Item, p: Point
 ) -> tuple[int | None, Fraction]:
     """project_point for a point p of item it, it being the first item of
-    the curve that holds p."""
+    the curve that holds p.
+
+    A point interior to a cycle edge takes the breakpoint of the edge's
+    tail on the path, plus the lattice run from the tail to p when the path
+    runs along the edge, minus it when the path runs against it: the value
+    of CycleParametrization.param_of, without its scan of the cycle."""
     if p in it.ends:
         v = it.tail if p == it.origin else it.head
         return system._node_images[system.graph.node_of_vertex[v]]
-    for cp in system.cycles:
-        if it.bounded and it.index in cp.edge_indices:
-            return (cp.index, cp.param_of(system.curve, p))
-    return system._node_images[system.graph.node_of_vertex[it.tail]]
+    on_cycle = system._cycle_edges.get(it.index) if it.bounded else None
+    if on_cycle is None:
+        return system._node_images[system.graph.node_of_vertex[it.tail]]
+    cp, i = on_cycle
+    o, u = it.origin, it.prim
+    run = (p.x - o.x) / u.x if u.x else (p.y - o.y) / u.y
+    if it.tail == cp.vertex_path[i]:
+        t = cp.breakpoints[i] + run
+    else:
+        t = cp.breakpoints[i + 1] - run
+    return (cp.index, t % cp.total_length)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
 from .geom import GeometryError, IntVector, Point, pt
 from .curve import Edge, Ray, TropicalCurve, items, validate
@@ -28,8 +29,9 @@ class ClosureError(GeometryError):
 class CurveSkeleton:
     """Combinatorial type: directed primitive edge data plus ray data.
 
-    Its spanning forest (bunch.spanning_forest, rooted at the anchor) and its
-    closure basis, one equation per fundamental cycle, are derived once.
+    Its spanning forest (bunch.spanning_forest, rooted at the anchor) and the
+    integer projector onto its closure subspace, cut out by two equations
+    per fundamental cycle, are derived once.
     """
 
     vertex_count: int
@@ -43,14 +45,24 @@ class CurveSkeleton:
         return spanning_forest(self.vertex_count, ends, self.anchor)
 
     @cached_property
-    def _closure_basis(self) -> tuple[list[Fraction], ...]:
-        """Orthogonal basis of the span of the closure rows (Gram-Schmidt)."""
+    def _projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(L*P as rows of ints, L): P the orthogonal projection of length
+        space onto the closure subspace, L the least common denominator of
+        its entries.
+
+        P takes away the projection onto the span of the closure rows, whose
+        orthogonal basis comes from Gram-Schmidt.  P is symmetric, so its
+        rows are its columns: the rejections of the unit vectors.
+        """
         basis: list[list[Fraction]] = []
         for row in closure_matrix(self):
             q = _reject(row, basis)
             if any(q):
                 basis.append(q)
-        return tuple(basis)
+        n = len(self.edges)
+        rows = [_reject([Fraction(i == j) for j in range(n)], basis) for i in range(n)]
+        den = lcm(*(x.denominator for row in rows for x in row))
+        return tuple(tuple(int(x * den) for x in row) for row in rows), den
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,34 @@ class ParamPoint:
     skeleton: CurveSkeleton
     lengths: tuple[Fraction, ...]  # lattice length per finite edge, > 0
     anchor_pos: Point
+
+    @cached_property
+    def _curve(self) -> TropicalCurve:
+        """The embedded curve of curve_from_params, built on its first call.
+        A point that fails to build caches nothing and raises on every call."""
+        skel = self.skeleton
+        if len(self.lengths) != len(skel.edges):
+            raise ClosureError("length count does not match the skeleton")
+        for i, ll in enumerate(self.lengths):
+            if ll <= 0:
+                raise ClosureError(f"edge {i} has non-positive lattice length {ll}")
+        link, cycles = skel._forest
+        if list(link.values()).count(None) > 1:
+            raise ClosureError("skeleton is disconnected from the anchor")
+        pos: list[Point] = [self.anchor_pos] * skel.vertex_count
+        for w, ln in link.items():
+            if ln is not None:
+                v, eid, sign = ln
+                pos[w] = pos[v] + skel.edges[eid][2].to_point() * (self.lengths[eid] * sign)
+        for eid, cyc in cycles:
+            a, b, u, _ = skel.edges[eid]
+            if pos[b] - pos[a] != u.to_point() * self.lengths[eid]:
+                raise ClosureError(
+                    f"cycle through edges {sorted(e for e, _ in cyc)} does not close"
+                )
+        es = tuple(Edge(a, b, w) for (a, b, _, w) in skel.edges)
+        rs = tuple(Ray(v, d, w) for (v, d, w) in skel.rays)
+        return TropicalCurve(tuple(pos), es, rs)
 
 
 def params_from_curve(c: TropicalCurve, anchor: int = 0) -> ParamPoint:
@@ -75,31 +115,11 @@ def curve_from_params(p: ParamPoint) -> TropicalCurve:
     """Rebuild the embedded curve by propagating from the anchor.
 
     Raises ClosureError when a cycle fails to close or a length is not
-    positive; the error names the offending cycle's edges.
+    positive; the error names the offending cycle's edges.  The curve is
+    built once per ParamPoint: later calls return the same object, whose
+    items are built already.
     """
-    skel = p.skeleton
-    if len(p.lengths) != len(skel.edges):
-        raise ClosureError("length count does not match the skeleton")
-    for i, ll in enumerate(p.lengths):
-        if ll <= 0:
-            raise ClosureError(f"edge {i} has non-positive lattice length {ll}")
-    link, cycles = skel._forest
-    if list(link.values()).count(None) > 1:
-        raise ClosureError("skeleton is disconnected from the anchor")
-    pos: list[Point] = [p.anchor_pos] * skel.vertex_count
-    for w, ln in link.items():
-        if ln is not None:
-            v, eid, sign = ln
-            pos[w] = pos[v] + skel.edges[eid][2].to_point() * (p.lengths[eid] * sign)
-    for eid, cyc in cycles:
-        a, b, u, _ = skel.edges[eid]
-        if pos[b] - pos[a] != u.to_point() * p.lengths[eid]:
-            raise ClosureError(
-                f"cycle through edges {sorted(e for e, _ in cyc)} does not close"
-            )
-    es = tuple(Edge(a, b, w) for (a, b, _, w) in skel.edges)
-    rs = tuple(Ray(v, d, w) for (v, d, w) in skel.rays)
-    return TropicalCurve(tuple(pos), es, rs)
+    return p._curve
 
 
 def closure_matrix(skel: CurveSkeleton) -> list[list[Fraction]]:
@@ -130,8 +150,15 @@ def project_to_closure(
     skel: CurveSkeleton, direction: list[Fraction]
 ) -> list[Fraction]:
     """Orthogonal projection of a length-space direction onto the closure
-    subspace (anchor coordinates are unconstrained and not included here)."""
-    return _reject(direction, skel._closure_basis)
+    subspace (anchor coordinates are unconstrained and not included here).
+
+    The direction is brought to a common denominator d; then one product
+    with the skeleton's integer projector L*P gives the numerators over L*d.
+    """
+    rows, den = skel._projector
+    d = lcm(*(x.denominator for x in direction))
+    u = [x.numerator * (d // x.denominator) for x in direction]
+    return [Fraction(sum(a * b for a, b in zip(row, u)), den * d) for row in rows]
 
 
 def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:

@@ -3,13 +3,18 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
 from tropcurve.curve import (
     OVERLAP,
     Item,
     TropicalCurve,
+    _common_scale,
+    _lattice,
+    _meet,
+    _pair_grid,
+    _point_on,
     curve,
     items,
     meetings,
@@ -20,11 +25,13 @@ from tropcurve.geom import GeometryError, IntVector, Point, cross, dot, primitiv
 from tropcurve.intersect import (
     Divisor,
     NonGenericDirection,
+    _int_direction,
     generic_direction,
     perturbation_oracle,
 )
 from tropcurve.jacobian import AbelCoordinate, CycleSystem, abel_coordinate
 from tropcurve.newton import convex_hull, star_multiplicity
+from tropcurve.params import CurveSkeleton, closure_matrix
 from tropcurve.polyfront import (
     DualSubdivision,
     EmptyCurveError,
@@ -153,6 +160,103 @@ def reference_meetings(xs, ys=None) -> list:
         p = reference_item_intersection(a, b)
         if p is not None:
             out.append((a, b, p))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The scans of every pair that the box-pruned sweep (curve._candidates)
+# replaced, on the same integer kernel: the sweep must give their output, in
+# their order.
+# ---------------------------------------------------------------------------
+
+
+def item_intersection(a: Item, b: Item):
+    """Intersection of two closed items on their common grid: None, the
+    meeting Point, or OVERLAP for a collinear overlap of more than one
+    point."""
+    scale = _common_scale((a, b))
+    va, vb = _lattice((a, b), scale)
+    return _meet(va, vb, scale)
+
+
+def all_pairs_meetings(xs, ys=None) -> list:
+    """curve.meetings as a list, by testing every pair of views."""
+    scale = _common_scale(chain(xs, ys or ()))
+    xv = _lattice(xs, scale)
+    pairs = combinations(xv, 2) if ys is None else product(xv, _lattice(ys, scale))
+    out = []
+    for a, b in pairs:
+        p = _meet(a, b, scale)
+        if p is not None:
+            out.append((a.item, b.item, p))
+    return out
+
+
+def all_pairs_crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) -> Divisor:
+    """intersect._crossings over every pair of views, none pruned."""
+    scale, its1, its2, _, _ = _pair_grid(c1, c2)
+    tx, ty = _int_direction(direction)
+    acc: dict[Point, int] = {}
+    for a_view in its1:
+        a, aox, aoy, avx, avy = a_view
+        for b, box, boy, bvx, bvy in its2:
+            den = avx * bvy - bvx * avy
+            if den == 0:
+                continue
+            dx, dy = box - aox, boy - aoy
+            s0, s1 = dx * bvy - bvx * dy, tx * bvy - bvx * ty
+            r0, r1 = dx * avy - avx * dy, tx * avy - avx * ty
+            if den < 0:
+                den, s0, s1, r0, r1 = -den, -s0, -s1, -r0, -r1
+            if (s0, s1) < (0, 0) or (a.head is not None and (s0, s1) > (den, 0)):
+                continue
+            if (r0, r1) < (0, 0) or (b.head is not None and (r0, r1) > (den, 0)):
+                continue
+            limit = _point_on(a_view, s0, den, scale)
+            mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
+            acc[limit] = acc.get(limit, 0) + mu
+    return Divisor.of(acc, c1)
+
+
+def _reject(v, basis) -> list[Fraction]:
+    """v minus its orthogonal projection onto the span of an orthogonal basis."""
+    out = list(v)
+    for q in basis:
+        f = sum(x * y for x, y in zip(out, q)) / sum(y * y for y in q)
+        out = [x - f * y for x, y in zip(out, q)]
+    return out
+
+
+def reference_project_to_closure(skel: CurveSkeleton, direction) -> list[Fraction]:
+    """params.project_to_closure by Gram-Schmidt in Fractions: an orthogonal
+    basis of the closure rows, then the direction's rejection from it."""
+    basis: list[list[Fraction]] = []
+    for row in closure_matrix(skel):
+        q = _reject(row, basis)
+        if any(q):
+            basis.append(q)
+    return _reject(direction, basis)
+
+
+def all_pairs_pins(c1: TropicalCurve, c2: TropicalCurve, keep) -> list:
+    """intersect._pins as a list, by testing every view against every view
+    and every vertex of the other curve."""
+    _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
+
+    def on_line(b, x, y):
+        return b.vx * (y - b.oy) == (x - b.ox) * b.vy
+
+    kept1 = [a for a in its1 if keep(a)]
+    kept2 = [b for b in its2 if keep(b)]
+    out = []
+    for a in kept1:
+        for b in its2:
+            if a.vx * b.vy == b.vx * a.vy and on_line(a, b.ox, b.oy):
+                out.append((a, b, True))
+                break
+    for c, grid, kept, first in ((c1, grid1, kept2, False), (c2, grid2, kept1, True)):
+        for q, (x, y) in zip(c.vertices, grid):
+            out += [(b, q, first) for b in kept if on_line(b, x, y)]
     return out
 
 

@@ -87,6 +87,19 @@ def test_validate_structural_errors():
         validate(curve([(0, 0), (1, 0)], edges=[(0, 1, 0)]))
 
 
+def test_coincident_vertices_named_at_large_denominators():
+    big = Fraction(3 ** 200 + 1, 7 ** 150 + 2)
+    x, y = big, -big / 5
+    c = curve([(0, 0), (x, y), (1, 1), (f"{x.numerator * 3}/{x.denominator * 3}", y)],
+              edges=[(0, 1), (2, 3)])
+    with pytest.raises(StructureError) as err:
+        validate(c)
+    assert str(err.value) == f"vertices 1 and 3 coincide at ({x}, {y})"
+    # a vertex 10^-40 away is another vertex
+    near = curve([(x, y), (x + Fraction(1, 10 ** 40), y)], edges=[(0, 1)])
+    assert validate(near).residuals == (vec(1, 0), vec(-1, 0))
+
+
 def test_validate_embedding_violation():
     # two crossing full lines without a common vertex
     c = curve(

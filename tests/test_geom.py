@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tropcurve.geom import (
     GeometryError,
     IntVector,
+    Point,
     cross,
     dot,
     moment,
@@ -133,3 +134,32 @@ def test_pseudo_angle_equality_iff_positive_multiple():
     assert pseudo_angle(vec(0, 1)) < pseudo_angle(vec(-1, 0))
     assert pseudo_angle(vec(-1, 0)) < pseudo_angle(vec(0, -1))
     assert pseudo_angle(vec(0, -1)) < pseudo_angle(vec(1, -1))
+
+
+BIG = Fraction(3 ** 120 + 1, 5 ** 90 + 2)
+
+
+@given(ints, ints, st.integers(min_value=1, max_value=30))
+def test_equal_points_hash_and_look_up_alike(x, y, q):
+    # the same point from ints, from Fractions built unreduced, from strings
+    same = [
+        Point(Fraction(x * q, q), Fraction(y * q, q)),
+        pt(x, y),
+        Point(x, y),
+        pt(f"{x * q}/{q}", f"{y * q}/{q}"),
+    ]
+    assert len({hash(p) for p in same}) == 1
+    assert len(set(same)) == 1
+    table = {same[0]: "here"}
+    assert all(table[p] == "here" for p in same)
+    r = pt(Fraction(x, q), Fraction(y, q) + BIG)
+    twin = pt(f"{x * 2}/{q * 2}", str(Fraction(y, q) + BIG))
+    assert r == twin and hash(r) == hash(twin) and {r: 1}[twin] == 1
+    assert pt(Fraction(x, q), y) in {Point(Fraction(2 * x, 2 * q), Fraction(y))}
+
+
+def test_distinct_points_are_distinct_keys():
+    ps = [pt(Fraction(i, q), Fraction(j, q)) for i in range(-3, 4) for j in range(-3, 4)
+          for q in (1, 2, 3)]
+    assert len(set(ps)) == len({(p.x, p.y) for p in ps})
+    assert pt(1, 2) not in {pt(2, 1), pt(1, -2), pt("1/2", 2)}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures_lib import (
     anti_line,
+    item_intersection,
     coordinate_cross,
     diagonal_cross,
     figure_eight,
@@ -29,7 +30,6 @@ from fixtures_lib import (
 from tropcurve.curve import (
     OVERLAP,
     TropicalCurve,
-    _item_intersection,
     curve,
     items,
     locate,
@@ -297,7 +297,7 @@ def reference_star(c: TropicalCurve, p: Point):
 
 def reference_stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     """The dual-cell formula with each star found by locating the point."""
-    met = [_item_intersection(a, b) for a in items(c1) for b in items(c2)]
+    met = [item_intersection(a, b) for a in items(c1) for b in items(c2)]
     if any(p is OVERLAP for p in met):
         return perturbation_oracle(c1, c2, generic_direction(c1, c2))
     acc = {}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures_lib import (
     anti_line,
+    concave_lift,
     coordinate_cross,
     diagonal_cross,
     figure_eight,
@@ -24,12 +25,13 @@ from fixtures_lib import (
     wedge_l,
     wedge_m,
 )
-from tropcurve.curve import items, items_at, translate, _item_intersection
+from tropcurve.curve import items, items_at, translate
 from tropcurve.geom import GeometryError, cross, pt
 from tropcurve.intersect import Divisor, has_shared_segment, stable_intersection
 from tropcurve.jacobian import (
     CycleSystem,
     UnsupportedCurveError,
+    _project_on,
     abel_coordinate,
     cycle_system,
     linearly_equivalent,
@@ -38,6 +40,8 @@ from tropcurve.jacobian import (
     project_point,
     sigma,
 )
+from tropcurve.params import curve_from_params, params_from_curve, perturb
+from tropcurve.polyfront import corner_locus, polynomial
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -469,3 +473,25 @@ def test_point_at_lies_on_its_cycle(make, t, turns):
         p = cp.point_at(c, s)
         assert items_at(c, p)
         assert cp.param_of(c, p) == s % cp.total_length
+
+
+def test_project_on_matches_param_of_along_a_walk():
+    # every point of every sigma divisor of a 200-step seeded walk, each
+    # projected from the first host item through it, as sigma does
+    rng = random.Random(31)
+    host = corner_locus(polynomial(concave_lift(rng, 3)))
+    system = cycle_system(host)
+    p = params_from_curve(corner_locus(polynomial(concave_lift(rng, 3))))
+    runs = {"forward": 0, "reversed": 0, "elsewhere": 0}
+    for _ in range(200):
+        p = perturb(p, rng)
+        for q, _ in stable_intersection(host, curve_from_params(p)).entries:
+            it = items_at(host, q)[0]
+            assert _project_on(system, it, q) == _reference_project_point(system, q)
+            on = system._cycle_edges.get(it.index) if it.bounded else None
+            if on is None or q in it.ends:
+                runs["elsewhere"] += 1
+            else:
+                cp, i = on
+                runs["forward" if it.tail == cp.vertex_path[i] else "reversed"] += 1
+    assert min(runs.values()) > 0, runs

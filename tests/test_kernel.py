@@ -1,10 +1,12 @@
-"""The integer kernel against the Fraction references in fixtures_lib.
+"""The integer kernel against the references in fixtures_lib.
 
-`curve.meetings`, `_item_intersection`, `locate`, `_violations`,
+`curve.meetings`, `fixtures_lib.item_intersection`, `locate`, `_violations`,
 `generic_direction` and `perturbation_oracle` decide every predicate on the
 curves' integer grids.  Here they must give exactly what the rational
 predicates give: the same pairs in the same order, the same Points (as
-Fractions), the same refusal messages.
+Fractions), the same refusal messages.  The box-pruned sweep of `meetings`
+and of the oracle's crossing loop must give what the scans of every pair
+give, in their order.
 """
 
 import random
@@ -14,15 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures_lib import (
+    all_pairs_crossings,
+    all_pairs_meetings,
+    all_pairs_pins,
+    concave_lift,
     coordinate_cross,
     diagonal_cross,
+    item_intersection,
     reference_generic_direction,
     reference_locate,
     reference_meetings,
     reference_perturbation_oracle,
     reference_violations,
     slid_pool,
+    sparse_lift,
     theta_curve,
+    tied_lift,
     triangle_cycle_host,
     tropical_line,
     two_triangles_bridged,
@@ -32,7 +41,8 @@ from fixtures_lib import (
 from tropcurve.curve import (
     OVERLAP,
     TropicalCurve,
-    _item_intersection,
+    _boxes,
+    _lattice,
     curve,
     items,
     locate,
@@ -42,12 +52,15 @@ from tropcurve.curve import (
 from tropcurve.geom import GeometryError, Point, pt
 from tropcurve.intersect import (
     Divisor,
+    _crossings,
+    _pins,
     _violations,
     generic_direction,
     perturbation_oracle,
     stable_intersection,
 )
 from tropcurve.newton import star_multiplicity
+from tropcurve.polyfront import corner_locus, polynomial
 
 DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1),
               (-1, 1), (1, 2), (2, 1), (-2, -1), (1, -2), (3, 1), (-1, 3)]
@@ -108,7 +121,7 @@ def test_meetings_match_fraction_reference(c1, c2):
     met = {(a, b): p for a, b, p in want}
     for a in its1:
         for b in its2:
-            assert _item_intersection(a, b) == met.get((a, b))
+            assert item_intersection(a, b) == met.get((a, b))
 
 
 @settings(max_examples=10, deadline=None)
@@ -244,3 +257,133 @@ def test_pool_pairs_match_reference():
             routes.add(any(p is OVERLAP for _, _, p in met))
             assert stable_intersection(c1, c2) == reference_stable_intersection(c1, c2, met)
     assert routes == {False, True}
+
+
+# -- the box-pruned sweep against the scans of every pair --
+
+
+def assert_sweep_matches(xs, ys=None):
+    got = list(meetings(xs, ys))
+    assert got == all_pairs_meetings(xs, ys)
+    return got
+
+
+def _loci() -> list[TropicalCurve]:
+    """Seeded corner loci of degrees 2 to 8: generic, sparse (edges of
+    weight above 1, cells that are not triangles) and tied (strips)."""
+    rng = random.Random(12)
+    return [
+        corner_locus(polynomial(lift(rng, d)))
+        for d in range(2, 9)
+        for lift in (concave_lift, sparse_lift, tied_lift)
+    ]
+
+
+def test_sweep_matches_all_pairs_on_corner_loci():
+    loci = _loci()
+    for c, nxt in zip(loci, loci[1:] + loci[:1]):
+        its = items(c)
+        assert assert_sweep_matches(its)  # the vertices of a locus are meetings
+        assert_sweep_matches(its, its)
+        assert_sweep_matches(its, items(nxt))
+        assert_sweep_matches(its + items(nxt))
+
+
+def test_sweep_matches_all_pairs_on_slid_copies():
+    pool = slid_pool(random.Random(5), (2, 3, 4, 5), (0, 1, 2, 3))
+    overlaps = 0
+    for c1 in pool:
+        for c2 in pool:
+            got = assert_sweep_matches(items(c1), items(c2))
+            overlaps += any(p is OVERLAP for _, _, p in got)
+            assert_sweep_matches(items(c1) + items(c2))
+    assert overlaps > len(pool)  # more than the self-pairs share segments
+
+
+@st.composite
+def parallel_ray_curves(draw):
+    """Vertices on a small grid, each with up to three rays out of only
+    three directions: many parallel rays, some on one line, and edges."""
+    cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=1, max_size=8, unique=True))
+    n = len(cells)
+    rays = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from([(1, 0), (0, 1), (-1, -1)])),
+        min_size=1, max_size=16))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        max_size=4))
+    return curve(cells, edges, rays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parallel_ray_curves(), parallel_ray_curves())
+def test_sweep_matches_all_pairs_with_parallel_rays(c1, c2):
+    assert_sweep_matches(items(c1))
+    assert_sweep_matches(items(c1), items(c2))
+    assert_sweep_matches(items(c1) + items(c2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(grid_curves(big=True), grid_curves(big=True))
+def test_sweep_matches_all_pairs_at_500_bits(c1, c2):
+    assert bits(c1) > 500
+    assert_sweep_matches(items(c1), items(c2))
+    assert_sweep_matches(items(c1) + items(c2))
+
+
+def test_sweep_of_empty_and_single_sequences():
+    its = items(tropical_line())
+    assert list(meetings(())) == list(meetings((), its)) == list(meetings(its, ())) == []
+    assert list(meetings(its[:1])) == []
+    assert list(meetings(its[:1], its[:1])) == all_pairs_meetings(its[:1], its[:1])
+
+
+def test_boxes_are_ints_past_the_finite_extent():
+    c = translate(triangle_cycle_host(), BIG_SHIFT)
+    views = _lattice(items(c), c._scale)
+    boxes = _boxes(views)
+    assert all(type(x) is int for box in boxes for x in box)
+    ends = [(v.ox, v.oy) for v in views]
+    ends += [(v.ox + v.vx, v.oy + v.vy) for v in views if v.item.head is not None]
+    xs, ys = [x for x, _ in ends], [y for _, y in ends]
+    for v, (x0, x1, y0, y1) in zip(views, boxes):
+        assert x0 <= v.ox <= x1 and y0 <= v.oy <= y1
+        if v.item.head is None:
+            # the open sides lie past every end, the closed ones at the origin
+            assert (x1 > max(xs)) == (v.vx > 0) and (x0 < min(xs)) == (v.vx < 0)
+            assert (y1 > max(ys)) == (v.vy > 0) and (y0 < min(ys)) == (v.vy < 0)
+
+
+def test_pruned_crossings_match_all_pairs():
+    pairs = [(a, b) for a in FIXTURES for b in FIXTURES]
+    pool = _pool()
+    pairs += [(a, b) for a in pool for b in pool]
+    overlapping = 0
+    for c1, c2 in pairs:
+        if not any(p is OVERLAP for _, _, p in meetings(items(c1), items(c2))):
+            continue
+        overlapping += 1
+        t = generic_direction(c1, c2)
+        assert _crossings(c1, c2, t) == all_pairs_crossings(c1, c2, t)
+    assert overlapping > len(FIXTURES) + len(pool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_curves(), grid_curves())
+def test_pin_lookups_match_all_pairs(c1, c2):
+    # every view kept, so one vertex can pin views of several directions
+    for a, b in ((c1, c2), (c1, c1)):
+        assert list(_pins(a, b, lambda v: True)) == all_pairs_pins(a, b, lambda v: True)
+
+
+def test_pin_lookups_keep_view_order_across_directions():
+    # the vertex (0, 0) of the second curve lies on the lines of edges 0
+    # and 2 (direction (1, 0)) and of edge 1 (direction (1, 1))
+    c1 = curve([(-2, 0), (-1, 0), (-1, -1), (1, 1), (1, 0), (3, 0)],
+               edges=[(0, 1), (2, 3), (4, 5)])
+    c2 = curve([(0, 0)], rays=[(0, (0, 1)), (0, (0, -1))])
+    pins = list(_pins(c1, c2, lambda v: True))
+    assert [(v.item.index, q) for v, q, first in pins if first] == [
+        (0, pt(0, 0)), (1, pt(0, 0)), (2, pt(0, 0))]
+    assert pins == all_pairs_pins(c1, c2, lambda v: True)

@@ -4,9 +4,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures_lib import (
+    concave_lift,
     figure_eight,
+    reference_project_to_closure,
     tail_cycle_curve,
     theta_curve,
     triangle_cycle_host,
@@ -191,6 +195,7 @@ def test_projection_matches_gram_solve(c):
             ]
             out = project_to_closure(skel, d)
             assert out == _gram_projection(skel, d)
+            assert out == reference_project_to_closure(skel, d)
             for row in rows:
                 assert sum(a * b for a, b in zip(row, out)) == 0
 
@@ -310,3 +315,95 @@ def test_same_component():
         rays=[(0, (-1, -1)), (0, (2, -1)), (0, (-1, 2))],
     )
     assert same_component(host, star)
+
+
+# -- the walk step: one curve per ParamPoint, the integer projector --
+
+
+def test_curve_from_params_builds_once_per_point():
+    p = perturb(params_from_curve(two_triangles_bridged()), 3)
+    c = curve_from_params(p)
+    assert curve_from_params(p) is c
+    # an equal point is another object and builds its own curve
+    twin = ParamPoint(p.skeleton, p.lengths, p.anchor_pos)
+    assert twin == p and curve_from_params(twin) is not c
+    assert canonical_form(curve_from_params(twin)) == canonical_form(c)
+
+
+def test_perturb_hands_its_accepted_curve_on(monkeypatch):
+    params = importlib.import_module("tropcurve.params")
+    checked = []
+    monkeypatch.setattr(params, "validate", lambda c: checked.append(c) or validate(c))
+    q = perturb(params_from_curve(figure_eight()), 5)
+    assert curve_from_params(q) is checked[-1]
+
+
+def test_a_point_that_does_not_close_raises_on_every_call():
+    p = params_from_curve(two_triangles_bridged())
+    lengths = list(p.lengths)
+    lengths[3] *= 2
+    bad = ParamPoint(p.skeleton, tuple(lengths), p.anchor_pos)
+    for _ in range(3):
+        with pytest.raises(ClosureError, match="does not close"):
+            curve_from_params(bad)
+    lengths[0] = Fraction(0)
+    for _ in range(3):
+        with pytest.raises(ClosureError, match="non-positive"):
+            curve_from_params(ParamPoint(p.skeleton, tuple(lengths), p.anchor_pos))
+
+
+@pytest.mark.parametrize("c", FIXTURES)
+def test_params_from_curve_does_not_prime_the_curve(c):
+    p = params_from_curve(c)
+    assert "_curve" not in vars(p)
+    back = curve_from_params(p)
+    assert back is not c
+    assert canonical_form(back) == canonical_form(c)
+
+
+def test_validate_is_not_cached(monkeypatch):
+    curve_mod = importlib.import_module("tropcurve.curve")
+    scans = []
+    real = curve_mod.meetings
+    monkeypatch.setattr(curve_mod, "meetings", lambda *a: scans.append(a) or real(*a))
+    c = curve_from_params(perturb(params_from_curve(figure_eight()), 9))
+    scans.clear()
+    for k in range(1, 4):
+        assert validate(c).passed
+        assert len(scans) == k
+
+
+def _seeded_skeletons():
+    rng = random.Random(21)
+    out = []
+    for d in (2, 3, 4):
+        c = corner_locus(polynomial(concave_lift(rng, d)))
+        out.append(params_from_curve(c, rng.randrange(len(c.vertices))).skeleton)
+    return out
+
+
+SEEDED = _seeded_skeletons()
+SKELETONS = [
+    params_from_curve(c, anchor).skeleton
+    for c in FIXTURES for anchor in range(len(c.vertices))
+] + SEEDED
+
+
+def test_projector_matches_gram_schmidt_on_seeded_skeletons():
+    rng = random.Random(17)
+    for skel in SEEDED:
+        for _ in range(4):
+            d = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in skel.edges]
+            assert project_to_closure(skel, d) == reference_project_to_closure(skel, d)
+
+
+rationals = st.fractions(max_denominator=10 ** 6).filter(lambda q: abs(q) < 10 ** 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SKELETONS), st.data())
+def test_projector_matches_gram_schmidt_on_any_direction(skel, data):
+    d = data.draw(st.lists(rationals, min_size=len(skel.edges), max_size=len(skel.edges)))
+    got = project_to_closure(skel, d)
+    assert got == reference_project_to_closure(skel, d)
+    assert all(type(x) is Fraction for x in got)
