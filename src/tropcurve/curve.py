@@ -101,21 +101,6 @@ class TropicalCurve:
         ]
         return tuple(edges + rays)
 
-    @cached_property
-    def _vertex_index(self) -> dict[Point, int]:
-        """Each vertex position to its first index."""
-        index: dict[Point, int] = {}
-        for i, v in enumerate(self.vertices):
-            index.setdefault(v, i)
-        return index
-
-    @cached_property
-    def _dual_complex(self):
-        # newton imports this module, so the import waits for the first use.
-        from .newton import _propagate, face_structure
-
-        return _propagate(face_structure(self), "bfs")
-
 
 def curve(
     vertices: Iterable[tuple],
@@ -527,9 +512,9 @@ def locate(c: TropicalCurve, p: Point):
     """Where a point sits on the curve: ('vertex', i), else the first item of
     items_at as ('edge', i) or ('ray', i) (interior, since its ends are
     vertices), else None."""
-    v = c._vertex_index.get(p)
-    if v is not None:
-        return ("vertex", v)
+    for i, v in enumerate(c.vertices):
+        if v == p:
+            return ("vertex", i)
     hit = items_at(c, p)
     return (hit[0].kind, hit[0].index) if hit else None
 

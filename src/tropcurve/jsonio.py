@@ -26,7 +26,7 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s, field: str) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"{field}: expected a rational string, got {s!r}")

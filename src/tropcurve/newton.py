@@ -1,6 +1,11 @@
 """Duality for tropical curves: complement faces, dual lattice complex,
 polygons, Minkowski sums, and vertex multiplicities.
 
+The Newton polygon is read off the rays alone: each weighted ray direction
+rotated +90 degrees is one edge vector of the polygon.  The dual complex is
+built from the complement faces on request; its hull is the same polygon,
+which the tests check.
+
 The dual complex assigns one lattice point per complement face.  Crossing an
 edge of weight w from its left face to its right face (left/right relative to
 the edge's primitive direction) moves the lattice point by w times the
@@ -279,13 +284,13 @@ class NewtonComplex:
 
 
 def newton_complex(c: TropicalCurve) -> NewtonComplex:
-    """Propagate dual lattice points across face adjacencies.
+    """Propagate dual lattice points across face adjacencies, breadth first.
 
     The result is independent of traversal order; an inconsistency during
-    propagation means the input was unbalanced or crossed itself.  The
-    breadth-first complex is built once per curve.
+    propagation means the input was unbalanced or crossed itself.  Each call
+    builds the face structure afresh.
     """
-    return c._dual_complex
+    return _propagate(face_structure(c), "bfs")
 
 
 def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
@@ -322,27 +327,22 @@ def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
 
 
 def newton_polygon(c: TropicalCurve) -> LatticePolygon:
-    """Convex hull of the dual complex.
+    """The Newton polygon from ray data alone: the weighted ray directions
+    rotated +90 degrees, chained by angle into a polygon.
 
-    Cross-checked against the ray-data-only construction (each weighted ray
-    direction rotated +90 degrees, sorted by angle, chained into a polygon);
-    disagreement raises DualityError.
+    Needs a balanced curve, which need not be embedded.  Balance is not
+    checked: GeometryError is raised when the curve has no rays or its ray
+    vectors do not close up, but an unbalanced curve whose rays sum to zero
+    gets the polygon of its rays.
     """
-    nc = newton_complex(c)
-    hull = convex_hull(list(nc.dual_vertices)).normalized()
-    alt = newton_polygon_from_rays(c)
-    if hull != alt:
-        raise DualityError("hull of dual complex disagrees with ray construction")
-    return hull
-
-
-def newton_polygon_from_rays(c: TropicalCurve) -> LatticePolygon:
-    """Polygon from ray data alone: weighted directions rotated +90 degrees."""
     if not c.rays:
         raise GeometryError("a curve with no rays has no Newton polygon")
-    rays = sorted(c.rays, key=lambda r: pseudo_angle(r.direction))
-    steps = [r.direction.rot_ccw() * r.weight for r in rays]
+    steps = [r.direction.rot_ccw() * r.weight for r in c.rays]
     return polygon_from_edge_vectors(steps).normalized()
+
+
+#: The same ray construction, under the name that says so.
+newton_polygon_from_rays = newton_polygon
 
 
 # ---------------------------------------------------------------------------

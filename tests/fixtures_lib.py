@@ -30,7 +30,7 @@ from tropcurve.intersect import (
     perturbation_oracle,
 )
 from tropcurve.jacobian import AbelCoordinate, CycleSystem, abel_coordinate
-from tropcurve.newton import convex_hull, star_multiplicity
+from tropcurve.newton import LatticePolygon, convex_hull, newton_complex, star_multiplicity
 from tropcurve.params import CurveSkeleton, closure_matrix
 from tropcurve.polyfront import (
     DualSubdivision,
@@ -394,6 +394,12 @@ def reference_sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinat
     """sigma with every divisor point projected through items_at
     (abel_coordinate's project_point)."""
     return abel_coordinate(system, reference_star_intersection(system.curve, mobile))
+
+
+def reference_newton_polygon(c: TropicalCurve) -> LatticePolygon:
+    """newton_polygon as the hull of the dual complex: propagated across the
+    complement faces, independent of the ray construction."""
+    return convex_hull(list(newton_complex(c).dual_vertices)).normalized()
 
 
 def reference_locate(c: TropicalCurve, p: Point):

@@ -65,6 +65,26 @@ def test_validate_schema_error_exit_2(paths, capsys):
     assert "edges[0].v" in capsys.readouterr().err
 
 
+def test_boolean_coordinate_exit_2(paths, capsys):
+    tmp, _, _ = paths
+    p = tmp / "bool.json"
+    p.write_text('{"vertices": [[true, false]], "edges": [], "rays": []}')
+    assert main(["validate", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: vertices[0][0]: expected a rational string, got True"
+
+
+def test_bezout_empty_curve_exit_2(paths, capsys):
+    tmp, _, _ = paths
+    p = tmp / "empty.json"
+    p.write_text('{"vertices": [], "edges": [], "rays": []}')
+    assert main(["bezout", str(p), str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: a curve with no rays has no Newton polygon"
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 2
 

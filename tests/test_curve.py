@@ -128,6 +128,16 @@ def test_locate_and_star():
     assert local_star(c, pt(7, 7)) == []
 
 
+def test_locate_coincident_vertices_gives_first_index():
+    # validate refuses coincident vertices, so the curve is built directly
+    line = tropical_line()
+    c = TropicalCurve(line.vertices * 2, (), line.rays + tuple(
+        Ray(1, r.direction, r.weight) for r in line.rays
+    ))
+    assert locate(c, pt(0, 0)) == ("vertex", 0)
+    assert locate(c, pt(-1, 0)) == ("ray", 0)
+
+
 def test_translate():
     line = tropical_line()
     assert translate(line, pt(0, 0)) == line

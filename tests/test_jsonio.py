@@ -62,3 +62,12 @@ def test_divisor_bad_point():
     with pytest.raises(jsonio.SchemaError) as err:
         jsonio.divisor_from_list([{"point": ["1"]}])
     assert "divisor[0].point" in str(err.value)
+
+
+def test_booleans_are_not_rationals():
+    with pytest.raises(jsonio.SchemaError, match="f: expected a rational string, got True"):
+        jsonio.fraction_from_str(True, "f")
+    with pytest.raises(jsonio.SchemaError, match=r"vertices\[0\]\[1\]: .* got False"):
+        jsonio.curve_from_dict({"vertices": [["1", False]], "edges": [], "rays": []})
+    with pytest.raises(jsonio.SchemaError, match=r"divisor\[0\]\.point\[0\]: .* got True"):
+        jsonio.divisor_from_list([{"point": [True, 2], "multiplicity": 1}])

@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from fixtures_lib import (
+    concave_lift,
     coordinate_cross,
     figure_eight,
+    reference_newton_polygon,
+    slid_pool,
+    sparse_lift,
     tail_cycle_curve,
     theta_curve,
+    tied_lift,
     triangle_cycle_host,
     tropical_line,
     two_triangles_bridged,
@@ -14,9 +20,13 @@ from fixtures_lib import (
     wedge_l,
     wedge_m,
 )
+import tropcurve.newton as newton_module
+from tropcurve import jsonio
+from tropcurve.cli import main
 from tropcurve.curve import curve, translate, union, validate
-from tropcurve.geom import IntVector, pt, vec
+from tropcurve.geom import GeometryError, pt, vec
 from tropcurve.newton import (
+    DualityError,
     LatticePolygon,
     _propagate,
     convex_hull,
@@ -26,9 +36,9 @@ from tropcurve.newton import (
     minkowski_sum,
     newton_complex,
     newton_polygon,
-    newton_polygon_from_rays,
     vertex_multiplicity,
 )
+from tropcurve.polyfront import corner_locus, polynomial
 
 
 def poly(*pts):
@@ -135,8 +145,15 @@ def test_newton_polygon_translation_invariant():
         assert newton_polygon(moved) == newton_polygon(c)
 
 
-def test_hull_equals_ray_construction():
-    for c in [
+# A 500-bit translation, the size the walk's coordinates reach.
+BIG_SHIFT = pt(Fraction(7 ** 180, 11 ** 140 + 3), Fraction(-(2 ** 512) - 1, 13 ** 135))
+
+
+def _cross_check_curves():
+    """Fixture curves; seeded corner loci of degree 2 to 7 from generic,
+    sparse and tied lifts; smooth loci with copies slid along their own
+    edges; and a translate at 500 bits."""
+    fixtures = [
         tropical_line(),
         triangle_cycle_host(),
         figure_eight(),
@@ -145,10 +162,81 @@ def test_hull_equals_ray_construction():
         tail_cycle_curve(),
         wedge_l(),
         wedge_m(),
-    ]:
-        nc = newton_complex(c)
-        hull = convex_hull(list(nc.dual_vertices)).normalized()
-        assert hull == newton_polygon_from_rays(c)
+    ]
+    loci = []
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        for d in range(2, 8):
+            for lift in (concave_lift, sparse_lift, tied_lift):
+                coeffs = lift(rng, d)
+                loci.append((corner_locus(polynomial(coeffs)), coeffs))
+    pool = slid_pool(random.Random(11), (2, 3, 4, 5), (0, 1, 2, 3))
+    big = translate(pool[2], BIG_SHIFT)
+    assert max(q.denominator.bit_length() for v in big.vertices for q in (v.x, v.y)) > 500
+    return fixtures + pool + [big], loci
+
+
+def test_hull_equals_ray_construction():
+    """The hull route, kept here as the reference, agrees with the ray
+    construction newton_polygon runs."""
+    curves, loci = _cross_check_curves()
+    for c in curves + [c for c, _ in loci]:
+        assert newton_polygon(c) == reference_newton_polygon(c)
+    for c, coeffs in loci:
+        support = convex_hull([vec(i, j) for i, j in coeffs]).normalized()
+        assert newton_polygon(c) == support
+
+
+def test_newton_polygon_builds_no_face_structure(monkeypatch):
+    expected = [reference_newton_polygon(c) for c in _cross_check_curves()[0]]
+    curves = _cross_check_curves()[0]  # fresh objects: nothing cached on them
+
+    def refuse(c):
+        raise AssertionError("face_structure called")
+
+    monkeypatch.setattr(newton_module, "face_structure", refuse)
+    assert [newton_polygon(c) for c in curves] == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--svg", "out.svg"]])
+def test_cli_newton_builds_face_structure_once(monkeypatch, tmp_path, flags):
+    calls = []
+    real = newton_module.face_structure
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(newton_module, "face_structure", counting)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(jsonio.curve_to_json(theta_curve()))
+    assert main(["newton", "c.json", *flags]) == 0
+    assert len(calls) == 1
+
+
+def test_crossing_lines_give_their_product_polygon():
+    # two tropical lines crossing at (1, 1), with no vertex there
+    c = curve(
+        [(0, 0), (1, 2)],
+        rays=[(v, d) for v in (0, 1) for d in ((-1, 0), (0, -1), (1, 1))],
+    )
+    report = validate(c)
+    assert report.balanced and report.embedding_violations
+    assert newton_polygon(c) == poly((0, 0), (2, 0), (0, 2))
+    assert newton_polygon(c) == minkowski_sum(UNIT_TRIANGLE, UNIT_TRIANGLE)
+    with pytest.raises(DualityError):
+        newton_complex(c)
+
+
+def test_unbalanced_star_refused():
+    c = curve([(0, 0)], rays=[(0, (1, 0)), (0, (0, 1))])
+    with pytest.raises(GeometryError, match="do not close up"):
+        newton_polygon(c)
+
+
+def test_curve_without_rays_refused():
+    with pytest.raises(GeometryError, match="no rays has no Newton polygon"):
+        newton_polygon(curve([(0, 0)]))
 
 
 def test_minkowski_point_identity():
@@ -162,10 +250,6 @@ def test_minkowski_triangles():
 
 
 def test_minkowski_union_duality():
-    import random
-    from fractions import Fraction
-    from tropcurve.polyfront import corner_locus, polynomial
-
     rng = random.Random(13)
 
     def random_curve():
