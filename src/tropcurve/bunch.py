@@ -222,16 +222,17 @@ def bouquet_structure(
     """
     if b is None:
         b = bunch(c)
-    heavy = [i for i in range(len(b.nodes)) if b.degree(i) >= 3]
+    # A loop arc is listed twice at its node, so each node's list is as
+    # long as its degree; the walks skip the second entry as used.
+    node_arcs: dict[int, list[int]] = {i: [] for i in range(len(b.nodes))}
+    for k, (_, na, nb) in enumerate(b.arcs):
+        node_arcs[na].append(k)
+        node_arcs[nb].append(k)
+    heavy = [i for i, arcs in node_arcs.items() if len(arcs) >= 3]
     if len(heavy) >= 2:
         return NotABouquet(
             f"{len(heavy)} quotient nodes have degree >= 3"
         )
-    node_arcs: dict[int, list[int]] = {i: [] for i in range(len(b.nodes))}
-    for k, (_, na, nb) in enumerate(b.arcs):
-        node_arcs[na].append(k)
-        if nb != na:
-            node_arcs[nb].append(k)
     if heavy:
         center = heavy[0]
     else:

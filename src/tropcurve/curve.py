@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -178,12 +177,10 @@ def items(c: TropicalCurve) -> tuple[Item, ...]:
     return c._items
 
 
-class _Overlap(Enum):
-    OVERLAP = "overlap"
+class Shared(NamedTuple):
+    """The part two collinear items share: its two ends, or one for a ray."""
 
-
-#: Two items share a segment of positive length.
-OVERLAP = _Overlap.OVERLAP
+    ends: tuple[Point, ...]
 
 
 def _common_scale(its: Iterable[Item]) -> int:
@@ -232,11 +229,11 @@ def _point_on(v: View, t: int, den: int, scale: int) -> Point:
     return Point(Fraction(v.ox * den + v.vx * t, n), Fraction(v.oy * den + v.vy * t, n))
 
 
-def _meet(a: View, b: View, scale: int) -> Point | _Overlap | None:
+def _meet(a: View, b: View, scale: int) -> Point | Shared | None:
     """Intersection of two closed items given as views of one scale.
 
-    Every test is a sign test on integers; a Point is built only for a
-    single meeting point.
+    Every test is a sign test on integers.  A Point is built only for a
+    meeting interior to both items; any other is an item's own end.
     """
     ia, aox, aoy, avx, avy = a
     ib, box, boy, bvx, bvy = b
@@ -257,26 +254,24 @@ def _meet(a: View, b: View, scale: int) -> Point | _Overlap | None:
         return _point_on(a, sn, den, scale)
     if avx * dy - dx * avy:
         return None
-    # same line: parameter intervals along a, in units of 1/|va|^2
-    q = avx * avx + avy * avy
-    c0 = dx * avx + dy * avy
-    lo: int | None
-    hi: int | None
+    # same line: the low and high ends of b, then of the shared part, as
+    # (parameter along a in units of 1/|va|^2, Point); None where open
+    q, c0 = avx * avx + avy * avy, dx * avx + dy * avy
+    lo, hi = (c0, ib.origin), None
     if ib.head is not None:
-        c1 = c0 + bvx * avx + bvy * avy
-        lo, hi = min(c0, c1), max(c0, c1)
-    elif bvx * avx + bvy * avy > 0:
-        lo, hi = c0, None
-    else:
-        lo, hi = None, c0
-    lo = 0 if lo is None else max(0, lo)
-    if ia.head is not None:
-        hi = q if hi is None else min(q, hi)
-    if hi is not None and lo > hi:
-        return None
-    if hi is not None and lo == hi:
-        return _point_on(a, lo, q, scale)
-    return OVERLAP
+        hi = (c0 + bvx * avx + bvy * avy, ib.ends[1])
+        lo, hi = (lo, hi) if lo[0] < hi[0] else (hi, lo)
+    elif bvx * avx + bvy * avy < 0:
+        lo, hi = None, lo
+    if lo is None or lo[0] < 0:
+        lo = (0, ia.origin)
+    if ia.head is not None and (hi is None or hi[0] > q):
+        hi = (q, ia.ends[1])
+    if hi is None:
+        return Shared((lo[1],))
+    if lo[0] < hi[0]:
+        return Shared((lo[1], hi[1]))
+    return lo[1] if lo[0] == hi[0] else None
 
 
 def _pair_grid(c1: TropicalCurve, c2: TropicalCurve):
@@ -354,8 +349,9 @@ def _candidates(
 
 def meetings(
     xs: Sequence[Item], ys: Sequence[Item] | None = None
-) -> Iterator[tuple[Item, Item, Point | _Overlap]]:
-    """Every pair of items that meet, with the meeting Point or OVERLAP.
+) -> Iterator[tuple[Item, Item, Point | Shared]]:
+    """Every pair of items that meet, with the meeting Point, or with the
+    Shared part when they share a segment or a ray.
 
     With one sequence, each pair of distinct positions once, earlier item
     first; with two, every item of xs against every item of ys, xs-major.
@@ -373,19 +369,20 @@ def meetings(
             yield a.item, b.item, p
 
 
-def star_at(p: Point, its: Iterable[Item]) -> list[IntVector]:
-    """Weighted primitive vectors leaving p along items that contain it.
+def star_at(p: Point, its: Iterable[Item]) -> list[tuple[int, int]]:
+    """The weighted primitive vectors (x, y) leaving p along items holding it.
 
     An item leaves p forward unless p is its head, and backward unless p is
-    its tail, so an interior point gives both directions.
+    its tail, so an interior point gives both directions.  An end is often
+    the item's own Point, so identity is tested before equality.
     """
     star = []
     for it in its:
-        w = it.prim * it.weight
-        if not it.bounded or p != it.ends[1]:
-            star.append(w)
-        if p != it.origin:
-            star.append(-w)
+        wx, wy = it.prim.x * it.weight, it.prim.y * it.weight
+        if it.head is None or (p is not it.ends[1] and p != it.ends[1]):
+            star.append((wx, wy))
+        if p is not it.origin and p != it.origin:
+            star.append((-wx, -wy))
     return star
 
 
@@ -444,15 +441,9 @@ def validate(c: TropicalCurve) -> BalanceReport:
     violations are reported, not raised.
     """
     _structural_check(c)
-    its = items(c)
-    residuals = [IntVector(0, 0)] * len(c.vertices)
-    for it in its:
-        residuals[it.tail] += it.prim * it.weight
-        if it.bounded:
-            residuals[it.head] -= it.prim * it.weight
     violations = []
-    for a, b, p in meetings(its):
-        if p is OVERLAP:
+    for a, b, p in meetings(items(c)):
+        if isinstance(p, Shared):
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} overlap "
                 "along a segment"
@@ -463,7 +454,30 @@ def validate(c: TropicalCurve) -> BalanceReport:
                 f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
                 f"({p.x}, {p.y}) which is not a shared vertex"
             )
-    return BalanceReport(tuple(residuals), tuple(violations))
+    residuals = tuple(IntVector(x, y) for x, y in _residuals(c))
+    return BalanceReport(residuals, tuple(violations))
+
+
+def _residuals(c: TropicalCurve) -> list[tuple[int, int]]:
+    """Each vertex's balancing residual (x, y), in one pass over the items."""
+    rx, ry = [0] * len(c.vertices), [0] * len(c.vertices)
+    for it in items(c):
+        wx, wy = it.prim.x * it.weight, it.prim.y * it.weight
+        rx[it.tail] += wx
+        ry[it.tail] += wy
+        if it.head is not None:
+            rx[it.head] -= wx
+            ry[it.head] -= wy
+    return list(zip(rx, ry))
+
+
+def _require_balanced(residuals: Iterable[tuple[int, int]]) -> None:
+    """Refuse the first vertex whose residual (x, y) is not zero."""
+    for v, (x, y) in enumerate(residuals):
+        if x or y:
+            raise InvalidCurveError(
+                f"curve is not balanced: vertex {v} has residual ({x}, {y})"
+            )
 
 
 def require_valid(c: TropicalCurve) -> TropicalCurve:
@@ -473,11 +487,7 @@ def require_valid(c: TropicalCurve) -> TropicalCurve:
     InvalidCurveError naming the first defect found by validate.
     """
     report = validate(c)
-    for v, r in enumerate(report.residuals):
-        if r:
-            raise InvalidCurveError(
-                f"curve is not balanced: vertex {v} has residual ({r.x}, {r.y})"
-            )
+    _require_balanced((r.x, r.y) for r in report.residuals)
     if report.embedding_violations:
         raise InvalidCurveError(
             f"curve crosses itself: {report.embedding_violations[0]}"
@@ -523,7 +533,7 @@ def local_star(c: TropicalCurve, p: Point) -> list[IntVector]:
     """Weighted primitive vectors leaving p along every item of items_at: a
     vertex's full star, both directions of an item through an interior
     point, nothing off the curve."""
-    return star_at(p, items_at(c, p))
+    return [IntVector(x, y) for x, y in star_at(p, items_at(c, p))]
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +555,7 @@ def _loop_sides(loop: Sequence[Point]) -> tuple[Item, ...]:
     # Adjacent sides that do not overlap meet only at their shared corner.
     for a, b, p in meetings(sides):
         i, j = a.index, b.index
-        if p is OVERLAP or not (j == i + 1 or (i == 0 and j == n - 1)):
+        if isinstance(p, Shared) or not (j == i + 1 or (i == 0 and j == n - 1)):
             raise LoopError("loop is not a simple polygon")
     return sides
 
@@ -564,7 +574,7 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
     corners = set(loop)
     out = []
     for it, side, p in meetings(items(c), sides):
-        if p is OVERLAP:
+        if isinstance(p, Shared):
             raise LoopError(f"loop runs along {it.kind} {it.index}")
         if p in corners:
             raise LoopError("loop corner touches the curve")
@@ -618,13 +628,9 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
             splits[it].add(t)
 
     for a, b, p in meetings(all_items):
-        if p is OVERLAP:
-            for x, y in ((a, b), (b, a)):
-                for q in y.ends:
-                    add_split(x, q)
-        else:
-            add_split(a, p)
-            add_split(b, p)
+        for q in p.ends if isinstance(p, Shared) else (p,):
+            add_split(a, q)
+            add_split(b, q)
 
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}
@@ -676,8 +682,8 @@ def normalize(c: TropicalCurve) -> TropicalCurve:
             if len(pair) != 2:
                 continue
             a, b = pair
-            wa, wb = star_at(c.vertices[v], pair)
-            if (a.bounded or b.bounded) and wa == -wb:
+            (ax, ay), (bx, by) = star_at(c.vertices[v], pair)
+            if (a.bounded or b.bounded) and (ax, ay) == (-bx, -by):
                 c = _fuse_vertex(c, v, a, b)
                 break
         else:

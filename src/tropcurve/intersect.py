@@ -1,27 +1,19 @@
 """Stable intersection of tropical curves.
 
 One scan of the item pairs of two curves gives their intersection record
-(`_record`): each common point with the items of each curve through it, and
-whether every meeting was a crossing interior to both items; or, when two
-items share a segment, the mark OVERLAP.  `stable_intersection`,
-`is_transversal` and `jacobian.sigma` read it; only the last pair scanned is
-kept, by the identity of the two curves.
+(`_record`): each meeting point and each end of a part that two items
+share, with the items of each curve through it, and whether every meeting
+was a crossing interior to both items.  `stable_intersection`,
+`is_transversal` and `jacobian.sigma` read it; only the last pair scanned
+is kept, by the identity of the two curves.  The scan and the oracle's
+crossing loop read only the item pairs whose integer bounding boxes
+overlap (`curve.meetings`).
 
-The scan tests only the pairs whose integer bounding boxes overlap, found
-by the sweep of `curve.meetings` and taken in the order of the scan of all
-pairs; the oracle's crossing loop reads the same pairs, and its pin scan
-looks each vertex up by the lines of the items.
-
-Two routes are implemented and cross-checked by the test suite:
-
-* the multiplicity formula at each common point, used whenever the set
-  intersection is finite: |det| of the two weighted primitive vectors where
-  one item of each curve crosses the other in their interiors, and the
-  dual-cell areas of the overlay star everywhere else;
-* a perturbation oracle that translates the second curve by an infinitesimal
-  generic amount, intersects transversally with exact first-order arithmetic
-  in the infinitesimal, and takes the limit.  Shared-segment configurations
-  route here automatically.
+Each recorded point gets its local multiplicity from the fan displacement
+rule (Fulton-Sturmfels; Jensen-Yu), an integer count on the two stars.
+The perturbation oracle translates the second curve by an infinitesimal
+generic amount and takes the limit of the transversal intersection: it is
+the independent route that the test suite checks the record route against.
 """
 
 from __future__ import annotations
@@ -32,11 +24,10 @@ from typing import Callable, NamedTuple
 
 from .geom import GeometryError, IntVector, Point, cross, pt
 from .curve import (
-    OVERLAP,
     Item,
+    Shared,
     TropicalCurve,
     View,
-    _Overlap,
     _candidates,
     _pair_grid,
     _point_on,
@@ -44,7 +35,7 @@ from .curve import (
     meetings,
     star_at,
 )
-from .newton import LatticePolygon, minkowski_sum, star_multiplicity
+from .newton import LatticePolygon, minkowski_sum
 
 
 class NonGenericDirection(GeometryError):
@@ -215,12 +206,6 @@ def perturbation_oracle(
     why = _violations(c1, c2, direction)
     if why is not None:
         raise NonGenericDirection(why)
-    return _crossings(c1, c2, direction)
-
-
-def _crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) -> Divisor:
-    """The crossing loop of perturbation_oracle, for a direction already
-    known to pass _violations."""
     scale, its1, its2, _, _ = _pair_grid(c1, c2)
     tx, ty = _int_direction(direction)
     acc: dict[Point, int] = {}
@@ -247,9 +232,9 @@ def _crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) -> Diviso
 
 
 class _Record(NamedTuple):
-    """The meetings of two curves that share no segment."""
+    """The meetings of two curves."""
 
-    # each common point: the items of c1, then of c2, through it, in item order
+    # each meeting point and end of a shared part: the items of c1, then c2
     points: dict[Point, tuple[list[Item], list[Item]]]
     # every meeting is interior to both of its items
     transversal: bool
@@ -262,56 +247,71 @@ class _Record(NamedTuple):
 _last: tuple = (None, None, None)
 
 
-def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record | _Overlap:
-    """The intersection record of the pair, or OVERLAP if two items share a
-    segment; one pass of meetings, reused while the same pair is asked for
-    again."""
+def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
+    """The intersection record of the pair: one pass of meetings, reused
+    while the same pair is asked for again."""
     global _last
     last1, last2, rec = _last
     if c1 is last1 and c2 is last2:
         return rec
-    # With no overlap, every item of one curve through a common point meets
-    # every item of the other there, so all of them are recorded.
+    # An item misses a recorded point only when the point is inside the part
+    # it shares with each item of the other curve there: it adds nothing.
     points: dict[Point, tuple[list[Item], list[Item]]] = {}
     transversal = True
     for a, b, p in meetings(items(c1), items(c2)):
-        if p is OVERLAP:
-            rec = OVERLAP
-            break
-        if transversal and (p in a.ends or p in b.ends):
+        shared = isinstance(p, Shared)
+        if transversal and (shared or p in a.ends or p in b.ends):
             transversal = False
-        for it, through in zip((a, b), points.setdefault(p, ([], []))):
-            if it not in through:
-                through.append(it)
-    else:
-        rec = _Record(points, transversal)
+        for q in p.ends if shared else (p,):
+            its1, its2 = points.setdefault(q, ([], []))
+            # meetings run xs-major: a met q before only if it came last
+            if not its1 or its1[-1] is not a:
+                its1.append(a)
+            if b not in its2:
+                its2.append(b)
+    rec = _Record(points, transversal)
     _last = (c1, c2, rec)
     return rec
 
 
 def has_shared_segment(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     # Not _record: perfbench's traced route check must not fill the record.
-    return any(p is OVERLAP for _, _, p in meetings(items(c1), items(c2)))
+    return any(isinstance(p, Shared) for _, _, p in meetings(items(c1), items(c2)))
 
 
 def is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     """True when every common point is a plain interior-interior crossing."""
-    rec = _record(c1, c2)
-    return rec is not OVERLAP and rec.transversal
+    return _record(c1, c2).transversal
+
+
+def _local_multiplicity(s1: list[tuple[int, int]], s2: list[tuple[int, int]]) -> int:
+    """The multiplicity at a point with the closed stars s1 and s2 of (x, y)
+    pairs: |cross(u, v)| summed over the pairs whose rays cross once s2 moves
+    along d = (1, k), k above every |y| so that d is parallel to none, that
+    is, when cross(d, v) and cross(d, u) have the sign of cross(u, v)."""
+    if any(map(sum, zip(*s1))) or any(map(sum, zip(*s2))):
+        raise GeometryError("edge vectors do not close up")
+    k = 1 + max(abs(y) for _, y in s1 + s2)
+    side2 = [(vx, vy, vy - k * vx > 0) for vx, vy in s2]
+    mu = 0
+    for ux, uy in s1:
+        du = uy - k * ux > 0
+        for vx, vy, dv in side2:
+            c = ux * vy - uy * vx
+            if c and (c > 0) == du == dv:
+                mu += abs(c)
+    return mu
 
 
 def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     """The stable intersection divisor, supported on the first curve.
 
-    Finite set intersections use the multiplicity formula at each common
-    point: |det| of the weighted primitive vectors where one item of each
-    curve crosses the other in their interiors, the dual-cell areas of the
-    overlay star elsewhere.  Shared segments route through the perturbation
-    oracle with an automatically chosen generic direction.
+    Each point of the record gets |det| of the weighted primitive vectors
+    where one item of each curve crosses the other in their interiors, and
+    elsewhere (vertices, ends of shared segments) the local count on the
+    stars of the recorded items.  Inside a shared segment nothing is added.
     """
     rec = _record(c1, c2)
-    if rec is OVERLAP:
-        return _crossings(c1, c2, generic_direction(c1, c2))
     acc: dict[Point, int] = {}
     for p, (its1, its2) in rec.points.items():
         if len(its1) == 1 == len(its2):
@@ -319,13 +319,7 @@ def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
             if rec.transversal or (p not in a.ends and p not in b.ends):
                 acc[p] = transversal_multiplicity(a.prim, a.weight, b.prim, b.weight)
                 continue
-        s1, s2 = star_at(p, its1), star_at(p, its2)
-        m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
-        if m % 2 != 0:
-            raise GeometryError("odd multiplicity defect; inputs inconsistent")
-        mu = m // 2
-        if mu < 0:
-            raise GeometryError("negative intersection multiplicity")
+        mu = _local_multiplicity(star_at(p, its1), star_at(p, its2))
         if mu:
             acc[p] = mu
     return Divisor.of(acc, c1)

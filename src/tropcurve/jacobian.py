@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .geom import GeometryError, Point, RefusalError, cross
-from .curve import OVERLAP, Item, TropicalCurve, items, items_at
+from .curve import Item, TropicalCurve, items, items_at
 from .bunch import (
     BouquetStructure,
     BunchGraph,
@@ -254,12 +254,9 @@ def linearly_equivalent_on(
 def sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
     """Abel coordinate of the stable intersection with a mobile curve.
 
-    Each point of a dual-cell divisor is projected from the first item of
-    the host through it in the intersection record; an oracle divisor's
-    points are looked up on the host.
+    Each divisor point is projected from the first item of the host through
+    it in the intersection record, so no point is looked up on the host.
     """
     d = stable_intersection(system.curve, mobile)
     rec = _record(system.curve, mobile)
-    if rec is OVERLAP:
-        return abel_coordinate(system, d)
     return _coordinate(system, d, lambda p: _project_on(system, rec.points[p][0][0], p))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import GeometryError, IntVector, Point, cross, pseudo_angle
-from .curve import Item, TropicalCurve, items, local_star
+from .curve import Item, TropicalCurve, _require_balanced, _residuals, items, local_star
 
 
 class DualityError(GeometryError):
@@ -330,13 +330,14 @@ def newton_polygon(c: TropicalCurve) -> LatticePolygon:
     """The Newton polygon from ray data alone: the weighted ray directions
     rotated +90 degrees, chained by angle into a polygon.
 
-    Needs a balanced curve, which need not be embedded.  Balance is not
-    checked: GeometryError is raised when the curve has no rays or its ray
-    vectors do not close up, but an unbalanced curve whose rays sum to zero
-    gets the polygon of its rays.
+    Needs a balanced curve, which need not be embedded.  A curve with no
+    rays raises GeometryError; an unbalanced one is refused with
+    InvalidCurveError naming the first vertex whose residual is not zero,
+    as require_valid does.
     """
     if not c.rays:
         raise GeometryError("a curve with no rays has no Newton polygon")
+    _require_balanced(_residuals(c))
     steps = [r.direction.rot_ccw() * r.weight for r in c.rays]
     return polygon_from_edge_vectors(steps).normalized()
 

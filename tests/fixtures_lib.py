@@ -7,8 +7,8 @@ from itertools import chain, combinations, product
 
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
 from tropcurve.curve import (
-    OVERLAP,
     Item,
+    Shared,
     TropicalCurve,
     _common_scale,
     _lattice,
@@ -119,7 +119,7 @@ def _contains_param(it: Item, t: Fraction) -> bool:
 
 def reference_item_intersection(a: Item, b: Item):
     """Intersection of two closed items in Fraction arithmetic: None, the
-    meeting Point, or OVERLAP."""
+    meeting Point, or the Shared part with its ends, lowest along a first."""
     if cross(a.vec, b.vec) != 0:
         den = cross(a.vec, b.vec)
         s = Fraction(cross(b.origin - a.origin, b.vec)) / den
@@ -147,9 +147,11 @@ def reference_item_intersection(a: Item, b: Item):
         hi = min(hi_a, hi_b)
     if hi is not None and lo > hi:
         return None
-    if hi is not None and lo == hi:
+    if hi is None:
+        return Shared((a.point_at(lo),))
+    if lo == hi:
         return a.point_at(lo)
-    return OVERLAP
+    return Shared((a.point_at(lo), a.point_at(hi)))
 
 
 def reference_meetings(xs, ys=None) -> list:
@@ -172,8 +174,8 @@ def reference_meetings(xs, ys=None) -> list:
 
 def item_intersection(a: Item, b: Item):
     """Intersection of two closed items on their common grid: None, the
-    meeting Point, or OVERLAP for a collinear overlap of more than one
-    point."""
+    meeting Point, or the Shared part for a collinear overlap of more than
+    one point."""
     scale = _common_scale((a, b))
     va, vb = _lattice((a, b), scale)
     return _meet(va, vb, scale)
@@ -193,7 +195,8 @@ def all_pairs_meetings(xs, ys=None) -> list:
 
 
 def all_pairs_crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) -> Divisor:
-    """intersect._crossings over every pair of views, none pruned."""
+    """The crossing loop of intersect.perturbation_oracle over every pair of
+    views, none pruned."""
     scale, its1, its2, _, _ = _pair_grid(c1, c2)
     tx, ty = _int_direction(direction)
     acc: dict[Point, int] = {}
@@ -366,14 +369,14 @@ def reference_star_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor
     the checked perturbation_oracle."""
     met: dict[Point, tuple[list[Item], list[Item]]] = {}
     for a, b, p in meetings(items(c1), items(c2)):
-        if p is OVERLAP:
+        if isinstance(p, Shared):
             return perturbation_oracle(c1, c2, generic_direction(c1, c2))
         for it, through in zip((a, b), met.setdefault(p, ([], []))):
             if it not in through:
                 through.append(it)
     acc = {}
     for p, (its1, its2) in met.items():
-        s1, s2 = star_at(p, its1), star_at(p, its2)
+        s1, s2 = ([IntVector(x, y) for x, y in star_at(p, its)] for its in (its1, its2))
         m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
         if m % 2 != 0 or m < 0:
             raise GeometryError("inconsistent multiplicity")
@@ -385,7 +388,7 @@ def reference_star_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor
 def reference_is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     """is_transversal from its own pair scan."""
     return all(
-        p is not OVERLAP and p not in a.ends and p not in b.ends
+        not isinstance(p, Shared) and p not in a.ends and p not in b.ends
         for a, b, p in meetings(items(c1), items(c2))
     )
 

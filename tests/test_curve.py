@@ -22,10 +22,10 @@ from fixtures_lib import (
     wedge_m,
 )
 from tropcurve.curve import (
-    OVERLAP,
     Edge,
     LoopError,
     Ray,
+    Shared,
     StructureError,
     TropicalCurve,
     _loop_sides,
@@ -213,7 +213,7 @@ def _reference_is_simple(loop) -> bool:
     for i, j in combinations(range(n), 2):
         corner = loop[j] if j == i + 1 else loop[0] if (i, j) == (0, n - 1) else None
         p = reference_item_intersection(sides[i], sides[j])
-        if p is not None and (p is OVERLAP or p != corner):
+        if p is not None and (isinstance(p, Shared) or p != corner):
             return False
     return True
 

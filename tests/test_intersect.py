@@ -1,6 +1,8 @@
 import importlib
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from fixtures_lib import (
     anti_line,
+    concave_lift,
     item_intersection,
     coordinate_cross,
     diagonal_cross,
@@ -16,6 +19,7 @@ from fixtures_lib import (
     reference_outgoing,
     reference_star_intersection,
     slid_pool,
+    sparse_lift,
     tail_cycle_curve,
     theta_curve,
     triangle_cycle_host,
@@ -28,21 +32,22 @@ from fixtures_lib import (
     wedge_m,
 )
 from tropcurve.curve import (
-    OVERLAP,
+    Shared,
     TropicalCurve,
     curve,
     items,
+    local_star,
     locate,
     translate,
     union,
     validate,
 )
-from tropcurve.geom import GeometryError, Point, primitive_direction, pt, vec
+from tropcurve.geom import GeometryError, IntVector, Point, primitive_direction, pt, vec
 from tropcurve import intersect
 from tropcurve.intersect import (
     Divisor,
     NonGenericDirection,
-    _crossings,
+    _local_multiplicity,
     _record,
     bezout_degree,
     generic_direction,
@@ -52,8 +57,9 @@ from tropcurve.intersect import (
     stable_intersection,
     transversal_multiplicity,
 )
+from tropcurve.jacobian import UnsupportedCurveError, abel_coordinate, cycle_system, sigma
 from tropcurve.newton import convex_hull, newton_polygon, star_multiplicity
-from tropcurve.polyfront import corner_locus, parse
+from tropcurve.polyfront import corner_locus, parse, polynomial
 
 
 def poly(*pts):
@@ -298,7 +304,7 @@ def reference_star(c: TropicalCurve, p: Point):
 def reference_stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     """The dual-cell formula with each star found by locating the point."""
     met = [item_intersection(a, b) for a in items(c1) for b in items(c2)]
-    if any(p is OVERLAP for p in met):
+    if any(isinstance(p, Shared) for p in met):
         return perturbation_oracle(c1, c2, generic_direction(c1, c2))
     acc = {}
     for p in {p for p in met if p is not None}:
@@ -349,7 +355,7 @@ def test_record_matches_star_route_on_fixture_pairs():
 def test_record_matches_star_route_on_pool_pairs():
     routes = set()
     for a, b in POOL_PAIRS:
-        routes.add(_record(a, b) is OVERLAP)
+        routes.add(has_shared_segment(a, b))
         assert_record_routes(a, b)
     assert routes == {False, True}
 
@@ -393,14 +399,149 @@ def test_loose_end_on_an_item_keeps_the_star_route():
     assert_record_routes(seg, vertical_line(("1/2", -3)))
 
 
-def test_unchecked_crossings_match_checked_oracle():
+def assert_one_route(pairs, monkeypatch) -> int:
+    """On every pair that shares a segment, stable_intersection and sigma
+    (where the first curve has a cycle system) equal the answers derived
+    from the checked oracle, computed before the oracle, its direction
+    finder and its pin scan are made to raise.  Returns how many such pairs
+    sigma was compared on."""
+    shared = [(a, b) for a, b in pairs if has_shared_segment(a, b)]
+    systems = {}
+    for a, _ in shared:
+        if id(a) not in systems:
+            try:
+                systems[id(a)] = cycle_system(a)
+            except UnsupportedCurveError:
+                systems[id(a)] = None
+    oracle = [perturbation_oracle(a, b, generic_direction(a, b)) for a, b in shared]
+    coords = [
+        None if systems[id(a)] is None else abel_coordinate(systems[id(a)], d)
+        for (a, _), d in zip(shared, oracle)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("stable intersection left the record route")
+
+    for name in ("generic_direction", "_pins", "perturbation_oracle"):
+        monkeypatch.setattr(intersect, name, refuse)
+    for (a, b), d, coord in zip(shared, oracle, coords):
+        assert stable_intersection(a, b) == d, (a, b)
+        if coord is not None:
+            assert sigma(systems[id(a)], b) == coord, (a, b)
+    return sum(coord is not None for coord in coords)
+
+
+def test_shared_segment_pairs_take_the_record_route(monkeypatch):
     overlapping = [(a, b) for a, b in PAIRS + POOL_PAIRS if has_shared_segment(a, b)]
     assert any(a in POOL and b in POOL and a is not b for a, b in overlapping)
-    for a, b in overlapping:
-        t = generic_direction(a, b)
-        oracle = perturbation_oracle(a, b, t)
-        assert _crossings(a, b, t) == oracle
-        assert stable_intersection(a, b) == oracle
+    assert assert_one_route(PAIRS + POOL_PAIRS, monkeypatch) > 0
+
+
+@pytest.fixture(scope="module")
+def benchmark_pools():
+    """The intersect workload's pool for seeds 11 to 20, built by the
+    benchmark's own setup."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from tcbench import lib
+    from tcbench.workloads import Intersect
+
+    tc = lib.load()
+    return [Intersect.setup(tc, seed).pool for seed in range(11, 21)]
+
+
+def test_benchmark_pool_shared_pairs_take_the_record_route(benchmark_pools, monkeypatch):
+    # The benchmark's own check compares only the degree on these pairs.
+    pairs = [(a, b) for pool in benchmark_pools for a in pool for b in pool]
+    assert sum(has_shared_segment(a, b) for a, b in pairs) > len(pairs) // 10
+    assert assert_one_route(pairs, monkeypatch) > 0
+
+
+# ---------------------------------------------------------------------------
+# The local count at a point against the dual-cell formula
+# ---------------------------------------------------------------------------
+
+
+def dual_cell_count(s1, s2) -> int:
+    m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
+    assert m % 2 == 0
+    return m // 2
+
+
+def displaced_count(s1, s2, d: IntVector) -> int:
+    """The fan displacement count with the second star moved along d."""
+    total = 0
+    for u in s1:
+        for v in s2:
+            c = u.x * v.y - u.y * v.x
+            s, t = d.x * v.y - d.y * v.x, d.x * u.y - d.y * u.x
+            assert s and t, "d is parallel to a star vector"
+            if c and (c > 0) == (s > 0) == (t > 0):
+                total += abs(c)
+    return total
+
+
+def pairs(star) -> list[tuple[int, int]]:
+    return [(u.x, u.y) for u in star]
+
+
+def assert_local_count(s1, s2) -> None:
+    """s1 and s2 as IntVector stars; the local count takes (x, y) pairs."""
+    mu = _local_multiplicity(pairs(s1), pairs(s2))
+    assert mu == dual_cell_count(s1, s2)
+    # three more generic directions: K exceeds every coordinate, so none of
+    # them is parallel to a star vector
+    K = 1 + max(max(abs(u.x), abs(u.y)) for u in s1 + s2)
+    for d in (IntVector(K, 1), IntVector(-1, K), IntVector(-K, -K - 1)):
+        assert displaced_count(s1, s2, d) == mu
+
+
+primitives = st.sampled_from(
+    [IntVector(x, y) for x, y in [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1),
+                                  (1, 2), (-2, 1), (3, -1), (-1, -3), (2, 5), (-3, 2)]]
+)
+
+
+@st.composite
+def balanced_stars(draw):
+    """Weighted primitive vectors closed by their negated sum; opposite
+    pairs stand for items through the point, which a star at a point of a
+    curve always has at least one of."""
+    star = [u * draw(st.integers(1, 3)) for u in draw(st.lists(primitives, min_size=1, max_size=4))]
+    for u in draw(st.lists(primitives, max_size=2)):
+        w = draw(st.integers(1, 2))
+        star += [u * w, -u * w]
+    rest = IntVector(-sum(u.x for u in star), -sum(u.y for u in star))
+    if rest:
+        star.append(rest)
+    return star
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_stars(), balanced_stars())
+def test_local_count_matches_dual_cell_formula(s1, s2):
+    assert_local_count(s1, s2)
+
+
+def test_local_count_on_vertex_stars_of_loci():
+    rng = random.Random(3)
+    loci = [
+        corner_locus(polynomial(lift(rng, d)))
+        for d in (2, 3, 4)
+        for lift in (concave_lift, sparse_lift)
+    ]
+    stars = [local_star(c, v) for c in loci for v in c.vertices]
+    for s1 in stars[::3]:
+        for s2 in stars[::4]:
+            assert_local_count(s1, s2)
+
+
+def test_local_count_refuses_an_unclosed_star():
+    closed = [(-1, 0), (0, -1), (1, 1)]
+    for s1, s2 in ((closed, [(1, 0)]), ([(1, 0), (0, 1)], closed)):
+        with pytest.raises(GeometryError, match="do not close up"):
+            _local_multiplicity(s1, s2)
 
 
 def _copy(c: TropicalCurve) -> TropicalCurve:
@@ -445,7 +586,11 @@ def test_overlap_pair_is_not_transversal():
     assert not is_transversal(a, b)
     assert entries(stable_intersection(a, b)) == {((2, 2), 1)}
     assert not is_transversal(a, b)
-    assert _record(a, b) is OVERLAP
+    # the shared ray is recorded at its one end, with every item through it
+    assert has_shared_segment(a, b)
+    assert {p: tuple(map(len, its)) for p, its in _record(a, b).points.items()} == {
+        pt(2, 2): (1, 3)
+    }
 
 
 def test_one_pair_scan_serves_sigma_and_is_transversal(monkeypatch):

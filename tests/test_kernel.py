@@ -39,7 +39,7 @@ from fixtures_lib import (
     weight_two_edge_curve,
 )
 from tropcurve.curve import (
-    OVERLAP,
+    Shared,
     TropicalCurve,
     _boxes,
     _lattice,
@@ -52,7 +52,6 @@ from tropcurve.curve import (
 from tropcurve.geom import GeometryError, Point, pt
 from tropcurve.intersect import (
     Divisor,
-    _crossings,
     _pins,
     _violations,
     generic_direction,
@@ -103,8 +102,8 @@ def grid_curves(draw, big=None):
 
 def assert_fraction_points(seq):
     for _, _, p in seq:
-        if p is not OVERLAP:
-            assert type(p.x) is Fraction and type(p.y) is Fraction
+        for q in p.ends if isinstance(p, Shared) else (p,):
+            assert type(q.x) is Fraction and type(q.y) is Fraction
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,8 +140,8 @@ def test_parallel_cases_match_reference():
     its = items(c)
     got = list(meetings(its))
     assert got == reference_meetings(its)
-    assert any(p is OVERLAP for _, _, p in got)
-    assert any(p is not OVERLAP for _, _, p in got)
+    assert any(isinstance(p, Shared) for _, _, p in got)
+    assert any(not isinstance(p, Shared) for _, _, p in got)
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,7 +194,7 @@ def test_locate_matches_linear_scan(c, i, j, q):
 def reference_stable_intersection(c1: TropicalCurve, c2: TropicalCurve, met) -> Divisor:
     """stable_intersection with every predicate in Fraction arithmetic, from
     the pairs of reference_meetings."""
-    if any(p is OVERLAP for _, _, p in met):
+    if any(isinstance(p, Shared) for _, _, p in met):
         return reference_perturbation_oracle(c1, c2, reference_generic_direction(c1, c2))
     through: dict[Point, tuple[list, list]] = {}
     for a, b, p in met:
@@ -254,7 +253,7 @@ def test_pool_pairs_match_reference():
         for c2 in pool:
             met = reference_meetings(items(c1), items(c2))
             assert list(meetings(items(c1), items(c2))) == met
-            routes.add(any(p is OVERLAP for _, _, p in met))
+            routes.add(any(isinstance(p, Shared) for _, _, p in met))
             assert stable_intersection(c1, c2) == reference_stable_intersection(c1, c2, met)
     assert routes == {False, True}
 
@@ -295,7 +294,7 @@ def test_sweep_matches_all_pairs_on_slid_copies():
     for c1 in pool:
         for c2 in pool:
             got = assert_sweep_matches(items(c1), items(c2))
-            overlaps += any(p is OVERLAP for _, _, p in got)
+            overlaps += any(isinstance(p, Shared) for _, _, p in got)
             assert_sweep_matches(items(c1) + items(c2))
     assert overlaps > len(pool)  # more than the self-pairs share segments
 
@@ -361,11 +360,11 @@ def test_pruned_crossings_match_all_pairs():
     pairs += [(a, b) for a in pool for b in pool]
     overlapping = 0
     for c1, c2 in pairs:
-        if not any(p is OVERLAP for _, _, p in meetings(items(c1), items(c2))):
+        if not any(isinstance(p, Shared) for _, _, p in meetings(items(c1), items(c2))):
             continue
         overlapping += 1
         t = generic_direction(c1, c2)
-        assert _crossings(c1, c2, t) == all_pairs_crossings(c1, c2, t)
+        assert perturbation_oracle(c1, c2, t) == all_pairs_crossings(c1, c2, t)
     assert overlapping > len(FIXTURES) + len(pool)
 
 

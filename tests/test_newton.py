@@ -23,7 +23,7 @@ from fixtures_lib import (
 import tropcurve.newton as newton_module
 from tropcurve import jsonio
 from tropcurve.cli import main
-from tropcurve.curve import curve, translate, union, validate
+from tropcurve.curve import InvalidCurveError, curve, require_valid, translate, union, validate
 from tropcurve.geom import GeometryError, pt, vec
 from tropcurve.newton import (
     DualityError,
@@ -230,8 +230,22 @@ def test_crossing_lines_give_their_product_polygon():
 
 def test_unbalanced_star_refused():
     c = curve([(0, 0)], rays=[(0, (1, 0)), (0, (0, 1))])
-    with pytest.raises(GeometryError, match="do not close up"):
+    with pytest.raises(InvalidCurveError, match=r"^curve is not balanced: vertex 0 has residual \(1, 1\)$"):
         newton_polygon(c)
+
+
+def test_unbalanced_curve_with_closing_rays_refused():
+    # the rays sum to zero, so their polygon closes, but neither vertex is
+    # balanced; the refusal is require_valid's
+    c = curve([(0, 0), (5, 0)], rays=[(0, (-1, 0)), (0, (0, -1)), (1, (1, 1))])
+    assert not validate(c).balanced
+    with pytest.raises(InvalidCurveError) as refused:
+        newton_polygon(c)
+    with pytest.raises(InvalidCurveError) as valid:
+        require_valid(c)
+    assert str(refused.value) == str(valid.value) == (
+        "curve is not balanced: vertex 0 has residual (-1, -1)"
+    )
 
 
 def test_curve_without_rays_refused():
