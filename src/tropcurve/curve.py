@@ -82,8 +82,11 @@ class TropicalCurve:
     @cached_property
     def _items(self) -> tuple[Item, ...]:
         vs, grid, L = self.vertices, self._grid, self._scale
+        n = len(vs)
         edges = []
         for i, e in enumerate(self.edges):
+            if not (0 <= e.a < n and 0 <= e.b < n):
+                raise StructureError(f"edge {i} references vertex out of range")
             (tx, ty), (hx, hy) = grid[e.a], grid[e.b]
             vx, vy = hx - tx, hy - ty
             g = gcd(vx, vy)
@@ -93,11 +96,14 @@ class TropicalCurve:
                 i, e.a, e.b, (vs[e.a], vs[e.b]), e.weight,
                 IntVector(vx // g, vy // g), Fraction(g, L), L, (tx, ty, vx, vy),
             ))
-        rays = [
-            Item(i, r.vertex, None, (vs[r.vertex],), r.weight, r.direction,
-                 None, L, (*grid[r.vertex], r.direction.x, r.direction.y))
-            for i, r in enumerate(self.rays)
-        ]
+        rays = []
+        for i, r in enumerate(self.rays):
+            if not 0 <= r.vertex < n:
+                raise StructureError(f"ray {i} references vertex out of range")
+            rays.append(Item(
+                i, r.vertex, None, (vs[r.vertex],), r.weight, r.direction,
+                None, L, (*grid[r.vertex], r.direction.x, r.direction.y),
+            ))
         return tuple(edges + rays)
 
 

@@ -12,12 +12,19 @@ the edge's primitive direction) moves the lattice point by w times the
 direction rotated -90 degrees.  This chirality is fixed once and used
 everywhere; it makes the 3-ray curve with rays west/south/northeast dual to
 the standard unit triangle.
+
+The face structure and the propagation run on plain ints: one angle key
+per item end, parallel rays ordered by their integer offset on the curve's
+grid, and dual lattice points walked as (x, y) pairs; IntVectors are built
+only for the dual vertices returned.  One monotone-chain hull ring on
+(x, y) pairs serves convex_hull and the subdivision of polyfront.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .geom import GeometryError, IntVector, Point, cross, pseudo_angle
 from .curve import Item, TropicalCurve, _require_balanced, _residuals, items, local_star
@@ -77,33 +84,36 @@ def _canonical_ccw(points: list[IntVector]) -> LatticePolygon:
     return LatticePolygon(tuple(points[start:] + points[:start]))
 
 
-def convex_hull(points: list[IntVector]) -> LatticePolygon:
-    """Monotone chain; keeps extreme points only."""
-    pts = sorted(set((p.x, p.y) for p in points))
-    if not pts:
-        raise GeometryError("hull of empty point set")
+def _chain(seq: list[tuple]) -> list[tuple]:
+    """One monotone chain: the points of seq that turn strictly left."""
+    out: list[tuple] = []
+    for p in seq:
+        while len(out) >= 2 and (
+            (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+            - (p[0] - out[-2][0]) * (out[-1][1] - out[-2][1])
+        ) <= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
+def _hull_ring(points) -> list[tuple]:
+    """The extreme points of a nonempty set of (x, y) pairs, counterclockwise
+    from the lex-min one (Andrew's monotone chain).  A collinear set gives
+    its two ends, a single point itself.  The coordinates may be ints or
+    Fractions; only differences, products and comparisons are taken."""
+    pts = sorted(set(points))
     if len(pts) == 1:
-        return LatticePolygon((IntVector(*pts[0]),))
+        return pts
+    return _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
 
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (p[0] - out[-2][0]) * (out[-1][1] - out[-2][1])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out
 
-    lower = build(pts)
-    upper = build(reversed(pts))
-    ring = lower[:-1] + upper[:-1]
-    if len(ring) == 1:  # all points collinear -> keep both ends
-        ring = [lower[0], lower[-1]]
-    if len(ring) == 2 and ring[0] == ring[1]:
-        ring = ring[:1]
-    return _canonical_ccw([IntVector(x, y) for x, y in ring])
+def convex_hull(points: list[IntVector]) -> LatticePolygon:
+    """The hull ring of the points as a polygon; extreme points only."""
+    if not points:
+        raise GeometryError("hull of empty point set")
+    ring = _hull_ring((p.x, p.y) for p in points)
+    return LatticePolygon(tuple(IntVector(x, y) for x, y in ring))
 
 
 def polygon_from_edge_vectors(
@@ -192,53 +202,54 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+_first = itemgetter(0)
+_first_two = itemgetter(0, 1)
+
+
 def face_structure(c: TropicalCurve) -> FaceStructure:
     """Enumerate the connected components of the plane minus the curve.
 
     Sides of items are glued around each vertex and around the circle at
     infinity (rays ordered by direction, parallel rays by signed offset).
-    Requires a structurally sound embedded curve.
+    Each item end gets one angle key; a ray's offset is taken on the
+    curve's integer grid, whose positive scale keeps the order.  Requires
+    a structurally sound embedded curve.
     """
     its = items(c)
     if not its:
         raise GeometryError("empty curve has no face structure")
     uf = _UnionFind(2 * len(its))
 
-    # ends at each vertex: (outgoing primitive direction, left side, right side)
+    # ends at each vertex: (angle of the outgoing direction, left side, right side)
     ends: list[list[tuple]] = [[] for _ in c.vertices]
+    ray_sides = []  # (angle, offset, left side, right side)
     for k, it in enumerate(its):
-        ends[it.tail].append((it.prim, 2 * k, 2 * k + 1))
-        if it.bounded:
-            ends[it.head].append((-it.prim, 2 * k + 1, 2 * k))
+        angle = pseudo_angle(it.prim)
+        ends[it.tail].append((angle, 2 * k, 2 * k + 1))
+        if it.head is not None:
+            ends[it.head].append((pseudo_angle(-it.prim), 2 * k + 1, 2 * k))
+        else:
+            ox, oy = it.lattice[0], it.lattice[1]
+            ray_sides.append((angle, it.prim.x * oy - ox * it.prim.y, 2 * k, 2 * k + 1))
 
     for v, lst in enumerate(ends):
-        lst.sort(key=lambda t: pseudo_angle(t[0]))
+        lst.sort(key=_first)
         for i in range(len(lst) - 1):
-            if pseudo_angle(lst[i][0]) == pseudo_angle(lst[i + 1][0]):
+            if lst[i][0] == lst[i + 1][0]:
                 raise GeometryError(
                     f"two items leave vertex {v} in the same direction"
                 )
         for i in range(len(lst)):
-            nxt = lst[(i + 1) % len(lst)]
-            uf.merge(lst[i][1], nxt[2])
+            uf.merge(lst[i][1], lst[(i + 1) % len(lst)][2])
 
-    ray_sides = []
-    for k, it in enumerate(its):
-        if not it.bounded:
-            offset = Fraction(cross(it.prim, it.origin))
-            ray_sides.append((pseudo_angle(it.prim), offset, 2 * k, 2 * k + 1))
-    ray_sides.sort(key=lambda t: (t[0], t[1]))
+    ray_sides.sort(key=_first_two)
     for i in range(len(ray_sides)):
-        nxt = ray_sides[(i + 1) % len(ray_sides)]
-        uf.merge(ray_sides[i][2], nxt[3])
+        uf.merge(ray_sides[i][2], ray_sides[(i + 1) % len(ray_sides)][3])
 
     face_of: dict[int, int] = {}
     side_face = []
     for s in range(2 * len(its)):
-        root = uf.find(s)
-        if root not in face_of:
-            face_of[root] = len(face_of)
-        side_face.append(face_of[root])
+        side_face.append(face_of.setdefault(uf.find(s), len(face_of)))
     count = len(face_of)
 
     bounded = [True] * count
@@ -246,16 +257,9 @@ def face_structure(c: TropicalCurve) -> FaceStructure:
         bounded[side_face[ls]] = False
         bounded[side_face[rs]] = False
 
-    vertex_faces = []
-    for v, lst in enumerate(ends):
-        faces = []
-        for i in range(len(lst)):
-            faces.append(side_face[lst[i][1]])  # sector CCW after direction i
-        vertex_faces.append(tuple(faces))
-
-    return FaceStructure(
-        count, tuple(side_face), tuple(bounded), tuple(vertex_faces), its
-    )
+    # the face of the sector counterclockwise after each end
+    vertex_faces = tuple(tuple(side_face[e[1]] for e in lst) for lst in ends)
+    return FaceStructure(count, tuple(side_face), tuple(bounded), vertex_faces, its)
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +298,31 @@ def newton_complex(c: TropicalCurve) -> NewtonComplex:
 
 
 def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
-    """The dual complex of a face structure, in the given traversal order."""
+    """The dual complex of a face structure, in the given traversal order
+    ("bfs" or "dfs"), on (x, y) int pairs."""
     edges = []
-    adj: list[list[tuple[int, IntVector, int]]] = [[] for _ in range(fs.count)]
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(fs.count)]
     for k, it in enumerate(fs.items):
         fl, fr = fs.side_face[2 * k], fs.side_face[2 * k + 1]
-        step = it.prim.rot_cw() * it.weight
+        sx, sy = it.prim.y * it.weight, -it.prim.x * it.weight  # rot_cw
         edges.append((fl, fr, it.kind, it.index))
-        adj[fl].append((fr, step, k))
-        adj[fr].append((fl, -step, k))
+        adj[fl].append((fr, sx, sy))
+        adj[fr].append((fl, -sx, -sy))
 
-    w: list[IntVector | None] = [None] * fs.count
-    w[0] = IntVector(0, 0)
+    w: list[tuple[int, int] | None] = [None] * fs.count
+    w[0] = (0, 0)
     frontier = [0]
-    while frontier:
-        f = frontier.pop(0 if order == "bfs" else -1)
-        for g, step, _ in adj[f]:
-            cand = w[f] + step
+    head = 0  # bfs reads from the head; dfs pops the end
+    bfs = order == "bfs"
+    while head < len(frontier):
+        if bfs:
+            f = frontier[head]
+            head += 1
+        else:
+            f = frontier.pop()
+        fx, fy = w[f]
+        for g, sx, sy in adj[f]:
+            cand = (fx + sx, fy + sy)
             if w[g] is None:
                 w[g] = cand
                 frontier.append(g)
@@ -319,11 +331,11 @@ def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
                     "dual propagation is inconsistent; "
                     "curve is unbalanced or crosses itself"
                 )
-    if any(x is None for x in w):
+    if None in w:
         raise DualityError("face adjacency graph is not connected")
-    m = min(w, key=lambda v: (v.x, v.y))
-    w = [v - m for v in w]
-    return NewtonComplex(tuple(w), tuple(edges), fs)
+    mx, my = min(w)
+    dual = tuple(IntVector(x - mx, y - my) for x, y in w)
+    return NewtonComplex(dual, tuple(edges), fs)
 
 
 def newton_polygon(c: TropicalCurve) -> LatticePolygon:

@@ -7,6 +7,10 @@ as a weighted balanced curve dual to the regular subdivision induced by
 lifting each exponent to its coefficient.  The subdivision is the projection
 of the upper hull of the lifted support, found by gift-wrapping from facet to
 facet on the lift scaled to integers: O(cells * terms) integer operations.
+The wrap, the cell dedupe (by the gcd-reduced integer normal) and the cell
+hulls (the hull ring shared with newton.convex_hull) run on (x, y) int
+pairs; each cell's Fractions, Point and IntVectors are built once, for the
+cell returned, and the corner locus reads cell sides as int differences.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, cross, dot, primitive_decompose
+from .geom import GeometryError, IntVector, Point, primitive_decompose
 from .curve import Edge, Ray, TropicalCurve
-from .newton import LatticePolygon, convex_hull
+from .newton import LatticePolygon, _hull_ring
 
 
 class PolyParseError(GeometryError):
@@ -247,50 +251,61 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     g = _max_form(f)
     if len(g.terms) < 2:
         raise EmptyCurveError("single-term polynomial has no corner locus")
-    hull2d = convex_hull([IntVector(i, j) for (i, j), _ in g.terms])
-    if hull2d.area2() == 0:
+    ring = _hull_ring(e for e, _ in g.terms)
+    if len(ring) < 3:
         return _collinear_subdivision(g)
     scale = math.lcm(*(c.denominator for _, c in g.terms))
     lifted = [
         (i, j, c.numerator * (scale // c.denominator)) for (i, j), c in g.terms
     ]
-    height = {IntVector(i, j): h for i, j, h in lifted}
+    height = {(i, j): h for i, j, h in lifted}
+    vector = {(i, j): IntVector(i, j) for i, j, _ in lifted}
 
     # Start edge: from the lex-min hull vertex a, the steepest term w on the
-    # next hull side.  The segment w-a is an upper-hull edge with the rest
-    # of the support on the right of w -> a.
-    a, b = hull2d.vertices[0], hull2d.vertices[1]
-    w = max(
-        (p for p in height if p != a and cross(b - a, p - a) == 0),
-        key=lambda p: Fraction(height[p] - height[a], dot(b - a, p - a)),
-    )
-    cells: dict[tuple[Fraction, Fraction], SubdivisionCell] = {}
-    owned: set[tuple[IntVector, IntVector]] = set()  # sides of known cells
-    pending = [(w, a)]
+    # next hull side (the first of equal slopes).  The segment w-a is an
+    # upper-hull edge with the rest of the support on the right of w -> a.
+    (ax, ay), (bx, by) = ring[0], ring[1]
+    ex, ey, ha = bx - ax, by - ay, height[ring[0]]
+    w, rise, run = None, 0, 1
+    for i, j, h in lifted:
+        dx, dy = i - ax, j - ay
+        if (dx or dy) and ex * dy - ey * dx == 0:
+            # slope (h - ha) / run along the side, with run > 0
+            if w is None or (h - ha) * run > rise * (ex * dx + ey * dy):
+                w, rise, run = (i, j), h - ha, ex * dx + ey * dy
+    # by the normal over its gcd: _wrap may give one plane at several scales
+    cells: dict[tuple[int, int, int], SubdivisionCell] = {}
+    owned: set[tuple[tuple, tuple]] = set()  # sides of known cells
+    pending = [(w, ring[0])]
     while pending:
         p, q = pending.pop()
         if (q, p) in owned:
             continue  # the cell beyond this side is known
-        u = (p.x, p.y, height[p])
-        normal = _wrap(lifted, u, (q.x, q.y, height[q]))
+        u = (*p, height[p])
+        normal = _wrap(lifted, u, (*q, height[q]))
         if normal is None:
             continue  # a side of the support hull
         nx, ny, nz = normal
         level = nx * u[0] + ny * u[1] + nz * u[2]
-        members = tuple(
-            IntVector(i, j) for i, j, h in lifted if nx * i + ny * j + nz * h == level
+        on = [(i, j) for i, j, h in lifted if nx * i + ny * j + nz * h == level]
+        cell_ring = _hull_ring(on)
+        d = nz * scale
+        k = math.gcd(nx, ny, nz)
+        cells[nx // k, ny // k, nz // k] = SubdivisionCell(
+            (Fraction(-nx, d), Fraction(-ny, d)),
+            Fraction(level, d),
+            tuple(vector[t] for t in on),
+            LatticePolygon(tuple(vector[t] for t in cell_ring)),
+            Point(Fraction(nx, d), Fraction(ny, d)),
         )
-        poly = convex_hull(list(members))
-        sx, sy = Fraction(-nx, nz * scale), Fraction(-ny, nz * scale)
-        offset = Fraction(u[2], scale) - sx * p.x - sy * p.y
-        cells[(sx, sy)] = SubdivisionCell(
-            (sx, sy), offset, members, poly, Point(-sx, -sy)
-        )
-        vs = poly.vertices
-        sides = list(zip(vs, vs[1:] + vs[:1]))
+        sides = list(zip(cell_ring, cell_ring[1:] + cell_ring[:1]))
         owned.update(sides)
         pending.extend(sides)
-    return DualSubdivision(tuple(cells[k] for k in sorted(cells)))
+    # the slope of a cell is (-nx, -ny) / (nz * scale): order on one
+    # common denominator
+    m = math.lcm(*(nz for _, _, nz in cells))
+    order = sorted(cells, key=lambda n: (-n[0] * (m // n[2]), -n[1] * (m // n[2])))
+    return DualSubdivision(tuple(cells[n] for n in order))
 
 
 def _wrap(lifted, u, v) -> tuple[int, int, int] | None:
@@ -326,22 +341,16 @@ def _collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:
         d = v - base
         return d.x // direction.x if direction.x else d.y // direction.y
 
-    lifted = sorted(
-        (coord(IntVector(i, j)), Fraction(c), IntVector(i, j))
-        for (i, j), c in g.terms
-    )
-    # upper hull in (k, c)
-    chain: list[tuple] = []
-    for k, c, v in lifted:
-        while len(chain) >= 2:
-            (k1, c1, _), (k2, c2, _) = chain[-2], chain[-1]
-            if (c2 - c1) * (k - k1) <= (c - c1) * (k2 - k1):
-                chain.pop()
-            else:
-                break
-        chain.append((k, c, v))
+    lift = [(coord(v), c) for v, (_, c) in zip(pts, g.terms)]
+    exponent = {k: v for (k, _), v in zip(lift, pts)}  # line parameter -> term
+    # The upper envelope in (k, c), left to right: the hull ring's first
+    # corner, then its corners from the last (the lex-max one) back.
+    ring = _hull_ring(lift)
+    top = ring.index(max(ring))
+    chain = [ring[0], *reversed(ring[top:])]
     cells = []
-    for (k1, c1, v1), (k2, c2, v2) in zip(chain, chain[1:]):
+    for (k1, c1), (k2, c2) in zip(chain, chain[1:]):
+        v1, v2 = exponent[k1], exponent[k2]
         # tie locus of the two surviving terms: <v2-v1, x> = c1 - c2
         d = v2 - v1
         rhs = c1 - c2
@@ -384,25 +393,24 @@ def _lattice_length(d: IntVector) -> int:
 def _planar_corner_locus(sub: DualSubdivision) -> TropicalCurve:
     cells = sub.cells
     vertices = [c.dual_vertex for c in cells]
-    # Each owner of a boundary edge with the edge oriented along its polygon.
-    edge_owner: dict[tuple, list[tuple[int, IntVector]]] = {}
+    # Each owner of a boundary edge, with the edge as an int difference
+    # (x, y) oriented along the owner's polygon.
+    edge_owner: dict[tuple, list[tuple[int, int, int]]] = {}
     for idx, cell in enumerate(cells):
-        vs = cell.polygon.vertices
-        for i in range(len(vs)):
-            a, b = vs[i], vs[(i + 1) % len(vs)]
-            ka, kb = (a.x, a.y), (b.x, b.y)
-            key = (ka, kb) if ka <= kb else (kb, ka)
-            edge_owner.setdefault(key, []).append((idx, b - a))
+        vs = [(v.x, v.y) for v in cell.polygon.vertices]
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            key = (a, b) if a <= b else (b, a)
+            edge_owner.setdefault(key, []).append((idx, b[0] - a[0], b[1] - a[1]))
     edges = []
     rays = []
     for _, owners in sorted(edge_owner.items()):
         if len(owners) == 2:
-            (i, side), (j, _) = owners
-            edges.append(Edge(i, j, _lattice_length(side)))
+            (i, dx, dy), (j, _, _) = owners
+            edges.append(Edge(i, j, math.gcd(dx, dy)))
         elif len(owners) == 1:
-            (i, side), = owners
-            direction, w = primitive_decompose(side.rot_cw())
-            rays.append(Ray(i, direction, w))
+            (i, dx, dy), = owners
+            w = math.gcd(dx, dy)
+            rays.append(Ray(i, IntVector(dy // w, -dx // w), w))  # side rotated -90
         else:
             raise GeometryError("a subdivision edge borders more than two cells")
     return TropicalCurve(tuple(vertices), tuple(edges), tuple(rays))

@@ -21,7 +21,17 @@ from tropcurve.curve import (
     star_at,
     translate,
 )
-from tropcurve.geom import GeometryError, IntVector, Point, cross, dot, primitive_direction, pt
+from tropcurve.geom import (
+    GeometryError,
+    IntVector,
+    Point,
+    cross,
+    dot,
+    primitive_decompose,
+    primitive_direction,
+    pseudo_angle,
+    pt,
+)
 from tropcurve.intersect import (
     Divisor,
     NonGenericDirection,
@@ -30,14 +40,22 @@ from tropcurve.intersect import (
     perturbation_oracle,
 )
 from tropcurve.jacobian import AbelCoordinate, CycleSystem, abel_coordinate
-from tropcurve.newton import LatticePolygon, convex_hull, newton_complex, star_multiplicity
+from tropcurve.newton import (
+    DualityError,
+    FaceStructure,
+    LatticePolygon,
+    NewtonComplex,
+    _UnionFind,
+    convex_hull,
+    newton_complex,
+    star_multiplicity,
+)
 from tropcurve.params import CurveSkeleton, closure_matrix
 from tropcurve.polyfront import (
     DualSubdivision,
     EmptyCurveError,
     SubdivisionCell,
     TropicalPolynomial,
-    _collinear_subdivision,
     _max_form,
     corner_locus,
     polynomial,
@@ -56,6 +74,159 @@ def reference_outgoing(c: TropicalCurve, vertex: int) -> list[IntVector]:
         if r.vertex == vertex:
             out.append(r.direction * r.weight)
     return out
+
+
+def reference_convex_hull(points: list[IntVector]) -> LatticePolygon:
+    """convex_hull on IntVectors, rotated to its lex-min vertex: the oracle
+    for the shared (x, y) hull ring."""
+    pts = sorted(set((p.x, p.y) for p in points))
+    if not pts:
+        raise GeometryError("hull of empty point set")
+    if len(pts) == 1:
+        return LatticePolygon((IntVector(*pts[0]),))
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (p[0] - out[-2][0]) * (out[-1][1] - out[-2][1])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = build(pts)
+    upper = build(reversed(pts))
+    ring = lower[:-1] + upper[:-1]
+    if len(ring) == 1:  # all points collinear -> keep both ends
+        ring = [lower[0], lower[-1]]
+    if len(ring) == 2 and ring[0] == ring[1]:
+        ring = ring[:1]
+    verts = [IntVector(x, y) for x, y in ring]
+    start = min(range(len(verts)), key=lambda i: (verts[i].x, verts[i].y))
+    return LatticePolygon(tuple(verts[start:] + verts[:start]))
+
+
+def reference_face_structure(c: TropicalCurve) -> FaceStructure:
+    """newton.face_structure with an angle key per comparison and parallel
+    rays ordered by a Fraction offset taken on the rational points."""
+    its = items(c)
+    if not its:
+        raise GeometryError("empty curve has no face structure")
+    uf = _UnionFind(2 * len(its))
+    ends: list[list[tuple]] = [[] for _ in c.vertices]
+    for k, it in enumerate(its):
+        ends[it.tail].append((it.prim, 2 * k, 2 * k + 1))
+        if it.bounded:
+            ends[it.head].append((-it.prim, 2 * k + 1, 2 * k))
+    for v, lst in enumerate(ends):
+        lst.sort(key=lambda t: pseudo_angle(t[0]))
+        for i in range(len(lst) - 1):
+            if pseudo_angle(lst[i][0]) == pseudo_angle(lst[i + 1][0]):
+                raise GeometryError(
+                    f"two items leave vertex {v} in the same direction"
+                )
+        for i in range(len(lst)):
+            uf.merge(lst[i][1], lst[(i + 1) % len(lst)][2])
+    ray_sides = []
+    for k, it in enumerate(its):
+        if not it.bounded:
+            offset = Fraction(cross(it.prim, it.origin))
+            ray_sides.append((pseudo_angle(it.prim), offset, 2 * k, 2 * k + 1))
+    ray_sides.sort(key=lambda t: (t[0], t[1]))
+    for i in range(len(ray_sides)):
+        uf.merge(ray_sides[i][2], ray_sides[(i + 1) % len(ray_sides)][3])
+    face_of: dict[int, int] = {}
+    side_face = []
+    for s in range(2 * len(its)):
+        root = uf.find(s)
+        if root not in face_of:
+            face_of[root] = len(face_of)
+        side_face.append(face_of[root])
+    count = len(face_of)
+    bounded = [True] * count
+    for _, _, ls, rs in ray_sides:
+        bounded[side_face[ls]] = False
+        bounded[side_face[rs]] = False
+    vertex_faces = tuple(tuple(side_face[t[1]] for t in lst) for lst in ends)
+    return FaceStructure(
+        count, tuple(side_face), tuple(bounded), vertex_faces, its
+    )
+
+
+def reference_propagate(fs: FaceStructure, order: str) -> NewtonComplex:
+    """newton._propagate on IntVector sums, the frontier a list popped at
+    its front ("bfs") or its end ("dfs")."""
+    edges = []
+    adj: list[list[tuple[int, IntVector]]] = [[] for _ in range(fs.count)]
+    for k, it in enumerate(fs.items):
+        fl, fr = fs.side_face[2 * k], fs.side_face[2 * k + 1]
+        step = it.prim.rot_cw() * it.weight
+        edges.append((fl, fr, it.kind, it.index))
+        adj[fl].append((fr, step))
+        adj[fr].append((fl, -step))
+    w: list[IntVector | None] = [None] * fs.count
+    w[0] = IntVector(0, 0)
+    frontier = [0]
+    while frontier:
+        f = frontier.pop(0 if order == "bfs" else -1)
+        for g, step in adj[f]:
+            cand = w[f] + step
+            if w[g] is None:
+                w[g] = cand
+                frontier.append(g)
+            elif w[g] != cand:
+                raise DualityError(
+                    "dual propagation is inconsistent; "
+                    "curve is unbalanced or crosses itself"
+                )
+    if any(x is None for x in w):
+        raise DualityError("face adjacency graph is not connected")
+    m = min(w, key=lambda v: (v.x, v.y))
+    return NewtonComplex(tuple(v - m for v in w), tuple(edges), fs)
+
+
+def reference_collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:
+    """polyfront._collinear_subdivision with its own upper-envelope chain
+    in (line parameter, coefficient); g is in the max convention."""
+    pts = [IntVector(i, j) for (i, j), _ in g.terms]
+    base = min(pts, key=lambda v: (v.x, v.y))
+    far = max(pts, key=lambda v: (v.x, v.y))
+    direction, _ = primitive_decompose(far - base)
+
+    def coord(v: IntVector) -> int:
+        d = v - base
+        return d.x // direction.x if direction.x else d.y // direction.y
+
+    lifted = sorted(
+        (coord(IntVector(i, j)), Fraction(c), IntVector(i, j))
+        for (i, j), c in g.terms
+    )
+    chain: list[tuple] = []
+    for k, c, v in lifted:
+        while len(chain) >= 2:
+            (k1, c1, _), (k2, c2, _) = chain[-2], chain[-1]
+            if (c2 - c1) * (k - k1) <= (c - c1) * (k2 - k1):
+                chain.pop()
+            else:
+                break
+        chain.append((k, c, v))
+    cells = []
+    for (k1, c1, v1), (k2, c2, v2) in zip(chain, chain[1:]):
+        d = v2 - v1
+        rhs = c1 - c2
+        norm = Fraction(d.x * d.x + d.y * d.y)
+        vertex = Point(rhs * d.x / norm, rhs * d.y / norm)
+        slope_x, slope_y = -vertex.x, -vertex.y
+        cells.append(SubdivisionCell(
+            (slope_x, slope_y),
+            c1 - slope_x * v1.x - slope_y * v1.y,
+            (v1, v2),
+            LatticePolygon((v1, v2) if (v1.x, v1.y) <= (v2.x, v2.y) else (v2, v1)),
+            vertex,
+        ))
+    return DualSubdivision(tuple(cells))
 
 
 def _plane_through(pts) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -77,9 +248,9 @@ def reference_dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     lifted = [(i, j, c) for (i, j), c in g.terms]
     if len(lifted) < 2:
         raise EmptyCurveError("single-term polynomial has no corner locus")
-    hull2d = convex_hull([IntVector(i, j) for i, j, _ in lifted])
+    hull2d = reference_convex_hull([IntVector(i, j) for i, j, _ in lifted])
     if hull2d.area2() == 0:
-        return _collinear_subdivision(g)
+        return reference_collinear_subdivision(g)
     cells: dict[tuple, SubdivisionCell] = {}
     n = len(lifted)
     for a in range(n):
@@ -95,7 +266,7 @@ def reference_dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
                         for i, j, ci in lifted
                         if ci == sx * i + sy * j + t
                     )
-                    poly = convex_hull(list(members))
+                    poly = reference_convex_hull(list(members))
                     cells[(sx, sy)] = SubdivisionCell(
                         (sx, sy), t, members, poly, Point(-sx, -sy)
                     )

@@ -23,6 +23,7 @@ from fixtures_lib import (
 from tropcurve.curve import (
     Edge,
     Ray,
+    StructureError,
     TropicalCurve,
     canonical_form,
     curve,
@@ -32,6 +33,8 @@ from tropcurve.curve import (
     validate,
 )
 from tropcurve.geom import IntVector, primitive_direction
+from tropcurve.intersect import stable_intersection
+from tropcurve.newton import newton_complex, newton_polygon
 from tropcurve.polyfront import corner_locus, parse
 
 # Every fixture but vertical_line: a 2-valent vertex with opposite rays is
@@ -151,3 +154,36 @@ def test_normalize_undoes_splits(c):
 )
 def test_normalize_keeps_unequal_weights(c):
     assert canonical_form(normalize(c)) == canonical_form(c)
+
+
+# An edge whose head is past the last vertex, and one whose head is -1,
+# which Python indexing would read as the last vertex.
+OUT_OF_RANGE = [
+    curve([(0, 0)], edges=[(0, 5)], rays=[(0, (1, 0)), (0, (-1, 0))]),
+    curve([(0, 0), (1, 0)], edges=[(0, -1)], rays=[(0, (-1, 0)), (1, (1, 0))]),
+]
+
+
+@pytest.mark.parametrize("c", OUT_OF_RANGE)
+@pytest.mark.parametrize(
+    "use",
+    [
+        newton_complex,
+        newton_polygon,
+        lambda c: stable_intersection(c, tropical_line()),
+        lambda c: stable_intersection(tropical_line(), c),
+    ],
+    ids=["newton_complex", "newton_polygon", "stable_intersection", "stable_intersection_second"],
+)
+def test_out_of_range_vertex_refused(c, use):
+    with pytest.raises(StructureError, match="^edge 0 references vertex out of range$"):
+        use(c)
+
+
+@pytest.mark.parametrize("vertex", [1, -1])
+def test_ray_out_of_range_refused(vertex):
+    c = curve([(0, 0)], rays=[(0, (1, 0)), (vertex, (-1, 0))])
+    with pytest.raises(StructureError, match="^ray 1 references vertex out of range$"):
+        items(c)
+    with pytest.raises(StructureError, match="^ray 1 references vertex out of range$"):
+        validate(c)
