@@ -7,6 +7,7 @@ floating-point trigonometry.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -28,6 +29,13 @@ class RefusalError(GeometryError):
 
     The CLI exits 1 on these and 2 on every other GeometryError.
     """
+
+
+def digit_limit() -> int:
+    """CPython's limit on the digits of an int converted from or to a
+    string, past which int() and str() raise ValueError; 0 for none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,19 @@
 Rationals serialize as strings "p/q" (or "p" when the denominator is 1);
 lattice data serializes as plain integers.  Emission is canonical: fixed key
 order, two-space indent, trailing newline, so serialize-parse-serialize is
-byte-stable.
+byte-stable.  A curve is written directly in that layout by curve_to_json,
+without the json module's pure-Python indenting encoder; the other schemas
+go through dumps.  A number beyond the interpreter's int-string limit is
+refused with a SchemaError that names the field and the digit count.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point
+from .geom import GeometryError, IntVector, Point, digit_limit
 from .curve import Edge, Ray, TropicalCurve
 from .intersect import Divisor
 from .newton import LatticePolygon, NewtonComplex
@@ -25,6 +29,9 @@ def fraction_to_str(x: Fraction) -> str:
     return str(x)
 
 
+_DIGIT_RUN = re.compile(r"\d+")
+
+
 def fraction_from_str(s, field: str) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
@@ -33,6 +40,12 @@ def fraction_from_str(s, field: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
+        longest = max(map(len, _DIGIT_RUN.findall(s)), default=0)
+        limit = digit_limit()
+        if 0 < limit < longest:
+            raise SchemaError(
+                f"{field}: number of {longest} digits exceeds the {limit}-digit limit"
+            ) from None
         raise SchemaError(f"{field}: invalid rational {s!r}") from None
 
 
@@ -58,17 +71,6 @@ def _int_field(obj, field: str) -> int:
 # ---------------------------------------------------------------------------
 # Curves
 # ---------------------------------------------------------------------------
-
-
-def curve_to_dict(c: TropicalCurve) -> dict:
-    return {
-        "vertices": [_point_to_list(v) for v in c.vertices],
-        "edges": [{"v": [e.a, e.b], "w": e.weight} for e in c.edges],
-        "rays": [
-            {"v": r.vertex, "dir": [r.direction.x, r.direction.y], "w": r.weight}
-            for r in c.rays
-        ],
-    }
 
 
 def curve_from_dict(d) -> TropicalCurve:
@@ -120,16 +122,46 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _block(entries: list[str]) -> str:
+    """A list one level below the top, from its entries at indent 4."""
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+
 def curve_to_json(c: TropicalCurve) -> str:
-    return dumps(curve_to_dict(c))
+    """The curve schema in the layout of dumps, written directly."""
+    vertices = _block([
+        f'    [\n      "{fraction_to_str(v.x)}",\n      "{fraction_to_str(v.y)}"\n    ]'
+        for v in c.vertices
+    ])
+    edges = _block([
+        f'    {{\n      "v": [\n        {e.a},\n        {e.b}\n      ],\n'
+        f'      "w": {e.weight}\n    }}'
+        for e in c.edges
+    ])
+    rays = _block([
+        f'    {{\n      "v": {r.vertex},\n      "dir": [\n        {r.direction.x},\n'
+        f'        {r.direction.y}\n      ],\n      "w": {r.weight}\n    }}'
+        for r in c.rays
+    ])
+    return (
+        f'{{\n  "vertices": {vertices},\n  "edges": {edges},\n'
+        f'  "rays": {rays}\n}}\n'
+    )
+
+
+def _loads(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"{what}: invalid JSON ({err.msg} at char {err.pos})")
+    except ValueError:  # an integer literal past the int-string limit
+        raise SchemaError(
+            f"{what}: a JSON integer exceeds the {digit_limit()}-digit limit"
+        ) from None
 
 
 def curve_from_json(text: str) -> TropicalCurve:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"curve: invalid JSON ({err.msg} at char {err.pos})")
-    return curve_from_dict(data)
+    return curve_from_dict(_loads(text, "curve"))
 
 
 def load_curve(path: str) -> TropicalCurve:
@@ -167,12 +199,7 @@ def divisor_to_json(d: Divisor) -> str:
 
 def load_divisor(path: str, host: TropicalCurve | None = None) -> Divisor:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.loads(fh.read())
-        except json.JSONDecodeError as err:
-            raise SchemaError(
-                f"divisor: invalid JSON ({err.msg} at char {err.pos})"
-            )
+        data = _loads(fh.read(), "divisor")
     return divisor_from_list(data, host)
 
 

@@ -14,9 +14,10 @@ everywhere; it makes the 3-ray curve with rays west/south/northeast dual to
 the standard unit triangle.
 
 The face structure and the propagation run on plain ints: one angle key
-per item end, parallel rays ordered by their integer offset on the curve's
-grid, and dual lattice points walked as (x, y) pairs; IntVectors are built
-only for the dual vertices returned.  One monotone-chain hull ring on
+per item end, read off the item's primitive direction with no gcd, parallel
+rays ordered by their integer offset on the curve's grid, and dual lattice
+points walked as (x, y) pairs; IntVectors are built only for the dual
+vertices returned.  One monotone-chain hull ring on
 (x, y) pairs serves convex_hull and the subdivision of polyfront.
 """
 
@@ -206,14 +207,29 @@ _first = itemgetter(0)
 _first_two = itemgetter(0, 1)
 
 
+class _Angle(tuple):
+    """The angle key (half, x, y) of a primitive direction (x, y): the order
+    of pseudo_angle on ints.  Equality is the tuple's, since equal primitive
+    directions are equal vectors; less-than compares the half-planes, then
+    the cross product."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: "_Angle") -> bool:
+        if self[0] != other[0]:
+            return self[0] < other[0]
+        return self[1] * other[2] - other[1] * self[2] > 0
+
+
 def face_structure(c: TropicalCurve) -> FaceStructure:
     """Enumerate the connected components of the plane minus the curve.
 
     Sides of items are glued around each vertex and around the circle at
     infinity (rays ordered by direction, parallel rays by signed offset).
-    Each item end gets one angle key; a ray's offset is taken on the
-    curve's integer grid, whose positive scale keeps the order.  Requires
-    a structurally sound embedded curve.
+    Each item end gets one angle key, built from the item's primitive
+    direction (the head end's is the opposite half); a ray's offset is
+    taken on the curve's integer grid, whose positive scale keeps the
+    order.  Requires a structurally sound embedded curve.
     """
     its = items(c)
     if not its:
@@ -224,13 +240,15 @@ def face_structure(c: TropicalCurve) -> FaceStructure:
     ends: list[list[tuple]] = [[] for _ in c.vertices]
     ray_sides = []  # (angle, offset, left side, right side)
     for k, it in enumerate(its):
-        angle = pseudo_angle(it.prim)
+        x, y = it.prim.x, it.prim.y
+        half = 0 if y > 0 or (y == 0 and x > 0) else 1
+        angle = _Angle((half, x, y))
         ends[it.tail].append((angle, 2 * k, 2 * k + 1))
         if it.head is not None:
-            ends[it.head].append((pseudo_angle(-it.prim), 2 * k + 1, 2 * k))
+            ends[it.head].append((_Angle((1 - half, -x, -y)), 2 * k + 1, 2 * k))
         else:
             ox, oy = it.lattice[0], it.lattice[1]
-            ray_sides.append((angle, it.prim.x * oy - ox * it.prim.y, 2 * k, 2 * k + 1))
+            ray_sides.append((angle, x * oy - ox * y, 2 * k, 2 * k + 1))
 
     for v, lst in enumerate(ends):
         lst.sort(key=_first)
@@ -378,15 +396,6 @@ def dual_cell(c: TropicalCurve, vertex: int) -> LatticePolygon:
     if not (0 <= vertex < len(c.vertices)):
         raise GeometryError(f"no vertex {vertex}")
     return star_cell(local_star(c, c.vertices[vertex]))
-
-
-def dual_cell_from_faces(
-    c: TropicalCurve, vertex: int, nc: NewtonComplex
-) -> LatticePolygon:
-    """Dual cell as the hull of the dual points of the faces at a vertex."""
-    faces = nc.faces.vertex_faces[vertex]
-    pts = [nc.dual_vertices[f] for f in faces]
-    return convex_hull(pts).normalized()
 
 
 def vertex_multiplicity(c: TropicalCurve, p: Point) -> int:

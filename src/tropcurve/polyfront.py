@@ -7,10 +7,14 @@ as a weighted balanced curve dual to the regular subdivision induced by
 lifting each exponent to its coefficient.  The subdivision is the projection
 of the upper hull of the lifted support, found by gift-wrapping from facet to
 facet on the lift scaled to integers: O(cells * terms) integer operations.
-The wrap, the cell dedupe (by the gcd-reduced integer normal) and the cell
-hulls (the hull ring shared with newton.convex_hull) run on (x, y) int
-pairs; each cell's Fractions, Point and IntVectors are built once, for the
-cell returned, and the corner locus reads cell sides as int differences.
+One pass over the terms per wrap gives both the facet's normal and the
+terms on its plane.  The wrap, the cell dedupe (by the gcd-reduced integer
+normal) and the cell hulls (the hull ring shared with newton.convex_hull)
+run on (x, y) int pairs; each cell's Fractions, Point and IntVectors are
+built once, for the cell returned, and the corner locus reads cell sides as
+int differences.  The parser keeps each coefficient as an int pair until
+its term ends, and refuses a number past the interpreter's int-string
+limit with a PolyParseError at its position.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, primitive_decompose
+from .geom import GeometryError, IntVector, Point, digit_limit, primitive_decompose
 from .curve import Edge, Ray, TropicalCurve
 from .newton import LatticePolygon, _hull_ring
 
@@ -97,12 +101,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  A term's coefficient is kept as
+    an (num, den) int pair while its factors are read, and becomes one
+    Fraction when the term ends."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def take(self, kind: str):
         tok = self.tokens[self.pos]
@@ -111,54 +116,72 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def rational(self) -> Fraction:
+    def number(self) -> int:
+        tok = self.take("number")
+        try:
+            return int(tok[1])
+        except ValueError:  # past the interpreter's int-string limit
+            raise PolyParseError(
+                f"number of {len(tok[1])} digits exceeds the "
+                f"{digit_limit()}-digit limit",
+                tok[2],
+            ) from None
+
+    def rational(self) -> tuple[int, int]:
         sign = 1
-        if self.peek()[0] == "-":
-            self.take("-")
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
             sign = -1
-        num = int(self.take("number")[1])
-        if self.peek()[0] == "/":
-            self.take("/")
-            den_tok = self.take("number")
-            den = int(den_tok[1])
+        num = sign * self.number()
+        if self.tokens[self.pos][0] == "/":
+            self.pos += 1
+            den_tok = self.tokens[self.pos]
+            den = self.number()
             if den == 0:
                 raise PolyParseError("zero denominator", den_tok[2])
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
-    def factor(self) -> tuple[int, int, Fraction]:
-        tok = self.peek()
-        if tok[0] == "(":
-            self.take("(")
-            value = self.rational()
-            self.take(")")
-            return (0, 0, value)
-        if tok[0] in ("number", "-"):
-            return (0, 0, self.rational())
-        if tok[0] in ("x", "y"):
-            self.take(tok[0])
-            exp = 1
-            if self.peek()[0] == "^":
-                self.take("^")
-                etok = self.peek()
-                if etok[0] == "-":
-                    raise PolyParseError("negative exponent", etok[2])
-                exp = int(self.take("number")[1])
-            return (exp, 0, Fraction(0)) if tok[0] == "x" else (0, exp, Fraction(0))
-        raise PolyParseError(f"expected a term, found {tok[1]!r}", tok[2])
+            return num, den
+        return num, 1
 
     def term(self) -> tuple[tuple[int, int], Fraction]:
-        i, j, c = self.factor()
-        while self.peek()[0] == "*":
-            self.take("*")
-            di, dj, dc = self.factor()
-            i, j, c = i + di, j + dj, c + dc
-        return ((i, j), c)
+        """Factors joined by '*': exponents and coefficients add up."""
+        tokens = self.tokens
+        i = j = 0
+        num, den = 0, 1
+        while True:
+            tok = tokens[self.pos]
+            kind = tok[0]
+            if kind == "x" or kind == "y":
+                self.pos += 1
+                exp = 1
+                if tokens[self.pos][0] == "^":
+                    self.pos += 1
+                    etok = tokens[self.pos]
+                    if etok[0] == "-":
+                        raise PolyParseError("negative exponent", etok[2])
+                    exp = self.number()
+                if kind == "x":
+                    i += exp
+                else:
+                    j += exp
+            else:
+                if kind == "(":
+                    self.pos += 1
+                    n, d = self.rational()
+                    self.take(")")
+                elif kind == "number" or kind == "-":
+                    n, d = self.rational()
+                else:
+                    raise PolyParseError(f"expected a term, found {tok[1]!r}", tok[2])
+                num, den = num * d + n * den, den * d
+            if tokens[self.pos][0] != "*":
+                break
+            self.pos += 1
+        return (i, j), Fraction(num) if den == 1 else Fraction(num, den)
 
     def expression(self) -> list[tuple[tuple[int, int], Fraction]]:
         terms = [self.term()]
-        while self.peek()[0] == "+":
-            self.take("+")
+        while self.tokens[self.pos][0] == "+":
+            self.pos += 1
             terms.append(self.term())
         self.take("end")
         return terms
@@ -173,20 +196,14 @@ def parse(text: str, convention: str = "max") -> TropicalPolynomial:
     merged: dict[tuple[int, int], Fraction] = {}
     for e, c in terms:
         merged[e] = pick(merged[e], c) if e in merged else c
-    return polynomial(merged, convention)
+    # exponents are digit strings, so none is negative
+    return TropicalPolynomial(tuple(sorted(merged.items())), convention)
 
 
 def evaluate(f: TropicalPolynomial, p: Point) -> Fraction:
     """Extremum over terms of i*x + j*y + coefficient."""
     values = [i * p.x + j * p.y + c for (i, j), c in f.terms]
     return max(values) if f.convention == "max" else min(values)
-
-
-def dominant_terms(f: TropicalPolynomial, p: Point) -> tuple[tuple[int, int], ...]:
-    best = evaluate(f, p)
-    return tuple(
-        e for e, c in f.terms if e[0] * p.x + e[1] * p.y + c == best
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +299,21 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
         if (q, p) in owned:
             continue  # the cell beyond this side is known
         u = (*p, height[p])
-        normal = _wrap(lifted, u, (*q, height[q]))
-        if normal is None:
+        facet = _wrap(lifted, u, (*q, height[q]))
+        if facet is None:
             continue  # a side of the support hull
-        nx, ny, nz = normal
+        (nx, ny, nz), on = facet
         level = nx * u[0] + ny * u[1] + nz * u[2]
-        on = [(i, j) for i, j, h in lifted if nx * i + ny * j + nz * h == level]
         cell_ring = _hull_ring(on)
         d = nz * scale
         k = math.gcd(nx, ny, nz)
+        x, y = Fraction(nx, d), Fraction(ny, d)
         cells[nx // k, ny // k, nz // k] = SubdivisionCell(
-            (Fraction(-nx, d), Fraction(-ny, d)),
+            (-x, -y),
             Fraction(level, d),
             tuple(vector[t] for t in on),
             LatticePolygon(tuple(vector[t] for t in cell_ring)),
-            Point(Fraction(nx, d), Fraction(ny, d)),
+            Point(x, y),
         )
         sides = list(zip(cell_ring, cell_ring[1:] + cell_ring[:1]))
         owned.update(sides)
@@ -308,25 +325,44 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     return DualSubdivision(tuple(cells[n] for n in order))
 
 
-def _wrap(lifted, u, v) -> tuple[int, int, int] | None:
-    """Upward normal (nz > 0) of the upper facet across the hull edge u-v
-    on the right of u -> v, or None when no term lies on that side.
+def _wrap(lifted, u, v) -> tuple[tuple[int, int, int], list[tuple]] | None:
+    """The upper facet across the hull edge u-v on the right of u -> v: its
+    upward normal (nz > 0) and the (x, y) terms on its plane, in support
+    order; None when no term lies on that side.
 
     Every plane through u, v and a term r strictly on the right is a turn of
     one plane about the line uv, so "some term lies above r's plane" orders
-    the candidates totally and one pass finds the last turn.
+    the candidates totally and one pass finds the last turn.  The terms on
+    the current plane are kept as ties while the pass runs, and dropped when
+    the plane turns, since a term off the line uv lies on one plane of the
+    pencil only.  Terms on the lifted line uv lie on every plane of it.
     """
     ux, uy, uh = u
     ex, ey, eh = v[0] - ux, v[1] - uy, v[2] - uh
-    best = None
-    for i, j, h in lifted:
-        dx, dy, dh = i - ux, j - uy, h - uh
-        if ex * dy - ey * dx >= 0:
-            continue
-        if best is None or best[0] * dx + best[1] * dy + best[2] * dh > 0:
-            # (r - u) x (v - u), whose z-part is positive on this side
-            best = (dy * eh - dh * ey, dh * ex - dx * eh, dx * ey - dy * ex)
-    return best
+    # the pass starts from the vertical plane through uv, below every term
+    # on the right of it
+    a, b, c = ey, -ex, 0
+    line, ties = [], []
+    for t in lifted:
+        i, j, h = t
+        dx, dy = i - ux, j - uy
+        side = ex * dy - ey * dx
+        if side < 0:
+            dh = h - uh
+            above = a * dx + b * dy + c * dh
+            if above > 0:
+                # (r - u) x (v - u), whose z-part is positive on this side
+                a, b, c = dy * eh - dh * ey, dh * ex - dx * eh, dx * ey - dy * ex
+                ties = [t]
+            elif above == 0:
+                ties.append(t)
+        elif side == 0:
+            dh = h - uh
+            if dx * eh == dh * ex and dy * eh == dh * ey:
+                line.append(t)
+    if not ties:
+        return None
+    return (a, b, c), [(i, j) for i, j, _ in sorted(line + ties)]
 
 
 def _collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:

@@ -1,5 +1,6 @@
 """Shared hand-built curves used across the test suite."""
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,8 +59,49 @@ from tropcurve.polyfront import (
     TropicalPolynomial,
     _max_form,
     corner_locus,
+    evaluate,
     polynomial,
 )
+
+
+# ---------------------------------------------------------------------------
+# Routes with no caller in the library: references for the tests.
+# ---------------------------------------------------------------------------
+
+
+def curve_to_dict(c: TropicalCurve) -> dict:
+    """The curve schema as json objects, for tests that edit a curve file."""
+    return {
+        "vertices": [[str(v.x), str(v.y)] for v in c.vertices],
+        "edges": [{"v": [e.a, e.b], "w": e.weight} for e in c.edges],
+        "rays": [
+            {"v": r.vertex, "dir": [r.direction.x, r.direction.y], "w": r.weight}
+            for r in c.rays
+        ],
+    }
+
+
+def reference_curve_to_json(c: TropicalCurve) -> str:
+    """The curve file through the stdlib encoder: the oracle for the direct
+    writer jsonio.curve_to_json."""
+    return json.dumps(curve_to_dict(c), indent=2) + "\n"
+
+
+def dominant_terms(f: TropicalPolynomial, p: Point) -> tuple[tuple[int, int], ...]:
+    """The exponents of the terms attaining the extremum of f at p."""
+    best = evaluate(f, p)
+    return tuple(
+        e for e, c in f.terms if e[0] * p.x + e[1] * p.y + c == best
+    )
+
+
+def dual_cell_from_faces(
+    c: TropicalCurve, vertex: int, nc: NewtonComplex
+) -> LatticePolygon:
+    """Dual cell as the hull of the dual points of the faces at a vertex."""
+    faces = nc.faces.vertex_faces[vertex]
+    pts = [nc.dual_vertices[f] for f in faces]
+    return convex_hull(pts).normalized()
 
 
 def reference_outgoing(c: TropicalCurve, vertex: int) -> list[IntVector]:

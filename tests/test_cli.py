@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fixtures_lib import (
     concave_lift,
+    curve_to_dict,
     poly_text,
     theta_curve,
     triangle_cycle_host,
@@ -21,7 +22,7 @@ from tropcurve.cli import main
 from tropcurve.curve import canonical_form, curve
 from tropcurve.intersect import Divisor
 from tropcurve.polyfront import corner_locus, polynomial
-from tropcurve.geom import pt
+from tropcurve.geom import digit_limit, pt
 from tropcurve import jsonio
 
 
@@ -327,7 +328,7 @@ def broken_curve_files(draw):
     exits 1.
     """
     base = draw(st.sampled_from([tropical_line(), triangle_cycle_host()]))
-    d = jsonio.curve_to_dict(base)
+    d = curve_to_dict(base)
     n = len(d["vertices"])
     ray = d["rays"][draw(st.integers(0, len(d["rays"]) - 1))]
     defect = draw(
@@ -421,6 +422,48 @@ def test_schema_errors_exit_2(tmp_path, capsys, kind, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# Numbers past the interpreter's int-string limit, at each input boundary:
+# refused by name with exit 2, never a ValueError traceback.
+_BIG = "1" * 5000
+_OVERSIZED = [
+    ("poly", f"({_BIG})*x + y + 0",
+     "number of 5000 digits exceeds the {limit}-digit limit (at position 1)"),
+    ("poly", f"x^{_BIG} + 0",
+     "number of 5000 digits exceeds the {limit}-digit limit (at position 2)"),
+    ("poly", f"0 + x + (-3/{_BIG})*y",
+     "number of 5000 digits exceeds the {limit}-digit limit (at position 12)"),
+    ("curve", f'{{"vertices": [["{_BIG}", "0"]], "edges": [], "rays": []}}',
+     "vertices[0][0]: number of 5000 digits exceeds the {limit}-digit limit"),
+    ("curve", f'{{"vertices": [["0", "-1/{_BIG}"]], "edges": [], "rays": []}}',
+     "vertices[0][1]: number of 5000 digits exceeds the {limit}-digit limit"),
+    ("curve", f'{{"vertices": [[{_BIG}, "0"]], "edges": [], "rays": []}}',
+     "curve: a JSON integer exceeds the {limit}-digit limit"),
+    ("divisor", f'[{{"point": ["0", "{_BIG}"]}}]',
+     "divisor[0].point[1]: number of 5000 digits exceeds the {limit}-digit limit"),
+]
+
+
+@pytest.mark.skipif(
+    not 0 < digit_limit() < 5000, reason="the interpreter has no int-string limit"
+)
+@pytest.mark.parametrize("kind, text, message", _OVERSIZED)
+def test_oversized_numbers_exit_2(tmp_path, capsys, kind, text, message):
+    if kind == "poly":
+        argv = ["from-poly", text]
+    else:
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = ["validate", str(bad)]
+        if kind == "divisor":
+            line = tmp_path / "line.json"
+            line.write_text(_LINE)
+            argv = ["jacobi", str(line), str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(limit=digit_limit())}\n"
 
 
 def test_bezout_one_curve_exit_2(paths, capsys):

@@ -1,11 +1,31 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixtures_lib import triangle_cycle_host, tropical_line, weight_two_edge_curve
+from fixtures_lib import (
+    anti_line,
+    concave_lift,
+    coordinate_cross,
+    figure_eight,
+    reference_curve_to_json,
+    sparse_lift,
+    tail_cycle_curve,
+    theta_curve,
+    tied_lift,
+    triangle_cycle_host,
+    tropical_line,
+    two_triangles_bridged,
+    unit_triangle_cycle,
+    weight_two_edge_curve,
+)
 from tropcurve import jsonio
-from tropcurve.geom import pt
+from tropcurve.curve import Edge, Ray, TropicalCurve, curve, translate
+from tropcurve.geom import IntVector, Point, digit_limit, pt
 from tropcurve.intersect import Divisor
+from tropcurve.polyfront import corner_locus, polynomial
 
 
 def test_rational_strings():
@@ -71,3 +91,102 @@ def test_booleans_are_not_rationals():
         jsonio.curve_from_dict({"vertices": [["1", False]], "edges": [], "rays": []})
     with pytest.raises(jsonio.SchemaError, match=r"divisor\[0\]\.point\[0\]: .* got True"):
         jsonio.divisor_from_list([{"point": [True, 2], "multiplicity": 1}])
+
+
+# ---------------------------------------------------------------------------
+# The direct curve writer against the stdlib encoder.
+# ---------------------------------------------------------------------------
+
+
+def assert_writer_matches(c):
+    text = jsonio.curve_to_json(c)
+    assert text == reference_curve_to_json(c)
+    assert jsonio.curve_from_json(text) == c
+
+
+_FIXTURES = [
+    tropical_line(),
+    anti_line((2, -5)),
+    coordinate_cross(("-1/3", 4)),
+    triangle_cycle_host(),
+    unit_triangle_cycle(),
+    weight_two_edge_curve(),
+    theta_curve(),
+    figure_eight(),
+    two_triangles_bridged(),
+    tail_cycle_curve(),
+]
+
+
+def test_curve_writer_matches_stdlib_on_fixtures():
+    for c in _FIXTURES:
+        assert_writer_matches(c)
+        # negative rationals, with and without a denominator
+        assert_writer_matches(translate(c, pt("-7/3", -11)))
+
+
+@pytest.mark.parametrize("lift", [concave_lift, sparse_lift, tied_lift])
+def test_curve_writer_matches_stdlib_on_seeded_loci(lift):
+    rng = random.Random(f"writer:{lift.__name__}")
+    for d in range(1, 8):
+        for convention in ("max", "min"):
+            assert_writer_matches(corner_locus(polynomial(lift(rng, d), convention)))
+
+
+def test_curve_writer_empty_lists():
+    empty = TropicalCurve((), (), ())
+    assert jsonio.curve_to_json(empty) == (
+        '{\n  "vertices": [],\n  "edges": [],\n  "rays": []\n}\n'
+    )
+    assert_writer_matches(empty)
+    assert_writer_matches(TropicalCurve((pt("-1/2", 3),), (), ()))  # no items
+    assert_writer_matches(curve([(0, 0), (1, 1)], edges=[(0, 1, 3)]))  # no rays
+    assert_writer_matches(tropical_line(("-5/8", "-13")))  # no edges
+
+
+_rationals = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
+_ints = st.integers(-(10**20), 10**20)
+
+
+@st.composite
+def schema_curves(draw):
+    """Curves with any values the loader's schema takes: the writer does
+    not check structure, indices or weights."""
+    n = draw(st.integers(0, 4))
+    vertices = tuple(Point(draw(_rationals), draw(_rationals)) for _ in range(n))
+    edges = draw(st.lists(st.builds(Edge, _ints, _ints, _ints), max_size=4))
+    rays = draw(st.lists(
+        st.builds(Ray, _ints, st.builds(IntVector, _ints, _ints), _ints), max_size=4
+    ))
+    return TropicalCurve(vertices, tuple(edges), tuple(rays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(schema_curves())
+def test_curve_writer_matches_stdlib_on_schema_curves(c):
+    assert_writer_matches(c)
+
+
+# ---------------------------------------------------------------------------
+# Numbers past the interpreter's int-string limit.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    not 0 < digit_limit() < 5000, reason="the interpreter has no int-string limit"
+)
+def test_oversized_rational_names_field_and_digits():
+    limit = digit_limit()
+    for text in ("1" * 5000, "-2/" + "3" * 5000, "7" * (limit + 1) + "/2"):
+        digits = max(len(run) for run in text.lstrip("-").split("/"))
+        with pytest.raises(
+            jsonio.SchemaError,
+            match=f"^f: number of {digits} digits exceeds the {limit}-digit limit$",
+        ):
+            jsonio.fraction_from_str(text, "f")
+    # under the limit in each part, a long rational still reads
+    big = "1" * (limit - 1) + "/" + "3" * (limit - 1)
+    assert jsonio.fraction_from_str(big, "f") == Fraction(big)
+    # a malformed string keeps its message
+    with pytest.raises(jsonio.SchemaError, match=r"^f: invalid rational 'x1'$"):
+        jsonio.fraction_from_str("x1", "f")

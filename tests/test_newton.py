@@ -6,6 +6,7 @@ import pytest
 from fixtures_lib import (
     concave_lift,
     coordinate_cross,
+    dual_cell_from_faces,
     figure_eight,
     reference_newton_polygon,
     slid_pool,
@@ -31,7 +32,6 @@ from tropcurve.newton import (
     _propagate,
     convex_hull,
     dual_cell,
-    dual_cell_from_faces,
     face_structure,
     minkowski_sum,
     newton_complex,

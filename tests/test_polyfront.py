@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fixtures_lib import (
     anti_line,
     concave_lift,
+    dominant_terms,
     reference_dual_subdivision,
     sparse_lift,
     tied_lift,
@@ -27,7 +28,6 @@ from tropcurve.polyfront import (
     EmptyCurveError,
     PolyParseError,
     corner_locus,
-    dominant_terms,
     dual_subdivision,
     evaluate,
     parse,
@@ -75,6 +75,54 @@ def test_parse_errors_carry_position():
         parse("x & y")
     with pytest.raises(PolyParseError):
         parse("1/0")
+
+
+# Malformed texts with the message and position each one gets.
+_PARSE_ERRORS = [
+    ('x + ', "expected a term, found ''", 4),
+    ('x^-1', 'negative exponent', 2),
+    ('x & y', "unexpected character '&'", 2),
+    ('1/0', 'zero denominator', 2),
+    ('', "expected a term, found ''", 0),
+    ('   ', "expected a term, found ''", 3),
+    ('(1/2', "expected ')', found ''", 4),
+    ('(x)', "expected 'number', found 'x'", 1),
+    ('x y', "expected 'end', found 'y'", 2),
+    ('x^', "expected 'number', found ''", 2),
+    ('x^y', "expected 'number', found 'y'", 2),
+    ('1/', "expected 'number', found ''", 2),
+    ('1/-2', "expected 'number', found '-'", 2),
+    ('--1', "expected 'number', found '-'", 1),
+    ('x**y', "expected a term, found '*'", 2),
+    ('x ++ y', "expected a term, found '+'", 3),
+    ('2 * ) ', "expected a term, found ')'", 4),
+    ('3/2/5', "expected 'end', found '/'", 3),
+    ('x^2^3', "expected 'end', found '^'", 3),
+    ('(-)', "expected 'number', found ')'", 2),
+    ('((1))', "expected 'number', found '('", 1),
+    ('x + 1/00', 'zero denominator', 6),
+    ('y^ -3', 'negative exponent', 3),
+    ('0.5*x', "unexpected character '.'", 1),
+    ('x + z', "unexpected character 'z'", 4),
+    ('x*', "expected a term, found ''", 2),
+    ('-', "expected 'number', found ''", 1),
+    ('^2', "expected a term, found '^'", 0),
+    ('1 2', "expected 'end', found '2'", 2),
+    ('+ x', "expected a term, found '+'", 0),
+    ('x + y)', "expected 'end', found ')'", 5),
+    ('(1 2)', "expected ')', found '2'", 3),
+    ('x^(2)', "expected 'number', found '('", 2),
+    ('(-1/3)*x^2*y + 4/0*x', 'zero denominator', 17),
+    ('1e3', "unexpected character 'e'", 1),
+]
+
+
+@pytest.mark.parametrize("text, message, position", _PARSE_ERRORS)
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(PolyParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def test_evaluate_examples():
@@ -297,6 +345,50 @@ def test_tied_unit_square_is_one_square_cell():
 def test_start_side_with_tied_interior_terms(text):
     for convention in ("max", "min"):
         assert_matches_reference(parse(text, convention))
+
+
+@pytest.mark.parametrize("lift", [concave_lift, sparse_lift, tied_lift])
+def test_subdivision_matches_reference_at_degree_8(lift):
+    rng = random.Random(f"{lift.__name__}:8")
+    assert_matches_reference(polynomial(lift(rng, 8)))
+
+
+def _piecewise_linear(d: int, pieces) -> dict:
+    """The concave lift -max(a*i + b*j + c) over the pieces on the degree-d
+    triangle: a few large cells, each holding many terms, with terms
+    inside the cells' sides."""
+    return {
+        (i, j): -max(a * i + b * j + c for a, b, c in pieces)
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+    }
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [(1, 0, 0), (0, 1, 0)],  # two cells split along i = j
+        [(1, 0, 0), (0, 1, 0), (0, 0, 2)],  # three cells meeting at (2, 2)
+        [(1, 0, 0), (0, 0, 3), (-1, 1, 1), (1, 1, -4)],
+        [(2, 1, 0), (1, 2, 0), (0, 0, 5)],
+    ],
+)
+@pytest.mark.parametrize("convention", ["max", "min"])
+def test_subdivision_matches_reference_on_coplanar_terms(pieces, convention):
+    sign = 1 if convention == "max" else -1  # the same cells either way
+    f = polynomial({e: sign * c for e, c in _piecewise_linear(6, pieces).items()}, convention)
+    sub = assert_matches_reference(f)
+    assert max(len(cell.members) for cell in sub.cells) >= 6
+
+    def term_inside_a_side(cell):
+        vs = cell.polygon.vertices
+        return any(
+            (b.x - a.x) * (t.y - a.y) == (b.y - a.y) * (t.x - a.x)
+            for t in set(cell.members) - set(vs)
+            for a, b in zip(vs, vs[1:] + vs[:1])
+        )
+
+    assert any(term_inside_a_side(cell) for cell in sub.cells)
 
 
 def test_smooth_degree_20_subdivision():
