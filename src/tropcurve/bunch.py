@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geom import RefusalError
-from .curve import TropicalCurve
+from .curve import TropicalCurve, items
 from .newton import _UnionFind
 
 
@@ -80,12 +80,13 @@ def bridges(c: TropicalCurve) -> set[int]:
 
     They are the edges on no fundamental cycle of the forest rooted at vertex
     0: a tree edge that is not a bridge has a non-tree edge across its cut,
-    whose fundamental cycle runs through it.  An empty or disconnected curve
-    is refused with DisconnectedCurveError.
+    whose fundamental cycle runs through it.  items(c) refuses a malformed
+    item; DisconnectedCurveError an empty or disconnected curve.
     """
+    ends = [(it.tail, it.head) for it in items(c)[: len(c.edges)]]
     if not c.vertices:
         raise DisconnectedCurveError("empty curve")
-    link, cycles = spanning_forest(len(c.vertices), [(e.a, e.b) for e in c.edges], 0)
+    link, cycles = spanning_forest(len(c.vertices), ends, 0)
     if list(link.values()).count(None) > 1:
         raise DisconnectedCurveError("curve is disconnected")
     on_cycle = {eid for _, cyc in cycles for eid, _ in cyc}
@@ -222,8 +223,8 @@ def bouquet_structure(
     """
     if b is None:
         b = bunch(c)
-    # A loop arc is listed twice at its node, so each node's list is as
-    # long as its degree; the walks skip the second entry as used.
+    # No arc is a loop: the item gate refuses a self-loop edge, and bridges
+    # between an arc's two ends would lie on a cycle through it.
     node_arcs: dict[int, list[int]] = {i: [] for i in range(len(b.nodes))}
     for k, (_, na, nb) in enumerate(b.arcs):
         node_arcs[na].append(k)

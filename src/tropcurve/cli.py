@@ -9,7 +9,6 @@ passes the validity gate on load, except in `validate`, which reports.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -18,6 +17,7 @@ from .curve import TropicalCurve, require_valid, validate
 from .bunch import NotABouquet, bouquet_structure, bunch
 from .intersect import bezout_degree, is_transversal, stable_intersection
 from .jacobian import (
+    CycleSystem,
     abel_coordinate,
     cycle_system,
     require_reduced,
@@ -27,11 +27,17 @@ from .newton import convex_hull, newton_complex, newton_polygon
 from .params import curve_from_params, params_from_curve, perturb
 from .polyfront import corner_locus, parse as parse_poly
 from . import jsonio, svgout
+from .jsonio import fraction_to_str as _num
 
 
 def _load(path: str) -> TropicalCurve:
     """Read a curve file; refuse it unless it is balanced and embedded."""
     return require_valid(jsonio.load_curve(path))
+
+
+def _load_system(path: str) -> CycleSystem:
+    """Read a host curve file; refuse it unless valid, reduced and a bouquet."""
+    return cycle_system(require_reduced(_load(path)))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -46,10 +52,14 @@ def _emit_json(payload) -> None:
     sys.stdout.write(jsonio.dumps(payload))
 
 
+def _pair(x, y) -> str:
+    return f"({_num(x)}, {_num(y)})"
+
+
 def _abel_payload(coord) -> dict:
     return {
         "degree": coord.degree,
-        "residues": [jsonio.fraction_to_str(r) for r in coord.residues],
+        "residues": [_num(r) for r in coord.residues],
     }
 
 
@@ -66,7 +76,7 @@ def cmd_validate(args) -> int:
             {
                 "balanced": report.balanced,
                 "embedding_ok": not report.embedding_violations,
-                "residuals": [[str(r.x), str(r.y)] for r in report.residuals],
+                "residuals": [[_num(r.x), _num(r.y)] for r in report.residuals],
                 "violations": list(report.embedding_violations),
             }
         )
@@ -75,7 +85,7 @@ def cmd_validate(args) -> int:
         if not report.balanced:
             for i, r in enumerate(report.residuals):
                 if r:
-                    print(f"  vertex {i}: residual ({r.x}, {r.y})")
+                    print(f"  vertex {i}: residual {_pair(r.x, r.y)}")
         if report.embedding_violations:
             print("embedding violations:")
             for v in report.embedding_violations:
@@ -100,7 +110,7 @@ def cmd_newton(args) -> int:
             }
         )
     else:
-        verts = " ".join(f"({v.x}, {v.y})" for v in poly.vertices)
+        verts = " ".join(_pair(v.x, v.y) for v in poly.vertices)
         print(f"newton polygon: {verts}")
         print(f"dual vertices: {len(set(nc.dual_vertices))}")
         print(f"dual edges: {len(nc.dual_edges)}")
@@ -126,8 +136,8 @@ def cmd_intersect(args) -> int:
         )
     else:
         for p, m in d.entries:
-            print(f"({p.x}, {p.y})  multiplicity {m}")
-        print(f"degree: {d.degree}")
+            print(f"{_pair(p.x, p.y)}  multiplicity {_num(m)}")
+        print(f"degree: {_num(d.degree)}")
     return 0
 
 
@@ -151,7 +161,7 @@ def cmd_bezout(args) -> int:
     if args.json:
         _emit_json({"degree": n})
     else:
-        print(n)
+        print(_num(n))
     return 0
 
 
@@ -206,12 +216,11 @@ def cmd_bunch(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    c = _load(args.curve)
-    system = cycle_system(require_reduced(c))
-    moduli = [jsonio.fraction_to_str(m) for m in system.moduli()]
+    system = _load_system(args.curve)
+    moduli = [_num(m) for m in system.moduli()]
     payload: dict = {"genus": system.genus, "moduli": moduli}
     if args.divisor:
-        d = jsonio.load_divisor(args.divisor, host=c)
+        d = jsonio.load_divisor(args.divisor, host=system.curve)
         payload["abel"] = _abel_payload(abel_coordinate(system, d))
     if args.json:
         _emit_json(payload)
@@ -220,21 +229,20 @@ def cmd_jacobi(args) -> int:
         print(f"moduli: {' '.join(moduli) if moduli else '(none)'}")
         if args.divisor:
             a = payload["abel"]
-            print(f"degree: {a['degree']}")
+            print(f"degree: {_num(a['degree'])}")
             print(f"residues: {' '.join(a['residues']) or '(none)'}")
     return 0
 
 
 def cmd_equiv(args) -> int:
-    c = _load(args.curve)
-    system = cycle_system(require_reduced(c))
-    d1 = jsonio.load_divisor(args.divisor1, host=c)
-    d2 = jsonio.load_divisor(args.divisor2, host=c)
+    system = _load_system(args.curve)
+    d1 = jsonio.load_divisor(args.divisor1, host=system.curve)
+    d2 = jsonio.load_divisor(args.divisor2, host=system.curve)
     a1 = abel_coordinate(system, d1)
     a2 = abel_coordinate(system, d2)
     verdict = a1 == a2
     diff = [
-        jsonio.fraction_to_str((r1 - r2) % cp.total_length)
+        _num((r1 - r2) % cp.total_length)
         for r1, r2, cp in zip(a1.residues, a2.residues, system.cycles)
     ]
     if args.json:
@@ -247,49 +255,44 @@ def cmd_equiv(args) -> int:
         )
     else:
         print(f"equivalent: {str(verdict).lower()}")
-        print(f"degrees: {a1.degree} {a2.degree}")
+        print(f"degrees: {_num(a1.degree)} {_num(a2.degree)}")
         print(f"residue difference: {' '.join(diff) or '(none)'}")
     return 0
 
 
 def cmd_sigma(args) -> int:
-    c = _load(args.curve)
-    system = cycle_system(require_reduced(c))
+    system = _load_system(args.curve)
     mobile = _load(args.mobile)
     coord = sigma(system, mobile)
     if args.json:
         _emit_json({"sigma": _abel_payload(coord)})
     else:
-        print(f"degree: {coord.degree}")
-        print(
-            "residues: "
-            + (" ".join(jsonio.fraction_to_str(r) for r in coord.residues) or "(none)")
-        )
+        a = _abel_payload(coord)
+        print(f"degree: {_num(a['degree'])}")
+        print(f"residues: {' '.join(a['residues']) or '(none)'}")
     return 0
 
 
 def cmd_walk(args) -> int:
     if args.steps < 0:
         raise GeometryError(f"step count must be non-negative, got {args.steps}")
-    host = _load(args.host)
-    system = cycle_system(require_reduced(host))
+    system = _load_system(args.host)
     mobile = _load(args.mobile)
     p = params_from_curve(mobile)
     rng = random.Random(args.seed)
     for step in range(args.steps):
         c = curve_from_params(p)
         coord = sigma(system, c)
-        line = {
-            "step": step,
-            "lengths": [jsonio.fraction_to_str(x) for x in p.lengths],
-            "anchor": [
-                jsonio.fraction_to_str(p.anchor_pos.x),
-                jsonio.fraction_to_str(p.anchor_pos.y),
-            ],
-            "sigma": _abel_payload(coord),
-            "transversal": is_transversal(system.curve, c),
-        }
-        sys.stdout.write(json.dumps(line) + "\n")
+        try:
+            sys.stdout.write(jsonio.dumps({
+                "step": step,
+                "lengths": [_num(x) for x in p.lengths],
+                "anchor": [_num(p.anchor_pos.x), _num(p.anchor_pos.y)],
+                "sigma": _abel_payload(coord),
+                "transversal": is_transversal(system.curve, c),
+            }, indent=None))
+        except jsonio.OutputLimitError as err:
+            raise jsonio.OutputLimitError(f"walk step {step}: {err}") from None
         p = perturb(p, rng)
     return 0
 

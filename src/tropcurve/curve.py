@@ -21,9 +21,9 @@ from .geom import (
     RefusalError,
     cross,
     dot,
-    is_primitive,
     moment,
     pt,
+    show,
 )
 
 
@@ -60,9 +60,7 @@ class TropicalCurve:
     rays: tuple[Ray, ...]
 
     def is_reduced(self) -> bool:
-        return all(e.weight == 1 for e in self.edges) and all(
-            r.weight == 1 for r in self.rays
-        )
+        return all(it.weight == 1 for it in self._items)
 
     @cached_property
     def _scale(self) -> int:
@@ -81,28 +79,44 @@ class TropicalCurve:
 
     @cached_property
     def _items(self) -> tuple[Item, ...]:
+        """The edges, then the rays, as items: the one gate every item
+        passes.  A malformed item raises validate's StructureError."""
         vs, grid, L = self.vertices, self._grid, self._scale
         n = len(vs)
         edges = []
         for i, e in enumerate(self.edges):
-            if not (0 <= e.a < n and 0 <= e.b < n):
+            a, b = e.a, e.b
+            if not (0 <= a < n and 0 <= b < n):
                 raise StructureError(f"edge {i} references vertex out of range")
-            (tx, ty), (hx, hy) = grid[e.a], grid[e.b]
+            if a == b:
+                raise StructureError(f"edge {i} has identical endpoints")
+            if not isinstance(e.weight, int) or e.weight < 1:
+                raise StructureError(f"edge {i} has non-positive weight")
+            (tx, ty), (hx, hy) = grid[a], grid[b]
             vx, vy = hx - tx, hy - ty
             g = gcd(vx, vy)
             if not g:
-                raise GeometryError("zero vector has no direction")
+                raise StructureError(
+                    f"vertices {min(a, b)} and {max(a, b)} coincide at {show(vs[a])}"
+                )
             edges.append(Item(
-                i, e.a, e.b, (vs[e.a], vs[e.b]), e.weight,
+                i, a, b, (vs[a], vs[b]), e.weight,
                 IntVector(vx // g, vy // g), Fraction(g, L), L, (tx, ty, vx, vy),
             ))
         rays = []
         for i, r in enumerate(self.rays):
+            d = r.direction
             if not 0 <= r.vertex < n:
                 raise StructureError(f"ray {i} references vertex out of range")
+            if not isinstance(r.weight, int) or r.weight < 1:
+                raise StructureError(f"ray {i} has non-positive weight")
+            if not d:
+                raise StructureError(f"ray {i} has zero direction")
+            if gcd(d.x, d.y) != 1:
+                raise StructureError(f"ray {i} direction is not primitive")
             rays.append(Item(
-                i, r.vertex, None, (vs[r.vertex],), r.weight, r.direction,
-                None, L, (*grid[r.vertex], r.direction.x, r.direction.y),
+                i, r.vertex, None, (vs[r.vertex],), r.weight, d,
+                None, L, (*grid[r.vertex], d.x, d.y),
             ))
         return tuple(edges + rays)
 
@@ -408,45 +422,22 @@ class BalanceReport:
         return self.balanced and not self.embedding_violations
 
 
-def _structural_check(c: TropicalCurve) -> None:
-    n = len(c.vertices)
+def validate(c: TropicalCurve) -> BalanceReport:
+    """Check balancing at every vertex and the embedding invariants.
+
+    Coincident vertices, a malformed item (items(c)) and an isolated vertex
+    raise StructureError, in that order; imbalance and embedding violations
+    are reported, not raised.
+    """
     first: dict[tuple[int, int], int] = {}
     for i, g in enumerate(c._grid):
         j = first.setdefault(g, i)
         if j != i:
-            v = c.vertices[i]
-            raise StructureError(f"vertices {j} and {i} coincide at ({v.x}, {v.y})")
-    used = [False] * n
-    for i, e in enumerate(c.edges):
-        if not (0 <= e.a < n and 0 <= e.b < n):
-            raise StructureError(f"edge {i} references vertex out of range")
-        if e.a == e.b:
-            raise StructureError(f"edge {i} has identical endpoints")
-        if not isinstance(e.weight, int) or e.weight < 1:
-            raise StructureError(f"edge {i} has non-positive weight")
-        used[e.a] = used[e.b] = True
-    for i, r in enumerate(c.rays):
-        if not (0 <= r.vertex < n):
-            raise StructureError(f"ray {i} references vertex out of range")
-        if not isinstance(r.weight, int) or r.weight < 1:
-            raise StructureError(f"ray {i} has non-positive weight")
-        if not r.direction:
-            raise StructureError(f"ray {i} has zero direction")
-        if not is_primitive(r.direction):
-            raise StructureError(f"ray {i} direction is not primitive")
-        used[r.vertex] = True
-    for i, u in enumerate(used):
-        if not u:
+            raise StructureError(f"vertices {j} and {i} coincide at {show(c.vertices[i])}")
+    ends = {v for it in items(c) for v in (it.tail, it.head)}
+    for i in range(len(c.vertices)):
+        if i not in ends:
             raise StructureError(f"vertex {i} is isolated")
-
-
-def validate(c: TropicalCurve) -> BalanceReport:
-    """Check balancing at every vertex and the embedding invariants.
-
-    Structural defects raise StructureError; imbalance and embedding
-    violations are reported, not raised.
-    """
-    _structural_check(c)
     violations = []
     for a, b, p in meetings(items(c)):
         if isinstance(p, Shared):
@@ -458,7 +449,7 @@ def validate(c: TropicalCurve) -> BalanceReport:
         if p not in a.ends or p not in b.ends:
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
-                f"({p.x}, {p.y}) which is not a shared vertex"
+                f"{show(p)} which is not a shared vertex"
             )
     residuals = tuple(IntVector(x, y) for x, y in _residuals(c))
     return BalanceReport(residuals, tuple(violations))
@@ -641,18 +632,15 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}
 
-    def key_of(p: Point) -> tuple:
-        return (p.x, p.y)
-
     for it in all_items:
         cuts = [it.point_at(t) for t in sorted(splits[it])]
         pts = [it.origin, *cuts, *it.ends[1:]]
         for a, b in zip(pts, pts[1:]):
-            ka, kb = key_of(a), key_of(b)
+            ka, kb = (a.x, a.y), (b.x, b.y)
             key = (ka, kb) if ka <= kb else (kb, ka)
             seg_weight[key] = seg_weight.get(key, 0) + it.weight
         if not it.bounded:
-            tk = (key_of(pts[-1]), (it.prim.x, it.prim.y))
+            tk = ((pts[-1].x, pts[-1].y), (it.prim.x, it.prim.y))
             tail_weight[tk] = tail_weight.get(tk, 0) + it.weight
 
     vertex_keys = sorted(
@@ -711,20 +699,12 @@ def _fuse_vertex(c: TropicalCurve, v: int, a: Item, b: Item) -> TropicalCurve:
         edge, ray = (a, b) if a.bounded else (b, a)
         keep_rays.append(Ray(far(edge), ray.prim, a.weight))
     # drop vertex v, reindex
-    old_to_new = {}
-    new_vertices = []
-    for i, p in enumerate(c.vertices):
-        if i == v:
-            continue
-        old_to_new[i] = len(new_vertices)
-        new_vertices.append(p)
-    es = tuple(
-        Edge(old_to_new[e.a], old_to_new[e.b], e.weight) for e in keep_edges
-    )
-    rs = tuple(
-        Ray(old_to_new[r.vertex], r.direction, r.weight) for r in keep_rays
-    )
-    return TropicalCurve(tuple(new_vertices), es, rs)
+    def new(i: int) -> int:
+        return i - (i > v)
+
+    es = tuple(Edge(new(e.a), new(e.b), e.weight) for e in keep_edges)
+    rs = tuple(Ray(new(r.vertex), r.direction, r.weight) for r in keep_rays)
+    return TropicalCurve(c.vertices[:v] + c.vertices[v + 1:], es, rs)
 
 
 def canonical_form(c: TropicalCurve) -> tuple:
@@ -733,11 +713,11 @@ def canonical_form(c: TropicalCurve) -> tuple:
     rank = {old: new for new, old in enumerate(order)}
     vs = tuple((c.vertices[i].x, c.vertices[i].y) for i in order)
     es = tuple(sorted(
-        (min(rank[e.a], rank[e.b]), max(rank[e.a], rank[e.b]), e.weight)
-        for e in c.edges
+        (min(rank[it.tail], rank[it.head]), max(rank[it.tail], rank[it.head]), it.weight)
+        for it in items(c) if it.bounded
     ))
     rs = tuple(sorted(
-        (rank[r.vertex], r.direction.x, r.direction.y, r.weight)
-        for r in c.rays
+        (rank[it.tail], it.prim.x, it.prim.y, it.weight)
+        for it in items(c) if not it.bounded
     ))
     return (vs, es, rs)

@@ -38,6 +38,25 @@ def digit_limit() -> int:
     return get() if get else 0
 
 
+def decimal_digits(x: Scalar) -> int:
+    """The decimal digits of x's larger part, counted without str()."""
+    n = max(abs(x.numerator), x.denominator)
+    k = max(1, n.bit_length() * 1233 >> 12)  # 1233 / 4096 < log10(2): k <= digits
+    while n >= 10 ** k:
+        k += 1
+    return k
+
+
+def show(x: Scalar | Point) -> str:
+    """x, or a Point as (x, y), for a message; past the int-string limit, digits."""
+    if isinstance(x, Point):
+        return f"({show(x.x)}, {show(x.y)})"
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{decimal_digits(x)} digits>"
+
+
 @dataclass(frozen=True)
 class IntVector:
     """Integer lattice vector."""
@@ -123,10 +142,6 @@ def cross(u, v) -> Scalar:
 def dot(u, v) -> Scalar:
     """Interior product u.x*v.x + u.y*v.y."""
     return u.x * v.x + u.y * v.y
-
-
-def is_primitive(v: IntVector) -> bool:
-    return bool(v) and gcd(abs(v.x), abs(v.y)) == 1
 
 
 def primitive_decompose(v: IntVector) -> tuple[IntVector, int]:

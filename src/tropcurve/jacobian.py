@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geom import GeometryError, Point, RefusalError, cross
+from .geom import GeometryError, Point, RefusalError
 from .curve import Item, TropicalCurve, items, items_at
 from .bunch import (
     BouquetStructure,
@@ -56,19 +56,6 @@ class CycleParametrization:
         a = curve.vertices[self.vertex_path[j - 1]]
         b = curve.vertices[self.vertex_path[j]]
         return a + (b - a) * ((t - lo) / (hi - lo))
-
-    def param_of(self, curve: TropicalCurve, p: Point) -> Fraction:
-        """Inverse of point_at for points on the cycle."""
-        for i in range(len(self.breakpoints) - 1):
-            a = curve.vertices[self.vertex_path[i]]
-            d = curve.vertices[self.vertex_path[i + 1]] - a
-            if cross(d, p - a) != 0:
-                continue
-            s = (p.x - a.x) / d.x if d.x else (p.y - a.y) / d.y
-            if 0 <= s <= 1:
-                lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-                return (lo + s * (hi - lo)) % self.total_length
-        raise GeometryError("point is not on this cycle")
 
 
 def _cycle_area2(curve: TropicalCurve, cyc: CurveCycle) -> Fraction:
@@ -175,8 +162,9 @@ def _project_on(
 
     A point interior to a cycle edge takes the breakpoint of the edge's
     tail on the path, plus the lattice run from the tail to p when the path
-    runs along the edge, minus it when the path runs against it: the value
-    of CycleParametrization.param_of, without its scan of the cycle."""
+    runs along the edge, minus it when the path runs against it: the
+    inverse of CycleParametrization.point_at on the cycle, found without
+    scanning it."""
     if p in it.ends:
         v = it.tail if p == it.origin else it.head
         return system._node_images[system.graph.node_of_vertex[v]]

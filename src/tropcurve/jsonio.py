@@ -6,7 +6,8 @@ order, two-space indent, trailing newline, so serialize-parse-serialize is
 byte-stable.  A curve is written directly in that layout by curve_to_json,
 without the json module's pure-Python indenting encoder; the other schemas
 go through dumps.  A number beyond the interpreter's int-string limit is
-refused with a SchemaError that names the field and the digit count.
+refused on input with a SchemaError that names the field and the digit
+count, and on output with an OutputLimitError that names the digit count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import re
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, digit_limit
+from .geom import GeometryError, IntVector, Point, RefusalError, decimal_digits, digit_limit
 from .curve import Edge, Ray, TropicalCurve
 from .intersect import Divisor
 from .newton import LatticePolygon, NewtonComplex
@@ -25,8 +26,17 @@ class SchemaError(GeometryError):
     """Input does not match the documented schema; names the field."""
 
 
+class OutputLimitError(RefusalError):
+    """A number to print is past the int-string limit; names its digits."""
+
+
 def fraction_to_str(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # past the interpreter's int-string limit
+        raise OutputLimitError(
+            f"number of {decimal_digits(x)} digits exceeds the {digit_limit()}-digit output limit"
+        ) from None
 
 
 _DIGIT_RUN = re.compile(r"\d+")
@@ -118,8 +128,12 @@ def curve_from_dict(d) -> TropicalCurve:
     return TropicalCurve(vertices, tuple(edges), tuple(rays))
 
 
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def dumps(obj, indent: int | None = 2) -> str:
+    try:
+        return json.dumps(obj, indent=indent) + "\n"
+    except ValueError:  # an int past the int-string limit
+        limit = digit_limit()
+        raise OutputLimitError(f"a JSON integer exceeds the {limit}-digit output limit") from None
 
 
 def _block(entries: list[str]) -> str:
@@ -158,6 +172,8 @@ def _loads(text: str, what: str):
         raise SchemaError(
             f"{what}: a JSON integer exceeds the {digit_limit()}-digit limit"
         ) from None
+    except RecursionError:
+        raise SchemaError(f"{what}: nesting too deep") from None
 
 
 def curve_from_json(text: str) -> TropicalCurve:

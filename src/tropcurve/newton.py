@@ -312,12 +312,11 @@ def newton_complex(c: TropicalCurve) -> NewtonComplex:
     propagation means the input was unbalanced or crossed itself.  Each call
     builds the face structure afresh.
     """
-    return _propagate(face_structure(c), "bfs")
+    return _propagate(face_structure(c))
 
 
-def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
-    """The dual complex of a face structure, in the given traversal order
-    ("bfs" or "dfs"), on (x, y) int pairs."""
+def _propagate(fs: FaceStructure) -> NewtonComplex:
+    """The dual complex of a face structure, breadth first on int pairs."""
     edges = []
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(fs.count)]
     for k, it in enumerate(fs.items):
@@ -330,14 +329,7 @@ def _propagate(fs: FaceStructure, order: str) -> NewtonComplex:
     w: list[tuple[int, int] | None] = [None] * fs.count
     w[0] = (0, 0)
     frontier = [0]
-    head = 0  # bfs reads from the head; dfs pops the end
-    bfs = order == "bfs"
-    while head < len(frontier):
-        if bfs:
-            f = frontier[head]
-            head += 1
-        else:
-            f = frontier.pop()
+    for f in frontier:  # the queue grows while it is read
         fx, fy = w[f]
         for g, sx, sy in adj[f]:
             cand = (fx + sx, fy + sy)
@@ -360,14 +352,14 @@ def newton_polygon(c: TropicalCurve) -> LatticePolygon:
     """The Newton polygon from ray data alone: the weighted ray directions
     rotated +90 degrees, chained by angle into a polygon.
 
-    Needs a balanced curve, which need not be embedded.  A curve with no
-    rays raises GeometryError; an unbalanced one is refused with
-    InvalidCurveError naming the first vertex whose residual is not zero,
-    as require_valid does.
+    Needs a balanced curve, which need not be embedded.  An unbalanced one
+    is refused with InvalidCurveError naming the first vertex whose residual
+    is not zero, as require_valid does; a balanced curve with no rays raises
+    GeometryError.
     """
+    _require_balanced(_residuals(c))
     if not c.rays:
         raise GeometryError("a curve with no rays has no Newton polygon")
-    _require_balanced(_residuals(c))
     steps = [r.direction.rot_ccw() * r.weight for r in c.rays]
     return polygon_from_edge_vectors(steps).normalized()
 

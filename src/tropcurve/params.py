@@ -15,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .geom import GeometryError, IntVector, Point, pt
+from .geom import GeometryError, IntVector, Point, pt, show
 from .curve import Edge, Ray, TropicalCurve, items, validate
 from .newton import newton_complex, newton_polygon
 from .bunch import spanning_forest
@@ -80,7 +80,7 @@ class ParamPoint:
             raise ClosureError("length count does not match the skeleton")
         for i, ll in enumerate(self.lengths):
             if ll <= 0:
-                raise ClosureError(f"edge {i} has non-positive lattice length {ll}")
+                raise ClosureError(f"edge {i} has non-positive lattice length {show(ll)}")
         link, cycles = skel._forest
         if list(link.values()).count(None) > 1:
             raise ClosureError("skeleton is disconnected from the anchor")

@@ -40,7 +40,12 @@ from tropcurve.intersect import (
     generic_direction,
     perturbation_oracle,
 )
-from tropcurve.jacobian import AbelCoordinate, CycleSystem, abel_coordinate
+from tropcurve.jacobian import (
+    AbelCoordinate,
+    CycleParametrization,
+    CycleSystem,
+    abel_coordinate,
+)
 from tropcurve.newton import (
     DualityError,
     FaceStructure,
@@ -610,6 +615,21 @@ def reference_sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinat
     """sigma with every divisor point projected through items_at
     (abel_coordinate's project_point)."""
     return abel_coordinate(system, reference_star_intersection(system.curve, mobile))
+
+
+def reference_param_of(cp: CycleParametrization, c: TropicalCurve, p: Point) -> Fraction:
+    """The inverse of cp.point_at for a point of the cycle, by a scan of its
+    sides."""
+    for i in range(len(cp.breakpoints) - 1):
+        a = c.vertices[cp.vertex_path[i]]
+        d = c.vertices[cp.vertex_path[i + 1]] - a
+        if cross(d, p - a) != 0:
+            continue
+        s = (p.x - a.x) / d.x if d.x else (p.y - a.y) / d.y
+        if 0 <= s <= 1:
+            lo, hi = cp.breakpoints[i], cp.breakpoints[i + 1]
+            return (lo + s * (hi - lo)) % cp.total_length
+    raise GeometryError("point is not on this cycle")
 
 
 def reference_newton_polygon(c: TropicalCurve) -> LatticePolygon:

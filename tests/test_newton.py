@@ -9,6 +9,7 @@ from fixtures_lib import (
     dual_cell_from_faces,
     figure_eight,
     reference_newton_polygon,
+    reference_propagate,
     slid_pool,
     sparse_lift,
     tail_cycle_curve,
@@ -111,10 +112,12 @@ def test_newton_complex_vertical_line():
 
 def test_newton_complex_traversal_independent():
     for c in [triangle_cycle_host(), figure_eight(), theta_curve()]:
-        a = newton_complex(c)
-        b = _propagate(face_structure(c), "dfs")
-        assert a.dual_vertices == b.dual_vertices
-        assert a.dual_edges == b.dual_edges
+        fs = face_structure(c)
+        a = _propagate(fs)
+        for order in ("bfs", "dfs"):
+            b = reference_propagate(fs, order)
+            assert a.dual_vertices == b.dual_vertices
+            assert a.dual_edges == b.dual_edges
 
 
 def test_newton_polygon_line():
