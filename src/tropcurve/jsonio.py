@@ -132,8 +132,20 @@ def dumps(obj, indent: int | None = 2) -> str:
     try:
         return json.dumps(obj, indent=indent) + "\n"
     except ValueError:  # an int past the int-string limit
-        limit = digit_limit()
-        raise OutputLimitError(f"a JSON integer exceeds the {limit}-digit output limit") from None
+        raise OutputLimitError(
+            f"number of {decimal_digits(_largest_int(obj))} digits exceeds "
+            f"the {digit_limit()}-digit output limit"
+        ) from None
+
+
+def _largest_int(obj) -> int:
+    """The int of largest magnitude among the values of a JSON payload of
+    dicts, lists and tuples; 0 when it holds none."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return max((_largest_int(x) for x in obj), key=abs, default=0)
+    return obj if isinstance(obj, int) and not isinstance(obj, bool) else 0
 
 
 def _block(entries: list[str]) -> str:

@@ -4,7 +4,7 @@ A curve is determined by its combinatorics (edge directions and weights, ray
 data), the lattice lengths of its finite edges, and the position of one
 anchor vertex.  The admissible lengths form a relatively open convex cone cut
 out by one closure equation per independent cycle; `perturb` walks inside it
-with exact rational steps.
+with exact rational steps on a dyadic grid, so the denominators stay bounded.
 """
 
 from __future__ import annotations
@@ -13,16 +13,22 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .geom import GeometryError, IntVector, Point, pt, show
-from .curve import Edge, Ray, TropicalCurve, items, validate
+from .geom import GeometryError, IntVector, Point, show
+from .curve import Edge, Ray, StructureError, TropicalCurve, items, validate
 from .newton import newton_complex, newton_polygon
 from .bunch import spanning_forest
 
 
 class ClosureError(GeometryError):
     """Lengths violate a cycle-closure equation or positivity."""
+
+
+#: The finest step of `perturb`: its integer step is scaled by 2^-k with
+#: k <= GRID_HALVINGS, so a walk from a point of denominator D0 stays in
+#: (1 / lcm(D0, L * 2^GRID_HALVINGS)) * Z, L being the projector's denominator.
+GRID_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,38 @@ class CurveSkeleton:
     def _forest(self):
         ends = [e[:2] for e in self.edges]
         return spanning_forest(self.vertex_count, ends, self.anchor)
+
+    @cached_property
+    def _spread(self):
+        """(tree steps, closure checks) on ints, from the spanning forest.
+
+        A tree step (w, v, dx, dy, edge) places w at v plus (dx, dy) times
+        the edge's length, in BFS order; a closure check (edge, a, b, ux, uy,
+        cycle's edges) asks that b - a be (ux, uy) times the edge's length.
+        Raises ClosureError when the skeleton is disconnected from the anchor.
+        """
+        link, cycles = self._forest
+        if list(link.values()).count(None) > 1:
+            raise ClosureError("skeleton is disconnected from the anchor")
+        steps = []
+        for w, ln in link.items():
+            if ln is not None:
+                v, eid, sign = ln
+                u = self.edges[eid][2]
+                steps.append((w, v, u.x * sign, u.y * sign, eid))
+        checks = []
+        for eid, cyc in cycles:
+            a, b, u, _ = self.edges[eid]
+            checks.append((eid, a, b, u.x, u.y, sorted(e for e, _ in cyc)))
+        return steps, checks
+
+    @cached_property
+    def _parts(self) -> tuple[tuple[Edge, ...], tuple[Ray, ...]]:
+        """The Edge and Ray records every curve of this skeleton shares."""
+        return (
+            tuple(Edge(a, b, w) for (a, b, _, w) in self.edges),
+            tuple(Ray(v, d, w) for (v, d, w) in self.rays),
+        )
 
     @cached_property
     def _projector(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -72,32 +110,54 @@ class ParamPoint:
     anchor_pos: Point
 
     @cached_property
+    def _ints(self) -> tuple[int, tuple[int, ...], int, int]:
+        """(D, the lengths times D, the anchor's x and y times D), D a common
+        denominator of them all; perturb primes it for its candidates."""
+        a = self.anchor_pos
+        den = lcm(a.x.denominator, a.y.denominator, *(ll.denominator for ll in self.lengths))
+        return (
+            den,
+            tuple(ll.numerator * (den // ll.denominator) for ll in self.lengths),
+            a.x.numerator * (den // a.x.denominator),
+            a.y.numerator * (den // a.y.denominator),
+        )
+
+    @cached_property
     def _curve(self) -> TropicalCurve:
         """The embedded curve of curve_from_params, built on its first call.
-        A point that fails to build caches nothing and raises on every call."""
+        A point that fails to build caches nothing and raises on every call.
+
+        The vertices are propagated from the anchor as integer numerators
+        over one denominator, cycle closure is checked on them, and each
+        vertex Point is built once; the curve's scale and grid come with it.
+        """
         skel = self.skeleton
         if len(self.lengths) != len(skel.edges):
             raise ClosureError("length count does not match the skeleton")
-        for i, ll in enumerate(self.lengths):
-            if ll <= 0:
-                raise ClosureError(f"edge {i} has non-positive lattice length {show(ll)}")
-        link, cycles = skel._forest
-        if list(link.values()).count(None) > 1:
-            raise ClosureError("skeleton is disconnected from the anchor")
-        pos: list[Point] = [self.anchor_pos] * skel.vertex_count
-        for w, ln in link.items():
-            if ln is not None:
-                v, eid, sign = ln
-                pos[w] = pos[v] + skel.edges[eid][2].to_point() * (self.lengths[eid] * sign)
-        for eid, cyc in cycles:
-            a, b, u, _ = skel.edges[eid]
-            if pos[b] - pos[a] != u.to_point() * self.lengths[eid]:
-                raise ClosureError(
-                    f"cycle through edges {sorted(e for e, _ in cyc)} does not close"
-                )
-        es = tuple(Edge(a, b, w) for (a, b, _, w) in skel.edges)
-        rs = tuple(Ray(v, d, w) for (v, d, w) in skel.rays)
-        return TropicalCurve(tuple(pos), es, rs)
+        den, lengths, ax, ay = self._ints
+        for i, m in enumerate(lengths):
+            if m <= 0:
+                raise ClosureError(f"edge {i} has non-positive lattice length {show(self.lengths[i])}")
+        steps, checks = skel._spread
+        xs, ys = [ax] * skel.vertex_count, [ay] * skel.vertex_count
+        for w, v, dx, dy, eid in steps:
+            m = lengths[eid]
+            xs[w] = xs[v] + dx * m
+            ys[w] = ys[v] + dy * m
+        for eid, a, b, ux, uy, cycle in checks:
+            m = lengths[eid]
+            if xs[b] - xs[a] != ux * m or ys[b] - ys[a] != uy * m:
+                raise ClosureError(f"cycle through edges {cycle} does not close")
+        # the least common denominator of the vertices is den over the gcd
+        g = gcd(den, *xs, *ys)
+        scale = den // g
+        grid = tuple((x // g, y // g) for x, y in zip(xs, ys))
+        c = TropicalCurve(
+            tuple(Point(Fraction(x, scale), Fraction(y, scale)) for x, y in grid),
+            *skel._parts,
+        )
+        c.__dict__.update(_scale=scale, _grid=grid)
+        return c
 
 
 def params_from_curve(c: TropicalCurve, anchor: int = 0) -> ParamPoint:
@@ -162,38 +222,60 @@ def project_to_closure(
 
 
 def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
-    """Random step inside the cone: closure-preserving, positivity-preserving,
-    and halved until the rebuilt curve still validates (p after 60 halvings).
-    Every candidate closes exactly when p does, so a p that does not close,
-    or whose skeleton is disconnected, raises ClosureError."""
+    """Random step inside the cone on a dyadic grid: closure-preserving,
+    positivity-preserving, and halved until the rebuilt curve still
+    validates (p when no step of 2^-GRID_HALVINGS or more does).
+
+    The raw step is an integer vector, one draw in [-60, 60] per edge and
+    two for the anchor; the lengths move by its projection (the skeleton's
+    integer projector), the anchor by the anchor draws, both times 2^-k.
+    The first k is the least whose step keeps every length at least half
+    its value, and a candidate that crosses itself or has two vertices at
+    one point is refused.  p's curve is built first, so a p that does not
+    close, whose skeleton is disconnected, or whose items are malformed
+    raises as curve_from_params and items(c) do.
+    """
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, random.Random)
         else random.Random(seed_or_rng)
     )
-    n = len(p.lengths)
-    raw = [
-        Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(n)
-    ]
-    step = project_to_closure(p.skeleton, raw)
-    anchor_step = pt(
-        Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
-        Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
-    )
-    # exact scaling that keeps every length at least half its value
-    scale = Fraction(1)
-    for ll, d in zip(p.lengths, step):
-        if d < 0:
-            scale = min(scale, ll / (-d) / 2)
-    for _ in range(60):
+    skel = p.skeleton
+    # Every candidate has p's skeleton, so once p's items are admitted a
+    # candidate can raise StructureError only for two vertices at one point.
+    # The cached properties are read directly: perfbench counts each
+    # curve_from_params call inside perturb as a candidate.
+    p._curve._items
+    rows, L = skel._projector
+    raw = [rng.randint(-60, 60) for _ in p.lengths]
+    ax, ay = rng.randint(-60, 60), rng.randint(-60, 60)
+    step = [sum(a * b for a, b in zip(row, raw)) for row in rows]  # L times the move
+    den, lengths, x0, y0 = p._ints
+    # 2^-k is at or below ll / (-d) / 2 for ll = m / den and d = s / L < 0
+    # when 2^k m L >= -2 s den: the least k >= 0 for the least such power
+    k = 0
+    for m, s in zip(lengths, step):
+        if s < 0:
+            need = -(2 * s * den // (m * L))  # ceil(-2 s den / (m L))
+            k = max(k, (need - 1).bit_length())
+    for k in range(k, GRID_HALVINGS + 1):
+        unit = L << k
+        new = lcm(den, unit)
+        f, g = new // den, new // unit
+        ls = tuple(m * f + s * g for m, s in zip(lengths, step))
+        x, y = x0 * f + ax * g * L, y0 * f + ay * g * L
         cand = ParamPoint(
-            p.skeleton,
-            tuple(ll + scale * d for ll, d in zip(p.lengths, step)),
-            p.anchor_pos + anchor_step * scale,
+            skel,
+            tuple(Fraction(m, new) for m in ls),
+            Point(Fraction(x, new), Fraction(y, new)),
         )
-        if validate(curve_from_params(cand)).passed:
+        cand.__dict__["_ints"] = (new, ls, x, y)
+        try:
+            passed = validate(curve_from_params(cand)).passed
+        except StructureError:  # two vertices at one point
+            passed = False
+        if passed:
             return cand
-        scale /= 2
     return p
 
 

@@ -19,6 +19,7 @@ limit with a PolyParseError at its position.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -290,19 +291,26 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
             # slope (h - ha) / run along the side, with run > 0
             if w is None or (h - ha) * run > rise * (ex * dx + ey * dy):
                 w, rise, run = (i, j), h - ha, ex * dx + ey * dy
+    # Every pair of terms on one side of the support hull, in the ring's
+    # counterclockwise order: a cell side that runs so has no term on its
+    # right, and no cell lies beyond it.
+    hull_sides = set()
+    for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
+        g = math.gcd(qx - px, qy - py)
+        dx, dy = (qx - px) // g, (qy - py) // g
+        on_side = [t for t in ((px + k * dx, py + k * dy) for k in range(g + 1)) if t in height]
+        hull_sides.update(itertools.combinations(on_side, 2))
     # by the normal over its gcd: _wrap may give one plane at several scales
     cells: dict[tuple[int, int, int], SubdivisionCell] = {}
     owned: set[tuple[tuple, tuple]] = set()  # sides of known cells
     pending = [(w, ring[0])]
     while pending:
-        p, q = pending.pop()
-        if (q, p) in owned:
-            continue  # the cell beyond this side is known
+        side = pending.pop()
+        p, q = side
+        if (q, p) in owned or side in hull_sides:
+            continue  # the cell beyond this side is known, or there is none
         u = (*p, height[p])
-        facet = _wrap(lifted, u, (*q, height[q]))
-        if facet is None:
-            continue  # a side of the support hull
-        (nx, ny, nz), on = facet
+        (nx, ny, nz), on = _wrap(lifted, u, (*q, height[q]))
         level = nx * u[0] + ny * u[1] + nz * u[2]
         cell_ring = _hull_ring(on)
         d = nz * scale
@@ -325,10 +333,10 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     return DualSubdivision(tuple(cells[n] for n in order))
 
 
-def _wrap(lifted, u, v) -> tuple[tuple[int, int, int], list[tuple]] | None:
+def _wrap(lifted, u, v) -> tuple[tuple[int, int, int], list[tuple]]:
     """The upper facet across the hull edge u-v on the right of u -> v: its
     upward normal (nz > 0) and the (x, y) terms on its plane, in support
-    order; None when no term lies on that side.
+    order.  Some term must lie strictly on that side.
 
     Every plane through u, v and a term r strictly on the right is a turn of
     one plane about the line uv, so "some term lies above r's plane" orders
@@ -360,8 +368,6 @@ def _wrap(lifted, u, v) -> tuple[tuple[int, int, int], list[tuple]] | None:
             dh = h - uh
             if dx * eh == dh * ex and dy * eh == dh * ey:
                 line.append(t)
-    if not ties:
-        return None
     return (a, b, c), [(i, j) for i, j, _ in sorted(line + ties)]
 
 

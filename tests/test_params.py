@@ -2,6 +2,7 @@ import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,21 @@ from fixtures_lib import (
     wedge_l,
     wedge_m,
 )
-from tropcurve.curve import BalanceReport, canonical_form, curve, translate, validate
-from tropcurve.geom import pt
+from tropcurve.curve import (
+    BalanceReport,
+    StructureError,
+    TropicalCurve,
+    canonical_form,
+    curve,
+    items,
+    translate,
+    validate,
+)
+from tropcurve.geom import Point, pt
 from tropcurve.newton import newton_complex
 from tropcurve.polyfront import corner_locus, polynomial
 from tropcurve.params import (
+    GRID_HALVINGS,
     ClosureError,
     _segment_covered,
     ParamPoint,
@@ -407,3 +418,163 @@ def test_projector_matches_gram_schmidt_on_any_direction(skel, data):
     got = project_to_closure(skel, d)
     assert got == reference_project_to_closure(skel, d)
     assert all(type(x) is Fraction for x in got)
+
+
+# -- the dyadic grid: integer draws, steps of 2^-k, bounded denominators --
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose randint hands out the given draws in order."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+
+    def randint(self, a, b):
+        x = next(self.draws)
+        assert a <= x <= b
+        return x
+
+
+def _denominator(p: ParamPoint) -> int:
+    return lcm(*(q.denominator for q in (*p.lengths, p.anchor_pos.x, p.anchor_pos.y)))
+
+
+def _cubic(seed: int) -> ParamPoint:
+    rng = random.Random(seed)
+    return params_from_curve(corner_locus(polynomial(concave_lift(rng, 3))))
+
+
+def _walk_stays_on_the_grid(p: ParamPoint, rng: random.Random, steps: int) -> None:
+    bound = lcm(_denominator(p), p.skeleton._projector[1] << GRID_HALVINGS)
+    for _ in range(steps):
+        p = perturb(p, rng)
+        assert bound % _denominator(p) == 0
+
+
+def test_grid_is_no_coarser_than_sixty_halvings():
+    assert GRID_HALVINGS >= 60
+
+
+def test_walk_denominators_divide_the_grid():
+    _walk_stays_on_the_grid(_cubic(7), random.Random(7), 1500)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_walk_denominators_divide_the_grid_from_any_seed(cubic_seed, walk_seed):
+    _walk_stays_on_the_grid(_cubic(cubic_seed), random.Random(walk_seed), 150)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_perturb_takes_the_largest_power_of_two_under_the_bound(monkeypatch, seed):
+    # every candidate passes, so the first is returned
+    params = importlib.import_module("tropcurve.params")
+    monkeypatch.setattr(params, "validate", lambda c: BalanceReport((), ()))
+    rng = random.Random(seed)
+    p = _cubic(seed)
+    raw = [rng.randint(-60, 60) for _ in p.lengths]
+    anchor = (rng.randint(-60, 60), rng.randint(1, 60))
+    q = perturb(p, ScriptedRandom([*raw, *anchor]))
+    step = project_to_closure(p.skeleton, [Fraction(x) for x in raw])
+    bound = min([Fraction(1)] + [ll / (-d) / 2 for ll, d in zip(p.lengths, step) if d < 0])
+    s = (q.anchor_pos.y - p.anchor_pos.y) / anchor[1]
+    assert s.numerator == 1 and s.denominator & (s.denominator - 1) == 0
+    assert s <= bound and (s == 1 or 2 * s > bound)
+    assert list(q.lengths) == [ll + s * d for ll, d in zip(p.lengths, step)]
+    assert q.anchor_pos == p.anchor_pos + pt(*anchor) * s
+
+
+def test_perturb_returns_its_input_when_every_candidate_is_refused(monkeypatch):
+    params = importlib.import_module("tropcurve.params")
+    p = params_from_curve(two_triangles_bridged())
+    seen = []
+    monkeypatch.setattr(
+        params, "validate",
+        lambda c: seen.append(c) or BalanceReport(validate(c).residuals, ("refused",)),
+    )
+    first = perturb(p, 7)
+    assert first is p
+    # the candidates run k = k0, ..., GRID_HALVINGS, each vertex moving
+    # half as far as in the last
+    assert 2 <= len(seen) <= GRID_HALVINGS + 1
+    start = curve_from_params(p).vertices
+    moved = [[v - v0 for v, v0 in zip(b.vertices, start)] for b in seen]
+    assert any(moved[-1])
+    for m, n in zip(moved, moved[1:]):
+        assert m == [d * 2 for d in n]
+
+
+def _crossing_h():
+    """A balanced curve that crosses itself: the branches from (0, 0) and
+    (4, 0) rise towards each other, and their rays cross at (2, 2)."""
+    return curve(
+        [(0, 0), (4, 0), (1, 1), (3, 1)],
+        edges=[(0, 1), (0, 2), (1, 3)],
+        rays=[(0, (-2, -1)), (1, (2, -1)), (2, (1, 1)), (3, (-1, 1))],
+    )
+
+
+def test_perturb_refuses_a_candidate_with_coincident_vertices(monkeypatch):
+    # the draws lengthen both branches by 1: the first candidate (k = 0,
+    # since no length shrinks) puts vertices 2 and 3 at (2, 2), where
+    # validate raises; perturb counts it as refused and halves the step
+    params = importlib.import_module("tropcurve.params")
+    p = params_from_curve(_crossing_h())
+    assert p.lengths == (4, 1, 1)
+    seen = []
+    monkeypatch.setattr(params, "validate", lambda c: seen.append(c) or validate(c))
+    q = perturb(p, ScriptedRandom([0, 1, 1, 0, 0]))
+    assert seen[0].vertices[2] == seen[0].vertices[3] == pt(2, 2)
+    with pytest.raises(StructureError, match="vertices 2 and 3 coincide at \\(2, 2\\)"):
+        validate(seen[0])
+    assert seen[1].vertices[2] == pt("3/2", "3/2") and seen[1].vertices[3] == pt("5/2", "3/2")
+    # every later candidate still crosses at (2, 2), so p comes back
+    assert len(seen) == GRID_HALVINGS + 1 and q is p
+
+
+def _fresh(c):
+    return TropicalCurve(tuple(Point(v.x, v.y) for v in c.vertices), c.edges, c.rays)
+
+
+def _assert_built_as_fresh(c):
+    fresh = _fresh(c)
+    assert c._scale == fresh._scale
+    assert c._grid == fresh._grid
+    assert items(c) == items(fresh)
+    assert [(it.scale, it.lattice) for it in items(c)] == [
+        (it.scale, it.lattice) for it in items(fresh)
+    ]
+
+
+@pytest.mark.parametrize("c", FIXTURES)
+def test_params_built_curve_has_the_scale_grid_and_items_of_a_fresh_one(c):
+    for anchor in range(len(c.vertices)):
+        p = params_from_curve(translate(c, pt("-7/6", "5/4")), anchor)
+        _assert_built_as_fresh(curve_from_params(p))
+        for _ in range(3):
+            p = perturb(p, anchor)
+            _assert_built_as_fresh(curve_from_params(p))
+
+
+def test_walked_cubic_has_the_scale_grid_and_items_of_a_fresh_one():
+    p, rng = _cubic(3), random.Random(3)
+    for _ in range(200):
+        p = perturb(p, rng)
+        _assert_built_as_fresh(curve_from_params(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FIXTURES),
+    st.lists(st.integers(1, 8), min_size=2, max_size=2),
+    st.fractions(max_denominator=60),
+    st.fractions(max_denominator=60),
+)
+def test_any_scaled_fixture_is_built_as_a_fresh_one(c, ratio, x, y):
+    # a common factor on every length keeps the cycles closed
+    p = params_from_curve(c)
+    f = Fraction(*ratio)
+    _assert_built_as_fresh(curve_from_params(
+        ParamPoint(p.skeleton, tuple(f * ll for ll in p.lengths), pt(x, y))
+    ))
