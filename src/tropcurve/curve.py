@@ -62,6 +62,21 @@ class TropicalCurve:
     def is_reduced(self) -> bool:
         return all(it.weight == 1 for it in self._items)
 
+    @classmethod
+    def _on_grid(cls, den: int, xs, ys, edges, rays) -> TropicalCurve:
+        """The curve whose vertex i is (xs[i], ys[i]) / den, for ints and a
+        den > 0, with the scale and grid that _scale and _grid compute."""
+        g = gcd(den, *xs, *ys)
+        scale = den // g
+        grid = tuple((x // g, y // g) for x, y in zip(xs, ys))
+        c = cls(
+            tuple(Point(Fraction(x, scale), Fraction(y, scale)) for x, y in grid),
+            edges,
+            rays,
+        )
+        c.__dict__.update(_scale=scale, _grid=grid)
+        return c
+
     @cached_property
     def _scale(self) -> int:
         """The least common denominator of the vertex coordinates."""

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .geom import GeometryError, IntVector, Point, show
 from .curve import Edge, Ray, StructureError, TropicalCurve, items, validate
@@ -109,10 +109,22 @@ class ParamPoint:
     lengths: tuple[Fraction, ...]  # lattice length per finite edge, > 0
     anchor_pos: Point
 
+    @classmethod
+    def _on_grid(cls, skel, den: int, lengths, x: int, y: int) -> ParamPoint:
+        """The point with lengths[i] / den and anchor (x, y) / den, for ints
+        and a den > 0, whose _ints is (den, lengths, x, y)."""
+        p = cls(
+            skel,
+            tuple(Fraction(m, den) for m in lengths),
+            Point(Fraction(x, den), Fraction(y, den)),
+        )
+        p.__dict__["_ints"] = (den, tuple(lengths), x, y)
+        return p
+
     @cached_property
     def _ints(self) -> tuple[int, tuple[int, ...], int, int]:
         """(D, the lengths times D, the anchor's x and y times D), D a common
-        denominator of them all; perturb primes it for its candidates."""
+        denominator of them all; _on_grid sets it for perturb's candidates."""
         a = self.anchor_pos
         den = lcm(a.x.denominator, a.y.denominator, *(ll.denominator for ll in self.lengths))
         return (
@@ -129,7 +141,7 @@ class ParamPoint:
 
         The vertices are propagated from the anchor as integer numerators
         over one denominator, cycle closure is checked on them, and each
-        vertex Point is built once; the curve's scale and grid come with it.
+        vertex Point is built once, with the curve's scale and grid.
         """
         skel = self.skeleton
         if len(self.lengths) != len(skel.edges):
@@ -148,16 +160,7 @@ class ParamPoint:
             m = lengths[eid]
             if xs[b] - xs[a] != ux * m or ys[b] - ys[a] != uy * m:
                 raise ClosureError(f"cycle through edges {cycle} does not close")
-        # the least common denominator of the vertices is den over the gcd
-        g = gcd(den, *xs, *ys)
-        scale = den // g
-        grid = tuple((x // g, y // g) for x, y in zip(xs, ys))
-        c = TropicalCurve(
-            tuple(Point(Fraction(x, scale), Fraction(y, scale)) for x, y in grid),
-            *skel._parts,
-        )
-        c.__dict__.update(_scale=scale, _grid=grid)
-        return c
+        return TropicalCurve._on_grid(den, xs, ys, *skel._parts)
 
 
 def params_from_curve(c: TropicalCurve, anchor: int = 0) -> ParamPoint:
@@ -264,12 +267,7 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
         f, g = new // den, new // unit
         ls = tuple(m * f + s * g for m, s in zip(lengths, step))
         x, y = x0 * f + ax * g * L, y0 * f + ay * g * L
-        cand = ParamPoint(
-            skel,
-            tuple(Fraction(m, new) for m in ls),
-            Point(Fraction(x, new), Fraction(y, new)),
-        )
-        cand.__dict__["_ints"] = (new, ls, x, y)
+        cand = ParamPoint._on_grid(skel, new, ls, x, y)
         try:
             passed = validate(curve_from_params(cand)).passed
         except StructureError:  # two vertices at one point

@@ -293,13 +293,17 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
                 w, rise, run = (i, j), h - ha, ex * dx + ey * dy
     # Every pair of terms on one side of the support hull, in the ring's
     # counterclockwise order: a cell side that runs so has no term on its
-    # right, and no cell lies beyond it.
+    # right, and no cell lies beyond it.  One pass over the terms per side,
+    # so the cost follows the number of terms, not the size of the exponents.
     hull_sides = set()
     for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
-        g = math.gcd(qx - px, qy - py)
-        dx, dy = (qx - px) // g, (qy - py) // g
-        on_side = [t for t in ((px + k * dx, py + k * dy) for k in range(g + 1)) if t in height]
-        hull_sides.update(itertools.combinations(on_side, 2))
+        ex, ey = qx - px, qy - py
+        on_side = sorted(
+            (ex * (i - px) + ey * (j - py), (i, j))
+            for i, j in height
+            if ex * (j - py) == ey * (i - px)
+        )
+        hull_sides.update(itertools.combinations([t for _, t in on_side], 2))
     # by the normal over its gcd: _wrap may give one plane at several scales
     cells: dict[tuple[int, int, int], SubdivisionCell] = {}
     owned: set[tuple[tuple, tuple]] = set()  # sides of known cells

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import signal
 import sys
 import tempfile
 from fractions import Fraction
@@ -147,6 +148,38 @@ def test_product_of_two_large_weights_is_refused(tmp_path, argv):
         code, out, err = run([*argv, a, b])
     assert (code, out) == (1, "")
     assert err == "refused: number of 8001 digits exceeds the 4300-digit output limit\n"
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Fail the block with TimeoutError once it runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+@pytest.mark.parametrize("text", [
+    "x^N + y + 0", "x^N + 2*x + 2*y + (-1)*x*y + 0", "0 + x^N + y^3 + x^N*y^2 + 3*x^5",
+])
+def test_from_poly_with_a_30_digit_exponent_returns_at_once(text):
+    # the support's bottom side holds 10^30 lattice points: the subdivision
+    # must cost as the number of terms, not as the size of the exponents
+    n = int("9" * 30)
+    with time_bound(10):
+        code, out, err = run(["from-poly", "--json", "--", text.replace("N", str(n))])
+    assert (code, err) == (0, "")
+    rays = json.loads(out)["rays"]
+    # balanced: the rays pointing down carry the bottom side's width
+    assert sum(r["w"] for r in rays if r["dir"] == [0, -1]) == n
 
 
 # ---------------------------------------------------------------------------

@@ -452,10 +452,6 @@ def _walk_stays_on_the_grid(p: ParamPoint, rng: random.Random, steps: int) -> No
         assert bound % _denominator(p) == 0
 
 
-def test_grid_is_no_coarser_than_sixty_halvings():
-    assert GRID_HALVINGS >= 60
-
-
 def test_walk_denominators_divide_the_grid():
     _walk_stays_on_the_grid(_cubic(7), random.Random(7), 1500)
 
@@ -529,8 +525,9 @@ def test_perturb_refuses_a_candidate_with_coincident_vertices(monkeypatch):
     with pytest.raises(StructureError, match="vertices 2 and 3 coincide at \\(2, 2\\)"):
         validate(seen[0])
     assert seen[1].vertices[2] == pt("3/2", "3/2") and seen[1].vertices[3] == pt("5/2", "3/2")
-    # every later candidate still crosses at (2, 2), so p comes back
-    assert len(seen) == GRID_HALVINGS + 1 and q is p
+    # every later candidate still crosses at (2, 2), so p comes back after
+    # k = 0, ..., 60: the grid is no coarser than 60 halvings
+    assert len(seen) == 61 and q is p
 
 
 def _fresh(c):
