@@ -19,6 +19,7 @@ from .geom import (
     IntVector,
     Point,
     RefusalError,
+    area2,
     cross,
     dot,
     moment,
@@ -461,7 +462,10 @@ def validate(c: TropicalCurve) -> BalanceReport:
                 "along a segment"
             )
             continue
-        if p not in a.ends or p not in b.ends:
+        # Identity suffices: vertices are distinct by now, and a meeting is
+        # an item's own end Point or a new Point inside both items.
+        ea, eb = a.ends, b.ends
+        if not (p is ea[0] or p is ea[-1]) or not (p is eb[0] or p is eb[-1]):
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
                 f"{show(p)} which is not a shared vertex"
@@ -582,7 +586,7 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
     clockwise one.
     """
     sides = _loop_sides(loop)
-    ccw = sum(cross(*side.ends) for side in sides) > 0  # shoelace sign
+    ccw = area2(loop) > 0
     corners = set(loop)
     out = []
     for it, side, p in meetings(items(c), sides):

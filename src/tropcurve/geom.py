@@ -139,6 +139,12 @@ def cross(u, v) -> Scalar:
     return u.x * v.y - v.x * u.y
 
 
+def area2(ring) -> Scalar:
+    """Twice the signed area of the closed polygon through ring (shoelace):
+    positive counterclockwise, 0 below 3 points.  Works on IntVector and Point."""
+    return sum(cross(ring[i - 1], ring[i]) for i in range(len(ring)))
+
+
 def dot(u, v) -> Scalar:
     """Interior product u.x*v.x + u.y*v.y."""
     return u.x * v.x + u.y * v.y

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .geom import GeometryError, Point, RefusalError
+from .geom import GeometryError, Point, RefusalError, area2
 from .curve import Item, TropicalCurve, items, items_at
 from .bunch import (
     BouquetStructure,
     BunchGraph,
-    CurveCycle,
     NotABouquet,
     bouquet_structure,
     bunch,
@@ -58,15 +57,6 @@ class CycleParametrization:
         return a + (b - a) * ((t - lo) / (hi - lo))
 
 
-def _cycle_area2(curve: TropicalCurve, cyc: CurveCycle) -> Fraction:
-    total = Fraction(0)
-    path = cyc.vertex_path
-    for i in range(len(path) - 1):
-        a, b = curve.vertices[path[i]], curve.vertices[path[i + 1]]
-        total += a.x * b.y - b.x * a.y
-    return total
-
-
 def parametrize_cycles(
     curve: TropicalCurve, bq: BouquetStructure
 ) -> tuple[CycleParametrization, ...]:
@@ -75,7 +65,7 @@ def parametrize_cycles(
     for k, cyc in enumerate(bq.cycles):
         path = list(cyc.vertex_path)
         edges = list(cyc.edge_indices)
-        if _cycle_area2(curve, cyc) < 0:
+        if area2([curve.vertices[v] for v in path]) < 0:
             path.reverse()
             edges.reverse()
         breaks = [Fraction(0)]

@@ -221,10 +221,6 @@ def divisor_from_list(data, host: TropicalCurve | None = None) -> Divisor:
     return Divisor.of(acc, host)
 
 
-def divisor_to_json(d: Divisor) -> str:
-    return dumps(divisor_to_list(d))
-
-
 def load_divisor(path: str, host: TropicalCurve | None = None) -> Divisor:
     with open(path, "r", encoding="utf-8") as fh:
         data = _loads(fh.read(), "divisor")

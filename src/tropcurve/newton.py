@@ -2,9 +2,10 @@
 polygons, Minkowski sums, and vertex multiplicities.
 
 The Newton polygon is read off the rays alone: each weighted ray direction
-rotated +90 degrees is one edge vector of the polygon.  The dual complex is
-built from the complement faces on request; its hull is the same polygon,
-which the tests check.
+rotated +90 degrees is one side of the polygon, as each vector of a
+vertex's star, so rotated, is one side of its dual cell.  The dual complex
+is built from the complement faces on request; its hull is the same
+polygon, which the tests check.
 
 The dual complex assigns one lattice point per complement face.  Crossing an
 edge of weight w from its left face to its right face (left/right relative to
@@ -17,8 +18,11 @@ The face structure and the propagation run on plain ints: one angle key
 per item end, read off the item's primitive direction with no gcd, parallel
 rays ordered by their integer offset on the curve's grid, and dual lattice
 points walked as (x, y) pairs; IntVectors are built only for the dual
-vertices returned.  One monotone-chain hull ring on
-(x, y) pairs serves convex_hull and the subdivision of polyfront.
+vertices returned.  One monotone-chain hull ring on (x, y) pairs serves
+every lattice polygon: convex_hull and the subdivision of polyfront take
+the ring of their points, and the Newton polygon, dual cells and Minkowski
+sums the ring of their sides' partial sums, the sides sorted by the same
+angle key.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .geom import GeometryError, IntVector, Point, cross, pseudo_angle
+from .geom import GeometryError, IntVector, Point, area2
 from .curve import Item, TropicalCurve, _require_balanced, _residuals, items, local_star
 
 
@@ -51,14 +55,7 @@ class LatticePolygon:
 
     def area2(self) -> int:
         """Twice the enclosed area (shoelace)."""
-        vs = self.vertices
-        if len(vs) < 3:
-            return 0
-        total = 0
-        for i in range(len(vs)):
-            a, b = vs[i], vs[(i + 1) % len(vs)]
-            total += a.x * b.y - b.x * a.y
-        return total
+        return area2(self.vertices)
 
     def area(self) -> Fraction:
         return Fraction(self.area2(), 2)
@@ -78,11 +75,6 @@ class LatticePolygon:
             d = vs[1] - vs[0]
             return [d, -d]
         return [vs[(i + 1) % len(vs)] - vs[i] for i in range(len(vs))]
-
-
-def _canonical_ccw(points: list[IntVector]) -> LatticePolygon:
-    start = min(range(len(points)), key=lambda i: (points[i].x, points[i].y))
-    return LatticePolygon(tuple(points[start:] + points[:start]))
 
 
 def _chain(seq: list[tuple]) -> list[tuple]:
@@ -117,51 +109,51 @@ def convex_hull(points: list[IntVector]) -> LatticePolygon:
     return LatticePolygon(tuple(IntVector(x, y) for x, y in ring))
 
 
-def polygon_from_edge_vectors(
-    steps: list[IntVector], start: IntVector = IntVector(0, 0)
-) -> LatticePolygon:
-    """Close up angle-sorted edge vectors into a convex polygon.
+_first = itemgetter(0)
+_first_two = itemgetter(0, 1)
 
-    Equal directions are merged; the steps must sum to zero.
-    """
-    if not steps:
-        return LatticePolygon((start,))
-    order = sorted(range(len(steps)), key=lambda i: pseudo_angle(steps[i]))
-    merged: list[IntVector] = []
-    for i in order:
-        if merged and cross(merged[-1], steps[i]) == 0 and (
-            merged[-1].x * steps[i].x + merged[-1].y * steps[i].y > 0
-        ):
-            merged[-1] = merged[-1] + steps[i]
-        else:
-            merged.append(steps[i])
-    total = IntVector(0, 0)
-    for s in merged:
-        total = total + s
-    if total:
+
+class _Angle(tuple):
+    """The angle key (half, x, y) of a nonzero int direction (x, y), half 0
+    for angles in [0, pi).  Less-than compares the half-planes, then the
+    cross product, so sorting needs no gcd and parallel directions tie; on
+    primitive directions equality is the tuple's, since equal primitive
+    directions are equal vectors."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: "_Angle") -> bool:
+        if self[0] != other[0]:
+            return self[0] < other[0]
+        return self[1] * other[2] - other[1] * self[2] > 0
+
+
+def _polygon(steps: list[tuple[int, int]]) -> LatticePolygon:
+    """The convex polygon whose sides are the int steps (x, y) taken in angle
+    order: the hull ring of their partial sums, lex-min vertex at the origin.
+    Parallel steps fall on one side.  A zero step is refused, then steps
+    that do not sum to zero."""
+    if (0, 0) in steps:
+        raise GeometryError("zero vector has no angle")
+    sx = sy = 0
+    sums = [(0, 0)]
+    for _, x, y in sorted(
+        _Angle((0 if y > 0 or (y == 0 and x > 0) else 1, x, y)) for x, y in steps
+    ):
+        sx, sy = sx + x, sy + y
+        sums.append((sx, sy))
+    if sx or sy:
         raise GeometryError("edge vectors do not close up")
-    if len(merged) == 2:
-        verts = [start, start + merged[0]]
-    else:
-        verts = []
-        p = start
-        for s in merged:
-            verts.append(p)
-            p = p + s
-    return _canonical_ccw(verts)
+    ring = _hull_ring(sums)
+    mx, my = ring[0]
+    return LatticePolygon(tuple(IntVector(x - mx, y - my) for x, y in ring))
 
 
 def minkowski_sum(p: LatticePolygon, q: LatticePolygon) -> LatticePolygon:
-    """Minkowski sum via merged edge-vector sequences."""
-    if len(p.vertices) == 1:
-        return q.translated(p.vertices[0])
-    if len(q.vertices) == 1:
-        return p.translated(q.vertices[0])
-    steps = p.edge_vectors() + q.edge_vectors()
-    poly = polygon_from_edge_vectors(steps)
-    anchor = p.vertices[0] + q.vertices[0]
-    m = min(poly.vertices, key=lambda v: (v.x, v.y))
-    return poly.translated(anchor - m)
+    """Minkowski sum: the sides of both polygons taken in angle order, placed
+    at the sum of their lex-min vertices."""
+    steps = [(s.x, s.y) for s in p.edge_vectors() + q.edge_vectors()]
+    return _polygon(steps).translated(p.vertices[0] + q.vertices[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +193,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-
-
-_first = itemgetter(0)
-_first_two = itemgetter(0, 1)
-
-
-class _Angle(tuple):
-    """The angle key (half, x, y) of a primitive direction (x, y): the order
-    of pseudo_angle on ints.  Equality is the tuple's, since equal primitive
-    directions are equal vectors; less-than compares the half-planes, then
-    the cross product."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: "_Angle") -> bool:
-        if self[0] != other[0]:
-            return self[0] < other[0]
-        return self[1] * other[2] - other[1] * self[2] > 0
 
 
 def face_structure(c: TropicalCurve) -> FaceStructure:
@@ -350,7 +324,7 @@ def _propagate(fs: FaceStructure) -> NewtonComplex:
 
 def newton_polygon(c: TropicalCurve) -> LatticePolygon:
     """The Newton polygon from ray data alone: the weighted ray directions
-    rotated +90 degrees, chained by angle into a polygon.
+    rotated +90 degrees, taken as the sides of one hull ring.
 
     Needs a balanced curve, which need not be embedded.  An unbalanced one
     is refused with InvalidCurveError naming the first vertex whose residual
@@ -360,8 +334,9 @@ def newton_polygon(c: TropicalCurve) -> LatticePolygon:
     _require_balanced(_residuals(c))
     if not c.rays:
         raise GeometryError("a curve with no rays has no Newton polygon")
-    steps = [r.direction.rot_ccw() * r.weight for r in c.rays]
-    return polygon_from_edge_vectors(steps).normalized()
+    return _polygon(
+        [(-r.direction.y * r.weight, r.direction.x * r.weight) for r in c.rays]
+    )
 
 
 #: The same ray construction, under the name that says so.
@@ -375,8 +350,7 @@ newton_polygon_from_rays = newton_polygon
 
 def star_cell(star: list[IntVector]) -> LatticePolygon:
     """Closed polygon traced by the +90-degree rotations of a star's vectors."""
-    steps = [u.rot_ccw() for u in star]
-    return polygon_from_edge_vectors(steps).normalized()
+    return _polygon([(-u.y, u.x) for u in star])
 
 
 def star_multiplicity(star: list[IntVector]) -> int:

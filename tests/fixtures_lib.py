@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
+from tropcurve import jsonio
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
 from tropcurve.curve import (
     Item,
@@ -90,6 +91,11 @@ def reference_curve_to_json(c: TropicalCurve) -> str:
     """The curve file through the stdlib encoder: the oracle for the direct
     writer jsonio.curve_to_json."""
     return json.dumps(curve_to_dict(c), indent=2) + "\n"
+
+
+def divisor_to_json(d: Divisor) -> str:
+    """A divisor file's text, as jsonio.load_divisor reads it."""
+    return jsonio.dumps(jsonio.divisor_to_list(d))
 
 
 def dominant_terms(f: TropicalPolynomial, p: Point) -> tuple[tuple[int, int], ...]:

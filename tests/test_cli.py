@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fixtures_lib import (
     concave_lift,
     curve_to_dict,
+    divisor_to_json,
     poly_text,
     theta_curve,
     triangle_cycle_host,
@@ -35,7 +36,7 @@ def paths(tmp_path):
 
     def write_divisor(name, d):
         p = tmp_path / name
-        p.write_text(jsonio.divisor_to_json(d))
+        p.write_text(divisor_to_json(d))
         return str(p)
 
     return tmp_path, write_curve, write_divisor

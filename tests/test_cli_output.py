@@ -9,6 +9,7 @@ import json
 import pytest
 
 from fixtures_lib import (
+    divisor_to_json,
     figure_eight,
     tail_cycle_curve,
     theta_curve,
@@ -42,7 +43,7 @@ def files(tmp_path):
         return write(name, jsonio.curve_to_json(c))
 
     def wd(name, d):
-        return write(name, jsonio.divisor_to_json(d))
+        return write(name, divisor_to_json(d))
 
     return tmp_path, wc, wd
 

@@ -113,6 +113,26 @@ def test_validate_embedding_violation():
     assert report.balanced
     assert report.embedding_violations
     assert not report.passed
+    # T-junctions: a vertex (edge 1's head) inside edge 0, and ray 1's
+    # origin on ray 0
+    for c, message in [
+        (
+            curve([(0, 0), (2, 0), (1, 0), (1, 1)], edges=[(0, 1), (3, 2)]),
+            "edge 0 and edge 1 meet at (1, 0) which is not a shared vertex",
+        ),
+        (
+            curve([(0, 0), (1, 0)], rays=[(0, (1, 0)), (1, (0, 1))]),
+            "ray 0 and ray 1 meet at (1, 0) which is not a shared vertex",
+        ),
+    ]:
+        assert validate(c).embedding_violations == (message,)
+    # items meeting at edge 0's head vertex (1, 1) share it
+    c = curve(
+        [(0, 0), (1, 1)],
+        edges=[(0, 1)],
+        rays=[(0, (-1, 0)), (0, (0, -1)), (1, (1, 0)), (1, (0, 1))],
+    )
+    assert validate(c).passed
 
 
 def test_locate_and_star():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures_lib import (
     concave_lift,
@@ -37,6 +39,7 @@ from tropcurve.newton import (
     minkowski_sum,
     newton_complex,
     newton_polygon,
+    star_cell,
     vertex_multiplicity,
 )
 from tropcurve.polyfront import corner_locus, polynomial
@@ -313,6 +316,26 @@ def test_minkowski_segments():
     assert minkowski_sum(h, h) == poly((0, 0), (2, 0))
 
 
+# hulls of 1 to 7 points: points and segments among them
+lattice_polygons = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=7
+).map(lambda pts: poly(*pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_polygons, lattice_polygons)
+def test_minkowski_sum_is_hull_of_vertex_sums(p, q):
+    sums = [a + b for a in p.vertices for b in q.vertices]
+    assert minkowski_sum(p, q) == convex_hull(sums)
+
+
+def test_star_cell_refuses_zero_vector_before_closure():
+    with pytest.raises(GeometryError, match="^zero vector has no angle$"):
+        star_cell([vec(1, 0), vec(0, 0)])  # nor do these close up
+    with pytest.raises(GeometryError, match="^edge vectors do not close up$"):
+        star_cell([vec(1, 0), vec(0, 1)])
+
+
 def test_dual_cell_line_vertex():
     cell = dual_cell(tropical_line(), 0)
     assert cell == UNIT_TRIANGLE
@@ -337,7 +360,13 @@ def test_dual_cell_weighted():
 
 
 def test_dual_cell_matches_face_version():
-    for c in [tropical_line(), triangle_cycle_host(), figure_eight()]:
+    rng = random.Random(5)
+    loci = [
+        corner_locus(polynomial(lift(rng, d)))
+        for d in range(2, 8)
+        for lift in (concave_lift, sparse_lift, tied_lift)
+    ]
+    for c in [tropical_line(), triangle_cycle_host(), figure_eight()] + loci:
         nc = newton_complex(c)
         for v in range(len(c.vertices)):
             assert dual_cell(c, v) == dual_cell_from_faces(c, v, nc)
