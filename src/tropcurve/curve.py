@@ -7,6 +7,7 @@ integer direction).  Weights are positive integers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -136,6 +137,12 @@ class TropicalCurve:
             ))
         return tuple(edges + rays)
 
+    @cached_property
+    def _index(self) -> ItemIndex:
+        """The integer index of the items that every pair scan reads, built
+        on first use: never by the constructor or corner_locus."""
+        return _index_of(self._items, self._scale, self._grid)
+
 
 def curve(
     vertices: Iterable[tuple],
@@ -214,9 +221,11 @@ def items(c: TropicalCurve) -> tuple[Item, ...]:
 
 
 class Shared(NamedTuple):
-    """The part two collinear items share: its two ends, or one for a ray."""
+    """The part two collinear items share: its two ends, or one for a ray.
 
-    ends: tuple[Point, ...]
+    `meetings` gives the ends as Points, `_meet` as its (s, t, den) reports."""
+
+    ends: tuple
 
 
 def _common_scale(its: Iterable[Item]) -> int:
@@ -251,6 +260,89 @@ def _lattice(its: Iterable[Item], scale: int) -> list[View]:
     return out
 
 
+class ItemIndex(NamedTuple):
+    """The integer index of a curve, or of a sequence of items, that every
+    pair scan reads: built once, at the items' own scale.
+
+    `boxes` holds each view's finite box (x low, x high, y low, y high), for
+    a ray its origin; `extent` the box of them all (None without items).
+    `order` lists the positions by x low once each ray's open sides are
+    fitted to any extent: rays running toward -x first, then by the finite x
+    low, an order that no raise to a larger scale changes.  `keys` holds
+    each vertex of a curve as (X, Y, D) with gcd 1, the point (X/D, Y/D).
+    """
+
+    scale: int
+    views: tuple[View, ...]
+    boxes: tuple[tuple[int, int, int, int], ...]
+    extent: tuple[int, int, int, int] | None
+    rays: tuple[int, ...]  # positions of the rays among the views
+    order: tuple[int, ...]
+    keys: tuple[tuple[int, int, int], ...] | None
+
+
+def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
+    """The index of items on the grid of `scale`, a multiple of each item's
+    scale; with the vertex keys of a curve when its grid is given."""
+    views = tuple(_lattice(its, scale))
+    boxes, rays = [], []
+    for k, (it, ox, oy, vx, vy) in enumerate(views):
+        if it.head is None:
+            rays.append(k)
+            boxes.append((ox, ox, oy, oy))
+        else:
+            ex, ey = ox + vx, oy + vy
+            boxes.append((min(ox, ex), max(ox, ex), min(oy, ey), max(oy, ey)))
+    extent = None
+    if boxes:
+        extent = (
+            min(b[0] for b in boxes), max(b[1] for b in boxes),
+            min(b[2] for b in boxes), max(b[3] for b in boxes),
+        )
+    west = {k for k in rays if views[k].vx < 0}
+    order = sorted(range(len(views)), key=lambda k: (k not in west, boxes[k][0]))
+    keys = None
+    if grid is not None:
+        keys = tuple(
+            (x // g, y // g, scale // g) for x, y in grid for g in (gcd(x, y, scale),)
+        )
+    return ItemIndex(scale, views, tuple(boxes), extent, tuple(rays), tuple(order), keys)
+
+
+def _raised(ix: ItemIndex, scale: int) -> Sequence[View]:
+    """The index's views on the grid of `scale`, a multiple of its own: the
+    views themselves when the scales agree."""
+    f = scale // ix.scale
+    if f == 1:
+        return ix.views
+    return [
+        View(it, ox * f, oy * f, vx * f, vy * f) if it.head is not None
+        else View(it, ox * f, oy * f, vx, vy)
+        for it, ox, oy, vx, vy in ix.views
+    ]
+
+
+def _boxes(ix: ItemIndex, f: int, extent) -> Sequence[tuple[int, int, int, int]]:
+    """The index's boxes raised by f, each ray's open sides ending one unit
+    past `extent` (x low, x high, y low, y high), the finite extent of all
+    the views scanned, where no other box ends: so the boxes of two items
+    that meet overlap, and no unbounded value enters."""
+    boxes = ix.boxes
+    if f != 1:
+        boxes = [(x0 * f, x1 * f, y0 * f, y1 * f) for x0, x1, y0, y1 in boxes]
+    if ix.rays:
+        boxes = list(boxes)
+        ex0, ex1, ey0, ey1 = extent
+        for k in ix.rays:
+            _, _, _, vx, vy = ix.views[k]
+            x0, x1, y0, y1 = boxes[k]
+            boxes[k] = (
+                ex0 - 1 if vx < 0 else x0, ex1 + 1 if vx > 0 else x1,
+                ey0 - 1 if vy < 0 else y0, ey1 + 1 if vy > 0 else y1,
+            )
+    return boxes
+
+
 def _point_on(v: View, t: int, den: int, scale: int) -> Point:
     """The point at parameter t/den along view v, with den > 0.
 
@@ -265,11 +357,14 @@ def _point_on(v: View, t: int, den: int, scale: int) -> Point:
     return Point(Fraction(v.ox * den + v.vx * t, n), Fraction(v.oy * den + v.vy * t, n))
 
 
-def _meet(a: View, b: View, scale: int) -> Point | Shared | None:
-    """Intersection of two closed items given as views of one scale.
+def _meet(a: View, b: View):
+    """Where two closed items, given as views of one scale, meet: None, a
+    point, or the Shared part with its one or two ends as points.
 
-    Every test is a sign test on integers.  A Point is built only for a
-    meeting interior to both items; any other is an item's own end.
+    A point is (s, t, den), den > 0: it lies s/den along a and t/den along
+    b, so s == 0 is a's tail, s == den a's head for an edge, and t marks
+    b's ends alike.  Every test is a sign test on integers; no Point is
+    built.
     """
     ia, aox, aoy, avx, avy = a
     ib, box, boy, bvx, bvy = b
@@ -285,29 +380,46 @@ def _meet(a: View, b: View, scale: int) -> Point | Shared | None:
             return None
         if (ia.head is not None and sn > den) or (ib.head is not None and tn > den):
             return None
-        if tn == 0 or (tn == den and ib.head is not None):
-            return _point_on(b, tn, den, scale)
-        return _point_on(a, sn, den, scale)
+        return sn, tn, den
     if avx * dy - dx * avy:
         return None
     # same line: the low and high ends of b, then of the shared part, as
-    # (parameter along a in units of 1/|va|^2, Point); None where open
+    # points over q = |va|^2, first entry the parameter along a; None where
+    # open.  An end of a is over |vb|^2 instead.
     q, c0 = avx * avx + avy * avy, dx * avx + dy * avy
-    lo, hi = (c0, ib.origin), None
+    lo, hi = (c0, 0, q), None
     if ib.head is not None:
-        hi = (c0 + bvx * avx + bvy * avy, ib.ends[1])
+        hi = (c0 + bvx * avx + bvy * avy, q, q)
         lo, hi = (lo, hi) if lo[0] < hi[0] else (hi, lo)
     elif bvx * avx + bvy * avy < 0:
         lo, hi = None, lo
-    if lo is None or lo[0] < 0:
-        lo = (0, ia.origin)
-    if ia.head is not None and (hi is None or hi[0] > q):
-        hi = (q, ia.ends[1])
+    # the parameters along a of the shared part's ends, over q
+    s_lo, s_hi = (lo[0] if lo else 0), (hi[0] if hi else None)
+    if lo is None or s_lo < 0:
+        s_lo, lo = 0, (0, -(dx * bvx + dy * bvy), bvx * bvx + bvy * bvy)
+    if ia.head is not None and (hi is None or s_hi > q):
+        qb = bvx * bvx + bvy * bvy
+        s_hi, hi = q, (qb, (avx - dx) * bvx + (avy - dy) * bvy, qb)
     if hi is None:
-        return Shared((lo[1],))
-    if lo[0] < hi[0]:
-        return Shared((lo[1], hi[1]))
-    return lo[1] if lo[0] == hi[0] else None
+        return Shared((lo,))
+    if s_lo < s_hi:
+        return Shared((lo, hi))
+    return lo if s_lo == s_hi else None
+
+
+def _as_points(a: View, b: View, m, scale: int) -> Point | Shared:
+    """_meet's report m of views a and b with its points as Points on the
+    grid of `scale`: an end of b, else of a, as the item's own Point, else
+    one built."""
+    if type(m) is Shared:
+        return Shared(tuple(_as_points(a, b, e, scale) for e in m.ends))
+    s, t, den = m
+    ib = b.item
+    if t == 0:
+        return ib.origin
+    if t == den and ib.head is not None:
+        return ib.ends[1]
+    return _point_on(a, s, den, scale)
 
 
 def _pair_grid(c1: TropicalCurve, c2: TropicalCurve):
@@ -317,92 +429,90 @@ def _pair_grid(c1: TropicalCurve, c2: TropicalCurve):
     f1, f2 = scale // c1._scale, scale // c2._scale
     return (
         scale,
-        _lattice(items(c1), scale),
-        _lattice(items(c2), scale),
+        _raised(c1._index, scale),
+        _raised(c2._index, scale),
         [(x * f1, y * f1) for x, y in c1._grid],
         [(x * f2, y * f2) for x, y in c2._grid],
     )
 
 
-def _boxes(views: Sequence[View]) -> list[list[int]]:
-    """Each view's closed bounding box [x low, x high, y low, y high] on its
-    grid.  A ray's open side ends one unit past the finite extent of all the
-    views, where no other box ends, so the boxes of two items that meet
-    overlap."""
-    boxes = []
-    for it, ox, oy, vx, vy in views:
-        ex, ey = (ox + vx, oy + vy) if it.head is not None else (ox, oy)
-        boxes.append([min(ox, ex), max(ox, ex), min(oy, ey), max(oy, ey)])
-    x0, y0 = min(b[0] for b in boxes) - 1, min(b[2] for b in boxes) - 1
-    x1, y1 = max(b[1] for b in boxes) + 1, max(b[3] for b in boxes) + 1
-    for b, (it, _, _, vx, vy) in zip(boxes, views):
-        if it.head is None:
-            if vx > 0:
-                b[1] = x1
-            elif vx < 0:
-                b[0] = x0
-            if vy > 0:
-                b[3] = y1
-            elif vy < 0:
-                b[2] = y0
-    return boxes
-
-
-def _candidates(
-    xv: Sequence[View], yv: Sequence[View] | None = None
-) -> list[tuple[View, View]]:
-    """The pairs of views whose boxes overlap, in the order of the scan of
-    all pairs: with one sequence, positions i < j in lexicographic order;
-    with two, xv-major.
+def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, View]]:
+    """The pairs of views whose boxes overlap, on the grid of the two
+    indexes' common scale, in the order of the scan of all pairs: with one
+    index, positions i < j in lexicographic order; with two, x-major.
 
     Sweep and prune: the boxes are visited by x low, each against the boxes
-    still open at that x (of the other sequence, when there are two), and a
-    pair is kept when its y intervals overlap too.
+    still open at that x (of the other index, when there are two), and a
+    pair is kept when its y intervals overlap too.  Each index keeps its
+    boxes and their order, so a scan raises a side only when its scale is
+    below the pair's, and fits only the rays' open sides to the pair's
+    extent.
     """
-    views = [*xv, *(yv or ())]
-    if not views:
-        return []
+    if y is None:
+        views, boxes, order, n = x.views, _boxes(x, 1, x.extent), x.order, len(x.views)
+    else:
+        scale = lcm(x.scale, y.scale)
+        f1, f2 = scale // x.scale, scale // y.scale
+        sides = [(e, f) for e, f in ((x.extent, f1), (y.extent, f2)) if e is not None]
+        if not sides:
+            return []
+        extent = (
+            min(e[0] * f for e, f in sides), max(e[1] * f for e, f in sides),
+            min(e[2] * f for e, f in sides), max(e[3] * f for e, f in sides),
+        )
+        n = len(x.views)
+        views = [*_raised(x, scale), *_raised(y, scale)]
+        boxes = [*_boxes(x, f1, extent), *_boxes(y, f2, extent)]
+        # two runs already in order: the sort merges them
+        order = [*x.order, *(n + k for k in y.order)]
+        order.sort(key=[b[0] for b in boxes].__getitem__)
     # Each box is tested against the open boxes of side `side ^ two`: with
-    # one sequence every box is on side 0 and meets side 0; with two, the
-    # boxes of yv are on side 1 and each side meets the other.
-    n = len(xv) if yv is not None else len(views)
-    two = int(yv is not None)
-    boxes = _boxes(views)
-    open_: tuple[list, list] = ([], [])  # per side: (x high, y low, y high, k)
+    # one index every box is on side 0 and meets side 0; with two, the
+    # boxes of y are on side 1 and each side meets the other.
+    two = int(y is not None)
+    open_: tuple[list, list] = ([], [])  # per side, by x high: (x high, y low, y high, k)
     pairs = []
-    for k in sorted(range(len(views)), key=lambda k: boxes[k][0]):
+    for k in order:
         x0, x1, y0, y1 = boxes[k]
         side = int(k >= n)
         other = open_[side ^ two]
-        other[:] = [o for o in other if o[0] >= x0]
+        del other[:bisect_left(other, (x0,))]
         for _, b0, b1, j in other:
             if b0 <= y1 and y0 <= b1:
                 pairs.append((j, k) if j < k else (k, j))
-        open_[side].append((x1, y0, y1, k))
+        insort(open_[side], (x1, y0, y1, k))
     pairs.sort()
     return [(views[i], views[j]) for i, j in pairs]
 
 
+def _scan(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, View, tuple]]:
+    """The pair scan: (a, b, report) for every pair of views of
+    `_candidates` that meet, report being _meet's, in that order."""
+    return [(a, b, m) for a, b in _candidates(x, y) if (m := _meet(a, b)) is not None]
+
+
 def meetings(
-    xs: Sequence[Item], ys: Sequence[Item] | None = None
+    xs: ItemIndex | Sequence[Item], ys: ItemIndex | Sequence[Item] | None = None
 ) -> Iterator[tuple[Item, Item, Point | Shared]]:
     """Every pair of items that meet, with the meeting Point, or with the
     Shared part when they share a segment or a ray.
 
     With one sequence, each pair of distinct positions once, earlier item
     first; with two, every item of xs against every item of ys, xs-major.
-    Both run on the integer views raised to the scale of all the items, and
-    only pairs whose bounding boxes overlap (`_candidates`) reach `_meet`;
-    they are tested in the order above, so the output is that of the scan
-    of all pairs.
+    Each side is a curve's index (`TropicalCurve._index`, built once per
+    curve) or a sequence of items, indexed for this call.  The pair scan
+    `_scan` runs on integers at the scale of all the items and tests only
+    the pairs whose bounding boxes overlap, in the order above, so the
+    output is that of the scan of all pairs; a Point is built here, and
+    only for a meeting inside both items.
     """
-    scale = _common_scale(chain(xs, ys or ()))
-    xv = _lattice(xs, scale)
-    yv = None if ys is None else _lattice(ys, scale)
-    for a, b in _candidates(xv, yv):
-        p = _meet(a, b, scale)
-        if p is not None:
-            yield a.item, b.item, p
+    x = xs if isinstance(xs, ItemIndex) else _index_of(xs, _common_scale(xs))
+    y = ys
+    if ys is not None and not isinstance(ys, ItemIndex):
+        y = _index_of(ys, _common_scale(ys))
+    scale = x.scale if y is None else lcm(x.scale, y.scale)
+    for a, b, m in _scan(x, y):
+        yield a.item, b.item, _as_points(a, b, m, scale)
 
 
 def star_at(p: Point, its: Iterable[Item]) -> list[tuple[int, int]]:
@@ -455,7 +565,7 @@ def validate(c: TropicalCurve) -> BalanceReport:
         if i not in ends:
             raise StructureError(f"vertex {i} is isolated")
     violations = []
-    for a, b, p in meetings(items(c)):
+    for a, b, p in meetings(c._index):
         if isinstance(p, Shared):
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} overlap "
@@ -524,7 +634,7 @@ def items_at(c: TropicalCurve, p: Point) -> list[Item]:
     scale = lcm(c._scale, qx, qy)
     px, py = p.x.numerator * (scale // qx), p.y.numerator * (scale // qy)
     out = []
-    for it, ox, oy, vx, vy in _lattice(items(c), scale):
+    for it, ox, oy, vx, vy in _raised(c._index, scale):
         dx, dy = px - ox, py - oy
         if vx * dy - dx * vy:
             continue
@@ -569,7 +679,7 @@ def _loop_sides(loop: Sequence[Point]) -> tuple[Item, ...]:
     )
     sides = items(polygon)
     # Adjacent sides that do not overlap meet only at their shared corner.
-    for a, b, p in meetings(sides):
+    for a, b, p in meetings(polygon._index):
         i, j = a.index, b.index
         if isinstance(p, Shared) or not (j == i + 1 or (i == 0 and j == n - 1)):
             raise LoopError("loop is not a simple polygon")
@@ -589,7 +699,7 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
     ccw = area2(loop) > 0
     corners = set(loop)
     out = []
-    for it, side, p in meetings(items(c), sides):
+    for it, side, p in meetings(c._index, sides):
         if isinstance(p, Shared):
             raise LoopError(f"loop runs along {it.kind} {it.index}")
         if p in corners:

@@ -2,12 +2,19 @@
 
 One scan of the item pairs of two curves gives their intersection record
 (`_record`): each meeting point and each end of a part that two items
-share, with the items of each curve through it, and whether every meeting
-was a crossing interior to both items.  `stable_intersection`,
-`is_transversal` and `jacobian.sigma` read it; only the last pair scanned
-is kept, by the identity of the two curves.  The scan and the oracle's
-crossing loop read only the item pairs whose integer bounding boxes
-overlap (`curve.meetings`).
+share, with the items of each curve through it and where the point sits
+on each, and whether every meeting was a crossing interior to both items.
+`stable_intersection`, `is_transversal` and `jacobian.sigma` read it; only
+the last pair scanned is kept, by the identity of the two curves.
+
+The scan (`curve._scan`) reads each curve's integer index
+(`TropicalCurve._index`, built once per curve), so a curve that serves
+many pairs, such as a walk's host, is indexed once.  It and the oracle's
+crossing loop test only the item pairs whose integer bounding boxes
+overlap.  The record keys each point on integers, an item's end by its
+vertex's cached key, and compares no Point; a Point is built only for an
+entry of the divisor that is no item's end, once, when the entries are
+put in order on one common denominator (`_support`).
 
 Each recorded point gets its local multiplicity from the fan displacement
 rule (Fulton-Sturmfels; Jensen-Yu), an integer count on the two stars.
@@ -19,8 +26,9 @@ the independent route that the test suite checks the record route against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-from typing import Callable, NamedTuple
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Callable
 
 from .geom import GeometryError, IntVector, Point, cross, pt
 from .curve import (
@@ -31,9 +39,8 @@ from .curve import (
     _candidates,
     _pair_grid,
     _point_on,
-    items,
-    meetings,
-    star_at,
+    _scan,
+    items,  # noqa: F401  perfbench's tracer and its tests patch this binding
 )
 from .newton import LatticePolygon, minkowski_sum
 
@@ -86,7 +93,7 @@ def transversal_multiplicity(
     d1: IntVector, w1: int, d2: IntVector, w2: int
 ) -> int:
     """|cross| of the weighted primitive vectors of two crossing edges."""
-    c = cross(d1 * w1, d2 * w2)
+    c = (d1.x * d2.y - d1.y * d2.x) * w1 * w2
     if c == 0:
         raise GeometryError("parallel edges have no transversal multiplicity")
     return abs(c)
@@ -206,12 +213,12 @@ def perturbation_oracle(
     why = _violations(c1, c2, direction)
     if why is not None:
         raise NonGenericDirection(why)
-    scale, its1, its2, _, _ = _pair_grid(c1, c2)
+    scale = lcm(c1._scale, c2._scale)
     tx, ty = _int_direction(direction)
     acc: dict[Point, int] = {}
     # A crossing's eps -> 0 limit lies on both closed items, so only pairs
     # whose boxes overlap can cross.
-    for a_view, (b, box, boy, bvx, bvy) in _candidates(its1, its2):
+    for a_view, (b, box, boy, bvx, bvy) in _candidates(c1._index, c2._index):
         a, aox, aoy, avx, avy = a_view
         den = avx * bvy - bvx * avy
         if den == 0:
@@ -231,13 +238,32 @@ def perturbation_oracle(
     return Divisor.of(acc, c1)
 
 
-class _Record(NamedTuple):
+class _At:
+    """The items of each curve through one recorded point, each as (item,
+    end): end 0 where the point is the item's tail, 1 its head, None inside.
+    `point` is an item's own end Point there, or None until output."""
+
+    __slots__ = ("its1", "its2", "point")
+
+    def __init__(self, point: Point | None):
+        self.its1: list[tuple[Item, int | None]] = []
+        self.its2: list[tuple[Item, int | None]] = []
+        self.point = point
+
+
+class _Record:
     """The meetings of two curves."""
 
-    # each meeting point and end of a shared part: the items of c1, then c2
-    points: dict[Point, tuple[list[Item], list[Item]]]
-    # every meeting is interior to both of its items
-    transversal: bool
+    __slots__ = ("points", "transversal", "support")
+
+    def __init__(self, points: dict[tuple[int, int, int], _At], transversal: bool):
+        # each meeting point and end of a shared part, by its reduced grid
+        # key (X, Y, D), gcd 1, the point (X/D, Y/D)
+        self.points = points
+        # every meeting is interior to both of its items
+        self.transversal = transversal
+        # stable_intersection's entries, each with its _At; built on first use
+        self.support: list[tuple[Point, int, _At]] | None = None
 
 
 # The last pair scanned and its record, replaced as one tuple.  The strong
@@ -248,27 +274,55 @@ _last: tuple = (None, None, None)
 
 
 def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
-    """The intersection record of the pair: one pass of meetings, reused
-    while the same pair is asked for again."""
+    """The intersection record of the pair: one pair scan of the two
+    curves' indexes, reused while the same pair is asked for again.
+
+    Each meeting is keyed on integers: an item's end by its vertex's cached
+    key, any other point by its grid coordinates over their gcd.  No Point
+    is built or compared here."""
     global _last
     last1, last2, rec = _last
     if c1 is last1 and c2 is last2:
         return rec
+    x, y = c1._index, c2._index
+    scale = lcm(x.scale, y.scale)
+    keys1, keys2 = x.keys, y.keys
     # An item misses a recorded point only when the point is inside the part
     # it shares with each item of the other curve there: it adds nothing.
-    points: dict[Point, tuple[list[Item], list[Item]]] = {}
+    points: dict[tuple[int, int, int], _At] = {}
     transversal = True
-    for a, b, p in meetings(items(c1), items(c2)):
-        shared = isinstance(p, Shared)
-        if transversal and (shared or p in a.ends or p in b.ends):
-            transversal = False
-        for q in p.ends if shared else (p,):
-            its1, its2 = points.setdefault(q, ([], []))
-            # meetings run xs-major: a met q before only if it came last
-            if not its1 or its1[-1] is not a:
-                its1.append(a)
-            if b not in its2:
-                its2.append(b)
+    for av, bv, m in _scan(x, y):
+        a, b = av.item, bv.item
+        shared = type(m) is Shared
+        for s, t, den in m.ends if shared else (m,):
+            ea = 0 if s == 0 else 1 if s == den and a.head is not None else None
+            eb = 0 if t == 0 else 1 if t == den and b.head is not None else None
+            if ea is not None:
+                key = keys1[a.tail if ea == 0 else a.head]
+                end_point = a.ends[ea]
+            elif eb is not None:
+                key = keys2[b.tail if eb == 0 else b.head]
+                end_point = b.ends[eb]
+            else:
+                X, Y, D = av.ox * den + av.vx * s, av.oy * den + av.vy * s, scale * den
+                g = gcd(X, Y, D)
+                key, end_point = (X // g, Y // g, D // g), None
+            at = points.get(key)
+            if at is None:
+                at = points[key] = _At(end_point)
+            elif at.point is None:
+                at.point = end_point
+            # the scan runs x-major: a met this point before only if it came last
+            if not at.its1 or at.its1[-1][0] is not a:
+                at.its1.append((a, ea))
+            for it, _ in at.its2:
+                if it is b:
+                    break
+            else:
+                at.its2.append((b, eb))
+            # a shared part's ends are item ends too
+            if ea is not None or eb is not None:
+                transversal = False
     rec = _Record(points, transversal)
     _last = (c1, c2, rec)
     return rec
@@ -276,7 +330,7 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
 
 def has_shared_segment(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     # Not _record: perfbench's traced route check must not fill the record.
-    return any(isinstance(p, Shared) for _, _, p in meetings(items(c1), items(c2)))
+    return any(type(m) is Shared for _, _, m in _scan(c1._index, c2._index))
 
 
 def is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
@@ -303,6 +357,49 @@ def _local_multiplicity(s1: list[tuple[int, int]], s2: list[tuple[int, int]]) ->
     return mu
 
 
+def _star(its: list[tuple[Item, int | None]]) -> list[tuple[int, int]]:
+    """The weighted primitive vectors (x, y) leaving a recorded point along
+    its items: forward unless it is the item's head, backward unless its
+    tail (curve.star_at, read from the ends the scan found)."""
+    star = []
+    for it, end in its:
+        wx, wy = it.prim.x * it.weight, it.prim.y * it.weight
+        if end != 1:
+            star.append((wx, wy))
+        if end != 0:
+            star.append((-wx, -wy))
+    return star
+
+
+def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At]]:
+    """The stable intersection's entries in point order, each with the
+    record's _At for it.  The first call for a record computes them; each
+    Point that is no item's end is built here, once."""
+    rec = _record(c1, c2)
+    if rec.support is not None:
+        return rec.support
+    found = []
+    for key, at in rec.points.items():
+        its1, its2 = at.its1, at.its2
+        if len(its1) == 1 == len(its2) and its1[0][1] is None and its2[0][1] is None:
+            # one item of each curve, crossing inside both: |det|
+            (a, _), (b, _) = its1[0], its2[0]
+            mu = transversal_multiplicity(a.prim, a.weight, b.prim, b.weight)
+        else:
+            mu = _local_multiplicity(_star(its1), _star(its2))
+            if not mu:
+                continue
+        found.append((key, mu, at))
+    # by x, then y, on one common denominator
+    L = lcm(*(D for (_, _, D), _, _ in found))
+    found.sort(key=lambda e: (e[0][0] * (L // e[0][2]), e[0][1] * (L // e[0][2])))
+    rec.support = [
+        (Point(Fraction(X, D), Fraction(Y, D)) if at.point is None else at.point, mu, at)
+        for (X, Y, D), mu, at in found
+    ]
+    return rec.support
+
+
 def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     """The stable intersection divisor, supported on the first curve.
 
@@ -311,15 +408,4 @@ def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     elsewhere (vertices, ends of shared segments) the local count on the
     stars of the recorded items.  Inside a shared segment nothing is added.
     """
-    rec = _record(c1, c2)
-    acc: dict[Point, int] = {}
-    for p, (its1, its2) in rec.points.items():
-        if len(its1) == 1 == len(its2):
-            (a,), (b,) = its1, its2
-            if rec.transversal or (p not in a.ends and p not in b.ends):
-                acc[p] = transversal_multiplicity(a.prim, a.weight, b.prim, b.weight)
-                continue
-        mu = _local_multiplicity(star_at(p, its1), star_at(p, its2))
-        if mu:
-            acc[p] = mu
-    return Divisor.of(acc, c1)
+    return Divisor(tuple((p, m) for p, m, _ in _support(c1, c2)), c1)

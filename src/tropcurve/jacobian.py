@@ -24,7 +24,7 @@ from .bunch import (
     bouquet_structure,
     bunch,
 )
-from .intersect import Divisor, _record, stable_intersection
+from .intersect import Divisor, _support, stable_intersection
 
 
 class UnsupportedCurveError(RefusalError):
@@ -141,26 +141,31 @@ def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     hit = items_at(system.curve, p)
     if not hit:
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
-    return _project_on(system, hit[0], p)
+    it = hit[0]
+    if p in it.ends:
+        return _vertex_image(system, it.tail if p == it.origin else it.head)
+    return _project_on(system, it, p)
+
+
+def _vertex_image(system: CycleSystem, v: int) -> tuple[int | None, Fraction]:
+    """project_point for vertex v."""
+    return system._node_images[system.graph.node_of_vertex[v]]
 
 
 def _project_on(
     system: CycleSystem, it: Item, p: Point
 ) -> tuple[int | None, Fraction]:
-    """project_point for a point p of item it, it being the first item of
-    the curve that holds p.
+    """project_point for a point p inside item it, it being the first item
+    of the curve that holds p.
 
     A point interior to a cycle edge takes the breakpoint of the edge's
     tail on the path, plus the lattice run from the tail to p when the path
     runs along the edge, minus it when the path runs against it: the
     inverse of CycleParametrization.point_at on the cycle, found without
     scanning it."""
-    if p in it.ends:
-        v = it.tail if p == it.origin else it.head
-        return system._node_images[system.graph.node_of_vertex[v]]
     on_cycle = system._cycle_edges.get(it.index) if it.bounded else None
     if on_cycle is None:
-        return system._node_images[system.graph.node_of_vertex[it.tail]]
+        return _vertex_image(system, it.tail)
     cp, i = on_cycle
     o, u = it.origin, it.prim
     run = (p.x - o.x) / u.x if u.x else (p.y - o.y) / u.y
@@ -189,14 +194,13 @@ class AbelCoordinate:
 
 def abel_coordinate(system: CycleSystem, d: Divisor) -> AbelCoordinate:
     """Residues of a divisor under the cycle parametrizations."""
-    return _coordinate(system, d, lambda p: project_point(system, p))
+    return _coordinate(system, d, [project_point(system, p) for p, _ in d.entries])
 
 
-def _coordinate(system: CycleSystem, d: Divisor, project) -> AbelCoordinate:
-    """abel_coordinate with each point's quotient image given by project."""
+def _coordinate(system: CycleSystem, d: Divisor, images) -> AbelCoordinate:
+    """abel_coordinate with the quotient image of each point of d, in order."""
     res = [Fraction(0)] * system.genus
-    for p, m in d.entries:
-        k, t = project(p)
+    for (k, t), (_, m) in zip(images, d.entries, strict=True):
         if k is not None:
             res[k] += m * t
     res = [
@@ -232,9 +236,17 @@ def linearly_equivalent_on(
 def sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
     """Abel coordinate of the stable intersection with a mobile curve.
 
-    Each divisor point is projected from the first item of the host through
-    it in the intersection record, so no point is looked up on the host.
+    Each divisor point is projected from what the intersection record holds
+    for it: the first host item through it and where the point sits on that
+    item, its tail or head vertex or inside it.  No point is looked up on
+    the host or compared with another.
     """
     d = stable_intersection(system.curve, mobile)
-    rec = _record(system.curve, mobile)
-    return _coordinate(system, d, lambda p: _project_on(system, rec.points[p][0][0], p))
+    images = []
+    for p, _, at in _support(system.curve, mobile):
+        it, end = at.its1[0]
+        if end is None:
+            images.append(_project_on(system, it, p))
+        else:
+            images.append(_vertex_image(system, it.tail if end == 0 else it.head))
+    return _coordinate(system, d, images)

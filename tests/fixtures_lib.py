@@ -1,10 +1,13 @@
 """Shared hand-built curves used across the test suite."""
 
+import functools
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
+from pathlib import Path
 
 from tropcurve import jsonio
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
@@ -12,6 +15,7 @@ from tropcurve.curve import (
     Item,
     Shared,
     TropicalCurve,
+    _as_points,
     _common_scale,
     _lattice,
     _meet,
@@ -402,7 +406,8 @@ def item_intersection(a: Item, b: Item):
     one point."""
     scale = _common_scale((a, b))
     va, vb = _lattice((a, b), scale)
-    return _meet(va, vb, scale)
+    m = _meet(va, vb)
+    return None if m is None else _as_points(va, vb, m, scale)
 
 
 def all_pairs_meetings(xs, ys=None) -> list:
@@ -412,9 +417,9 @@ def all_pairs_meetings(xs, ys=None) -> list:
     pairs = combinations(xv, 2) if ys is None else product(xv, _lattice(ys, scale))
     out = []
     for a, b in pairs:
-        p = _meet(a, b, scale)
-        if p is not None:
-            out.append((a.item, b.item, p))
+        m = _meet(a, b)
+        if m is not None:
+            out.append((a.item, b.item, _as_points(a, b, m, scale)))
     return out
 
 
@@ -782,6 +787,19 @@ def slid_pool(rng: random.Random, degrees, slid) -> list[TropicalCurve]:
         shift = (c.vertices[e.b] - c.vertices[e.a]) * Fraction(rng.randint(1, 3), 4)
         pool.append(translate(c, shift))
     return pool
+
+
+@functools.cache
+def benchmark_pool(seed: int) -> tuple[TropicalCurve, ...]:
+    """The intersect workload's pool for a seed, built by the benchmark's
+    own setup (perfbench/tcbench/workloads.py)."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from tcbench import lib
+    from tcbench.workloads import Intersect
+
+    return Intersect.setup(lib.load(), seed).pool
 
 
 def sparse_lift(rng: random.Random, d: int) -> dict:

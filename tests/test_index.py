@@ -1,0 +1,216 @@
+"""The integer index of a curve and the pair scans that read it.
+
+`TropicalCurve._index` holds each item's integer view, its finite box, the
+curve's finite extent and the positions of its rays, built once on first
+use.  `validate`, `meetings`, the intersection record, `has_shared_segment`
+and the oracle's candidates read it; a pair scan raises a side only when
+its scale is below the pair's.  Here the record route is checked against
+the routes that read no record on pairs where both sides are raised and on
+every ordered pair of the benchmark's intersect pools, the sweep against a
+scan of all pairs, and the index is counted: once per curve, and never by
+corner_locus.
+"""
+
+import importlib
+import random
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fixtures_lib import (
+    anti_line,
+    benchmark_pool,
+    concave_lift,
+    coordinate_cross,
+    figure_eight,
+    poly_text,
+    reference_is_transversal,
+    reference_meetings,
+    reference_sigma,
+    reference_star_intersection,
+    tropical_line,
+    two_triangles_bridged,
+    unit_triangle_cycle,
+    wedge_l,
+)
+from tropcurve.curve import (
+    TropicalCurve,
+    _candidates,
+    _lattice,
+    _meet,
+    items,
+    meetings,
+    translate,
+    validate,
+)
+from tropcurve.geom import pt
+from tropcurve.intersect import has_shared_segment, is_transversal, stable_intersection
+from tropcurve.jacobian import UnsupportedCurveError, cycle_system, sigma
+from tropcurve.jsonio import curve_to_json
+from tropcurve.newton import newton_complex, newton_polygon
+from tropcurve.params import curve_from_params, params_from_curve, perturb
+from tropcurve.polyfront import corner_locus, parse, polynomial
+
+curve_mod = importlib.import_module("tropcurve.curve")
+intersect_mod = importlib.import_module("tropcurve.intersect")
+
+_systems: dict[int, object] = {}
+
+
+def system_of(c: TropicalCurve):
+    """The cycle system of c, or None where it has none; kept per curve."""
+    if id(c) not in _systems:
+        try:
+            _systems[id(c)] = (c, cycle_system(c))
+        except UnsupportedCurveError:
+            _systems[id(c)] = (c, None)
+    return _systems[id(c)][1]
+
+
+def assert_record_routes(c1: TropicalCurve, c2: TropicalCurve) -> None:
+    """The record's answers equal those of the routes that read none; sigma
+    is compared where the first curve has a cycle system."""
+    assert stable_intersection(c1, c2) == reference_star_intersection(c1, c2)
+    assert is_transversal(c1, c2) == reference_is_transversal(c1, c2)
+    system = system_of(c1)
+    if system is not None:
+        assert sigma(system, c2) == reference_sigma(system, c2)
+
+
+def assert_candidates_cover(c1: TropicalCurve, c2: TropicalCurve) -> None:
+    """Every pair that _meet finds meeting, in a scan of all pairs of views
+    raised apart from the index, is a candidate of the sweep: of the pair
+    scan, and of each curve's own scan."""
+    scale = c1._scale * c2._scale
+    v1, v2 = _lattice(items(c1), scale), _lattice(items(c2), scale)
+    met = {(id(a.item), id(b.item)) for a, b in product(v1, v2) if _meet(a, b) is not None}
+    got = {(id(a.item), id(b.item)) for a, b in _candidates(c1._index, c2._index)}
+    assert met <= got
+    for c, views in ((c1, v1), (c2, v2)):
+        met = {
+            (id(a.item), id(b.item)) for a, b in combinations(views, 2) if _meet(a, b) is not None
+        }
+        got = {(id(a.item), id(b.item)) for a, b in _candidates(c._index)}
+        assert met <= got
+
+
+# -- pairs whose scales force a raise of both sides --
+
+POOL = benchmark_pool(11)
+SCALE16 = [c for c in POOL if c._scale == 16]
+SCALE64 = [c for c in POOL if c._scale == 64]
+# curves on the integer grid: a translate has the shift's denominators as scale
+INTEGRAL = [
+    tropical_line(), anti_line(), coordinate_cross(), wedge_l(), unit_triangle_cycle(),
+    figure_eight(), two_triangles_bridged(),
+]
+
+# a rational with denominator 3, 5 or 7
+thirds_fifths_sevenths = st.tuples(
+    st.sampled_from((3, 5, 7)), st.integers(-25, 25)
+).filter(lambda dn: dn[1] % dn[0]).map(lambda dn: Fraction(dn[1], dn[0]))
+
+
+@st.composite
+def rescaled_pairs(draw):
+    """A translate by a shift of denominators 3, 5 and 7 and a pool curve of
+    scale 16 or 64 such that neither scale divides the other."""
+    base = draw(st.sampled_from(INTEGRAL + SCALE16))
+    other = draw(st.sampled_from(SCALE64 if base._scale == 16 else SCALE16 + SCALE64))
+    shift = pt(draw(thirds_fifths_sevenths), draw(thirds_fifths_sevenths))
+    return translate(base, shift), other
+
+
+def test_the_pool_has_both_scales():
+    assert SCALE16 and SCALE64
+    assert all(c._scale == 1 for c in INTEGRAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rescaled_pairs())
+def test_pairs_raised_on_both_sides_match_references(pair):
+    moved, pooled = pair
+    assert moved._scale % pooled._scale and pooled._scale % moved._scale
+    for c1, c2 in ((moved, pooled), (pooled, moved)):
+        assert list(meetings(c1._index, c2._index)) == reference_meetings(items(c1), items(c2))
+        assert_record_routes(c1, c2)
+    assert_candidates_cover(moved, pooled)
+
+
+# -- every ordered pair of the benchmark's intersect pools --
+
+
+@pytest.mark.parametrize("seed", range(11, 21))
+def test_benchmark_pool_pairs_match_references(seed):
+    pool = benchmark_pool(seed)
+    shared = 0
+    for c1 in pool:
+        for c2 in pool:
+            assert_record_routes(c1, c2)
+            assert_candidates_cover(c1, c2)
+            shared += has_shared_segment(c1, c2)
+    assert shared > len(pool)  # more than the self-pairs share segments
+
+
+# -- when the index is built --
+
+
+def _walk_start():
+    rng = random.Random(4)
+    host = corner_locus(polynomial(concave_lift(rng, 3)))
+    mobile = params_from_curve(corner_locus(polynomial(concave_lift(rng, 3))))
+    return host, cycle_system(host), mobile, rng
+
+
+def test_a_walk_builds_the_host_index_once(monkeypatch):
+    host, system, p, rng = _walk_start()
+    assert "_index" not in vars(host)
+    built = []
+    real = curve_mod._index_of
+    monkeypatch.setattr(curve_mod, "_index_of", lambda its, *a: built.append(its) or real(its, *a))
+    sigma0 = sigma(system, curve_from_params(p))
+    for _ in range(50):
+        # the benchmark's walk op
+        p = perturb(p, rng)
+        c = curve_from_params(p)
+        assert sigma(system, c) == sigma0
+        is_transversal(host, c)
+    assert sum(its is items(host) for its in built) == 1
+    # every other index is a mobile curve's, each built once
+    assert len({id(its) for its in built}) == len(built) > 50
+
+
+def test_the_record_reads_the_index_validate_built(monkeypatch):
+    host, system, p, rng = _walk_start()
+    q = perturb(p, rng)
+    assert q is not p
+    c = curve_from_params(q)
+    assert "_index" in vars(c)  # built by perturb's validate of the candidate
+    ix = c._index
+    scans = []
+    real = intersect_mod._scan
+    monkeypatch.setattr(intersect_mod, "_scan", lambda *a: scans.append(a) or real(*a))
+    sigma(system, c)
+    assert is_transversal(host, c) == reference_is_transversal(host, c)
+    assert len(scans) == 1
+    assert scans[0][0] is host._index and scans[0][1] is ix
+    assert validate(c).passed and c._index is ix
+
+
+def test_the_corner_op_builds_no_index(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an index was built")
+
+    monkeypatch.setattr(curve_mod, "_index_of", refuse)
+    rng = random.Random(7)
+    c = corner_locus(polynomial(concave_lift(rng, 7)))
+    assert len(c.vertices) == 49
+    # the rest of the benchmark's corner op
+    c2 = corner_locus(parse(poly_text(concave_lift(rng, 7))))
+    curve_to_json(c2)
+    newton_complex(c2)
+    newton_polygon(c2)
+    assert "_index" not in vars(c) and "_index" not in vars(c2)

@@ -1,8 +1,6 @@
 import importlib
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures_lib import (
     anti_line,
+    benchmark_pool,
     concave_lift,
     item_intersection,
     coordinate_cross,
@@ -379,7 +378,7 @@ def test_self_crossing_first_curve_takes_the_star_route():
     # other curve; the record puts both at the point, so its star is used
     x = curve([(-1, -1), (1, 1), (-1, 1), (1, -1)], edges=[(0, 1), (2, 3)])
     for other, mu in ((vertical_line((0, -3)), 2), (coordinate_cross(), 4)):
-        assert len(_record(x, other).points[pt(0, 0)][0]) == 2
+        assert len(_record(x, other).points[(0, 0, 1)].its1) == 2
         assert entries(stable_intersection(x, other)) == {((0, 0), mu)}
         assert_record_routes(x, other)
         assert_record_routes(other, x)
@@ -441,14 +440,7 @@ def test_shared_segment_pairs_take_the_record_route(monkeypatch):
 def benchmark_pools():
     """The intersect workload's pool for seeds 11 to 20, built by the
     benchmark's own setup."""
-    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    from tcbench import lib
-    from tcbench.workloads import Intersect
-
-    tc = lib.load()
-    return [Intersect.setup(tc, seed).pool for seed in range(11, 21)]
+    return [benchmark_pool(seed) for seed in range(11, 21)]
 
 
 def test_benchmark_pool_shared_pairs_take_the_record_route(benchmark_pools, monkeypatch):
@@ -557,7 +549,7 @@ def test_record_is_kept_by_identity():
     assert d2 == d and d2.host is a2
     own = {id(it) for it in items(a2)}
     assert all(
-        id(it) in own for its1, _ in _record(a2, b).points.values() for it in its1
+        id(it) in own for at in _record(a2, b).points.values() for it, _ in at.its1
     )
 
 
@@ -588,9 +580,9 @@ def test_overlap_pair_is_not_transversal():
     assert not is_transversal(a, b)
     # the shared ray is recorded at its one end, with every item through it
     assert has_shared_segment(a, b)
-    assert {p: tuple(map(len, its)) for p, its in _record(a, b).points.items()} == {
-        pt(2, 2): (1, 3)
-    }
+    assert {
+        key: (len(at.its1), len(at.its2)) for key, at in _record(a, b).points.items()
+    } == {(2, 2, 1): (1, 3)}
 
 
 def test_one_pair_scan_serves_sigma_and_is_transversal(monkeypatch):
@@ -599,8 +591,8 @@ def test_one_pair_scan_serves_sigma_and_is_transversal(monkeypatch):
     system = cycle_system(triangle_cycle_host())
     mobile = tropical_line(("8/3", "-3/4"))
     scans = []
-    real = intersect.meetings
-    monkeypatch.setattr(intersect, "meetings", lambda *a: scans.append(a) or real(*a))
+    real = intersect._scan
+    monkeypatch.setattr(intersect, "_scan", lambda *a: scans.append(a) or real(*a))
     sigma(system, mobile)
     assert is_transversal(system.curve, mobile)
     assert len(scans) == 1

@@ -42,7 +42,6 @@ from tropcurve.curve import (
     Shared,
     TropicalCurve,
     _boxes,
-    _lattice,
     curve,
     items,
     locate,
@@ -340,8 +339,9 @@ def test_sweep_of_empty_and_single_sequences():
 
 def test_boxes_are_ints_past_the_finite_extent():
     c = translate(triangle_cycle_host(), BIG_SHIFT)
-    views = _lattice(items(c), c._scale)
-    boxes = _boxes(views)
+    ix = c._index
+    views = ix.views
+    boxes = _boxes(ix, 1, ix.extent)
     assert all(type(x) is int for box in boxes for x in box)
     ends = [(v.ox, v.oy) for v in views]
     ends += [(v.ox + v.vx, v.oy + v.vy) for v in views if v.item.head is not None]
