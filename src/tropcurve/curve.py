@@ -118,7 +118,7 @@ class TropicalCurve:
                 )
             edges.append(Item(
                 i, a, b, (vs[a], vs[b]), e.weight,
-                IntVector(vx // g, vy // g), Fraction(g, L), L, (tx, ty, vx, vy),
+                IntVector(vx // g, vy // g), L, (tx, ty, vx, vy),
             ))
         rays = []
         for i, r in enumerate(self.rays):
@@ -133,7 +133,7 @@ class TropicalCurve:
                 raise StructureError(f"ray {i} direction is not primitive")
             rays.append(Item(
                 i, r.vertex, None, (vs[r.vertex],), r.weight, d,
-                None, L, (*grid[r.vertex], d.x, d.y),
+                L, (*grid[r.vertex], d.x, d.y),
             ))
         return tuple(edges + rays)
 
@@ -167,8 +167,8 @@ class Item:
     """One edge or ray, as every construction reads it.
 
     The item leaves its tail vertex along the primitive direction prim.  An
-    edge reaches its head vertex after `length` lattice steps; a ray has no
-    head and no length.
+    edge reaches its head vertex after `length` lattice steps, read from the
+    integer view; a ray has no head and no length.
 
     The integer view is the item on the curve's grid: `lattice` holds the
     origin times `scale` (the curve's least common denominator), then the
@@ -182,13 +182,20 @@ class Item:
     ends: tuple[Point, ...]  # position of the tail vertex, then of the head
     weight: int
     prim: IntVector
-    length: Fraction | None
     scale: int = field(compare=False, repr=False)
     lattice: tuple[int, int, int, int] = field(compare=False, repr=False)
 
     @property
     def bounded(self) -> bool:
         return self.head is not None
+
+    @property
+    def length(self) -> Fraction | None:
+        """The lattice length of an edge, gcd of its grid displacement over
+        the scale; None for a ray."""
+        if self.head is None:
+            return None
+        return Fraction(gcd(self.lattice[2], self.lattice[3]), self.scale)
 
     @property
     def kind(self) -> str:
@@ -270,6 +277,8 @@ class ItemIndex(NamedTuple):
     fitted to any extent: rays running toward -x first, then by the finite x
     low, an order that no raise to a larger scale changes.  `keys` holds
     each vertex of a curve as (X, Y, D) with gcd 1, the point (X/D, Y/D).
+    `raised` keeps the views and finite boxes raised by a factor f > 1 for
+    the pair scans (`_raised_by`), at most RAISED_KEPT factors.
     """
 
     scale: int
@@ -279,6 +288,7 @@ class ItemIndex(NamedTuple):
     rays: tuple[int, ...]  # positions of the rays among the views
     order: tuple[int, ...]
     keys: tuple[tuple[int, int, int], ...] | None
+    raised: dict[int, tuple[Sequence[View], Sequence[tuple[int, int, int, int]]]]
 
 
 def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
@@ -306,7 +316,9 @@ def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
         keys = tuple(
             (x // g, y // g, scale // g) for x, y in grid for g in (gcd(x, y, scale),)
         )
-    return ItemIndex(scale, views, tuple(boxes), extent, tuple(rays), tuple(order), keys)
+    return ItemIndex(
+        scale, views, tuple(boxes), extent, tuple(rays), tuple(order), keys, {}
+    )
 
 
 def _raised(ix: ItemIndex, scale: int) -> Sequence[View]:
@@ -322,14 +334,37 @@ def _raised(ix: ItemIndex, scale: int) -> Sequence[View]:
     ]
 
 
+# The most raised copies an index keeps.  A walk's host meets a new mobile
+# curve every step, on 13 to 20 distinct factors over 800 steps, and keeping
+# the 8 last used serves about 95% of its raises.
+RAISED_KEPT = 8
+
+
+def _raised_by(ix: ItemIndex, f: int):
+    """(views, finite boxes) of the index raised by f: its own for f == 1,
+    else kept in `ix.raised`, the least recently used factor dropped once
+    RAISED_KEPT are kept."""
+    if f == 1:
+        return ix.views, ix.boxes
+    kept = ix.raised
+    got = kept.pop(f, None)
+    if got is None:
+        got = (
+            _raised(ix, ix.scale * f),
+            [(x0 * f, x1 * f, y0 * f, y1 * f) for x0, x1, y0, y1 in ix.boxes],
+        )
+        if len(kept) >= RAISED_KEPT:
+            del kept[next(iter(kept))]
+    kept[f] = got
+    return got
+
+
 def _boxes(ix: ItemIndex, f: int, extent) -> Sequence[tuple[int, int, int, int]]:
     """The index's boxes raised by f, each ray's open sides ending one unit
     past `extent` (x low, x high, y low, y high), the finite extent of all
     the views scanned, where no other box ends: so the boxes of two items
     that meet overlap, and no unbounded value enters."""
-    boxes = ix.boxes
-    if f != 1:
-        boxes = [(x0 * f, x1 * f, y0 * f, y1 * f) for x0, x1, y0, y1 in boxes]
+    boxes = _raised_by(ix, f)[1]
     if ix.rays:
         boxes = list(boxes)
         ex0, ex1, ey0, ey1 = extent
@@ -444,9 +479,10 @@ def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, Vi
     Sweep and prune: the boxes are visited by x low, each against the boxes
     still open at that x (of the other index, when there are two), and a
     pair is kept when its y intervals overlap too.  Each index keeps its
-    boxes and their order, so a scan raises a side only when its scale is
-    below the pair's, and fits only the rays' open sides to the pair's
-    extent.
+    boxes and their order, and its views and boxes raised by each recent
+    factor (`_raised_by`), so a side whose scale is below the pair's is
+    raised once per factor, and a scan fits only the rays' open sides to
+    the pair's extent.
     """
     if y is None:
         views, boxes, order, n = x.views, _boxes(x, 1, x.extent), x.order, len(x.views)
@@ -461,7 +497,7 @@ def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, Vi
             min(e[2] * f for e, f in sides), max(e[3] * f for e, f in sides),
         )
         n = len(x.views)
-        views = [*_raised(x, scale), *_raised(y, scale)]
+        views = [*_raised_by(x, f1)[0], *_raised_by(y, f2)[0]]
         boxes = [*_boxes(x, f1, extent), *_boxes(y, f2, extent)]
         # two runs already in order: the sort merges them
         order = [*x.order, *(n + k for k in y.order)]

@@ -11,10 +11,15 @@ The scan (`curve._scan`) reads each curve's integer index
 (`TropicalCurve._index`, built once per curve), so a curve that serves
 many pairs, such as a walk's host, is indexed once.  It and the oracle's
 crossing loop test only the item pairs whose integer bounding boxes
-overlap.  The record keys each point on integers, an item's end by its
-vertex's cached key, and compares no Point; a Point is built only for an
-entry of the divisor that is no item's end, once, when the entries are
-put in order on one common denominator (`_support`).
+overlap; a side whose scale is below the pair's is raised once per
+factor and kept (`curve._raised_by`), so a host that meets mobile curves
+of a few scales is not raised again on every step.  The record keys each
+point on integers, an item's end by its vertex's cached key, and compares
+no Point.  The divisor's entries are computed once per record, on
+integers, as (key, multiplicity, where it sits) (`_entries`):
+`jacobian.sigma` reads them as they are, and `stable_intersection` puts
+them in order on one common denominator (`_support`), building a Point
+only for an entry that is no item's end.
 
 Each recorded point gets its local multiplicity from the fan displacement
 rule (Fulton-Sturmfels; Jensen-Yu), an integer count on the two stars.
@@ -254,7 +259,7 @@ class _At:
 class _Record:
     """The meetings of two curves."""
 
-    __slots__ = ("points", "transversal", "support")
+    __slots__ = ("points", "transversal", "entries", "support")
 
     def __init__(self, points: dict[tuple[int, int, int], _At], transversal: bool):
         # each meeting point and end of a shared part, by its reduced grid
@@ -262,6 +267,9 @@ class _Record:
         self.points = points
         # every meeting is interior to both of its items
         self.transversal = transversal
+        # the divisor's entries (key, multiplicity, _At) on ints, in the
+        # order of `points`; built on first use
+        self.entries: list[tuple[tuple[int, int, int], int, _At]] | None = None
         # stable_intersection's entries, each with its _At; built on first use
         self.support: list[tuple[Point, int, _At]] | None = None
 
@@ -371,13 +379,13 @@ def _star(its: list[tuple[Item, int | None]]) -> list[tuple[int, int]]:
     return star
 
 
-def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At]]:
-    """The stable intersection's entries in point order, each with the
-    record's _At for it.  The first call for a record computes them; each
-    Point that is no item's end is built here, once."""
+def _entries(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[tuple[int, int, int], int, _At]]:
+    """The stable intersection's entries, each (key, multiplicity, _At) with
+    a nonzero multiplicity, in the record's order.  The first call for a
+    record computes them, on integers: no Point is built and none sorted."""
     rec = _record(c1, c2)
-    if rec.support is not None:
-        return rec.support
+    if rec.entries is not None:
+        return rec.entries
     found = []
     for key, at in rec.points.items():
         its1, its2 = at.its1, at.its2
@@ -390,9 +398,21 @@ def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At
             if not mu:
                 continue
         found.append((key, mu, at))
+    rec.entries = found
+    return found
+
+
+def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At]]:
+    """The stable intersection's entries in point order, each with the
+    record's _At for it.  The first call for a record puts `_entries` in
+    order; each Point that is no item's end is built here, once."""
+    rec = _record(c1, c2)
+    if rec.support is not None:
+        return rec.support
+    found = _entries(c1, c2)
     # by x, then y, on one common denominator
     L = lcm(*(D for (_, _, D), _, _ in found))
-    found.sort(key=lambda e: (e[0][0] * (L // e[0][2]), e[0][1] * (L // e[0][2])))
+    found = sorted(found, key=lambda e: (e[0][0] * (L // e[0][2]), e[0][1] * (L // e[0][2])))
     rec.support = [
         (Point(Fraction(X, D), Fraction(Y, D)) if at.point is None else at.point, mu, at)
         for (X, Y, D), mu, at in found

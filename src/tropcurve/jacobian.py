@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .geom import GeometryError, Point, RefusalError, area2
 from .curve import Item, TropicalCurve, items, items_at
@@ -24,7 +25,11 @@ from .bunch import (
     bouquet_structure,
     bunch,
 )
-from .intersect import Divisor, _support, stable_intersection
+from .intersect import (
+    Divisor,
+    _entries,
+    stable_intersection,  # noqa: F401  perfbench's tracer and its tests patch this binding
+)
 
 
 class UnsupportedCurveError(RefusalError):
@@ -118,6 +123,40 @@ class CycleSystem:
         """Each edge on a cycle to (its cycle, its position i on the path),
         the edge running from vertex_path[i] to vertex_path[i + 1]."""
         return {e: (cp, i) for cp in self.cycles for i, e in enumerate(cp.edge_indices)}
+
+    @cached_property
+    def _on_ints(self):
+        """The cycle data as integer numerators over one common denominator
+        D, a multiple of the curve's scale: (D, each cycle's total length,
+        each vertex's image (cycle or None, parameter), and for each edge on
+        a cycle (cycle, parameter of its tail, +1 when the path runs along
+        the edge and -1 against it, its tail's grid point, prim)).
+
+        A point inside a cycle edge takes the tail's parameter plus or
+        minus the lattice run to it, as in _project_on; a point inside any
+        other item takes the image of the item's tail."""
+        c = self.curve
+        D = lcm(c._scale, *(t.denominator for cp in self.cycles for t in cp.breakpoints))
+
+        def on(t: Fraction) -> int:
+            return t.numerator * (D // t.denominator)
+
+        node_of, images = self.graph.node_of_vertex, self._node_images
+        vertex = []
+        for v in range(len(c.vertices)):
+            k, t = images[node_of[v]]
+            vertex.append((k, on(t)))
+        f = D // c._scale
+        edges = {}
+        for e, (cp, i) in self._cycle_edges.items():
+            it = c._items[e]
+            along = it.tail == cp.vertex_path[i]
+            ox, oy = c._grid[it.tail]
+            edges[e] = (
+                cp.index, on(cp.breakpoints[i if along else i + 1]), 1 if along else -1,
+                ox * f, oy * f, it.prim.x, it.prim.y,
+            )
+        return D, [on(cp.total_length) for cp in self.cycles], vertex, edges
 
 
 def cycle_system(curve: TropicalCurve) -> CycleSystem:
@@ -236,17 +275,38 @@ def linearly_equivalent_on(
 def sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
     """Abel coordinate of the stable intersection with a mobile curve.
 
-    Each divisor point is projected from what the intersection record holds
-    for it: the first host item through it and where the point sits on that
-    item, its tail or head vertex or inside it.  No point is looked up on
-    the host or compared with another.
+    Each entry of the intersection record (`intersect._entries`: its grid
+    key (X, Y, D), its multiplicity and the host items through it) is placed
+    from the first host item through it: the image of its tail or head
+    vertex, or, inside an edge of a cycle, the run from the edge's tail on
+    the cycle's integer data (`CycleSystem._on_ints`).  The residues are
+    summed per cycle as numerators over a running lcm of the keys' D and
+    reduced modulo the cycle's length; one Fraction is built per cycle.  No
+    Divisor or Point is built, and no point is looked up on the host.
     """
-    d = stable_intersection(system.curve, mobile)
-    images = []
-    for p, _, at in _support(system.curve, mobile):
+    den, totals, vertex, edges = system._on_ints
+    res = [0] * len(totals)
+    M = 1  # the residues are numerators over den * M
+    degree = 0
+    for (X, Y, D), mu, at in _entries(system.curve, mobile):
+        degree += mu
         it, end = at.its1[0]
-        if end is None:
-            images.append(_project_on(system, it, p))
+        place = edges.get(it.index) if end is None and it.head is not None else None
+        if place is None:
+            k, t = vertex[it.tail if end != 1 else it.head]
+            D = 1
         else:
-            images.append(_vertex_image(system, it.tail if end == 0 else it.head))
-    return _coordinate(system, d, images)
+            k, t, sign, ox, oy, ux, uy = place
+            # the run from the tail, over D * den; exact, as prim is primitive
+            run = (X * den - ox * D) // ux if ux else (Y * den - oy * D) // uy
+            t = t * D + sign * run
+        if k is None:
+            continue
+        if M % D:
+            g = D // gcd(M, D)
+            res = [r * g for r in res]
+            M *= g
+        res[k] += mu * t * (M // D)
+    return AbelCoordinate(
+        degree, tuple(Fraction(r % (T * M), den * M) for r, T in zip(res, totals))
+    )

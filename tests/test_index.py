@@ -4,17 +4,22 @@
 curve's finite extent and the positions of its rays, built once on first
 use.  `validate`, `meetings`, the intersection record, `has_shared_segment`
 and the oracle's candidates read it; a pair scan raises a side only when
-its scale is below the pair's.  Here the record route is checked against
+its scale is below the pair's, and keeps that raise per factor, a bounded
+number of factors per index.  Here the record route is checked against
 the routes that read no record on pairs where both sides are raised and on
 every ordered pair of the benchmark's intersect pools, the sweep against a
 scan of all pairs, and the index is counted: once per curve, and never by
-corner_locus.
+corner_locus.  `sigma`, which reads the record's integer entries and builds
+no Point, is checked against `reference_sigma` on odd translates raised on
+both sides, and the kept raises against their bound, on a long walk too.
 """
 
 import importlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +36,7 @@ from fixtures_lib import (
     reference_meetings,
     reference_sigma,
     reference_star_intersection,
+    tail_cycle_curve,
     tropical_line,
     two_triangles_bridged,
     unit_triangle_cycle,
@@ -214,3 +220,104 @@ def test_the_corner_op_builds_no_index(monkeypatch):
     newton_complex(c2)
     newton_polygon(c2)
     assert "_index" not in vars(c) and "_index" not in vars(c2)
+
+
+# -- sigma on the record's integer entries, and the kept raises --
+
+# bouquet hosts on the integer grid: an odd translate has an odd scale
+BOUQUETS = [unit_triangle_cycle(), figure_eight(), two_triangles_bridged(), tail_cycle_curve()]
+# a rational with denominator 4 or 8
+quarters_eighths = st.tuples(
+    st.sampled_from((4, 8)), st.integers(-40, 40)
+).filter(lambda dn: dn[1] % 2).map(lambda dn: Fraction(dn[1], dn[0]))
+
+
+def sigma_on_the_record(system, mobile):
+    """sigma of a pair not scanned before, checked to have read the record's
+    integer entries and left its sorted support, with its Points, unbuilt."""
+    coord = sigma(system, mobile)
+    c1, c2, rec = intersect_mod._last
+    assert c1 is system.curve and c2 is mobile
+    assert rec.entries is not None and rec.support is None
+    return coord
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(BOUQUETS),
+    st.sampled_from(INTEGRAL + SCALE16 + SCALE64),
+    st.tuples(thirds_fifths_sevenths, thirds_fifths_sevenths),
+    st.tuples(quarters_eighths, quarters_eighths),
+)
+def test_sigma_on_odd_translates_raised_on_both_sides_matches_reference(base, other, s1, s2):
+    host = translate(base, pt(*s1))
+    mobile = other if other._scale > 1 else translate(other, pt(*s2))
+    assert host._scale % 2 and mobile._scale % 2 == 0  # neither scale divides the other
+    system = cycle_system(host)
+    assert sigma_on_the_record(system, mobile) == reference_sigma(system, mobile)
+    # each side is kept raised by the factor that brings it to the pair's scale
+    assert list(host._index.raised) == [mobile._scale]
+    assert next(reversed(mobile._index.raised)) == host._scale
+
+
+def test_raises_are_kept_per_factor_and_bounded(monkeypatch):
+    host = translate(unit_triangle_cycle(), pt(Fraction(1, 3), Fraction(2, 5)))
+    kept = host._index.raised
+    built = []
+    real = curve_mod._raised
+
+    def raised(ix, scale):
+        if ix is host._index:
+            built.append(scale)
+        return real(ix, scale)
+
+    monkeypatch.setattr(curve_mod, "_raised", raised)
+    factors = [2, 4, 2, 8, 16, 32, 64, 128, 256, 512, 1024, 2, 4]
+    for k, f in enumerate(factors):
+        mobile = translate(tropical_line(), pt(Fraction(1, f), k))
+        assert mobile._scale == f
+        is_transversal(host, mobile)
+        assert len(kept) <= curve_mod.RAISED_KEPT and next(reversed(kept)) == f
+        views, boxes = kept[f]
+        assert [v.ox for v in views] == [v.ox * f for v in host._index.views]
+        assert boxes == [tuple(x * f for x in box) for box in host._index.boxes]
+    # the first 2 and 4 are kept; the last 2 and 4 come after eight newer factors
+    assert built == [host._scale * f for f in factors[:2] + factors[3:]]
+
+
+def test_a_long_walk_keeps_the_host_raises_bounded(monkeypatch):
+    # the long-walk setup: concave_lift host and mobile from random.Random(7)
+    rng = random.Random(7)
+    host = corner_locus(polynomial(concave_lift(rng, 3)))
+    system = cycle_system(host)
+    p = params_from_curve(corner_locus(polynomial(concave_lift(rng, 3))))
+    sigma0 = sigma(system, curve_from_params(p))
+    kept = host._index.raised
+    built = []
+    real = curve_mod._raised
+
+    def raised(ix, scale):
+        if ix is host._index:
+            built.append(scale)
+        return real(ix, scale)
+
+    monkeypatch.setattr(curve_mod, "_raised", raised)
+    factors, seconds, raises = set(), [], []
+    start = time.process_time()
+    for step in range(1, 3001):
+        p = perturb(p, rng)
+        c = curve_from_params(p)
+        assert sigma(system, c) == sigma0
+        is_transversal(host, c)
+        factors.add(lcm(host._scale, c._scale) // host._scale)
+        assert len(kept) <= curve_mod.RAISED_KEPT
+        if step % 500 == 0:
+            seconds.append(time.process_time() - start)
+            raises.append(len(built))
+            assert reference_sigma(system, c) == sigma0
+            built.clear()
+            start = time.process_time()
+    # each factor is raised once, however long the walk
+    assert sum(raises) == len(factors)
+    # the cost per 500 steps stays flat (loosely: CPU time of a shared machine)
+    assert seconds[-1] < 3 * seconds[0]

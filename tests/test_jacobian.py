@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from fixtures_lib import (
 )
 from tropcurve.curve import items, items_at, translate
 from tropcurve.geom import GeometryError, cross, pt
-from tropcurve.intersect import Divisor, has_shared_segment, stable_intersection
+from tropcurve.intersect import Divisor, _entries, has_shared_segment, stable_intersection
 from tropcurve.jacobian import (
     CycleSystem,
     UnsupportedCurveError,
@@ -43,6 +44,8 @@ from tropcurve.jacobian import (
 )
 from tropcurve.params import curve_from_params, params_from_curve, perturb
 from tropcurve.polyfront import corner_locus, polynomial
+
+intersect_mod = importlib.import_module("tropcurve.intersect")
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -460,6 +463,72 @@ def test_sigma_matches_items_at_projection_on_pool():
     assert {has_shared_segment(pool[0], m) for m in pool[1:]} == {False, True}
     for mobile in pool:
         assert sigma(system, mobile) == reference_sigma(system, mobile)
+
+
+def _sigma_on_the_record(system, mobile):
+    """sigma of a pair not scanned before, checked to have read the record's
+    integer entries and left its sorted support, with its Points, unbuilt."""
+    coord = sigma(system, mobile)
+    c1, c2, rec = intersect_mod._last
+    assert c1 is system.curve and c2 is mobile
+    assert rec.entries is not None and rec.support is None
+    return coord
+
+
+def _entry_places(system, mobile) -> set[str]:
+    """Where the record's entries sit on their first host item: at the
+    bouquet center (a vertex whose image is None), at another vertex,
+    inside a cycle edge, inside a tentacle edge or inside a ray."""
+    places = set()
+    node_of = system.graph.node_of_vertex
+    for _, _, at in _entries(system.curve, mobile):
+        it, end = at.its1[0]
+        if end is not None:
+            v = it.tail if end == 0 else it.head
+            k, _ = system._node_images[node_of[v]]
+            places.add("center" if k is None else "vertex")
+        elif not it.bounded:
+            places.add("ray")
+        else:
+            places.add("cycle" if it.index in system._cycle_edges else "tentacle")
+    return places
+
+
+SHIFTS = [
+    pt(0, 0), pt("1/4", 0), pt("1/2", "1/2"), pt(-1, "1/4"), pt("3/4", "-1/2"),
+    pt(1, 1), pt("-1/2", "-1/4"), pt(2, -1), pt("1/4", "3/4"), pt(0, 2),
+]
+
+
+def test_sigma_reads_entries_at_every_kind_of_host_point():
+    places = set()
+    for system in HOSTS:
+        for mobile in MOBILES:
+            for shift in SHIFTS:
+                moved = translate(mobile, shift)
+                coord = _sigma_on_the_record(system, moved)
+                places |= _entry_places(system, moved)
+                assert coord == reference_sigma(system, moved)
+    assert places == {"center", "vertex", "cycle", "tentacle", "ray"}
+
+
+@pytest.mark.parametrize("third", [Fraction(1, 3), Fraction(2, 3)])
+def test_sigma_against_a_slid_copy_of_the_host(third):
+    # the host slid along each of its edges by a third: the copy shares part
+    # of that edge, so the record holds the ends of a shared segment
+    hosts = [s.curve for s in HOSTS[:5]]
+    hosts.append(corner_locus(polynomial(concave_lift(random.Random(3), 3))))
+    for host in hosts:
+        system = cycle_system(host)
+        for e in host.edges:
+            slid = translate(host, (host.vertices[e.b] - host.vertices[e.a]) * third)
+            assert has_shared_segment(host, slid)
+            assert _sigma_on_the_record(system, slid) == reference_sigma(system, slid)
+            # an end of the copy's edge inside the host's edge
+            assert any(
+                at.its1[0][1] is None and any(end is not None for _, end in at.its2)
+                for _, _, at in _entries(host, slid)
+            )
 
 
 @given(
