@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from pathlib import Path
 
+from tropcurve import intersect as intersect_mod
 from tropcurve import jsonio
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
 from tropcurve.curve import (
@@ -50,6 +51,7 @@ from tropcurve.jacobian import (
     CycleParametrization,
     CycleSystem,
     abel_coordinate,
+    sigma,
 )
 from tropcurve.newton import (
     DualityError,
@@ -626,6 +628,17 @@ def reference_sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinat
     """sigma with every divisor point projected through items_at
     (abel_coordinate's project_point)."""
     return abel_coordinate(system, reference_star_intersection(system.curve, mobile))
+
+
+def sigma_on_the_record(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
+    """sigma of a pair not scanned before, checked to have read the
+    record's integer entries and left its sorted support, with its Points,
+    unbuilt."""
+    coord = sigma(system, mobile)
+    c1, c2, rec = intersect_mod._last
+    assert c1 is system.curve and c2 is mobile
+    assert rec.entries is not None and rec.support is None
+    return coord
 
 
 def reference_param_of(cp: CycleParametrization, c: TropicalCurve, p: Point) -> Fraction:

@@ -36,6 +36,7 @@ from fixtures_lib import (
     reference_meetings,
     reference_sigma,
     reference_star_intersection,
+    sigma_on_the_record,
     tail_cycle_curve,
     tropical_line,
     two_triangles_bridged,
@@ -232,16 +233,6 @@ quarters_eighths = st.tuples(
 ).filter(lambda dn: dn[1] % 2).map(lambda dn: Fraction(dn[1], dn[0]))
 
 
-def sigma_on_the_record(system, mobile):
-    """sigma of a pair not scanned before, checked to have read the record's
-    integer entries and left its sorted support, with its Points, unbuilt."""
-    coord = sigma(system, mobile)
-    c1, c2, rec = intersect_mod._last
-    assert c1 is system.curve and c2 is mobile
-    assert rec.entries is not None and rec.support is None
-    return coord
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(BOUQUETS),
@@ -260,18 +251,24 @@ def test_sigma_on_odd_translates_raised_on_both_sides_matches_reference(base, ot
     assert next(reversed(mobile._index.raised)) == host._scale
 
 
-def test_raises_are_kept_per_factor_and_bounded(monkeypatch):
-    host = translate(unit_triangle_cycle(), pt(Fraction(1, 3), Fraction(2, 5)))
-    kept = host._index.raised
+def raises_of(monkeypatch, c: TropicalCurve) -> list[int]:
+    """The scales to which c's index is raised from now on, in order."""
     built = []
     real = curve_mod._raised
 
     def raised(ix, scale):
-        if ix is host._index:
+        if ix is c._index:
             built.append(scale)
         return real(ix, scale)
 
     monkeypatch.setattr(curve_mod, "_raised", raised)
+    return built
+
+
+def test_raises_are_kept_per_factor_and_bounded(monkeypatch):
+    host = translate(unit_triangle_cycle(), pt(Fraction(1, 3), Fraction(2, 5)))
+    kept = host._index.raised
+    built = raises_of(monkeypatch, host)
     factors = [2, 4, 2, 8, 16, 32, 64, 128, 256, 512, 1024, 2, 4]
     for k, f in enumerate(factors):
         mobile = translate(tropical_line(), pt(Fraction(1, f), k))
@@ -281,7 +278,8 @@ def test_raises_are_kept_per_factor_and_bounded(monkeypatch):
         views, boxes = kept[f]
         assert [v.ox for v in views] == [v.ox * f for v in host._index.views]
         assert boxes == [tuple(x * f for x in box) for box in host._index.boxes]
-    # the first 2 and 4 are kept; the last 2 and 4 come after eight newer factors
+    # the second 2 finds its raise kept; by the last 2 and 4, eight newer
+    # factors have pushed theirs out
     assert built == [host._scale * f for f in factors[:2] + factors[3:]]
 
 
@@ -293,15 +291,7 @@ def test_a_long_walk_keeps_the_host_raises_bounded(monkeypatch):
     p = params_from_curve(corner_locus(polynomial(concave_lift(rng, 3))))
     sigma0 = sigma(system, curve_from_params(p))
     kept = host._index.raised
-    built = []
-    real = curve_mod._raised
-
-    def raised(ix, scale):
-        if ix is host._index:
-            built.append(scale)
-        return real(ix, scale)
-
-    monkeypatch.setattr(curve_mod, "_raised", raised)
+    built = raises_of(monkeypatch, host)
     factors, seconds, raises = set(), [], []
     start = time.process_time()
     for step in range(1, 3001):

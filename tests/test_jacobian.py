@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import random
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from fixtures_lib import (
     figure_eight,
     reference_param_of,
     reference_sigma,
+    sigma_on_the_record,
     slid_pool,
     tail_cycle_curve,
     theta_curve,
@@ -44,8 +44,6 @@ from tropcurve.jacobian import (
 )
 from tropcurve.params import curve_from_params, params_from_curve, perturb
 from tropcurve.polyfront import corner_locus, polynomial
-
-intersect_mod = importlib.import_module("tropcurve.intersect")
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -465,16 +463,6 @@ def test_sigma_matches_items_at_projection_on_pool():
         assert sigma(system, mobile) == reference_sigma(system, mobile)
 
 
-def _sigma_on_the_record(system, mobile):
-    """sigma of a pair not scanned before, checked to have read the record's
-    integer entries and left its sorted support, with its Points, unbuilt."""
-    coord = sigma(system, mobile)
-    c1, c2, rec = intersect_mod._last
-    assert c1 is system.curve and c2 is mobile
-    assert rec.entries is not None and rec.support is None
-    return coord
-
-
 def _entry_places(system, mobile) -> set[str]:
     """Where the record's entries sit on their first host item: at the
     bouquet center (a vertex whose image is None), at another vertex,
@@ -506,7 +494,7 @@ def test_sigma_reads_entries_at_every_kind_of_host_point():
         for mobile in MOBILES:
             for shift in SHIFTS:
                 moved = translate(mobile, shift)
-                coord = _sigma_on_the_record(system, moved)
+                coord = sigma_on_the_record(system, moved)
                 places |= _entry_places(system, moved)
                 assert coord == reference_sigma(system, moved)
     assert places == {"center", "vertex", "cycle", "tentacle", "ray"}
@@ -523,7 +511,7 @@ def test_sigma_against_a_slid_copy_of_the_host(third):
         for e in host.edges:
             slid = translate(host, (host.vertices[e.b] - host.vertices[e.a]) * third)
             assert has_shared_segment(host, slid)
-            assert _sigma_on_the_record(system, slid) == reference_sigma(system, slid)
+            assert sigma_on_the_record(system, slid) == reference_sigma(system, slid)
             # an end of the copy's edge inside the host's edge
             assert any(
                 at.its1[0][1] is None and any(end is not None for _, end in at.its2)
