@@ -11,9 +11,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geom import (
     GeometryError,
@@ -22,7 +21,6 @@ from .geom import (
     RefusalError,
     area2,
     cross,
-    dot,
     moment,
     pt,
     show,
@@ -207,20 +205,6 @@ class Item:
         """Position of the tail vertex."""
         return self.ends[0]
 
-    @cached_property
-    def vec(self) -> Point:
-        """Full displacement for an edge, primitive direction for a ray."""
-        if self.bounded:
-            return self.ends[1] - self.ends[0]
-        return self.prim.to_point()
-
-    def param_of(self, p: Point) -> Fraction:
-        """Coordinate of a point on the item's line, in units of vec."""
-        return Fraction(dot(p - self.origin, self.vec)) / dot(self.vec, self.vec)
-
-    def point_at(self, t: Fraction) -> Point:
-        return self.origin + self.vec * t
-
 
 def items(c: TropicalCurve) -> tuple[Item, ...]:
     """The curve's edges, then its rays, as items; built once per curve."""
@@ -228,9 +212,8 @@ def items(c: TropicalCurve) -> tuple[Item, ...]:
 
 
 class Shared(NamedTuple):
-    """The part two collinear items share: its two ends, or one for a ray.
-
-    `meetings` gives the ends as Points, `_meet` as its (s, t, den) reports."""
+    """The part two collinear items share: its two ends, or one for a ray,
+    each as one of `_meet`'s (s, t, den) reports."""
 
     ends: tuple
 
@@ -442,19 +425,14 @@ def _meet(a: View, b: View):
     return lo if s_lo == s_hi else None
 
 
-def _as_points(a: View, b: View, m, scale: int) -> Point | Shared:
-    """_meet's report m of views a and b with its points as Points on the
-    grid of `scale`: an end of b, else of a, as the item's own Point, else
-    one built."""
-    if type(m) is Shared:
-        return Shared(tuple(_as_points(a, b, e, scale) for e in m.ends))
-    s, t, den = m
-    ib = b.item
-    if t == 0:
-        return ib.origin
-    if t == den and ib.head is not None:
-        return ib.ends[1]
-    return _point_on(a, s, den, scale)
+def _end(it: Item, s: int, den: int) -> int | None:
+    """Which end of the item the parameter s/den of a report marks: 0 its
+    tail, 1 an edge's head, None a point inside."""
+    if s == 0:
+        return 0
+    if s == den and it.head is not None:
+        return 1
+    return None
 
 
 def _pair_grid(c1: TropicalCurve, c2: TropicalCurve):
@@ -527,36 +505,13 @@ def _scan(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, View, tu
     return [(a, b, m) for a, b in _candidates(x, y) if (m := _meet(a, b)) is not None]
 
 
-def meetings(
-    xs: ItemIndex | Sequence[Item], ys: ItemIndex | Sequence[Item] | None = None
-) -> Iterator[tuple[Item, Item, Point | Shared]]:
-    """Every pair of items that meet, with the meeting Point, or with the
-    Shared part when they share a segment or a ray.
-
-    With one sequence, each pair of distinct positions once, earlier item
-    first; with two, every item of xs against every item of ys, xs-major.
-    Each side is a curve's index (`TropicalCurve._index`, built once per
-    curve) or a sequence of items, indexed for this call.  The pair scan
-    `_scan` runs on integers at the scale of all the items and tests only
-    the pairs whose bounding boxes overlap, in the order above, so the
-    output is that of the scan of all pairs; a Point is built here, and
-    only for a meeting inside both items.
-    """
-    x = xs if isinstance(xs, ItemIndex) else _index_of(xs, _common_scale(xs))
-    y = ys
-    if ys is not None and not isinstance(ys, ItemIndex):
-        y = _index_of(ys, _common_scale(ys))
-    scale = x.scale if y is None else lcm(x.scale, y.scale)
-    for a, b, m in _scan(x, y):
-        yield a.item, b.item, _as_points(a, b, m, scale)
-
-
 def star_at(p: Point, its: Iterable[Item]) -> list[tuple[int, int]]:
     """The weighted primitive vectors (x, y) leaving p along items holding it.
 
     An item leaves p forward unless p is its head, and backward unless p is
-    its tail, so an interior point gives both directions.  An end is often
-    the item's own Point, so identity is tested before equality.
+    its tail, so an interior point gives both directions.  An end is
+    tested by identity before equality, since `normalize` passes a vertex's
+    own Point.
     """
     star = []
     for it in its:
@@ -601,20 +556,22 @@ def validate(c: TropicalCurve) -> BalanceReport:
         if i not in ends:
             raise StructureError(f"vertex {i} is isolated")
     violations = []
-    for a, b, p in meetings(c._index):
-        if isinstance(p, Shared):
+    ix = c._index
+    for av, bv, m in _scan(ix):
+        a, b = av.item, bv.item
+        if type(m) is Shared:
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} overlap "
                 "along a segment"
             )
             continue
-        # Identity suffices: vertices are distinct by now, and a meeting is
-        # an item's own end Point or a new Point inside both items.
-        ea, eb = a.ends, b.ends
-        if not (p is ea[0] or p is ea[-1]) or not (p is eb[0] or p is eb[-1]):
+        # Vertices are distinct by now, so a meeting is a shared vertex
+        # exactly when it is an end of both items.
+        s, t, den = m
+        if _end(a, s, den) is None or _end(b, t, den) is None:
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
-                f"{show(p)} which is not a shared vertex"
+                f"{show(_point_on(av, s, den, ix.scale))} which is not a shared vertex"
             )
     residuals = tuple(IntVector(x, y) for x, y in _residuals(c))
     return BalanceReport(residuals, tuple(violations))
@@ -703,8 +660,9 @@ def local_star(c: TropicalCurve, p: Point) -> list[IntVector]:
 # ---------------------------------------------------------------------------
 
 
-def _loop_sides(loop: Sequence[Point]) -> tuple[Item, ...]:
-    """The sides of a simple closed polygon, side k from corner k to k + 1."""
+def _loop_sides(loop: Sequence[Point]) -> ItemIndex:
+    """The index of the sides of a simple closed polygon, side k from corner
+    k to k + 1."""
     n = len(loop)
     if n < 3:
         raise LoopError("loop needs at least 3 points")
@@ -713,11 +671,11 @@ def _loop_sides(loop: Sequence[Point]) -> tuple[Item, ...]:
     polygon = TropicalCurve(
         tuple(loop), tuple(Edge(k, (k + 1) % n) for k in range(n)), ()
     )
-    sides = items(polygon)
+    sides = polygon._index
     # Adjacent sides that do not overlap meet only at their shared corner.
-    for a, b, p in meetings(polygon._index):
-        i, j = a.index, b.index
-        if isinstance(p, Shared) or not (j == i + 1 or (i == 0 and j == n - 1)):
+    for a, b, m in _scan(sides):
+        i, j = a.item.index, b.item.index
+        if type(m) is Shared or not (j == i + 1 or (i == 0 and j == n - 1)):
             raise LoopError("loop is not a simple polygon")
     return sides
 
@@ -729,21 +687,25 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
     loop, crossing point).  Raises LoopError on any non-transversal contact.
     Once every contact is transversal, the outward sign comes from the side
     crossed: the interior lies left of a counterclockwise side, right of a
-    clockwise one.
+    clockwise one.  The sides' ends are the loop's corners, since the loop
+    is simple.
     """
     sides = _loop_sides(loop)
     ccw = area2(loop) > 0
-    corners = set(loop)
+    scale = lcm(c._index.scale, sides.scale)
     out = []
-    for it, side, p in meetings(c._index, sides):
-        if isinstance(p, Shared):
+    for av, side, m in _scan(c._index, sides):
+        it = av.item
+        if type(m) is Shared:
             raise LoopError(f"loop runs along {it.kind} {it.index}")
-        if p in corners:
+        s, t, den = m
+        if _end(side.item, t, den) is not None:
             raise LoopError("loop corner touches the curve")
-        if p in it.ends:
+        if _end(it, s, den) is not None:
             raise LoopError("loop passes through a curve vertex")
         w = it.prim * it.weight
-        out.append((it, w if (cross(w, side.prim) > 0) == ccw else -w, p))
+        w = w if (cross(w, side.item.prim) > 0) == ccw else -w
+        out.append((it, w, _point_on(av, s, den, scale)))
     return out
 
 
@@ -778,27 +740,30 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
 
     Edges split at all crossings and at vertices of the other curve;
     collinear overlapping portions merge with weights added.
+
+    Each item is cut at the meetings inside it, a cut being u/den along the
+    item's view on the grid of both curves: a fraction of an edge, steps of
+    prim / scale along a ray.
     """
     all_items = items(c1) + items(c2)
+    ix = _index_of(all_items, _common_scale(all_items))
     # Keyed by value: an item that occurs twice, as in union(c, c), is one
     # segment and is cut at the same points both times.
     splits: dict[Item, set[Fraction]] = {it: set() for it in all_items}
-
-    def add_split(it: Item, p: Point) -> None:
-        t = it.param_of(p)
-        if t > 0 and (not it.bounded or t < 1):
-            splits[it].add(t)
-
-    for a, b, p in meetings(all_items):
-        for q in p.ends if isinstance(p, Shared) else (p,):
-            add_split(a, q)
-            add_split(b, q)
+    for a, b, m in _scan(ix):
+        for s, t, den in m.ends if type(m) is Shared else (m,):
+            for v, u in ((a, s), (b, t)):
+                if _end(v.item, u, den) is None:
+                    splits[v.item].add(Fraction(u, den))
 
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}
 
-    for it in all_items:
-        cuts = [it.point_at(t) for t in sorted(splits[it])]
+    for v in ix.views:
+        it = v.item
+        cuts = [
+            _point_on(v, u.numerator, u.denominator, ix.scale) for u in sorted(splits[it])
+        ]
         pts = [it.origin, *cuts, *it.ends[1:]]
         for a, b in zip(pts, pts[1:]):
             ka, kb = (a.x, a.y), (b.x, b.y)

@@ -42,6 +42,7 @@ from .curve import (
     TropicalCurve,
     View,
     _candidates,
+    _end,
     _pair_grid,
     _point_on,
     _scan,
@@ -303,8 +304,7 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
         a, b = av.item, bv.item
         shared = type(m) is Shared
         for s, t, den in m.ends if shared else (m,):
-            ea = 0 if s == 0 else 1 if s == den and a.head is not None else None
-            eb = 0 if t == 0 else 1 if t == den and b.head is not None else None
+            ea, eb = _end(a, s, den), _end(b, t, den)
             if ea is not None:
                 key = keys1[a.tail if ea == 0 else a.head]
                 end_point = a.ends[ea]

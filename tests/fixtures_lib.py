@@ -7,24 +7,30 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
 from pathlib import Path
 
 from tropcurve import intersect as intersect_mod
 from tropcurve import jsonio
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
 from tropcurve.curve import (
+    Edge,
     Item,
+    ItemIndex,
+    LoopError,
+    Ray,
     Shared,
     TropicalCurve,
-    _as_points,
+    View,
     _common_scale,
+    _index_of,
     _lattice,
     _meet,
     _pair_grid,
     _point_on,
+    _scan,
     curve,
     items,
-    meetings,
     star_at,
     translate,
 )
@@ -32,6 +38,7 @@ from tropcurve.geom import (
     GeometryError,
     IntVector,
     Point,
+    area2,
     cross,
     dot,
     primitive_decompose,
@@ -336,7 +343,62 @@ def reference_dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
 
 
 # ---------------------------------------------------------------------------
-# Fraction references for the integer kernel of curve.meetings and the
+# The meetings as Points: curve._scan's integer reports read back on the
+# rational points, the level the Fraction references below compare at.
+# ---------------------------------------------------------------------------
+
+
+def _vec(it: Item) -> Point:
+    """Full displacement for an edge, primitive direction for a ray."""
+    if it.bounded:
+        return it.ends[1] - it.ends[0]
+    return it.prim.to_point()
+
+
+def _param_of(it: Item, p: Point) -> Fraction:
+    """Coordinate of a point on the item's line, in units of _vec."""
+    v = _vec(it)
+    return Fraction(dot(p - it.origin, v)) / dot(v, v)
+
+
+def _point_at(it: Item, t) -> Point:
+    return it.origin + _vec(it) * t
+
+
+def _as_points(a: View, b: View, m, scale: int) -> Point | Shared:
+    """_meet's report m of views a and b with its points as Points on the
+    grid of `scale`: an end of b, else of a, as the item's own Point, else
+    one built."""
+    if type(m) is Shared:
+        return Shared(tuple(_as_points(a, b, e, scale) for e in m.ends))
+    s, t, den = m
+    ib = b.item
+    if t == 0:
+        return ib.origin
+    if t == den and ib.head is not None:
+        return ib.ends[1]
+    return _point_on(a, s, den, scale)
+
+
+def meetings(xs, ys=None):
+    """Every pair of items that meet, with the meeting Point, or with the
+    Shared part (its ends as Points) when they share a segment or a ray.
+
+    With one sequence, each pair of distinct positions once, earlier item
+    first; with two, every item of xs against every item of ys, xs-major.
+    Each side is a curve's index or a sequence of items, indexed for this
+    call; the pairs are curve._scan's, in its order."""
+    x = xs if isinstance(xs, ItemIndex) else _index_of(xs, _common_scale(xs))
+    y = ys
+    if ys is not None and not isinstance(ys, ItemIndex):
+        y = _index_of(ys, _common_scale(ys))
+    scale = x.scale if y is None else lcm(x.scale, y.scale)
+    for a, b, m in _scan(x, y):
+        yield a.item, b.item, _as_points(a, b, m, scale)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer kernel of curve._scan and the
 # perturbation oracle: the predicates as they read on rational points.
 # ---------------------------------------------------------------------------
 
@@ -350,20 +412,20 @@ def _contains_param(it: Item, t: Fraction) -> bool:
 def reference_item_intersection(a: Item, b: Item):
     """Intersection of two closed items in Fraction arithmetic: None, the
     meeting Point, or the Shared part with its ends, lowest along a first."""
-    if cross(a.vec, b.vec) != 0:
-        den = cross(a.vec, b.vec)
-        s = Fraction(cross(b.origin - a.origin, b.vec)) / den
-        t = Fraction(cross(b.origin - a.origin, a.vec)) / den
+    if cross(_vec(a), _vec(b)) != 0:
+        den = cross(_vec(a), _vec(b))
+        s = Fraction(cross(b.origin - a.origin, _vec(b))) / den
+        t = Fraction(cross(b.origin - a.origin, _vec(a))) / den
         if _contains_param(a, s) and _contains_param(b, t):
-            return a.point_at(s)
+            return _point_at(a, s)
         return None
-    if cross(a.vec, b.origin - a.origin) != 0:
+    if cross(_vec(a), b.origin - a.origin) != 0:
         return None
-    c0 = a.param_of(b.origin)
+    c0 = _param_of(a, b.origin)
     if b.bounded:
-        c1 = a.param_of(b.origin + b.vec)
+        c1 = _param_of(a, b.origin + _vec(b))
         lo_b, hi_b = (c0, c1) if c0 <= c1 else (c1, c0)
-    elif dot(b.vec, a.vec) > 0:
+    elif dot(_vec(b), _vec(a)) > 0:
         lo_b, hi_b = c0, None
     else:
         lo_b, hi_b = None, c0
@@ -378,14 +440,14 @@ def reference_item_intersection(a: Item, b: Item):
     if hi is not None and lo > hi:
         return None
     if hi is None:
-        return Shared((a.point_at(lo),))
+        return Shared((_point_at(a, lo),))
     if lo == hi:
-        return a.point_at(lo)
-    return Shared((a.point_at(lo), a.point_at(hi)))
+        return _point_at(a, lo)
+    return Shared((_point_at(a, lo), _point_at(a, hi)))
 
 
 def reference_meetings(xs, ys=None) -> list:
-    """curve.meetings as a list, each pair decided in Fraction arithmetic."""
+    """meetings as a list, each pair decided in Fraction arithmetic."""
     pairs = combinations(xs, 2) if ys is None else product(xs, ys)
     out = []
     for a, b in pairs:
@@ -413,7 +475,7 @@ def item_intersection(a: Item, b: Item):
 
 
 def all_pairs_meetings(xs, ys=None) -> list:
-    """curve.meetings as a list, by testing every pair of views."""
+    """meetings as a list, by testing every pair of views."""
     scale = _common_scale(chain(xs, ys or ()))
     xv = _lattice(xs, scale)
     pairs = combinations(xv, 2) if ys is None else product(xv, _lattice(ys, scale))
@@ -516,10 +578,10 @@ def reference_violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
     its1, its2 = items(c1), items(c2)
     for a in its1:
         for b in its2:
-            if cross(a.vec, b.vec) == 0:
+            if cross(_vec(a), _vec(b)) == 0:
                 if (
-                    cross(a.vec, b.origin - a.origin) == 0
-                    and cross(a.vec, t) == 0
+                    cross(_vec(a), b.origin - a.origin) == 0
+                    and cross(_vec(a), t) == 0
                 ):
                     return (
                         f"{a.kind} {a.index} of the first curve stays collinear "
@@ -527,14 +589,14 @@ def reference_violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
                     )
     for v in c1.vertices:
         for b in its2:
-            if cross(b.vec, t) == 0 and cross(b.vec, v - b.origin) == 0:
+            if cross(_vec(b), t) == 0 and cross(_vec(b), v - b.origin) == 0:
                 return (
                     f"vertex ({v.x}, {v.y}) of the first curve rides the line "
                     f"of {b.kind} {b.index} of the second"
                 )
     for v in c2.vertices:
         for a in its1:
-            if cross(a.vec, t) == 0 and cross(a.vec, v - a.origin) == 0:
+            if cross(_vec(a), t) == 0 and cross(_vec(a), v - a.origin) == 0:
                 return (
                     f"vertex ({v.x}, {v.y}) of the second curve rides the line "
                     f"of {a.kind} {a.index} of the first"
@@ -566,22 +628,22 @@ def reference_perturbation_oracle(
     acc: dict[Point, int] = {}
     for a in items(c1):
         for b in items(c2):
-            den = cross(a.vec, b.vec)
+            den = cross(_vec(a), _vec(b))
             if den == 0:
                 continue
             s = Eps(
-                Fraction(cross(b.origin - a.origin, b.vec)),
-                Fraction(cross(direction, b.vec)),
+                Fraction(cross(b.origin - a.origin, _vec(b))),
+                Fraction(cross(direction, _vec(b))),
             ).scaled(Fraction(1, den))
             r = Eps(
-                Fraction(cross(a.origin - b.origin, a.vec)),
-                Fraction(-cross(direction, a.vec)),
+                Fraction(cross(a.origin - b.origin, _vec(a))),
+                Fraction(-cross(direction, _vec(a))),
             ).scaled(Fraction(1, -den))
             if not (zero <= s and (not a.bounded or s <= one)):
                 continue
             if not (zero <= r and (not b.bounded or r <= one)):
                 continue
-            limit = a.origin + a.vec * s.const
+            limit = a.origin + _vec(a) * s.const
             mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
             acc[limit] = acc.get(limit, 0) + mu
     return Divisor.of(acc, c1)
@@ -621,6 +683,88 @@ def reference_is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     return all(
         not isinstance(p, Shared) and p not in a.ends and p not in b.ends
         for a, b, p in meetings(items(c1), items(c2))
+    )
+
+
+# ---------------------------------------------------------------------------
+# validate's embedding check, the loop crossings and union on the meeting
+# Points, as they read before the curve checks took curve._scan's reports.
+# ---------------------------------------------------------------------------
+
+
+def reference_embedding_violations(c: TropicalCurve) -> tuple[str, ...]:
+    """validate's embedding_violations: an overlap, or a meeting Point that
+    is not an end of both items."""
+    out = []
+    for a, b, p in meetings(items(c)):
+        if isinstance(p, Shared):
+            out.append(f"{a.kind} {a.index} and {b.kind} {b.index} overlap along a segment")
+        elif p not in a.ends or p not in b.ends:
+            out.append(
+                f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
+                f"({p.x}, {p.y}) which is not a shared vertex"
+            )
+    return tuple(out)
+
+
+def reference_loop_crossings(c: TropicalCurve, loop) -> list:
+    """curve._loop_crossings on Points: the loop's sides as items, each
+    crossing tested against the corner set and the item's end Points."""
+    n = len(loop)
+    if n < 3:
+        raise LoopError("loop needs at least 3 points")
+    if any(loop[k] == loop[(k + 1) % n] for k in range(n)):
+        raise LoopError("loop has a zero-length side")
+    sides = items(TropicalCurve(tuple(loop), tuple(Edge(k, (k + 1) % n) for k in range(n)), ()))
+    for a, b, p in meetings(sides):
+        i, j = a.index, b.index
+        if isinstance(p, Shared) or not (j == i + 1 or (i == 0 and j == n - 1)):
+            raise LoopError("loop is not a simple polygon")
+    ccw = area2(loop) > 0
+    corners = set(loop)
+    out = []
+    for it, side, p in meetings(items(c), sides):
+        if isinstance(p, Shared):
+            raise LoopError(f"loop runs along {it.kind} {it.index}")
+        if p in corners:
+            raise LoopError("loop corner touches the curve")
+        if p in it.ends:
+            raise LoopError("loop passes through a curve vertex")
+        w = it.prim * it.weight
+        out.append((it, w if (cross(w, side.prim) > 0) == ccw else -w, p))
+    return out
+
+
+def reference_union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
+    """curve.union with each item split at the parameters of the meeting
+    Points (_param_of) and cut at their Points (_point_at)."""
+    all_items = items(c1) + items(c2)
+    splits: dict[Item, set[Fraction]] = {it: set() for it in all_items}
+    for a, b, p in meetings(all_items):
+        for q in p.ends if isinstance(p, Shared) else (p,):
+            for it in (a, b):
+                t = _param_of(it, q)
+                if t > 0 and (not it.bounded or t < 1):
+                    splits[it].add(t)
+    seg_weight: dict[tuple, int] = {}
+    tail_weight: dict[tuple, int] = {}
+    for it in all_items:
+        pts = [it.origin, *(_point_at(it, t) for t in sorted(splits[it])), *it.ends[1:]]
+        for a, b in zip(pts, pts[1:]):
+            key = tuple(sorted(((a.x, a.y), (b.x, b.y))))
+            seg_weight[key] = seg_weight.get(key, 0) + it.weight
+        if not it.bounded:
+            tk = ((pts[-1].x, pts[-1].y), (it.prim.x, it.prim.y))
+            tail_weight[tk] = tail_weight.get(tk, 0) + it.weight
+    keys = sorted({k for key in seg_weight for k in key} | {o for o, _ in tail_weight})
+    index = {k: i for i, k in enumerate(keys)}
+    return TropicalCurve(
+        tuple(Point(x, y) for x, y in keys),
+        tuple(Edge(index[a], index[b], w) for (a, b), w in sorted(seg_weight.items())),
+        tuple(
+            Ray(index[o], IntVector(dx, dy), w)
+            for (o, (dx, dy)), w in sorted(tail_weight.items())
+        ),
     )
 
 
@@ -668,9 +812,9 @@ def reference_locate(c: TropicalCurve, p: Point):
         if v == p:
             return ("vertex", i)
     for it in items(c):
-        if cross(it.vec, p - it.origin) != 0:
+        if cross(_vec(it), p - it.origin) != 0:
             continue
-        t = it.param_of(p)
+        t = _param_of(it, p)
         if 0 < t and (t < 1 or not it.bounded):
             return (it.kind, it.index)
     return None

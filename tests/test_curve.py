@@ -5,10 +5,16 @@ from itertools import combinations
 import pytest
 
 from fixtures_lib import (
+    concave_lift,
     coordinate_cross,
     rect_loop,
+    reference_embedding_violations,
     reference_item_intersection,
+    reference_loop_crossings,
     reference_outgoing,
+    reference_union,
+    sparse_lift,
+    tied_lift,
     figure_eight,
     square_loop,
     tail_cycle_curve,
@@ -28,6 +34,7 @@ from tropcurve.curve import (
     Shared,
     StructureError,
     TropicalCurve,
+    _loop_crossings,
     _loop_sides,
     canonical_form,
     curve,
@@ -41,7 +48,8 @@ from tropcurve.curve import (
     union,
     validate,
 )
-from tropcurve.geom import IntVector, cross, dot, pt, vec
+from tropcurve.geom import IntVector, cross, dot, moment, pt, vec
+from tropcurve.polyfront import corner_locus, polynomial
 
 
 ALL_FIXTURES = [
@@ -251,7 +259,7 @@ def test_loop_sides_refuses_exactly_the_non_simple_loops():
         simple = _reference_is_simple(loop)
         seen[simple] += 1
         if simple:
-            assert len(_loop_sides(loop)) == n
+            assert len(_loop_sides(loop).views) == n
         else:
             with pytest.raises(LoopError, match="loop is not a simple polygon"):
                 _loop_sides(loop)
@@ -439,3 +447,106 @@ def test_normalize_fuses_collinear():
 def test_normalize_keeps_opposite_rays():
     c = vertical_line()
     assert normalize(c) == c
+
+
+# -- the curve checks on the scan's integer reports, against the Points --
+
+
+def _seeded_loci(seed: int) -> list[TropicalCurve]:
+    """Corner loci of degrees 2 to 4 from concave, sparse and tied lifts."""
+    rng = random.Random(seed)
+    return [
+        corner_locus(polynomial(lift(rng, d)))
+        for lift in (concave_lift, sparse_lift, tied_lift)
+        for d in (2, 3, 4)
+    ]
+
+
+def _slid(rng: random.Random, c: TropicalCurve, q: int) -> TropicalCurve:
+    """c translated by k/q, 0 < k < q, of one of its edges, or of a ray's
+    direction when it has no edge."""
+    if c.edges:
+        e = c.edges[rng.randrange(len(c.edges))]
+        step = c.vertices[e.b] - c.vertices[e.a]
+    else:
+        step = c.rays[rng.randrange(len(c.rays))].direction.to_point()
+    return translate(c, step * Fraction(rng.randint(1, q - 1), q))
+
+
+def _overlay(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
+    """Both curves' items as one curve, none split where they meet."""
+    n = len(c1.vertices)
+    return TropicalCurve(
+        c1.vertices + c2.vertices,
+        c1.edges + tuple(Edge(e.a + n, e.b + n, e.weight) for e in c2.edges),
+        c1.rays + tuple(Ray(r.vertex + n, r.direction, r.weight) for r in c2.rays),
+    )
+
+
+def test_union_matches_point_reference():
+    """union against reference_union on the meeting Points: each seeded
+    locus with itself and with copies slid by thirds, fifths and sevenths
+    of an edge, so that both sides' rays are cut on a raised scale."""
+    rng = random.Random(22)
+    raised = 0
+    for c in _seeded_loci(22):
+        for d in (c, *(_slid(rng, c, q) for q in (3, 5, 7))):
+            raised += d._scale != c._scale
+            for a, b in ((c, d), (d, c)):
+                assert union(a, b) == reference_union(a, b)
+    assert raised >= 15
+
+
+def test_validate_and_loops_match_point_references():
+    """validate's violations on self-overlays, and the loop crossings, sums
+    and refusals on random loops, against the references on the meeting
+    Points."""
+    rng = random.Random(23)
+    overlays = crossings = 0
+    refusals = set()
+    for c in _seeded_loci(23):
+        for q in (3, 5, 7):
+            o = _overlay(c, _slid(rng, c, q))
+            try:
+                got = validate(o).embedding_violations
+            except StructureError:
+                continue  # a vertex of the copy fell on a vertex of c
+            assert got == reference_embedding_violations(o)
+            overlays += bool(got)
+        v = c.vertices[rng.randrange(len(c.vertices))]
+        loops = [
+            rect_loop(
+                Fraction(rng.randint(-40, 40), rng.choice([1, 3, 5])),
+                Fraction(rng.randint(-40, 40), rng.choice([1, 2, 7])),
+                Fraction(rng.randint(1, 30), rng.choice([1, 3])),
+                Fraction(rng.randint(1, 30), rng.choice([1, 5])),
+            )
+            for _ in range(8)
+        ]
+        loops.append([pt(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 5))])
+        loops.append((v, v + pt(1, 0), v + pt(1, 1)))  # a corner on a vertex
+        loops.append((v - pt(1, 0), v + pt(1, 0), v + pt(0, 1)))  # a side through it
+        e = items(c)[0]
+        a, b = (e.origin + (e.ends[1] - e.origin) * Fraction(k, 3) for k in (1, 2))
+        loops.append((a, b, a + pt(-e.prim.y, e.prim.x) * Fraction(1, 97)))  # along edge 0
+        for loop in loops:
+            loop = loop if rng.random() < 0.5 else loop[::-1]
+            base = pt(Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-9, 9), 5))
+            try:
+                want = reference_loop_crossings(c, loop)
+            except LoopError as err:
+                for run in (lambda: global_balance_sum(c, loop), lambda: moment_sum(c, loop, base)):
+                    with pytest.raises(LoopError) as got:
+                        run()
+                    assert str(got.value) == str(err)
+                refusals.add(str(err).split(" along ")[0])
+                continue
+            assert _loop_crossings(c, loop) == want
+            assert global_balance_sum(c, loop) == sum((w for _, w, _ in want), vec(0, 0))
+            assert moment_sum(c, loop, base) == sum(moment(w, p, base) for _, w, p in want)
+            crossings += bool(want)
+    assert overlays >= 15 and crossings >= 30
+    assert {
+        "loop is not a simple polygon", "loop corner touches the curve",
+        "loop passes through a curve vertex", "loop runs",
+    } <= refusals

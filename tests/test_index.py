@@ -2,7 +2,7 @@
 
 `TropicalCurve._index` holds each item's integer view, its finite box, the
 curve's finite extent and the positions of its rays, built once on first
-use.  `validate`, `meetings`, the intersection record, `has_shared_segment`
+use.  `validate`, `_scan`, the intersection record, `has_shared_segment`
 and the oracle's candidates read it; a pair scan raises a side only when
 its scale is below the pair's, and keeps that raise per factor, a bounded
 number of factors per index.  Here the record route is checked against
@@ -31,6 +31,7 @@ from fixtures_lib import (
     concave_lift,
     coordinate_cross,
     figure_eight,
+    meetings,
     poly_text,
     reference_is_transversal,
     reference_meetings,
@@ -49,7 +50,6 @@ from tropcurve.curve import (
     _lattice,
     _meet,
     items,
-    meetings,
     translate,
     validate,
 )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures_lib import (
+    _point_at,
     anti_line,
     concave_lift,
     coordinate_cross,
@@ -321,7 +322,7 @@ def test_project_point_matches_reference_route():
         c = s.curve
         # every vertex, every edge midpoint and one point on every ray
         pts = list(c.vertices)
-        pts += [it.point_at(Fraction(1, 2) if it.bounded else 1) for it in items(c)]
+        pts += [_point_at(it, Fraction(1, 2) if it.bounded else 1) for it in items(c)]
         for p in pts:
             assert project_point(s, p) == _reference_project_point(s, p)
 

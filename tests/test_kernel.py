@@ -1,6 +1,6 @@
 """The integer kernel against the references in fixtures_lib.
 
-`curve.meetings`, `fixtures_lib.item_intersection`, `locate`, `_violations`,
+`fixtures_lib.meetings` (curve._scan's reports as Points), `item_intersection`, `locate`, `_violations`,
 `generic_direction` and `perturbation_oracle` decide every predicate on the
 curves' integer grids.  Here they must give exactly what the rational
 predicates give: the same pairs in the same order, the same Points (as
@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures_lib import (
+    _point_at,
+    _vec,
     all_pairs_crossings,
     all_pairs_meetings,
     all_pairs_pins,
@@ -23,6 +25,7 @@ from fixtures_lib import (
     coordinate_cross,
     diagonal_cross,
     item_intersection,
+    meetings,
     reference_generic_direction,
     reference_locate,
     reference_meetings,
@@ -45,7 +48,6 @@ from tropcurve.curve import (
     curve,
     items,
     locate,
-    meetings,
     translate,
 )
 from tropcurve.geom import GeometryError, Point, pt
@@ -181,8 +183,8 @@ def test_generic_direction_skips_every_pinned_slope():
 def test_locate_matches_linear_scan(c, i, j, q):
     its = items(c)
     probes = [pt(Fraction(i, q), Fraction(j, q)), *c.vertices]
-    probes += [it.origin + it.vec * Fraction(1, q + 1) for it in its]
-    probes += [it.origin + it.vec * (q + 1) for it in its if not it.bounded]
+    probes += [_point_at(it, Fraction(1, q + 1)) for it in its]
+    probes += [_point_at(it, q + 1) for it in its if not it.bounded]
     for p in probes:
         assert locate(c, p) == reference_locate(c, p)
 
@@ -213,7 +215,7 @@ def reference_stable_intersection(c1: TropicalCurve, c2: TropicalCurve, met) -> 
 def _star(p, it):
     w = it.prim * it.weight
     out = []
-    if not it.bounded or p != it.origin + it.vec:
+    if not it.bounded or p != it.origin + _vec(it):
         out.append(w)
     if p != it.origin:
         out.append(-w)

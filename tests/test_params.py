@@ -375,8 +375,8 @@ def test_params_from_curve_does_not_prime_the_curve(c):
 def test_validate_is_not_cached(monkeypatch):
     curve_mod = importlib.import_module("tropcurve.curve")
     scans = []
-    real = curve_mod.meetings
-    monkeypatch.setattr(curve_mod, "meetings", lambda *a: scans.append(a) or real(*a))
+    real = curve_mod._scan
+    monkeypatch.setattr(curve_mod, "_scan", lambda *a: scans.append(a) or real(*a))
     c = curve_from_params(perturb(params_from_curve(figure_eight()), 9))
     scans.clear()
     for k in range(1, 4):
