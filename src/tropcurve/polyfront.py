@@ -10,9 +10,11 @@ facet on the lift scaled to integers: O(cells * terms) integer operations.
 One pass over the terms per wrap gives both the facet's normal and the
 terms on its plane.  The wrap, the cell dedupe (by the gcd-reduced integer
 normal) and the cell hulls (the hull ring shared with newton.convex_hull)
-run on (x, y) int pairs; each cell's Fractions, Point and IntVectors are
-built once, for the cell returned, and the corner locus reads cell sides as
-int differences.  The parser keeps each coefficient as an int pair until
+run on (x, y) int pairs in one private routine, _cells, with two readers:
+corner_locus places the dual vertices on one integer denominator and reads
+cell sides as int differences, building no per-cell object, and
+dual_subdivision builds each cell's Fractions, Point and IntVectors from the
+same ints.  The parser keeps each coefficient as an int pair until
 its term ends, and refuses a number past the interpreter's int-string
 limit with a PolyParseError at its position.
 """
@@ -266,18 +268,46 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     every term on its facet's plane, in support order, and the cells are
     ordered by slope.
     """
-    g = _max_form(f)
-    if len(g.terms) < 2:
+    wrapped = _cells(f)
+    if wrapped is None:
+        return _collinear_subdivision(_max_form(f))
+    scale, cells = wrapped
+    vector = {e: IntVector(*e) for e, _ in f.terms}
+    out = []
+    for (nx, ny, nz), level, on, ring in cells:
+        d = nz * scale
+        x, y = Fraction(nx, d), Fraction(ny, d)
+        out.append(SubdivisionCell(
+            (-x, -y),
+            Fraction(level, d),
+            tuple(vector[t] for t in on),
+            LatticePolygon(tuple(vector[t] for t in ring)),
+            Point(x, y),
+        ))
+    return DualSubdivision(tuple(out))
+
+
+def _cells(f: TropicalPolynomial):
+    """The regular subdivision of f's support on ints, None if the support
+    lies on one line.  Returns the scale of the lift (the LCM of the
+    coefficients' denominators) and, in slope order, each cell of the upper
+    hull of the max form's lift scaled to integers as
+    ((nx, ny, nz), level, on, ring): the facet's gcd-reduced upward normal,
+    its level n . (x, y, h), its terms in support order, and their hull
+    ring of (x, y) pairs.  The cell's dual vertex is (nx, ny) / (nz * scale).
+    """
+    if len(f.terms) < 2:
         raise EmptyCurveError("single-term polynomial has no corner locus")
-    ring = _hull_ring(e for e, _ in g.terms)
+    ring = _hull_ring(e for e, _ in f.terms)
     if len(ring) < 3:
-        return _collinear_subdivision(g)
-    scale = math.lcm(*(c.denominator for _, c in g.terms))
+        return None
+    sign = 1 if f.convention == "max" else -1  # the min form's lift, negated
+    scale = math.lcm(*(c.denominator for _, c in f.terms))
     lifted = [
-        (i, j, c.numerator * (scale // c.denominator)) for (i, j), c in g.terms
+        (i, j, sign * c.numerator * (scale // c.denominator))
+        for (i, j), c in f.terms
     ]
     height = {(i, j): h for i, j, h in lifted}
-    vector = {(i, j): IntVector(i, j) for i, j, _ in lifted}
 
     # Start edge: from the lex-min hull vertex a, the steepest term w on the
     # next hull side (the first of equal slopes).  The segment w-a is an
@@ -305,7 +335,7 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
         )
         hull_sides.update(itertools.combinations([t for _, t in on_side], 2))
     # by the normal over its gcd: _wrap may give one plane at several scales
-    cells: dict[tuple[int, int, int], SubdivisionCell] = {}
+    cells: dict[tuple[int, int, int], tuple] = {}
     owned: set[tuple[tuple, tuple]] = set()  # sides of known cells
     pending = [(w, ring[0])]
     while pending:
@@ -313,20 +343,12 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
         p, q = side
         if (q, p) in owned or side in hull_sides:
             continue  # the cell beyond this side is known, or there is none
-        u = (*p, height[p])
-        (nx, ny, nz), on = _wrap(lifted, u, (*q, height[q]))
-        level = nx * u[0] + ny * u[1] + nz * u[2]
-        cell_ring = _hull_ring(on)
-        d = nz * scale
+        ux, uy = p
+        (nx, ny, nz), on = _wrap(lifted, (ux, uy, height[p]), (*q, height[q]))
         k = math.gcd(nx, ny, nz)
-        x, y = Fraction(nx, d), Fraction(ny, d)
-        cells[nx // k, ny // k, nz // k] = SubdivisionCell(
-            (-x, -y),
-            Fraction(level, d),
-            tuple(vector[t] for t in on),
-            LatticePolygon(tuple(vector[t] for t in cell_ring)),
-            Point(x, y),
-        )
+        nx, ny, nz = nx // k, ny // k, nz // k
+        cell_ring = _hull_ring(on)
+        cells[nx, ny, nz] = (nx * ux + ny * uy + nz * height[p], on, cell_ring)
         sides = list(zip(cell_ring, cell_ring[1:] + cell_ring[:1]))
         owned.update(sides)
         pending.extend(sides)
@@ -334,7 +356,7 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     # common denominator
     m = math.lcm(*(nz for _, _, nz in cells))
     order = sorted(cells, key=lambda n: (-n[0] * (m // n[2]), -n[1] * (m // n[2])))
-    return DualSubdivision(tuple(cells[n] for n in order))
+    return scale, [(n, *cells[n]) for n in order]
 
 
 def _wrap(lifted, u, v) -> tuple[tuple[int, int, int], list[tuple]]:
@@ -417,34 +439,35 @@ def _collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:
 
 
 def corner_locus(f: TropicalPolynomial) -> TropicalCurve:
-    """The non-differentiability set of f as a weighted balanced curve."""
-    sub = dual_subdivision(f)
-    if len(sub.cells[0].polygon.vertices) == 2:
-        curve_max = _collinear_corner_locus(sub)  # support on one lattice line
-    else:
-        curve_max = _planar_corner_locus(sub)
-    if f.convention == "min":
+    """The non-differentiability set of f as a weighted balanced curve.
+
+    Built on ints from the cells of _cells: dual vertex i is
+    (nx, ny) / (nz * scale), placed on the one denominator
+    scale * lcm(nz), and each side of a cell's ring bounds one edge (two
+    owners) or one ray (one owner, the side rotated by -90 degrees).  The
+    min convention negates the vertices and the ray directions."""
+    wrapped = _cells(f)
+    if wrapped is None:  # support on one lattice line
+        c = _collinear_corner_locus(_collinear_subdivision(_max_form(f)))
+        if f.convention == "max":
+            return c
         return TropicalCurve(
-            tuple(Point(-v.x, -v.y) for v in curve_max.vertices),
-            curve_max.edges,
-            tuple(Ray(r.vertex, -r.direction, r.weight) for r in curve_max.rays),
+            tuple(Point(-v.x, -v.y) for v in c.vertices),
+            c.edges,
+            tuple(Ray(r.vertex, -r.direction, r.weight) for r in c.rays),
         )
-    return curve_max
-
-
-def _lattice_length(d: IntVector) -> int:
-    return primitive_decompose(d)[1]
-
-
-def _planar_corner_locus(sub: DualSubdivision) -> TropicalCurve:
-    cells = sub.cells
-    vertices = [c.dual_vertex for c in cells]
-    # Each owner of a boundary edge, with the edge as an int difference
-    # (x, y) oriented along the owner's polygon.
+    scale, cells = wrapped
+    sign = 1 if f.convention == "max" else -1
+    m = math.lcm(*(nz for (_, _, nz), *_ in cells))
+    xs, ys = [], []
+    # Each owner of a cell side, with the side as an int difference (x, y)
+    # oriented along the owner's ring.
     edge_owner: dict[tuple, list[tuple[int, int, int]]] = {}
-    for idx, cell in enumerate(cells):
-        vs = [(v.x, v.y) for v in cell.polygon.vertices]
-        for a, b in zip(vs, vs[1:] + vs[:1]):
+    for idx, ((nx, ny, nz), _, _, ring) in enumerate(cells):
+        k = sign * (m // nz)
+        xs.append(nx * k)
+        ys.append(ny * k)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
             key = (a, b) if a <= b else (b, a)
             edge_owner.setdefault(key, []).append((idx, b[0] - a[0], b[1] - a[1]))
     edges = []
@@ -456,10 +479,15 @@ def _planar_corner_locus(sub: DualSubdivision) -> TropicalCurve:
         elif len(owners) == 1:
             (i, dx, dy), = owners
             w = math.gcd(dx, dy)
-            rays.append(Ray(i, IntVector(dy // w, -dx // w), w))  # side rotated -90
+            # the side rotated by -90 degrees; under min, by +90
+            rays.append(Ray(i, IntVector(sign * dy // w, -sign * dx // w), w))
         else:
             raise GeometryError("a subdivision edge borders more than two cells")
-    return TropicalCurve(tuple(vertices), tuple(edges), tuple(rays))
+    return TropicalCurve._on_grid(scale * m, xs, ys, tuple(edges), tuple(rays))
+
+
+def _lattice_length(d: IntVector) -> int:
+    return primitive_decompose(d)[1]
 
 
 def _collinear_corner_locus(sub: DualSubdivision) -> TropicalCurve:

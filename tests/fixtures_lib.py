@@ -7,7 +7,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 from tropcurve import intersect as intersect_mod
@@ -76,6 +76,7 @@ from tropcurve.polyfront import (
     EmptyCurveError,
     SubdivisionCell,
     TropicalPolynomial,
+    _collinear_corner_locus,
     _max_form,
     corner_locus,
     evaluate,
@@ -340,6 +341,51 @@ def reference_dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
         cells[k] for k in sorted(cells, key=lambda s: (s[0], s[1]))
     )
     return DualSubdivision(ordered)
+
+
+def reference_corner_locus(
+    f: TropicalPolynomial, sub: DualSubdivision | None = None
+) -> TropicalCurve:
+    """The corner locus assembled on Points from the brute-force cells of
+    reference_dual_subdivision (sub, when the caller has it already): each
+    cell's dual vertex, an edge between the two owners of a cell side, a ray
+    (the side rotated by -90 degrees) from its one owner; negated for the
+    min convention.  The oracle for polyfront.corner_locus."""
+    if sub is None:
+        sub = reference_dual_subdivision(f)
+    cells = sub.cells
+    if len(cells[0].polygon.vertices) == 2:
+        c = _collinear_corner_locus(sub)  # support on one lattice line
+    else:
+        # Each owner of a boundary edge, with the edge as an int difference
+        # (x, y) oriented along the owner's polygon.
+        edge_owner: dict[tuple, list[tuple[int, int, int]]] = {}
+        for idx, cell in enumerate(cells):
+            vs = [(v.x, v.y) for v in cell.polygon.vertices]
+            for a, b in zip(vs, vs[1:] + vs[:1]):
+                key = (a, b) if a <= b else (b, a)
+                edge_owner.setdefault(key, []).append((idx, b[0] - a[0], b[1] - a[1]))
+        edges = []
+        rays = []
+        for _, owners in sorted(edge_owner.items()):
+            assert len(owners) <= 2, "a subdivision edge borders more than two cells"
+            if len(owners) == 2:
+                (i, dx, dy), (j, _, _) = owners
+                edges.append(Edge(i, j, gcd(dx, dy)))
+            else:
+                (i, dx, dy), = owners
+                w = gcd(dx, dy)
+                rays.append(Ray(i, IntVector(dy // w, -dx // w), w))
+        c = TropicalCurve(
+            tuple(cell.dual_vertex for cell in cells), tuple(edges), tuple(rays)
+        )
+    if f.convention == "min":
+        return TropicalCurve(
+            tuple(Point(-v.x, -v.y) for v in c.vertices),
+            c.edges,
+            tuple(Ray(r.vertex, -r.direction, r.weight) for r in c.rays),
+        )
+    return c
 
 
 # ---------------------------------------------------------------------------

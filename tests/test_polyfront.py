@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,14 +10,14 @@ from fixtures_lib import (
     anti_line,
     concave_lift,
     dominant_terms,
+    reference_corner_locus,
     reference_dual_subdivision,
     sparse_lift,
     tied_lift,
     tropical_line,
 )
-from tropcurve import polyfront
 from tropcurve.bunch import bouquet_structure, bunch
-from tropcurve.curve import canonical_form, validate
+from tropcurve.curve import TropicalCurve, canonical_form, validate
 from tropcurve.geom import pt, vec
 from tropcurve.newton import (
     convex_hull,
@@ -27,6 +28,7 @@ from tropcurve.newton import (
 from tropcurve.polyfront import (
     EmptyCurveError,
     PolyParseError,
+    _cells,
     corner_locus,
     dual_subdivision,
     evaluate,
@@ -283,14 +285,13 @@ def test_gradient_jumps_across_edges():
 
 
 def assert_matches_reference(f):
-    """dual_subdivision and corner_locus equal the triple-scan route."""
+    """dual_subdivision and corner_locus equal the triple-scan route, the
+    curve with its scale and grid."""
     want = reference_dual_subdivision(f)
     assert dual_subdivision(f) == want
-    with pytest.MonkeyPatch.context() as mp:
-        # corner_locus assembled from the triple scan's cells
-        mp.setattr(polyfront, "dual_subdivision", lambda g: want)
-        old = corner_locus(f)
-    assert corner_locus(f) == old
+    c, ref = corner_locus(f), reference_corner_locus(f, want)
+    assert c == ref
+    assert (c._scale, c._grid) == (ref._scale, ref._grid)
     return want
 
 
@@ -398,3 +399,65 @@ def test_smooth_degree_20_subdivision():
     assert all(cell.polygon.area2() == 1 for cell in sub.cells)
     c = corner_locus(f)
     assert (len(c.vertices), len(c.edges), len(c.rays)) == (400, 570, 60)
+
+
+# ---------------------------------------------------------------------------
+# corner_locus presets the curve's scale and grid (TropicalCurve._on_grid):
+# both must equal what the curve computes from its vertex Points.
+# ---------------------------------------------------------------------------
+
+
+def _grid_of_points(c):
+    ref = TropicalCurve(c.vertices, c.edges, c.rays)
+    return ref._scale, ref._grid
+
+
+@pytest.mark.parametrize("lift", [concave_lift, sparse_lift, tied_lift])
+@pytest.mark.parametrize("convention", ["max", "min"])
+def test_preset_grid_equals_the_points_on_seeded_lifts(lift, convention):
+    rng = random.Random(f"{lift.__name__}:{convention}:grid")
+    for d in range(2, 9):
+        c = corner_locus(polynomial(lift(rng, d), convention))
+        assert (c._scale, c._grid) == _grid_of_points(c)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0 + x", "0 + x^2", "0 + x + (-5)*x^2", "1/3 + (-1/7)*x*y + 2/5*x^2*y^2",
+     "0 + 1/3*y^2 + (-1/7)*y^4"],
+)
+@pytest.mark.parametrize("convention", ["max", "min"])
+def test_preset_grid_equals_the_points_on_collinear_supports(text, convention):
+    c = corner_locus(parse(text, convention))
+    assert (c._scale, c._grid) == _grid_of_points(c)
+
+
+# coprime denominators: the common denominator D = scale * lcm(nz) of the
+# dual vertices differs from the lift's scale, or from the curve's
+_COPRIME = [
+    {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 7)},
+    {(0, 0): 0, (1, 0): Fraction(1, 3), (0, 1): Fraction(1, 7)},
+    {(0, 0): 0, (2, 0): Fraction(1, 3), (0, 2): Fraction(1, 7), (1, 1): Fraction(-1, 3)},
+    {(0, 0): Fraction(1, 3), (3, 0): Fraction(1, 7), (0, 2): 0, (1, 1): Fraction(2, 21)},
+    {(0, 1): Fraction(4, 7), (1, 3): Fraction(4, 3), (2, 3): 0, (0, 3): 4},
+]
+
+
+@pytest.mark.parametrize("convention", ["max", "min"])
+def test_preset_grid_equals_the_points_with_coprime_denominators(convention):
+    differs = set()  # what some curve's D differs from
+    sign = 1 if convention == "max" else -1  # the same cells either way
+    for coeffs in _COPRIME:
+        f = polynomial({e: sign * c for e, c in coeffs.items()}, convention)
+        c = corner_locus(f)
+        assert (c._scale, c._grid) == _grid_of_points(c)
+        assert_matches_reference(f)
+        wrapped = _cells(f)
+        if wrapped is not None:
+            scale, cells = wrapped
+            den = scale * math.lcm(*(nz for (_, _, nz), *_ in cells))
+            if den != scale:
+                differs.add("lift")
+            if den != c._scale:
+                differs.add("curve")
+    assert differs == {"lift", "curve"}
