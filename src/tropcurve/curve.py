@@ -8,7 +8,7 @@ integer direction).  Weights are positive integers.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -65,17 +65,35 @@ class TropicalCurve:
     @classmethod
     def _on_grid(cls, den: int, xs, ys, edges, rays) -> TropicalCurve:
         """The curve whose vertex i is (xs[i], ys[i]) / den, for ints and a
-        den > 0, with the scale and grid that _scale and _grid compute."""
+        den > 0, holding the scale and grid that _scale and _grid compute.
+
+        Its vertex Points are built on the first read of `vertices`
+        (`__getattr__`); equality, hash and repr read them, so they behave
+        as for the curve built from those Points."""
         g = gcd(den, *xs, *ys)
         scale = den // g
-        grid = tuple((x // g, y // g) for x, y in zip(xs, ys))
-        c = cls(
-            tuple(Point(Fraction(x, scale), Fraction(y, scale)) for x, y in grid),
-            edges,
-            rays,
+        c = object.__new__(cls)
+        c.__dict__.update(
+            edges=edges,
+            rays=rays,
+            _scale=scale,
+            _grid=tuple((x // g, y // g) for x, y in zip(xs, ys)),
         )
-        c.__dict__.update(_scale=scale, _grid=grid)
         return c
+
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute: the vertices of a curve of
+        # _on_grid before their first read, built once from its grid.
+        d = self.__dict__
+        if name != "vertices" or "_grid" not in d:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        L = d["_scale"]
+        vs = d["vertices"] = tuple(
+            Point(Fraction(x, L), Fraction(y, L)) for x, y in d["_grid"]
+        )
+        return vs
 
     @cached_property
     def _scale(self) -> int:
@@ -96,8 +114,8 @@ class TropicalCurve:
     def _items(self) -> tuple[Item, ...]:
         """The edges, then the rays, as items: the one gate every item
         passes.  A malformed item raises validate's StructureError."""
-        vs, grid, L = self.vertices, self._grid, self._scale
-        n = len(vs)
+        grid, L = self._grid, self._scale
+        n = len(grid)
         edges = []
         for i, e in enumerate(self.edges):
             a, b = e.a, e.b
@@ -112,11 +130,10 @@ class TropicalCurve:
             g = gcd(vx, vy)
             if not g:
                 raise StructureError(
-                    f"vertices {min(a, b)} and {max(a, b)} coincide at {show(vs[a])}"
+                    f"vertices {min(a, b)} and {max(a, b)} coincide at {show(self.vertices[a])}"
                 )
             edges.append(Item(
-                i, a, b, (vs[a], vs[b]), e.weight,
-                IntVector(vx // g, vy // g), L, (tx, ty, vx, vy),
+                i, a, b, e.weight, IntVector(vx // g, vy // g), L, (tx, ty, vx, vy),
             ))
         rays = []
         for i, r in enumerate(self.rays):
@@ -129,10 +146,7 @@ class TropicalCurve:
                 raise StructureError(f"ray {i} has zero direction")
             if gcd(d.x, d.y) != 1:
                 raise StructureError(f"ray {i} direction is not primitive")
-            rays.append(Item(
-                i, r.vertex, None, (vs[r.vertex],), r.weight, d,
-                L, (*grid[r.vertex], d.x, d.y),
-            ))
+            rays.append(Item(i, r.vertex, None, r.weight, d, L, (*grid[r.vertex], d.x, d.y)))
         return tuple(edges + rays)
 
     @cached_property
@@ -160,9 +174,8 @@ def curve(
     return TropicalCurve(vs, es, rs)
 
 
-@dataclass(frozen=True)
 class Item:
-    """One edge or ray, as every construction reads it.
+    """One edge or ray, as every construction reads it: ints only.
 
     The item leaves its tail vertex along the primitive direction prim.  An
     edge reaches its head vertex after `length` lattice steps, read from the
@@ -171,17 +184,61 @@ class Item:
     The integer view is the item on the curve's grid: `lattice` holds the
     origin times `scale` (the curve's least common denominator), then the
     displacement times `scale` for an edge, or prim for a ray.  The pair
-    predicates run on it; it takes no part in equality.
+    predicates run on it.  An item holds no Point and no reference to its
+    curve: a reader that needs an end as a Point takes the curve's vertex
+    by the item's tail or head.  Items are read-only by convention.
+
+    Two items are equal when they have the same index, tail, head, weight
+    and direction and the same ends, compared on the integer views across
+    their scales.
     """
 
-    index: int  # position among the curve's edges, or among its rays
-    tail: int
-    head: int | None
-    ends: tuple[Point, ...]  # position of the tail vertex, then of the head
-    weight: int
-    prim: IntVector
-    scale: int = field(compare=False, repr=False)
-    lattice: tuple[int, int, int, int] = field(compare=False, repr=False)
+    __slots__ = ("index", "tail", "head", "weight", "prim", "scale", "lattice")
+
+    def __init__(
+        self,
+        index: int,  # position among the curve's edges, or among its rays
+        tail: int,
+        head: int | None,
+        weight: int,
+        prim: IntVector,
+        scale: int,
+        lattice: tuple[int, int, int, int],
+    ):
+        self.index = index
+        self.tail = tail
+        self.head = head
+        self.weight = weight
+        self.prim = prim
+        self.scale = scale
+        self.lattice = lattice
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Item):
+            return NotImplemented
+        s, t = self.scale, other.scale
+        (ox, oy, vx, vy), (px, py, wx, wy) = self.lattice, other.lattice
+        return (
+            self.index == other.index
+            and self.tail == other.tail
+            and self.head == other.head
+            and self.weight == other.weight
+            and self.prim == other.prim
+            and ox * t == px * s
+            and oy * t == py * s
+            and (self.head is None or (vx * t == wx * s and vy * t == wy * s))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.tail, self.head, self.weight, self.prim))
+
+    def __repr__(self) -> str:
+        return (
+            f"Item(index={self.index}, tail={self.tail}, head={self.head}, "
+            f"weight={self.weight}, prim={self.prim})"
+        )
 
     @property
     def bounded(self) -> bool:
@@ -199,11 +256,6 @@ class Item:
     def kind(self) -> str:
         """'edge' or 'ray', for messages and JSON."""
         return "edge" if self.bounded else "ray"
-
-    @property
-    def origin(self) -> Point:
-        """Position of the tail vertex."""
-        return self.ends[0]
 
 
 def items(c: TropicalCurve) -> tuple[Item, ...]:
@@ -362,15 +414,8 @@ def _boxes(ix: ItemIndex, f: int, extent) -> Sequence[tuple[int, int, int, int]]
 
 
 def _point_on(v: View, t: int, den: int, scale: int) -> Point:
-    """The point at parameter t/den along view v, with den > 0.
-
-    An end of the item is returned as the item's own Point; any other point
-    is the one Fraction built, from the grid of the given scale.
-    """
-    if t == 0:
-        return v.item.origin
-    if t == den and v.item.head is not None:
-        return v.item.ends[1]
+    """The point at parameter t/den along view v, with den > 0, built from
+    the grid of the given scale."""
     n = scale * den
     return Point(Fraction(v.ox * den + v.vx * t, n), Fraction(v.oy * den + v.vy * t, n))
 
@@ -505,20 +550,32 @@ def _scan(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, View, tu
     return [(a, b, m) for a, b in _candidates(x, y) if (m := _meet(a, b)) is not None]
 
 
+def _end_at(it: Item, p: Point) -> int | None:
+    """Which end of the item p is: 0 its tail, 1 an edge's head, None
+    neither; tested on the item's integer view, with no Fraction built."""
+    xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    ox, oy, vx, vy = it.lattice
+    L = it.scale
+    if ox * xd == xn * L and oy * yd == yn * L:
+        return 0
+    if it.head is not None and (ox + vx) * xd == xn * L and (oy + vy) * yd == yn * L:
+        return 1
+    return None
+
+
 def star_at(p: Point, its: Iterable[Item]) -> list[tuple[int, int]]:
     """The weighted primitive vectors (x, y) leaving p along items holding it.
 
     An item leaves p forward unless p is its head, and backward unless p is
-    its tail, so an interior point gives both directions.  An end is
-    tested by identity before equality, since `normalize` passes a vertex's
-    own Point.
+    its tail, so an interior point gives both directions.
     """
     star = []
     for it in its:
         wx, wy = it.prim.x * it.weight, it.prim.y * it.weight
-        if it.head is None or (p is not it.ends[1] and p != it.ends[1]):
+        end = _end_at(it, p)
+        if end != 1:
             star.append((wx, wy))
-        if p is not it.origin and p != it.origin:
+        if end != 0:
             star.append((-wx, -wy))
     return star
 
@@ -552,7 +609,7 @@ def validate(c: TropicalCurve) -> BalanceReport:
         if j != i:
             raise StructureError(f"vertices {j} and {i} coincide at {show(c.vertices[i])}")
     ends = {v for it in items(c) for v in (it.tail, it.head)}
-    for i in range(len(c.vertices)):
+    for i in range(len(c._grid)):
         if i not in ends:
             raise StructureError(f"vertex {i} is isolated")
     violations = []
@@ -579,7 +636,7 @@ def validate(c: TropicalCurve) -> BalanceReport:
 
 def _residuals(c: TropicalCurve) -> list[tuple[int, int]]:
     """Each vertex's balancing residual (x, y), in one pass over the items."""
-    rx, ry = [0] * len(c.vertices), [0] * len(c.vertices)
+    rx, ry = [0] * len(c._grid), [0] * len(c._grid)
     for it in items(c):
         wx, wy = it.prim.x * it.weight, it.prim.y * it.weight
         rx[it.tail] += wx
@@ -743,8 +800,9 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
 
     Each item is cut at the meetings inside it, a cut being u/den along the
     item's view on the grid of both curves: a fraction of an edge, steps of
-    prim / scale along a ray.
+    prim / scale along a ray.  Its ends are its curve's vertex Points.
     """
+    n1 = len(items(c1))
     all_items = items(c1) + items(c2)
     ix = _index_of(all_items, _common_scale(all_items))
     # Keyed by value: an item that occurs twice, as in union(c, c), is one
@@ -759,12 +817,15 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}
 
-    for v in ix.views:
+    for k, v in enumerate(ix.views):
         it = v.item
+        vs = c1.vertices if k < n1 else c2.vertices
         cuts = [
             _point_on(v, u.numerator, u.denominator, ix.scale) for u in sorted(splits[it])
         ]
-        pts = [it.origin, *cuts, *it.ends[1:]]
+        pts = [vs[it.tail], *cuts]
+        if it.head is not None:
+            pts.append(vs[it.head])
         for a, b in zip(pts, pts[1:]):
             ka, kb = (a.x, a.y), (b.x, b.y)
             key = (ka, kb) if ka <= kb else (kb, ka)

@@ -18,8 +18,9 @@ point on integers, an item's end by its vertex's cached key, and compares
 no Point.  The divisor's entries are computed once per record, on
 integers, as (key, multiplicity, where it sits) (`_entries`):
 `jacobian.sigma` reads them as they are, and `stable_intersection` puts
-them in order on one common denominator (`_support`), building a Point
-only for an entry that is no item's end.
+them in order on one common denominator (`_support`), taking a curve's
+own vertex Point at a vertex and building a Point only for any other
+entry.
 
 Each recorded point gets its local multiplicity from the fan displacement
 rule (Fulton-Sturmfels; Jensen-Yu), an integer count on the two stars.
@@ -247,14 +248,15 @@ def perturbation_oracle(
 class _At:
     """The items of each curve through one recorded point, each as (item,
     end): end 0 where the point is the item's tail, 1 its head, None inside.
-    `point` is an item's own end Point there, or None until output."""
+    `vertex` is (0 for the first curve or 1 for the second, vertex index)
+    where the point is a curve's vertex, else None."""
 
-    __slots__ = ("its1", "its2", "point")
+    __slots__ = ("its1", "its2", "vertex")
 
-    def __init__(self, point: Point | None):
+    def __init__(self, vertex: tuple[int, int] | None):
         self.its1: list[tuple[Item, int | None]] = []
         self.its2: list[tuple[Item, int | None]] = []
-        self.point = point
+        self.vertex = vertex
 
 
 class _Record:
@@ -306,20 +308,20 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
         for s, t, den in m.ends if shared else (m,):
             ea, eb = _end(a, s, den), _end(b, t, den)
             if ea is not None:
-                key = keys1[a.tail if ea == 0 else a.head]
-                end_point = a.ends[ea]
+                vertex = (0, a.tail if ea == 0 else a.head)
+                key = keys1[vertex[1]]
             elif eb is not None:
-                key = keys2[b.tail if eb == 0 else b.head]
-                end_point = b.ends[eb]
+                vertex = (1, b.tail if eb == 0 else b.head)
+                key = keys2[vertex[1]]
             else:
                 X, Y, D = av.ox * den + av.vx * s, av.oy * den + av.vy * s, scale * den
                 g = gcd(X, Y, D)
-                key, end_point = (X // g, Y // g, D // g), None
+                key, vertex = (X // g, Y // g, D // g), None
             at = points.get(key)
             if at is None:
-                at = points[key] = _At(end_point)
-            elif at.point is None:
-                at.point = end_point
+                at = points[key] = _At(vertex)
+            elif at.vertex is None:
+                at.vertex = vertex
             # the scan runs x-major: a met this point before only if it came last
             if not at.its1 or at.its1[-1][0] is not a:
                 at.its1.append((a, ea))
@@ -405,7 +407,8 @@ def _entries(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[tuple[int, int,
 def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At]]:
     """The stable intersection's entries in point order, each with the
     record's _At for it.  The first call for a record puts `_entries` in
-    order; each Point that is no item's end is built here, once."""
+    order; a vertex is the curve's own vertex Point, and each other Point
+    is built here, once."""
     rec = _record(c1, c2)
     if rec.support is not None:
         return rec.support
@@ -413,8 +416,14 @@ def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At
     # by x, then y, on one common denominator
     L = lcm(*(D for (_, _, D), _, _ in found))
     found = sorted(found, key=lambda e: (e[0][0] * (L // e[0][2]), e[0][1] * (L // e[0][2])))
+    curves = (c1, c2)
     rec.support = [
-        (Point(Fraction(X, D), Fraction(Y, D)) if at.point is None else at.point, mu, at)
+        (
+            Point(Fraction(X, D), Fraction(Y, D)) if at.vertex is None
+            else curves[at.vertex[0]].vertices[at.vertex[1]],
+            mu,
+            at,
+        )
         for (X, Y, D), mu, at in found
     ]
     return rec.support

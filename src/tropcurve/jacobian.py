@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .geom import GeometryError, Point, RefusalError, area2
-from .curve import Item, TropicalCurve, items, items_at
+from .curve import Item, TropicalCurve, _end_at, items, items_at
 from .bunch import (
     BouquetStructure,
     BunchGraph,
@@ -181,8 +181,9 @@ def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
     if not hit:
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
     it = hit[0]
-    if p in it.ends:
-        return _vertex_image(system, it.tail if p == it.origin else it.head)
+    end = _end_at(it, p)
+    if end is not None:
+        return _vertex_image(system, it.tail if end == 0 else it.head)
     return _project_on(system, it, p)
 
 
@@ -206,7 +207,7 @@ def _project_on(
     if on_cycle is None:
         return _vertex_image(system, it.tail)
     cp, i = on_cycle
-    o, u = it.origin, it.prim
+    o, u = system.curve.vertices[it.tail], it.prim
     run = (p.x - o.x) / u.x if u.x else (p.y - o.y) / u.y
     if it.tail == cp.vertex_path[i]:
         t = cp.breakpoints[i] + run

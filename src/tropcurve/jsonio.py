@@ -4,8 +4,10 @@ Rationals serialize as strings "p/q" (or "p" when the denominator is 1);
 lattice data serializes as plain integers.  Emission is canonical: fixed key
 order, two-space indent, trailing newline, so serialize-parse-serialize is
 byte-stable.  A curve is written directly in that layout by curve_to_json,
-without the json module's pure-Python indenting encoder; the other schemas
-go through dumps.  A number beyond the interpreter's int-string limit is
+without the json module's pure-Python indenting encoder, each coordinate
+read off the curve's integer grid (its vertices times their common
+denominator) and reduced there, so a curve built on the grid writes no
+Fraction; the other schemas go through dumps.  A number beyond the interpreter's int-string limit is
 refused on input with a SchemaError that names the field and the digit
 count, and on output with an OutputLimitError that names the digit count.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .geom import GeometryError, IntVector, Point, RefusalError, decimal_digits, digit_limit
 from .curve import Edge, Ray, TropicalCurve
@@ -31,11 +34,20 @@ class OutputLimitError(RefusalError):
 
 
 def fraction_to_str(x: Fraction) -> str:
+    return _ratio_to_str(x.numerator, x.denominator)
+
+
+def _ratio_to_str(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms as str(Fraction) writes it; past the
+    int-string limit, an OutputLimitError naming the larger part's digits."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
     try:
-        return str(x)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:  # past the interpreter's int-string limit
         raise OutputLimitError(
-            f"number of {decimal_digits(x)} digits exceeds the {digit_limit()}-digit output limit"
+            f"number of {decimal_digits(max(abs(n), d))} digits exceeds "
+            f"the {digit_limit()}-digit output limit"
         ) from None
 
 
@@ -154,10 +166,12 @@ def _block(entries: list[str]) -> str:
 
 
 def curve_to_json(c: TropicalCurve) -> str:
-    """The curve schema in the layout of dumps, written directly."""
+    """The curve schema in the layout of dumps, written directly; each
+    coordinate from the curve's grid, reduced by its gcd with the scale."""
+    L = c._scale
     vertices = _block([
-        f'    [\n      "{fraction_to_str(v.x)}",\n      "{fraction_to_str(v.y)}"\n    ]'
-        for v in c.vertices
+        f'    [\n      "{_ratio_to_str(x, L)}",\n      "{_ratio_to_str(y, L)}"\n    ]'
+        for x, y in c._grid
     ])
     edges = _block([
         f'    {{\n      "v": [\n        {e.a},\n        {e.b}\n      ],\n'

@@ -211,7 +211,7 @@ def face_structure(c: TropicalCurve) -> FaceStructure:
     uf = _UnionFind(2 * len(its))
 
     # ends at each vertex: (angle of the outgoing direction, left side, right side)
-    ends: list[list[tuple]] = [[] for _ in c.vertices]
+    ends: list[list[tuple]] = [[] for _ in c._grid]
     ray_sides = []  # (angle, offset, left side, right side)
     for k, it in enumerate(its):
         x, y = it.prim.x, it.prim.y

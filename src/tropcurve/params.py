@@ -112,14 +112,27 @@ class ParamPoint:
     @classmethod
     def _on_grid(cls, skel, den: int, lengths, x: int, y: int) -> ParamPoint:
         """The point with lengths[i] / den and anchor (x, y) / den, for ints
-        and a den > 0, whose _ints is (den, lengths, x, y)."""
-        p = cls(
-            skel,
-            tuple(Fraction(m, den) for m in lengths),
-            Point(Fraction(x, den), Fraction(y, den)),
-        )
-        p.__dict__["_ints"] = (den, tuple(lengths), x, y)
+        and a den > 0, whose _ints is (den, lengths, x, y).
+
+        Its `lengths` and `anchor_pos` are built on their first read
+        (`__getattr__`); equality, hash and repr read them, so they behave
+        as for the point built from those Fractions."""
+        p = object.__new__(cls)
+        p.__dict__.update(skeleton=skel, _ints=(den, tuple(lengths), x, y))
         return p
+
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute: the lengths and anchor of a
+        # point of _on_grid before their first read, built once from _ints.
+        d = self.__dict__
+        if name not in ("lengths", "anchor_pos") or "_ints" not in d:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        den, lengths, x, y = d["_ints"]
+        d["lengths"] = tuple(Fraction(m, den) for m in lengths)
+        d["anchor_pos"] = Point(Fraction(x, den), Fraction(y, den))
+        return d[name]
 
     @cached_property
     def _ints(self) -> tuple[int, tuple[int, ...], int, int]:
@@ -140,13 +153,14 @@ class ParamPoint:
         A point that fails to build caches nothing and raises on every call.
 
         The vertices are propagated from the anchor as integer numerators
-        over one denominator, cycle closure is checked on them, and each
-        vertex Point is built once, with the curve's scale and grid.
+        over one denominator, cycle closure is checked on them, and the
+        curve is built on that grid (`TropicalCurve._on_grid`): its vertex
+        Points wait for their first read.
         """
         skel = self.skeleton
-        if len(self.lengths) != len(skel.edges):
-            raise ClosureError("length count does not match the skeleton")
         den, lengths, ax, ay = self._ints
+        if len(lengths) != len(skel.edges):
+            raise ClosureError("length count does not match the skeleton")
         for i, m in enumerate(lengths):
             if m <= 0:
                 raise ClosureError(f"edge {i} has non-positive lattice length {show(self.lengths[i])}")
@@ -250,7 +264,7 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
     # curve_from_params call inside perturb as a candidate.
     p._curve._items
     rows, L = skel._projector
-    raw = [rng.randint(-60, 60) for _ in p.lengths]
+    raw = [rng.randint(-60, 60) for _ in skel.edges]
     ax, ay = rng.randint(-60, 60), rng.randint(-60, 60)
     step = [sum(a * b for a, b in zip(row, raw)) for row in rows]  # L times the move
     den, lengths, x0, y0 = p._ints

@@ -146,16 +146,13 @@ def _render_main(panel: _Panel, layers) -> list[str]:
     for layer in layers:
         if not isinstance(layer, CurveLayer):
             continue
+        vs = layer.curve.vertices
         for it in items(layer.curve):
             color = layer.item_colors.get(
                 (it.kind, it.index), layer.color
             )
-            a = it.origin
-            b = (
-                it.ends[1]
-                if it.bounded
-                else panel.clip_ray(it.origin, it.prim)
-            )
+            a = vs[it.tail]
+            b = vs[it.head] if it.bounded else panel.clip_ray(a, it.prim)
             x1, y1 = panel.to_px(a)
             x2, y2 = panel.to_px(b)
             out.append(

@@ -199,7 +199,7 @@ def reference_face_structure(c: TropicalCurve) -> FaceStructure:
     ray_sides = []
     for k, it in enumerate(its):
         if not it.bounded:
-            offset = Fraction(cross(it.prim, it.origin))
+            offset = Fraction(cross(it.prim, item_ends(it)[0]))
             ray_sides.append((pseudo_angle(it.prim), offset, 2 * k, 2 * k + 1))
     ray_sides.sort(key=lambda t: (t[0], t[1]))
     for i in range(len(ray_sides)):
@@ -394,35 +394,41 @@ def reference_corner_locus(
 # ---------------------------------------------------------------------------
 
 
+def item_ends(it: Item) -> tuple[Point, ...]:
+    """The item's tail Point, then an edge's head Point, read off its
+    integer view: an item holds no Point."""
+    ox, oy, vx, vy = it.lattice
+    L = it.scale
+    tail = Point(Fraction(ox, L), Fraction(oy, L))
+    if it.head is None:
+        return (tail,)
+    return tail, Point(Fraction(ox + vx, L), Fraction(oy + vy, L))
+
+
 def _vec(it: Item) -> Point:
     """Full displacement for an edge, primitive direction for a ray."""
     if it.bounded:
-        return it.ends[1] - it.ends[0]
+        _, _, vx, vy = it.lattice
+        return Point(Fraction(vx, it.scale), Fraction(vy, it.scale))
     return it.prim.to_point()
 
 
 def _param_of(it: Item, p: Point) -> Fraction:
     """Coordinate of a point on the item's line, in units of _vec."""
     v = _vec(it)
-    return Fraction(dot(p - it.origin, v)) / dot(v, v)
+    return Fraction(dot(p - item_ends(it)[0], v)) / dot(v, v)
 
 
 def _point_at(it: Item, t) -> Point:
-    return it.origin + _vec(it) * t
+    return item_ends(it)[0] + _vec(it) * t
 
 
-def _as_points(a: View, b: View, m, scale: int) -> Point | Shared:
-    """_meet's report m of views a and b with its points as Points on the
-    grid of `scale`: an end of b, else of a, as the item's own Point, else
-    one built."""
+def _as_points(a: View, m, scale: int) -> Point | Shared:
+    """_meet's report m of view a and another with its points as Points,
+    read along a on the grid of `scale`."""
     if type(m) is Shared:
-        return Shared(tuple(_as_points(a, b, e, scale) for e in m.ends))
-    s, t, den = m
-    ib = b.item
-    if t == 0:
-        return ib.origin
-    if t == den and ib.head is not None:
-        return ib.ends[1]
+        return Shared(tuple(_as_points(a, e, scale) for e in m.ends))
+    s, _, den = m
     return _point_on(a, s, den, scale)
 
 
@@ -440,7 +446,7 @@ def meetings(xs, ys=None):
         y = _index_of(ys, _common_scale(ys))
     scale = x.scale if y is None else lcm(x.scale, y.scale)
     for a, b, m in _scan(x, y):
-        yield a.item, b.item, _as_points(a, b, m, scale)
+        yield a.item, b.item, _as_points(a, m, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +466,16 @@ def reference_item_intersection(a: Item, b: Item):
     meeting Point, or the Shared part with its ends, lowest along a first."""
     if cross(_vec(a), _vec(b)) != 0:
         den = cross(_vec(a), _vec(b))
-        s = Fraction(cross(b.origin - a.origin, _vec(b))) / den
-        t = Fraction(cross(b.origin - a.origin, _vec(a))) / den
+        s = Fraction(cross(item_ends(b)[0] - item_ends(a)[0], _vec(b))) / den
+        t = Fraction(cross(item_ends(b)[0] - item_ends(a)[0], _vec(a))) / den
         if _contains_param(a, s) and _contains_param(b, t):
             return _point_at(a, s)
         return None
-    if cross(_vec(a), b.origin - a.origin) != 0:
+    if cross(_vec(a), item_ends(b)[0] - item_ends(a)[0]) != 0:
         return None
-    c0 = _param_of(a, b.origin)
+    c0 = _param_of(a, item_ends(b)[0])
     if b.bounded:
-        c1 = _param_of(a, b.origin + _vec(b))
+        c1 = _param_of(a, item_ends(b)[0] + _vec(b))
         lo_b, hi_b = (c0, c1) if c0 <= c1 else (c1, c0)
     elif dot(_vec(b), _vec(a)) > 0:
         lo_b, hi_b = c0, None
@@ -517,7 +523,7 @@ def item_intersection(a: Item, b: Item):
     scale = _common_scale((a, b))
     va, vb = _lattice((a, b), scale)
     m = _meet(va, vb)
-    return None if m is None else _as_points(va, vb, m, scale)
+    return None if m is None else _as_points(va, m, scale)
 
 
 def all_pairs_meetings(xs, ys=None) -> list:
@@ -529,7 +535,7 @@ def all_pairs_meetings(xs, ys=None) -> list:
     for a, b in pairs:
         m = _meet(a, b)
         if m is not None:
-            out.append((a.item, b.item, _as_points(a, b, m, scale)))
+            out.append((a.item, b.item, _as_points(a, m, scale)))
     return out
 
 
@@ -626,7 +632,7 @@ def reference_violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
         for b in its2:
             if cross(_vec(a), _vec(b)) == 0:
                 if (
-                    cross(_vec(a), b.origin - a.origin) == 0
+                    cross(_vec(a), item_ends(b)[0] - item_ends(a)[0]) == 0
                     and cross(_vec(a), t) == 0
                 ):
                     return (
@@ -635,14 +641,14 @@ def reference_violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
                     )
     for v in c1.vertices:
         for b in its2:
-            if cross(_vec(b), t) == 0 and cross(_vec(b), v - b.origin) == 0:
+            if cross(_vec(b), t) == 0 and cross(_vec(b), v - item_ends(b)[0]) == 0:
                 return (
                     f"vertex ({v.x}, {v.y}) of the first curve rides the line "
                     f"of {b.kind} {b.index} of the second"
                 )
     for v in c2.vertices:
         for a in its1:
-            if cross(_vec(a), t) == 0 and cross(_vec(a), v - a.origin) == 0:
+            if cross(_vec(a), t) == 0 and cross(_vec(a), v - item_ends(a)[0]) == 0:
                 return (
                     f"vertex ({v.x}, {v.y}) of the second curve rides the line "
                     f"of {a.kind} {a.index} of the first"
@@ -678,18 +684,18 @@ def reference_perturbation_oracle(
             if den == 0:
                 continue
             s = Eps(
-                Fraction(cross(b.origin - a.origin, _vec(b))),
+                Fraction(cross(item_ends(b)[0] - item_ends(a)[0], _vec(b))),
                 Fraction(cross(direction, _vec(b))),
             ).scaled(Fraction(1, den))
             r = Eps(
-                Fraction(cross(a.origin - b.origin, _vec(a))),
+                Fraction(cross(item_ends(a)[0] - item_ends(b)[0], _vec(a))),
                 Fraction(-cross(direction, _vec(a))),
             ).scaled(Fraction(1, -den))
             if not (zero <= s and (not a.bounded or s <= one)):
                 continue
             if not (zero <= r and (not b.bounded or r <= one)):
                 continue
-            limit = a.origin + _vec(a) * s.const
+            limit = item_ends(a)[0] + _vec(a) * s.const
             mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
             acc[limit] = acc.get(limit, 0) + mu
     return Divisor.of(acc, c1)
@@ -727,7 +733,7 @@ def reference_star_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor
 def reference_is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
     """is_transversal from its own pair scan."""
     return all(
-        not isinstance(p, Shared) and p not in a.ends and p not in b.ends
+        not isinstance(p, Shared) and p not in item_ends(a) and p not in item_ends(b)
         for a, b, p in meetings(items(c1), items(c2))
     )
 
@@ -745,7 +751,7 @@ def reference_embedding_violations(c: TropicalCurve) -> tuple[str, ...]:
     for a, b, p in meetings(items(c)):
         if isinstance(p, Shared):
             out.append(f"{a.kind} {a.index} and {b.kind} {b.index} overlap along a segment")
-        elif p not in a.ends or p not in b.ends:
+        elif p not in item_ends(a) or p not in item_ends(b):
             out.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
                 f"({p.x}, {p.y}) which is not a shared vertex"
@@ -774,7 +780,7 @@ def reference_loop_crossings(c: TropicalCurve, loop) -> list:
             raise LoopError(f"loop runs along {it.kind} {it.index}")
         if p in corners:
             raise LoopError("loop corner touches the curve")
-        if p in it.ends:
+        if p in item_ends(it):
             raise LoopError("loop passes through a curve vertex")
         w = it.prim * it.weight
         out.append((it, w if (cross(w, side.prim) > 0) == ccw else -w, p))
@@ -795,7 +801,7 @@ def reference_union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}
     for it in all_items:
-        pts = [it.origin, *(_point_at(it, t) for t in sorted(splits[it])), *it.ends[1:]]
+        pts = [item_ends(it)[0], *(_point_at(it, t) for t in sorted(splits[it])), *item_ends(it)[1:]]
         for a, b in zip(pts, pts[1:]):
             key = tuple(sorted(((a.x, a.y), (b.x, b.y))))
             seg_weight[key] = seg_weight.get(key, 0) + it.weight
@@ -858,7 +864,7 @@ def reference_locate(c: TropicalCurve, p: Point):
         if v == p:
             return ("vertex", i)
     for it in items(c):
-        if cross(_vec(it), p - it.origin) != 0:
+        if cross(_vec(it), p - item_ends(it)[0]) != 0:
             continue
         t = _param_of(it, p)
         if 0 < t and (t < 1 or not it.bounded):
@@ -1021,6 +1027,17 @@ def tied_lift(rng: random.Random, d: int) -> dict:
     a, b = rng.randint(-6, 6), rng.randint(-6, 6)
     g = [-6 * k * k + Fraction(rng.randint(-15, 15), 16) for k in range(d + 1)]
     return {(i, j): g[i + j] + a * i + b * j for i, j in _support(d)}
+
+
+# coprime denominators: the common denominator D = scale * lcm(nz) of the
+# dual vertices differs from the lift's scale, or from the curve's
+COPRIME_DENOMINATORS = [
+    {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 7)},
+    {(0, 0): 0, (1, 0): Fraction(1, 3), (0, 1): Fraction(1, 7)},
+    {(0, 0): 0, (2, 0): Fraction(1, 3), (0, 2): Fraction(1, 7), (1, 1): Fraction(-1, 3)},
+    {(0, 0): Fraction(1, 3), (3, 0): Fraction(1, 7), (0, 2): 0, (1, 1): Fraction(2, 21)},
+    {(0, 1): Fraction(4, 7), (1, 3): Fraction(4, 3), (2, 3): 0, (0, 3): 4},
+]
 
 
 def poly_text(coeffs: dict) -> str:

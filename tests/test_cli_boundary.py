@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from fixtures_lib import (
     curve_to_dict,
     figure_eight,
+    reference_curve_to_json,
     theta_curve,
     triangle_cycle_host,
     tropical_line,
@@ -28,8 +29,8 @@ from fixtures_lib import (
 )
 from tropcurve import jsonio
 from tropcurve.cli import main
-from tropcurve.curve import curve, translate
-from tropcurve.geom import decimal_digits, pt
+from tropcurve.curve import TropicalCurve, curve, translate
+from tropcurve.geom import Point, decimal_digits, pt
 
 needs_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"),
@@ -97,6 +98,40 @@ def test_walk_past_the_limit_is_refused_at_its_step(tmp_path):
         f"refused: walk step {len(lines)}: number of 641 digits exceeds "
         "the 640-digit output limit\n"
     )
+
+
+@needs_limit
+def test_curve_writer_reads_the_grid_with_the_bytes_and_refusal_of_the_points():
+    # curve_to_json writes each coordinate off the grid, reduced there: the
+    # same bytes as the Points' strings, and past the limit the digit count
+    # of the first coordinate past it, as fraction_to_str gives on the Point
+    def by_points(c):
+        for v in c.vertices:
+            jsonio.fraction_to_str(v.x)
+            jsonio.fraction_to_str(v.y)
+        return reference_curve_to_json(c)
+
+    def outcome(write, c):
+        try:
+            return write(c)
+        except jsonio.OutputLimitError as err:
+            return f"refused: {err}"
+
+    a, b, c, d = Fraction(10 ** 639, 3), Fraction(1, 10 ** 700), Fraction(-(10 ** 650), 7), Fraction(2, 3)
+    seen = set()
+    with int_digit_limit(640):
+        for x, y in [(0, a), (b, a), (d, c), (c, b), (d, -a), (a, d)]:
+            points = TropicalCurve((pt(1, 2), Point(Fraction(x), Fraction(y)), pt(d, 5)), (), ())
+            want = outcome(by_points, points)
+            seen.add(want.startswith("refused: number of "))
+            xs, ys = zip(*points._grid)
+            for f in (1, 6):
+                on_grid = TropicalCurve._on_grid(
+                    points._scale * f, [v * f for v in xs], [v * f for v in ys], (), ()
+                )
+                assert outcome(jsonio.curve_to_json, on_grid) == want
+            assert outcome(jsonio.curve_to_json, points) == want
+    assert seen == {True, False}  # some written, some refused
 
 
 @needs_limit

@@ -7,6 +7,7 @@ import pytest
 from fixtures_lib import (
     concave_lift,
     coordinate_cross,
+    item_ends,
     rect_loop,
     reference_embedding_violations,
     reference_item_intersection,
@@ -527,7 +528,8 @@ def test_validate_and_loops_match_point_references():
         loops.append((v, v + pt(1, 0), v + pt(1, 1)))  # a corner on a vertex
         loops.append((v - pt(1, 0), v + pt(1, 0), v + pt(0, 1)))  # a side through it
         e = items(c)[0]
-        a, b = (e.origin + (e.ends[1] - e.origin) * Fraction(k, 3) for k in (1, 2))
+        o, h = item_ends(e)
+        a, b = (o + (h - o) * Fraction(k, 3) for k in (1, 2))
         loops.append((a, b, a + pt(-e.prim.y, e.prim.x) * Fraction(1, 97)))  # along edge 0
         for loop in loops:
             loop = loop if rng.random() < 0.5 else loop[::-1]

@@ -8,6 +8,7 @@ from fixtures_lib import (
     coordinate_cross,
     diagonal_cross,
     figure_eight,
+    item_ends,
     reference_outgoing,
     tail_cycle_curve,
     theta_curve,
@@ -88,10 +89,12 @@ def test_items_record_their_ends(c):
     its = items(c)
     for it, e in zip(its, c.edges):
         assert (it.tail, it.head, it.weight) == (e.a, e.b, e.weight)
+        assert item_ends(it) == (c.vertices[e.a], c.vertices[e.b])
         u, length = primitive_direction(c.vertices[e.b] - c.vertices[e.a])
         assert (it.prim, it.length, it.kind) == (u, length, "edge")
     for it, r in zip(its[len(c.edges):], c.rays):
         assert (it.tail, it.head, it.length) == (r.vertex, None, None)
+        assert item_ends(it) == (c.vertices[r.vertex],)
         assert (it.prim, it.weight, it.kind) == (r.direction, r.weight, "ray")
 
 

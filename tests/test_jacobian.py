@@ -13,6 +13,7 @@ from fixtures_lib import (
     coordinate_cross,
     diagonal_cross,
     figure_eight,
+    item_ends,
     reference_param_of,
     reference_sigma,
     sigma_on_the_record,
@@ -286,8 +287,8 @@ def _reference_project_point(system: CycleSystem, p):
     """project_point with each node image found by _reference_node_image."""
     c = system.curve
     it = items_at(c, p)[0]
-    if p in it.ends:
-        v = it.tail if p == it.origin else it.head
+    if p in item_ends(it):
+        v = it.tail if p == item_ends(it)[0] else it.head
         return _reference_node_image(system, system.graph.node_of_vertex[v])
     for cp in system.cycles:
         if it.bounded and it.index in cp.edge_indices:
@@ -548,7 +549,7 @@ def test_project_on_matches_param_of_along_a_walk():
             it = items_at(host, q)[0]
             assert _project_on(system, it, q) == _reference_project_point(system, q)
             on = system._cycle_edges.get(it.index) if it.bounded else None
-            if on is None or q in it.ends:
+            if on is None or q in item_ends(it):
                 runs["elsewhere"] += 1
             else:
                 cp, i = on

@@ -24,6 +24,7 @@ from fixtures_lib import (
     concave_lift,
     coordinate_cross,
     diagonal_cross,
+    item_ends,
     item_intersection,
     meetings,
     reference_generic_direction,
@@ -215,9 +216,9 @@ def reference_stable_intersection(c1: TropicalCurve, c2: TropicalCurve, met) -> 
 def _star(p, it):
     w = it.prim * it.weight
     out = []
-    if not it.bounded or p != it.origin + _vec(it):
+    if not it.bounded or p != item_ends(it)[0] + _vec(it):
         out.append(w)
-    if p != it.origin:
+    if p != item_ends(it)[0]:
         out.append(-w)
     return out
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures_lib import (
+    COPRIME_DENOMINATORS,
     anti_line,
     concave_lift,
     dominant_terms,
@@ -432,22 +433,11 @@ def test_preset_grid_equals_the_points_on_collinear_supports(text, convention):
     assert (c._scale, c._grid) == _grid_of_points(c)
 
 
-# coprime denominators: the common denominator D = scale * lcm(nz) of the
-# dual vertices differs from the lift's scale, or from the curve's
-_COPRIME = [
-    {(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 7)},
-    {(0, 0): 0, (1, 0): Fraction(1, 3), (0, 1): Fraction(1, 7)},
-    {(0, 0): 0, (2, 0): Fraction(1, 3), (0, 2): Fraction(1, 7), (1, 1): Fraction(-1, 3)},
-    {(0, 0): Fraction(1, 3), (3, 0): Fraction(1, 7), (0, 2): 0, (1, 1): Fraction(2, 21)},
-    {(0, 1): Fraction(4, 7), (1, 3): Fraction(4, 3), (2, 3): 0, (0, 3): 4},
-]
-
-
 @pytest.mark.parametrize("convention", ["max", "min"])
 def test_preset_grid_equals_the_points_with_coprime_denominators(convention):
     differs = set()  # what some curve's D differs from
     sign = 1 if convention == "max" else -1  # the same cells either way
-    for coeffs in _COPRIME:
+    for coeffs in COPRIME_DENOMINATORS:
         f = polynomial({e: sign * c for e, c in coeffs.items()}, convention)
         c = corner_locus(f)
         assert (c._scale, c._grid) == _grid_of_points(c)
