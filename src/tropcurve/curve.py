@@ -563,21 +563,28 @@ def _end_at(it: Item, p: Point) -> int | None:
     return None
 
 
-def star_at(p: Point, its: Iterable[Item]) -> list[tuple[int, int]]:
-    """The weighted primitive vectors (x, y) leaving p along items holding it.
+def _star(its: Iterable[tuple[Item, int | None]]) -> list[tuple[int, int]]:
+    """The weighted primitive vectors (x, y) leaving a point along items
+    through it, each item given with the end of it the point is (0 its
+    tail, 1 an edge's head, None inside).
 
-    An item leaves p forward unless p is its head, and backward unless p is
-    its tail, so an interior point gives both directions.
+    An item leaves the point forward unless it is the item's head, and
+    backward unless it is its tail, so an interior point gives both
+    directions.
     """
     star = []
-    for it in its:
+    for it, end in its:
         wx, wy = it.prim.x * it.weight, it.prim.y * it.weight
-        end = _end_at(it, p)
         if end != 1:
             star.append((wx, wy))
         if end != 0:
             star.append((-wx, -wy))
     return star
+
+
+def star_at(p: Point, its: Iterable[Item]) -> list[tuple[int, int]]:
+    """_star at p, each item's end found on its integer view (_end_at)."""
+    return _star((it, _end_at(it, p)) for it in its)
 
 
 @dataclass(frozen=True)

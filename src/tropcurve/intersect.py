@@ -47,6 +47,7 @@ from .curve import (
     _pair_grid,
     _point_on,
     _scan,
+    _star,
     items,  # noqa: F401  perfbench's tracer and its tests patch this binding
 )
 from .newton import LatticePolygon, minkowski_sum
@@ -273,8 +274,8 @@ class _Record:
         # the divisor's entries (key, multiplicity, _At) on ints, in the
         # order of `points`; built on first use
         self.entries: list[tuple[tuple[int, int, int], int, _At]] | None = None
-        # stable_intersection's entries, each with its _At; built on first use
-        self.support: list[tuple[Point, int, _At]] | None = None
+        # stable_intersection's (Point, multiplicity) entries; built on first use
+        self.support: tuple[tuple[Point, int], ...] | None = None
 
 
 # The last pair scanned and its record, replaced as one tuple.  The strong
@@ -367,20 +368,6 @@ def _local_multiplicity(s1: list[tuple[int, int]], s2: list[tuple[int, int]]) ->
     return mu
 
 
-def _star(its: list[tuple[Item, int | None]]) -> list[tuple[int, int]]:
-    """The weighted primitive vectors (x, y) leaving a recorded point along
-    its items: forward unless it is the item's head, backward unless its
-    tail (curve.star_at, read from the ends the scan found)."""
-    star = []
-    for it, end in its:
-        wx, wy = it.prim.x * it.weight, it.prim.y * it.weight
-        if end != 1:
-            star.append((wx, wy))
-        if end != 0:
-            star.append((-wx, -wy))
-    return star
-
-
 def _entries(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[tuple[int, int, int], int, _At]]:
     """The stable intersection's entries, each (key, multiplicity, _At) with
     a nonzero multiplicity, in the record's order.  The first call for a
@@ -404,11 +391,11 @@ def _entries(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[tuple[int, int,
     return found
 
 
-def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At]]:
-    """The stable intersection's entries in point order, each with the
-    record's _At for it.  The first call for a record puts `_entries` in
-    order; a vertex is the curve's own vertex Point, and each other Point
-    is built here, once."""
+def _support(c1: TropicalCurve, c2: TropicalCurve) -> tuple[tuple[Point, int], ...]:
+    """The stable intersection's (Point, multiplicity) entries in point
+    order.  The first call for a record puts `_entries` in order; a vertex
+    is the curve's own vertex Point, and each other Point is built here,
+    once."""
     rec = _record(c1, c2)
     if rec.support is not None:
         return rec.support
@@ -417,15 +404,14 @@ def _support(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[Point, int, _At
     L = lcm(*(D for (_, _, D), _, _ in found))
     found = sorted(found, key=lambda e: (e[0][0] * (L // e[0][2]), e[0][1] * (L // e[0][2])))
     curves = (c1, c2)
-    rec.support = [
+    rec.support = tuple(
         (
             Point(Fraction(X, D), Fraction(Y, D)) if at.vertex is None
             else curves[at.vertex[0]].vertices[at.vertex[1]],
             mu,
-            at,
         )
         for (X, Y, D), mu, at in found
-    ]
+    )
     return rec.support
 
 
@@ -437,4 +423,4 @@ def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     elsewhere (vertices, ends of shared segments) the local count on the
     stars of the recorded items.  Inside a shared segment nothing is added.
     """
-    return Divisor(tuple((p, m) for p, m, _ in _support(c1, c2)), c1)
+    return Divisor(_support(c1, c2), c1)

@@ -6,6 +6,12 @@ residue per cycle (sum of the parameters of its points, weighted by
 multiplicity, modulo the cycle's total lattice length).  Two divisors of a
 reduced bouquet curve are linearly equivalent exactly when their degrees and
 all residues agree.
+
+The Abel map has one route, on integers: each point is placed from a host
+item through it on the cycle data of `CycleSystem._on_ints` (`_place`) and
+the residues are summed over one running denominator (`_abel`).  `sigma`
+places the entries of the intersection record; `abel_coordinate` and
+`project_point` place points given from outside, looked up with items_at.
 """
 
 from __future__ import annotations
@@ -107,24 +113,6 @@ class CycleSystem:
         return tuple(c.total_length for c in self.cycles)
 
     @cached_property
-    def _node_images(self) -> dict[int, tuple[int | None, Fraction]]:
-        """Quotient image of each bunch node: (None, 0) at the center, else
-        its first (cycle, breakpoint) in cycle order, then path order."""
-        node_of = self.graph.node_of_vertex
-        images: dict[int, tuple[int | None, Fraction]] = {}
-        for cp in self.cycles:
-            for v, t in zip(cp.vertex_path[:-1], cp.breakpoints):
-                images.setdefault(node_of[v], (cp.index, t))
-        images[self.bouquet.center_node] = (None, Fraction(0))
-        return images
-
-    @cached_property
-    def _cycle_edges(self) -> dict[int, tuple[CycleParametrization, int]]:
-        """Each edge on a cycle to (its cycle, its position i on the path),
-        the edge running from vertex_path[i] to vertex_path[i + 1]."""
-        return {e: (cp, i) for cp in self.cycles for i, e in enumerate(cp.edge_indices)}
-
-    @cached_property
     def _on_ints(self):
         """The cycle data as integer numerators over one common denominator
         D, a multiple of the curve's scale: (D, each cycle's total length,
@@ -132,30 +120,30 @@ class CycleSystem:
         a cycle (cycle, parameter of its tail, +1 when the path runs along
         the edge and -1 against it, its tail's grid point, prim)).
 
-        A point inside a cycle edge takes the tail's parameter plus or
-        minus the lattice run to it, as in _project_on; a point inside any
-        other item takes the image of the item's tail."""
+        A vertex's image is that of its bunch node: (None, 0) at the
+        bouquet center, else the node's first breakpoint in cycle order,
+        then path order.  `_place` reads these."""
         c = self.curve
         D = lcm(c._scale, *(t.denominator for cp in self.cycles for t in cp.breakpoints))
 
         def on(t: Fraction) -> int:
             return t.numerator * (D // t.denominator)
 
-        node_of, images = self.graph.node_of_vertex, self._node_images
-        vertex = []
-        for v in range(len(c.vertices)):
-            k, t = images[node_of[v]]
-            vertex.append((k, on(t)))
+        node_of = self.graph.node_of_vertex
+        images: dict[int, tuple[int | None, int]] = {self.bouquet.center_node: (None, 0)}
         f = D // c._scale
         edges = {}
-        for e, (cp, i) in self._cycle_edges.items():
-            it = c._items[e]
-            along = it.tail == cp.vertex_path[i]
-            ox, oy = c._grid[it.tail]
-            edges[e] = (
-                cp.index, on(cp.breakpoints[i if along else i + 1]), 1 if along else -1,
-                ox * f, oy * f, it.prim.x, it.prim.y,
-            )
+        for cp in self.cycles:
+            for i, (v, e) in enumerate(zip(cp.vertex_path, cp.edge_indices)):
+                images.setdefault(node_of[v], (cp.index, on(cp.breakpoints[i])))
+                it = c._items[e]
+                along = it.tail == v
+                ox, oy = c._grid[it.tail]
+                edges[e] = (
+                    cp.index, on(cp.breakpoints[i if along else i + 1]), 1 if along else -1,
+                    ox * f, oy * f, it.prim.x, it.prim.y,
+                )
+        vertex = [images[node_of[v]] for v in range(len(c._grid))]
         return D, [on(cp.total_length) for cp in self.cycles], vertex, edges
 
 
@@ -173,47 +161,49 @@ def project_point(system: CycleSystem, p: Point) -> tuple[int | None, Fraction]:
 
     The point is a vertex or an interior point of the first item of items_at.
     Points on a cycle keep their parameter; a vertex, or a point on a
-    tentacle or ray, maps to the image of its contracted blob (the system's
-    node images): the cycle point where that blob attaches, or (None, 0) at
-    the bouquet center.
+    tentacle or ray, maps to the image of its contracted blob: the cycle
+    point where that blob attaches, or (None, 0) at the bouquet center.
+    The point is placed as sigma places its entries (`_place`).
     """
-    hit = items_at(system.curve, p)
+    ints = system._on_ints
+    k, t, D = _place(ints, *_on_curve(system.curve, p))
+    if k is None:
+        return None, Fraction(0)
+    return k, Fraction(t % (ints[1][k] * D), ints[0] * D)
+
+
+def _on_curve(c: TropicalCurve, p: Point) -> tuple[Item, int | None, tuple[int, int, int]]:
+    """(the first item of items_at, the end of it that p is, p's grid key
+    (X, Y, D) with D the lcm of its denominators); refuses a point off the
+    curve."""
+    hit = items_at(c, p)
     if not hit:
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
-    it = hit[0]
-    end = _end_at(it, p)
-    if end is not None:
-        return _vertex_image(system, it.tail if end == 0 else it.head)
-    return _project_on(system, it, p)
+    (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+    D = lcm(xd, yd)
+    return hit[0], _end_at(hit[0], p), (xn * (D // xd), yn * (D // yd), D)
 
 
-def _vertex_image(system: CycleSystem, v: int) -> tuple[int | None, Fraction]:
-    """project_point for vertex v."""
-    return system._node_images[system.graph.node_of_vertex[v]]
+def _place(ints, it: Item, end: int | None, key: tuple[int, int, int]):
+    """The point (X/D, Y/D) of key, at `end` of the host item it (0 its
+    tail, 1 an edge's head, None inside), placed on the cycle data `ints`
+    (`CycleSystem._on_ints`): (cycle or None, parameter, D'), the parameter
+    a numerator over ints' denominator times D'.
 
-
-def _project_on(
-    system: CycleSystem, it: Item, p: Point
-) -> tuple[int | None, Fraction]:
-    """project_point for a point p inside item it, it being the first item
-    of the curve that holds p.
-
-    A point interior to a cycle edge takes the breakpoint of the edge's
-    tail on the path, plus the lattice run from the tail to p when the path
-    runs along the edge, minus it when the path runs against it: the
-    inverse of CycleParametrization.point_at on the cycle, found without
-    scanning it."""
-    on_cycle = system._cycle_edges.get(it.index) if it.bounded else None
-    if on_cycle is None:
-        return _vertex_image(system, it.tail)
-    cp, i = on_cycle
-    o, u = system.curve.vertices[it.tail], it.prim
-    run = (p.x - o.x) / u.x if u.x else (p.y - o.y) / u.y
-    if it.tail == cp.vertex_path[i]:
-        t = cp.breakpoints[i] + run
-    else:
-        t = cp.breakpoints[i + 1] - run
-    return (cp.index, t % cp.total_length)
+    A vertex, or a point inside a tentacle or ray, takes the vertex's or the
+    item's tail's image, over D' = 1.  A point inside a cycle edge takes the
+    tail's parameter plus the lattice run from the tail to it when the path
+    runs along the edge, minus it when against, over D' = D: the inverse of
+    CycleParametrization.point_at, found without scanning the cycle."""
+    den, _, vertex, edges = ints
+    place = edges.get(it.index) if end is None and it.head is not None else None
+    if place is None:
+        return (*vertex[it.tail if end != 1 else it.head], 1)
+    k, t, sign, ox, oy, ux, uy = place
+    X, Y, D = key
+    # the run from the tail, over D * den; exact, as prim is primitive
+    run = (X * den - ox * D) // ux if ux else (Y * den - oy * D) // uy
+    return k, t * D + sign * run, D
 
 
 @dataclass(frozen=True)
@@ -233,20 +223,35 @@ class AbelCoordinate:
 
 
 def abel_coordinate(system: CycleSystem, d: Divisor) -> AbelCoordinate:
-    """Residues of a divisor under the cycle parametrizations."""
-    return _coordinate(system, d, [project_point(system, p) for p, _ in d.entries])
+    """Residues of a divisor under the cycle parametrizations: each point
+    placed from the first item of items_at through it, as in sigma."""
+    c = system.curve
+    return _abel(system, ((*_on_curve(c, p), m) for p, m in d.entries))
 
 
-def _coordinate(system: CycleSystem, d: Divisor, images) -> AbelCoordinate:
-    """abel_coordinate with the quotient image of each point of d, in order."""
-    res = [Fraction(0)] * system.genus
-    for (k, t), (_, m) in zip(images, d.entries, strict=True):
-        if k is not None:
-            res[k] += m * t
-    res = [
-        r % cp.total_length for r, cp in zip(res, system.cycles)
-    ]
-    return AbelCoordinate(d.degree, tuple(res))
+def _abel(system: CycleSystem, placed) -> AbelCoordinate:
+    """The Abel coordinate of the points (item, end, key, multiplicity) of
+    `_place`.  The residues are summed per cycle as numerators over a
+    running lcm of the placements' denominators and reduced modulo the
+    cycle's length; one Fraction is built per cycle."""
+    ints = system._on_ints
+    den, totals = ints[0], ints[1]
+    res = [0] * len(totals)
+    M = 1  # the residues are numerators over den * M
+    degree = 0
+    for it, end, key, mu in placed:
+        degree += mu
+        k, t, D = _place(ints, it, end, key)
+        if k is None:
+            continue
+        if M % D:
+            g = D // gcd(M, D)
+            res = [r * g for r in res]
+            M *= g
+        res[k] += mu * t * (M // D)
+    return AbelCoordinate(
+        degree, tuple(Fraction(r % (T * M), den * M) for r, T in zip(res, totals))
+    )
 
 
 def require_reduced(curve: TropicalCurve) -> TropicalCurve:
@@ -278,36 +283,10 @@ def sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
 
     Each entry of the intersection record (`intersect._entries`: its grid
     key (X, Y, D), its multiplicity and the host items through it) is placed
-    from the first host item through it: the image of its tail or head
-    vertex, or, inside an edge of a cycle, the run from the edge's tail on
-    the cycle's integer data (`CycleSystem._on_ints`).  The residues are
-    summed per cycle as numerators over a running lcm of the keys' D and
-    reduced modulo the cycle's length; one Fraction is built per cycle.  No
-    Divisor or Point is built, and no point is looked up on the host.
+    from the first host item through it (`_place`) and summed as in
+    abel_coordinate.  No Divisor or Point is built, and no point is looked
+    up on the host.
     """
-    den, totals, vertex, edges = system._on_ints
-    res = [0] * len(totals)
-    M = 1  # the residues are numerators over den * M
-    degree = 0
-    for (X, Y, D), mu, at in _entries(system.curve, mobile):
-        degree += mu
-        it, end = at.its1[0]
-        place = edges.get(it.index) if end is None and it.head is not None else None
-        if place is None:
-            k, t = vertex[it.tail if end != 1 else it.head]
-            D = 1
-        else:
-            k, t, sign, ox, oy, ux, uy = place
-            # the run from the tail, over D * den; exact, as prim is primitive
-            run = (X * den - ox * D) // ux if ux else (Y * den - oy * D) // uy
-            t = t * D + sign * run
-        if k is None:
-            continue
-        if M % D:
-            g = D // gcd(M, D)
-            res = [r * g for r in res]
-            M *= g
-        res[k] += mu * t * (M // D)
-    return AbelCoordinate(
-        degree, tuple(Fraction(r % (T * M), den * M) for r, T in zip(res, totals))
-    )
+    return _abel(system, (
+        (*at.its1[0], key, mu) for key, mu, at in _entries(system.curve, mobile)
+    ))

@@ -10,7 +10,11 @@ facet on the lift scaled to integers: O(cells * terms) integer operations.
 One pass over the terms per wrap gives both the facet's normal and the
 terms on its plane.  The wrap, the cell dedupe (by the gcd-reduced integer
 normal) and the cell hulls (the hull ring shared with newton.convex_hull)
-run on (x, y) int pairs in one private routine, _cells, with two readers:
+run on (x, y) int pairs in one private routine, _cells.  A support on one
+line has no facet to wrap: _cells gives the segments of the upper envelope
+of its lift (the upper monotone chain shared with newton) as cells of the
+same int form, a segment's normal placing its dual vertex on the line
+where its two terms tie.  So every support has one route, with two readers:
 corner_locus places the dual vertices on one integer denominator and reads
 cell sides as int differences, building no per-cell object, and
 dual_subdivision builds each cell's Fractions, Point and IntVectors from the
@@ -26,9 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, digit_limit, primitive_decompose
+from .geom import GeometryError, IntVector, Point, digit_limit
 from .curve import Edge, Ray, TropicalCurve
-from .newton import LatticePolygon, _hull_ring
+from .newton import LatticePolygon, _chain, _hull_ring
 
 
 class PolyParseError(GeometryError):
@@ -253,12 +257,6 @@ class DualSubdivision:
         )
 
 
-def _max_form(f: TropicalPolynomial) -> TropicalPolynomial:
-    if f.convention == "max":
-        return f
-    return polynomial({e: -c for e, c in f.terms}, "max")
-
-
 def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     """Upper-hull subdivision of the support, with dual curve vertices.
 
@@ -266,12 +264,10 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     coefficients (the lower hull of the original lift).  A full-dimensional
     support is wrapped facet by facet from one hull edge; each cell holds
     every term on its facet's plane, in support order, and the cells are
-    ordered by slope.
+    ordered by slope.  A support on one line has one cell per segment of
+    the upper envelope, left to right, holding the segment's two ends.
     """
-    wrapped = _cells(f)
-    if wrapped is None:
-        return _collinear_subdivision(_max_form(f))
-    scale, cells = wrapped
+    scale, cells = _cells(f)
     vector = {e: IntVector(*e) for e, _ in f.terms}
     out = []
     for (nx, ny, nz), level, on, ring in cells:
@@ -288,25 +284,45 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
 
 
 def _cells(f: TropicalPolynomial):
-    """The regular subdivision of f's support on ints, None if the support
-    lies on one line.  Returns the scale of the lift (the LCM of the
-    coefficients' denominators) and, in slope order, each cell of the upper
-    hull of the max form's lift scaled to integers as
-    ((nx, ny, nz), level, on, ring): the facet's gcd-reduced upward normal,
+    """The regular subdivision of f's support on ints.  Returns the scale
+    of the lift (the LCM of the coefficients' denominators) and each cell
+    of the upper hull of the max form's lift scaled to integers as
+    ((nx, ny, nz), level, on, ring): the cell's gcd-reduced upward normal,
     its level n . (x, y, h), its terms in support order, and their hull
     ring of (x, y) pairs.  The cell's dual vertex is (nx, ny) / (nz * scale).
+
+    A full-dimensional support gives the facets, in slope order.  A support
+    on one line gives the segments of the upper envelope of the lift over
+    the line, left to right, each with its two ends as `on` and `ring`: the
+    segment (v1, h1)-(v2, h2) has the normal ((h1 - h2) * d, |d|^2) over its
+    gcd, d = v2 - v1, so its dual vertex is the foot of the origin on the
+    line where the two terms tie.
     """
     if len(f.terms) < 2:
         raise EmptyCurveError("single-term polynomial has no corner locus")
-    ring = _hull_ring(e for e, _ in f.terms)
-    if len(ring) < 3:
-        return None
     sign = 1 if f.convention == "max" else -1  # the min form's lift, negated
     scale = math.lcm(*(c.denominator for _, c in f.terms))
     lifted = [
         (i, j, sign * c.numerator * (scale // c.denominator))
         for (i, j), c in f.terms
     ]
+    ring = _hull_ring(e for e, _ in f.terms)
+    if len(ring) < 3:
+        # Support order runs along the line from ring[0]: the upper chain of
+        # (position along the line, height) is walked right to left.
+        (ax, ay), (bx, by) = ring
+        ex, ey = bx - ax, by - ay
+        chain = _chain([(ex * (i - ax) + ey * (j - ay), h, i, j) for i, j, h in reversed(lifted)])
+        chain.reverse()
+        cells = []
+        for (_, h1, i1, j1), (_, h2, i2, j2) in zip(chain, chain[1:]):
+            dx, dy = i2 - i1, j2 - j1
+            nx, ny, nz = (h1 - h2) * dx, (h1 - h2) * dy, dx * dx + dy * dy
+            k = math.gcd(nx, ny, nz)
+            nx, ny, nz = nx // k, ny // k, nz // k
+            on = ((i1, j1), (i2, j2))
+            cells.append(((nx, ny, nz), nx * i1 + ny * j1 + nz * h1, on, on))
+        return scale, cells
     height = {(i, j): h for i, j, h in lifted}
 
     # Start edge: from the lex-min hull vertex a, the steepest term w on the
@@ -397,66 +413,17 @@ def _wrap(lifted, u, v) -> tuple[tuple[int, int, int], list[tuple]]:
     return (a, b, c), [(i, j) for i, j, _ in sorted(line + ties)]
 
 
-def _collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:
-    """Support on one lattice line: cells are the segments of the upper
-    concave envelope in the line parameter."""
-    pts = [IntVector(i, j) for (i, j), _ in g.terms]
-    base = min(pts, key=lambda v: (v.x, v.y))
-    far = max(pts, key=lambda v: (v.x, v.y))
-    direction, _ = primitive_decompose(far - base)
-
-    def coord(v: IntVector) -> int:
-        d = v - base
-        return d.x // direction.x if direction.x else d.y // direction.y
-
-    lift = [(coord(v), c) for v, (_, c) in zip(pts, g.terms)]
-    exponent = {k: v for (k, _), v in zip(lift, pts)}  # line parameter -> term
-    # The upper envelope in (k, c), left to right: the hull ring's first
-    # corner, then its corners from the last (the lex-max one) back.
-    ring = _hull_ring(lift)
-    top = ring.index(max(ring))
-    chain = [ring[0], *reversed(ring[top:])]
-    cells = []
-    for (k1, c1), (k2, c2) in zip(chain, chain[1:]):
-        v1, v2 = exponent[k1], exponent[k2]
-        # tie locus of the two surviving terms: <v2-v1, x> = c1 - c2
-        d = v2 - v1
-        rhs = c1 - c2
-        norm = Fraction(d.x * d.x + d.y * d.y)
-        vertex = Point(rhs * d.x / norm, rhs * d.y / norm)
-        slope_x = Fraction(-vertex.x)
-        slope_y = Fraction(-vertex.y)
-        cells.append(
-            SubdivisionCell(
-                (slope_x, slope_y),
-                c1 - slope_x * v1.x - slope_y * v1.y,
-                (v1, v2),
-                LatticePolygon((v1, v2) if (v1.x, v1.y) <= (v2.x, v2.y) else (v2, v1)),
-                vertex,
-            )
-        )
-    return DualSubdivision(tuple(cells))
-
-
 def corner_locus(f: TropicalPolynomial) -> TropicalCurve:
     """The non-differentiability set of f as a weighted balanced curve.
 
     Built on ints from the cells of _cells: dual vertex i is
     (nx, ny) / (nz * scale), placed on the one denominator
     scale * lcm(nz), and each side of a cell's ring bounds one edge (two
-    owners) or one ray (one owner, the side rotated by -90 degrees).  The
-    min convention negates the vertices and the ray directions."""
-    wrapped = _cells(f)
-    if wrapped is None:  # support on one lattice line
-        c = _collinear_corner_locus(_collinear_subdivision(_max_form(f)))
-        if f.convention == "max":
-            return c
-        return TropicalCurve(
-            tuple(Point(-v.x, -v.y) for v in c.vertices),
-            c.edges,
-            tuple(Ray(r.vertex, -r.direction, r.weight) for r in c.rays),
-        )
-    scale, cells = wrapped
+    owners) or one ray (one owner, the side rotated by -90 degrees).  A
+    segment cell of a support on one line owns both sides of its ring and
+    gets both rays, its backward side's first.  The min convention negates
+    the vertices and the ray directions."""
+    scale, cells = _cells(f)
     sign = 1 if f.convention == "max" else -1
     m = math.lcm(*(nz for (_, _, nz), *_ in cells))
     xs, ys = [], []
@@ -473,32 +440,14 @@ def corner_locus(f: TropicalPolynomial) -> TropicalCurve:
     edges = []
     rays = []
     for _, owners in sorted(edge_owner.items()):
-        if len(owners) == 2:
+        if len(owners) > 2:
+            raise GeometryError("a subdivision edge borders more than two cells")
+        if len(owners) == 2 and owners[0][0] != owners[1][0]:
             (i, dx, dy), (j, _, _) = owners
             edges.append(Edge(i, j, math.gcd(dx, dy)))
-        elif len(owners) == 1:
-            (i, dx, dy), = owners
+            continue
+        for i, dx, dy in reversed(owners):
             w = math.gcd(dx, dy)
             # the side rotated by -90 degrees; under min, by +90
             rays.append(Ray(i, IntVector(sign * dy // w, -sign * dx // w), w))
-        else:
-            raise GeometryError("a subdivision edge borders more than two cells")
     return TropicalCurve._on_grid(scale * m, xs, ys, tuple(edges), tuple(rays))
-
-
-def _lattice_length(d: IntVector) -> int:
-    return primitive_decompose(d)[1]
-
-
-def _collinear_corner_locus(sub: DualSubdivision) -> TropicalCurve:
-    vertices = []
-    rays = []
-    for idx, cell in enumerate(sub.cells):
-        v1, v2 = cell.members
-        d = v2 - v1
-        w = _lattice_length(d)
-        direction, _ = primitive_decompose(d.rot_ccw())
-        vertices.append(cell.dual_vertex)
-        rays.append(Ray(idx, direction, w))
-        rays.append(Ray(idx, -direction, w))
-    return TropicalCurve(tuple(vertices), (), tuple(rays))

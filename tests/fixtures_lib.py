@@ -31,6 +31,7 @@ from tropcurve.curve import (
     _scan,
     curve,
     items,
+    items_at,
     star_at,
     translate,
 )
@@ -57,7 +58,6 @@ from tropcurve.jacobian import (
     AbelCoordinate,
     CycleParametrization,
     CycleSystem,
-    abel_coordinate,
     sigma,
 )
 from tropcurve.newton import (
@@ -76,8 +76,6 @@ from tropcurve.polyfront import (
     EmptyCurveError,
     SubdivisionCell,
     TropicalPolynomial,
-    _collinear_corner_locus,
-    _max_form,
     corner_locus,
     evaluate,
     polynomial,
@@ -254,9 +252,17 @@ def reference_propagate(fs: FaceStructure, order: str) -> NewtonComplex:
     return NewtonComplex(tuple(v - m for v in w), tuple(edges), fs)
 
 
+def _max_form(f: TropicalPolynomial) -> TropicalPolynomial:
+    """f in the max convention: the min form's coefficients negated."""
+    if f.convention == "max":
+        return f
+    return polynomial({e: -c for e, c in f.terms}, "max")
+
+
 def reference_collinear_subdivision(g: TropicalPolynomial) -> DualSubdivision:
-    """polyfront._collinear_subdivision with its own upper-envelope chain
-    in (line parameter, coefficient); g is in the max convention."""
+    """dual_subdivision of a support on one line, on Fractions, with its
+    own upper-envelope chain in (line parameter, coefficient); g is in the
+    max convention."""
     pts = [IntVector(i, j) for (i, j), _ in g.terms]
     base = min(pts, key=lambda v: (v.x, v.y))
     far = max(pts, key=lambda v: (v.x, v.y))
@@ -341,6 +347,21 @@ def reference_dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
         cells[k] for k in sorted(cells, key=lambda s: (s[0], s[1]))
     )
     return DualSubdivision(ordered)
+
+
+def _collinear_corner_locus(sub: DualSubdivision) -> TropicalCurve:
+    """The corner locus of a support on one line, in the max convention:
+    each cell's dual vertex with the two rays normal to its segment, the
+    segment rotated by +90 degrees first."""
+    vertices = []
+    rays = []
+    for idx, cell in enumerate(sub.cells):
+        v1, v2 = cell.members
+        direction, w = primitive_decompose((v2 - v1).rot_ccw())
+        vertices.append(cell.dual_vertex)
+        rays.append(Ray(idx, direction, w))
+        rays.append(Ray(idx, -direction, w))
+    return TropicalCurve(tuple(vertices), (), tuple(rays))
 
 
 def reference_corner_locus(
@@ -820,10 +841,51 @@ def reference_union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     )
 
 
+def _reference_node_image(system: CycleSystem, node: int):
+    """The node image by a scan of every cycle path for a blob member."""
+    if node == system.bouquet.center_node:
+        return (None, Fraction(0))
+    members = set(system.graph.nodes[node])
+    for cp in system.cycles:
+        for v, t in zip(cp.vertex_path[:-1], cp.breakpoints):
+            if v in members:
+                return (cp.index, t)
+    raise GeometryError("quotient node attaches to no cycle")
+
+
+def reference_project_point(system: CycleSystem, p: Point):
+    """project_point on Points: a vertex's node image found by
+    _reference_node_image, a cycle point's parameter by a scan of its
+    cycle's sides (reference_param_of)."""
+    c = system.curve
+    it = items_at(c, p)[0]
+    if p in item_ends(it):
+        v = it.tail if p == item_ends(it)[0] else it.head
+        return _reference_node_image(system, system.graph.node_of_vertex[v])
+    for cp in system.cycles:
+        if it.bounded and it.index in cp.edge_indices:
+            return (cp.index, reference_param_of(cp, c, p))
+    return _reference_node_image(system, system.graph.node_of_vertex[it.tail])
+
+
+def reference_abel_coordinate(system: CycleSystem, d: Divisor) -> AbelCoordinate:
+    """abel_coordinate as a Fraction sum of reference_project_point."""
+    res = [Fraction(0)] * system.genus
+    for p, m in d.entries:
+        k, t = reference_project_point(system, p)
+        if k is not None:
+            res[k] += m * t
+    return AbelCoordinate(
+        d.degree, tuple(r % cp.total_length for r, cp in zip(res, system.cycles))
+    )
+
+
 def reference_sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
-    """sigma with every divisor point projected through items_at
-    (abel_coordinate's project_point)."""
-    return abel_coordinate(system, reference_star_intersection(system.curve, mobile))
+    """sigma through the reference intersection and the reference Abel
+    coordinate: no intersection record and no integer placement."""
+    return reference_abel_coordinate(
+        system, reference_star_intersection(system.curve, mobile)
+    )
 
 
 def sigma_on_the_record(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:

@@ -42,7 +42,7 @@ from tropcurve.newton import (
     face_structure,
     newton_complex,
 )
-from tropcurve.polyfront import _collinear_subdivision, corner_locus, parse, polynomial
+from tropcurve.polyfront import corner_locus, dual_subdivision, parse, polynomial
 
 HAND = [
     tropical_line(),
@@ -192,7 +192,7 @@ def test_collinear_subdivision_matches_reference(base, direction, coeffs):
     if len(lift) < 2:
         return
     g = polynomial(lift)
-    assert _collinear_subdivision(g) == reference_collinear_subdivision(g)
+    assert dual_subdivision(g) == reference_collinear_subdivision(g)
 
 
 def test_two_items_in_one_direction_refused():

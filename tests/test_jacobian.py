@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,9 @@ from fixtures_lib import (
     diagonal_cross,
     figure_eight,
     item_ends,
+    reference_abel_coordinate,
     reference_param_of,
+    reference_project_point,
     reference_sigma,
     sigma_on_the_record,
     slid_pool,
@@ -30,12 +33,11 @@ from fixtures_lib import (
     wedge_m,
 )
 from tropcurve.curve import items, items_at, translate
-from tropcurve.geom import GeometryError, cross, pt
+from tropcurve.geom import cross, pt
 from tropcurve.intersect import Divisor, _entries, has_shared_segment, stable_intersection
 from tropcurve.jacobian import (
     CycleSystem,
     UnsupportedCurveError,
-    _project_on,
     abel_coordinate,
     cycle_system,
     linearly_equivalent,
@@ -271,31 +273,6 @@ def _rebased_system(s: CycleSystem, offset: int) -> CycleSystem:
     return dataclasses.replace(s, cycles=(new,), bouquet=bq)
 
 
-def _reference_node_image(system: CycleSystem, node: int):
-    """The node image by a scan of every cycle path for a blob member."""
-    if node == system.bouquet.center_node:
-        return (None, Fraction(0))
-    members = set(system.graph.nodes[node])
-    for cp in system.cycles:
-        for v, t in zip(cp.vertex_path[:-1], cp.breakpoints):
-            if v in members:
-                return (cp.index, t)
-    raise GeometryError("quotient node attaches to no cycle")
-
-
-def _reference_project_point(system: CycleSystem, p):
-    """project_point with each node image found by _reference_node_image."""
-    c = system.curve
-    it = items_at(c, p)[0]
-    if p in item_ends(it):
-        v = it.tail if p == item_ends(it)[0] else it.head
-        return _reference_node_image(system, system.graph.node_of_vertex[v])
-    for cp in system.cycles:
-        if it.bounded and it.index in cp.edge_indices:
-            return (cp.index, reference_param_of(cp, c, p))
-    return _reference_node_image(system, system.graph.node_of_vertex[it.tail])
-
-
 def _bouquet_hosts():
     """Cycle systems of the genus >= 1 bouquet fixtures, plus reoriented
     and rebased variants of the triangle host."""
@@ -325,7 +302,7 @@ def test_project_point_matches_reference_route():
         pts = list(c.vertices)
         pts += [_point_at(it, Fraction(1, 2) if it.bounded else 1) for it in items(c)]
         for p in pts:
-            assert project_point(s, p) == _reference_project_point(s, p)
+            assert project_point(s, p) == reference_project_point(s, p)
 
 
 def test_verdict_invariant_under_orientation_and_base():
@@ -465,22 +442,72 @@ def test_sigma_matches_items_at_projection_on_pool():
         assert sigma(system, mobile) == reference_sigma(system, mobile)
 
 
+def _points_by_kind(system) -> dict[str, list]:
+    """The host's vertices and items by the kind of point they give, read
+    off the bunch and the cycle paths: vertices in the center's blob and
+    other vertices, then edges on a cycle, other edges (tentacles) and
+    rays.  Kinds the host lacks are left out."""
+    c = system.curve
+    node_of = system.graph.node_of_vertex
+    on_cycle = {e for cp in system.cycles for e in cp.edge_indices}
+    kinds: dict[str, list] = {}
+    for v in range(len(c.vertices)):
+        kinds.setdefault("center" if node_of[v] == system.bouquet.center_node else "vertex", []).append(v)
+    for it in items(c):
+        kind = "ray" if not it.bounded else "cycle" if it.index in on_cycle else "tentacle"
+        kinds.setdefault(kind, []).append(it)
+    return kinds
+
+
+ABEL_HOSTS = HOSTS + [cycle_system(corner_locus(polynomial(concave_lift(random.Random(3), 3))))]
+
+
+def test_abel_hosts_hold_every_kind_of_point():
+    kinds = set()
+    for system in ABEL_HOSTS:
+        kinds |= set(_points_by_kind(system))
+    assert kinds == {"center", "vertex", "cycle", "tentacle", "ray"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ABEL_HOSTS), st.data())
+def test_abel_coordinate_matches_reference_at_every_kind_of_point(system, data):
+    # rational points on a denominator coprime to the host's scale: k/q of
+    # an edge, k/q steps along a ray, or a vertex
+    c = system.curve
+    kinds = _points_by_kind(system)
+    q = data.draw(st.sampled_from([q for q in (7, 11, 13) if gcd(q, c._scale) == 1]))
+    mapping: dict = {}
+    for _ in range(data.draw(st.integers(1, 5))):
+        kind = data.draw(st.sampled_from(sorted(kinds)))
+        at = data.draw(st.sampled_from(kinds[kind]))
+        if kind in ("center", "vertex"):
+            p = c.vertices[at]
+        else:
+            k = data.draw(st.integers(1, 3 * q if kind == "ray" else q - 1))
+            p = _point_at(at, Fraction(k, q))
+        assert project_point(system, p) == reference_project_point(system, p)
+        mapping[p] = mapping.get(p, 0) + data.draw(st.integers(-3, 3).filter(bool))
+    d = Divisor.of(mapping)
+    assert abel_coordinate(system, d) == reference_abel_coordinate(system, d)
+
+
 def _entry_places(system, mobile) -> set[str]:
     """Where the record's entries sit on their first host item: at the
     bouquet center (a vertex whose image is None), at another vertex,
     inside a cycle edge, inside a tentacle edge or inside a ray."""
     places = set()
     node_of = system.graph.node_of_vertex
+    on_cycle = {e for cp in system.cycles for e in cp.edge_indices}
     for _, _, at in _entries(system.curve, mobile):
         it, end = at.its1[0]
         if end is not None:
             v = it.tail if end == 0 else it.head
-            k, _ = system._node_images[node_of[v]]
-            places.add("center" if k is None else "vertex")
+            places.add("center" if node_of[v] == system.bouquet.center_node else "vertex")
         elif not it.bounded:
             places.add("ray")
         else:
-            places.add("cycle" if it.index in system._cycle_edges else "tentacle")
+            places.add("cycle" if it.index in on_cycle else "tentacle")
     return places
 
 
@@ -537,18 +564,21 @@ def test_point_at_lies_on_its_cycle(make, t, turns):
 
 def test_project_on_matches_param_of_along_a_walk():
     # every point of every sigma divisor of a 200-step seeded walk, each
-    # projected from the first host item through it, as sigma does
+    # placed from the first host item through it, as sigma places it
     rng = random.Random(31)
     host = corner_locus(polynomial(concave_lift(rng, 3)))
     system = cycle_system(host)
+    on_path = {e: (cp, i) for cp in system.cycles for i, e in enumerate(cp.edge_indices)}
     p = params_from_curve(corner_locus(polynomial(concave_lift(rng, 3))))
     runs = {"forward": 0, "reversed": 0, "elsewhere": 0}
     for _ in range(200):
         p = perturb(p, rng)
-        for q, _ in stable_intersection(host, curve_from_params(p)).entries:
+        d = stable_intersection(host, curve_from_params(p))
+        assert abel_coordinate(system, d) == reference_abel_coordinate(system, d)
+        for q, _ in d.entries:
             it = items_at(host, q)[0]
-            assert _project_on(system, it, q) == _reference_project_point(system, q)
-            on = system._cycle_edges.get(it.index) if it.bounded else None
+            assert project_point(system, q) == reference_project_point(system, q)
+            on = on_path.get(it.index) if it.bounded else None
             if on is None or q in item_ends(it):
                 runs["elsewhere"] += 1
             else:

@@ -442,12 +442,10 @@ def test_preset_grid_equals_the_points_with_coprime_denominators(convention):
         c = corner_locus(f)
         assert (c._scale, c._grid) == _grid_of_points(c)
         assert_matches_reference(f)
-        wrapped = _cells(f)
-        if wrapped is not None:
-            scale, cells = wrapped
-            den = scale * math.lcm(*(nz for (_, _, nz), *_ in cells))
-            if den != scale:
-                differs.add("lift")
-            if den != c._scale:
-                differs.add("curve")
+        scale, cells = _cells(f)
+        den = scale * math.lcm(*(nz for (_, _, nz), *_ in cells))
+        if den != scale:
+            differs.add("lift")
+        if den != c._scale:
+            differs.add("curve")
     assert differs == {"lift", "curve"}
