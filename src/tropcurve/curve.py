@@ -686,17 +686,20 @@ def translate(c: TropicalCurve, t: Point) -> TropicalCurve:
 
 def items_at(c: TropicalCurve, p: Point) -> list[Item]:
     """Every item that contains p, ends included, in item order; the test
-    runs on the curve's grid raised to p's denominators."""
-    qx, qy = p.x.denominator, p.y.denominator
-    scale = lcm(c._scale, qx, qy)
-    px, py = p.x.numerator * (scale // qx), p.y.numerator * (scale // qy)
+    cross-multiplies p and the views on the curve's own grid."""
+    (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+    d = lcm(xd, yd)
+    g = gcd(d, c._scale)
+    # on the grid of lcm(scale, d) = scale * e: p is (px, py), a view e times
+    e, s = d // g, c._scale // g
+    px, py = xn * (d // xd) * s, yn * (d // yd) * s
     out = []
-    for it, ox, oy, vx, vy in _raised(c._index, scale):
-        dx, dy = px - ox, py - oy
+    for it, ox, oy, vx, vy in c._index.views:
+        dx, dy = px - ox * e, py - oy * e
         if vx * dy - dx * vy:
             continue
         t = dx * vx + dy * vy
-        if 0 <= t and (it.head is None or t <= vx * vx + vy * vy):
+        if 0 <= t and (it.head is None or t <= (vx * vx + vy * vy) * e):
             out.append(it)
     return out
 

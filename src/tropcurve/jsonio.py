@@ -51,7 +51,9 @@ def _ratio_to_str(n: int, d: int) -> str:
         ) from None
 
 
-_DIGIT_RUN = re.compile(r"\d+")
+# The documented grammar, ASCII digits only: Fraction() would also take
+# spaces, underscores, signs, decimals and non-ASCII digits.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def fraction_from_str(s, field: str) -> Fraction:
@@ -59,16 +61,19 @@ def fraction_from_str(s, field: str) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"{field}: expected a rational string, got {s!r}")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise SchemaError(f"{field}: invalid rational {s!r}")
+    num, den = m.groups()
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        longest = max(map(len, _DIGIT_RUN.findall(s)), default=0)
-        limit = digit_limit()
-        if 0 < limit < longest:
-            raise SchemaError(
-                f"{field}: number of {longest} digits exceeds the {limit}-digit limit"
-            ) from None
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
         raise SchemaError(f"{field}: invalid rational {s!r}") from None
+    except ValueError:  # past the interpreter's int-string limit
+        longest = max(len(num.lstrip("-")), len(den or ""))
+        raise SchemaError(
+            f"{field}: number of {longest} digits exceeds the {digit_limit()}-digit limit"
+        ) from None
 
 
 def _point_to_list(p: Point) -> list[str]:

@@ -5,6 +5,7 @@ data), the lattice lengths of its finite edges, and the position of one
 anchor vertex.  The admissible lengths form a relatively open convex cone cut
 out by one closure equation per independent cycle; `perturb` walks inside it
 with exact rational steps on a dyadic grid, so the denominators stay bounded.
+It validates one curve per skeleton: every point of a valid type is valid.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .geom import GeometryError, IntVector, Point, show
-from .curve import Edge, Ray, StructureError, TropicalCurve, items, validate
+from .curve import Edge, InvalidCurveError, Ray, TropicalCurve, items, validate
 from .newton import newton_complex, newton_polygon
 from .bunch import spanning_forest
 
@@ -239,18 +240,23 @@ def project_to_closure(
 
 
 def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
-    """Random step inside the cone on a dyadic grid: closure-preserving,
-    positivity-preserving, and halved until the rebuilt curve still
-    validates (p when no step of 2^-GRID_HALVINGS or more does).
+    """Random step inside the type's cone, on a dyadic grid.
 
-    The raw step is an integer vector, one draw in [-60, 60] per edge and
-    two for the anchor; the lengths move by its projection (the skeleton's
-    integer projector), the anchor by the anchor draws, both times 2^-k.
-    The first k is the least whose step keeps every length at least half
-    its value, and a candidate that crosses itself or has two vertices at
-    one point is refused.  p's curve is built first, so a p that does not
-    close, whose skeleton is disconnected, or whose items are malformed
-    raises as curve_from_params and items(c) do.
+    One integer draw in [-60, 60] per edge and two for the anchor: the
+    lengths move by the draws' closure projection, the anchor by its draws,
+    both times 2^-k for the least k that keeps every length at least half
+    its value; p when that k exceeds GRID_HALVINGS.  p's curve is built first.
+
+    The first perturb on a skeleton validates p's curve (InvalidCurveError
+    if it fails) and no candidate, as none can fail: p's curve is the corner
+    locus of some sum of c_a x^a, dual to a subdivision S of its Newton
+    polygon.  For new positive lengths that close every cycle, the c_a read
+    from the ties at the vertices agree (an edge is orthogonal to its dual
+    edge), and each edge folds the lift across its dual edge with the type's
+    sign.  Locally concave across every interior edge of S, the lift is
+    concave on the convex polygon and induces S: a type's lifts form the open
+    secondary cone of S (Gelfand-Kapranov-Zelevinsky 1994, ch. 7; Mikhalkin,
+    JAMS 2005), and the candidate is the corner locus of the new sum.
     """
     rng = (
         seed_or_rng
@@ -258,11 +264,11 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
         else random.Random(seed_or_rng)
     )
     skel = p.skeleton
-    # Every candidate has p's skeleton, so once p's items are admitted a
-    # candidate can raise StructureError only for two vertices at one point.
-    # The cached properties are read directly: perfbench counts each
-    # curve_from_params call inside perturb as a candidate.
-    p._curve._items
+    c = p._curve  # read directly: perfbench counts curve_from_params calls
+    if "_certified" not in skel.__dict__:
+        if not validate(c).passed:
+            raise InvalidCurveError("perturb's start curve is not balanced and embedded")
+        skel.__dict__["_certified"] = True
     rows, L = skel._projector
     raw = [rng.randint(-60, 60) for _ in skel.edges]
     ax, ay = rng.randint(-60, 60), rng.randint(-60, 60)
@@ -275,20 +281,13 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
         if s < 0:
             need = -(2 * s * den // (m * L))  # ceil(-2 s den / (m L))
             k = max(k, (need - 1).bit_length())
-    for k in range(k, GRID_HALVINGS + 1):
-        unit = L << k
-        new = lcm(den, unit)
-        f, g = new // den, new // unit
-        ls = tuple(m * f + s * g for m, s in zip(lengths, step))
-        x, y = x0 * f + ax * g * L, y0 * f + ay * g * L
-        cand = ParamPoint._on_grid(skel, new, ls, x, y)
-        try:
-            passed = validate(curve_from_params(cand)).passed
-        except StructureError:  # two vertices at one point
-            passed = False
-        if passed:
-            return cand
-    return p
+    if k > GRID_HALVINGS:
+        return p
+    unit = L << k
+    new = lcm(den, unit)
+    f, g = new // den, new // unit
+    ls = tuple(m * f + s * g for m, s in zip(lengths, step))
+    return ParamPoint._on_grid(skel, new, ls, x0 * f + ax * g * L, y0 * f + ay * g * L)
 
 
 def is_degeneration(candidate: TropicalCurve, reference: TropicalCurve) -> bool:

@@ -83,6 +83,9 @@ def polynomial(
 # ---------------------------------------------------------------------------
 
 
+_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes '²' and '٣'
+
+
 def _tokenize(text: str):
     out = []
     i = 0
@@ -91,9 +94,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             out.append(("number", text[i:j], i))
             i = j

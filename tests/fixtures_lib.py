@@ -20,6 +20,7 @@ from tropcurve.curve import (
     LoopError,
     Ray,
     Shared,
+    StructureError,
     TropicalCurve,
     View,
     _common_scale,
@@ -28,12 +29,14 @@ from tropcurve.curve import (
     _meet,
     _pair_grid,
     _point_on,
+    _raised,
     _scan,
     curve,
     items,
     items_at,
     star_at,
     translate,
+    validate,
 )
 from tropcurve.geom import (
     GeometryError,
@@ -70,7 +73,7 @@ from tropcurve.newton import (
     newton_complex,
     star_multiplicity,
 )
-from tropcurve.params import CurveSkeleton, closure_matrix
+from tropcurve.params import GRID_HALVINGS, CurveSkeleton, ParamPoint, closure_matrix
 from tropcurve.polyfront import (
     DualSubdivision,
     EmptyCurveError,
@@ -605,6 +608,58 @@ def reference_project_to_closure(skel: CurveSkeleton, direction) -> list[Fractio
         if any(q):
             basis.append(q)
     return _reject(direction, basis)
+
+
+def reference_perturb(
+    p: ParamPoint, seed_or_rng, check=lambda c: validate(c).passed
+) -> ParamPoint:
+    """params.perturb with a check per candidate: from the least k that keeps
+    every length at least half its value, the step is halved until
+    `check(curve)` passes, a StructureError counting as a refusal; p when no
+    k <= GRID_HALVINGS passes."""
+    rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
+    skel = p.skeleton
+    p._curve._items
+    rows, L = skel._projector
+    raw = [rng.randint(-60, 60) for _ in skel.edges]
+    ax, ay = rng.randint(-60, 60), rng.randint(-60, 60)
+    step = [sum(a * b for a, b in zip(row, raw)) for row in rows]  # L times the move
+    den, lengths, x0, y0 = p._ints
+    k = 0
+    for m, s in zip(lengths, step):
+        if s < 0:
+            need = -(2 * s * den // (m * L))  # ceil(-2 s den / (m L))
+            k = max(k, (need - 1).bit_length())
+    for k in range(k, GRID_HALVINGS + 1):
+        unit = L << k
+        new = lcm(den, unit)
+        f, g = new // den, new // unit
+        ls = tuple(m * f + s * g for m, s in zip(lengths, step))
+        cand = ParamPoint._on_grid(skel, new, ls, x0 * f + ax * g * L, y0 * f + ay * g * L)
+        try:
+            passed = check(cand._curve)
+        except StructureError:  # two vertices at one point
+            passed = False
+        if passed:
+            return cand
+    return p
+
+
+def reference_items_at(c: TropicalCurve, p: Point) -> list[Item]:
+    """curve.items_at with every view raised to the lcm of the curve's scale
+    and p's denominators."""
+    qx, qy = p.x.denominator, p.y.denominator
+    scale = lcm(c._scale, qx, qy)
+    px, py = p.x.numerator * (scale // qx), p.y.numerator * (scale // qy)
+    out = []
+    for it, ox, oy, vx, vy in _raised(c._index, scale):
+        dx, dy = px - ox, py - oy
+        if vx * dy - dx * vy:
+            continue
+        t = dx * vx + dy * vy
+        if 0 <= t and (it.head is None or t <= vx * vx + vy * vy):
+            out.append(it)
+    return out
 
 
 def all_pairs_pins(c1: TropicalCurve, c2: TropicalCurve, keep) -> list:

@@ -191,20 +191,24 @@ def test_a_walk_builds_the_host_index_once(monkeypatch):
 
 
 def test_the_record_reads_the_index_validate_built(monkeypatch):
+    # perturb hands on an unbuilt candidate: sigma builds its index once, the
+    # record reads it, and validate reuses it
     host, system, p, rng = _walk_start()
     q = perturb(p, rng)
     assert q is not p
     c = curve_from_params(q)
-    assert "_index" in vars(c)  # built by perturb's validate of the candidate
-    ix = c._index
-    scans = []
-    real = intersect_mod._scan
-    monkeypatch.setattr(intersect_mod, "_scan", lambda *a: scans.append(a) or real(*a))
+    assert "_index" not in vars(c)
+    built, scans = [], []
+    real_index, real_scan = curve_mod._index_of, intersect_mod._scan
+    monkeypatch.setattr(curve_mod, "_index_of", lambda its, *a: built.append(its) or real_index(its, *a))
+    monkeypatch.setattr(intersect_mod, "_scan", lambda *a: scans.append(a) or real_scan(*a))
     sigma(system, c)
+    ix = c._index
     assert is_transversal(host, c) == reference_is_transversal(host, c)
     assert len(scans) == 1
     assert scans[0][0] is host._index and scans[0][1] is ix
     assert validate(c).passed and c._index is ix
+    assert sum(its is items(c) for its in built) == 1
 
 
 def test_the_corner_op_builds_no_index(monkeypatch):

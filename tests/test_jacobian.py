@@ -16,6 +16,7 @@ from fixtures_lib import (
     figure_eight,
     item_ends,
     reference_abel_coordinate,
+    reference_items_at,
     reference_param_of,
     reference_project_point,
     reference_sigma,
@@ -35,6 +36,7 @@ from fixtures_lib import (
 from tropcurve.curve import items, items_at, translate
 from tropcurve.geom import cross, pt
 from tropcurve.intersect import Divisor, _entries, has_shared_segment, stable_intersection
+from tropcurve import jacobian as jacobian_mod
 from tropcurve.jacobian import (
     CycleSystem,
     UnsupportedCurveError,
@@ -585,3 +587,32 @@ def test_project_on_matches_param_of_along_a_walk():
                 cp, i = on
                 runs["forward" if it.tail == cp.vertex_path[i] else "reversed"] += 1
     assert min(runs.values()) > 0, runs
+
+
+def _points_along(c, q):
+    """Points k/q along each edge, k/q steps along each ray from its tail,
+    and each shifted off the curve by (1/7, 1/11)."""
+    on = []
+    for it in items(c):
+        for k in range(q + 1 if it.bounded else 2 * q + 1):
+            on.append(_point_at(it, Fraction(k, q)))
+    return on, [p + pt(Fraction(1, 7), Fraction(1, 11)) for p in on]
+
+
+@pytest.mark.parametrize("make", [
+    triangle_cycle_host, figure_eight, two_triangles_bridged, tail_cycle_curve,
+    lambda: corner_locus(polynomial(concave_lift(random.Random(19), 3))),
+])
+def test_items_at_on_the_curves_grid_matches_the_raising_reference(monkeypatch, make):
+    host = make()
+    system = cycle_system(host)
+    for q in (7, 11, 13):
+        on, off = _points_along(host, q)
+        for p in on + off:
+            assert items_at(host, p) == reference_items_at(host, p)
+        assert all(items_at(host, p) for p in on)
+        d = Divisor.of({p: k % 5 - 2 for k, p in enumerate(on)}, host)
+        got = [project_point(system, p) for p in on], abel_coordinate(system, d)
+        monkeypatch.setattr(jacobian_mod, "items_at", reference_items_at)
+        assert ([project_point(system, p) for p in on], abel_coordinate(system, d)) == got
+        monkeypatch.undo()

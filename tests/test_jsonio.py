@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,39 @@ def test_rational_strings():
         jsonio.fraction_from_str("nope", "f")
     with pytest.raises(jsonio.SchemaError):
         jsonio.fraction_from_str("1/0", "f")
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12/34", "12/34", "5/1"])
+def test_the_rational_grammar_reads_as_fraction(text):
+    assert jsonio.fraction_from_str(text, "f") == Fraction(text)
+
+
+# Forms that Fraction() reads but the documented -?[0-9]+(/[0-9]+)? does not.
+@pytest.mark.parametrize("text", [
+    " 3", "3 ", "3\n", "+3", "3_0", "1/2_0", "\u0663", "\uff13", "1\u00b2",
+    "1.5", ".5", "5.", "1e3", "-1/-2", "1 / 2", "", "-", "/2", "2/",
+])
+def test_rationals_off_the_grammar_are_invalid(text):
+    with pytest.raises(jsonio.SchemaError, match=f"^f: invalid rational {re.escape(repr(text))}$"):
+        jsonio.fraction_from_str(text, "f")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789-/+_.e \t\u0663\u00b2\uff13", max_size=8))
+def test_a_rational_string_reads_by_the_grammar_or_is_invalid(text):
+    # -?[0-9]+(/[0-9]+)? by hand
+    body = text[1:] if text.startswith("-") else text
+    num, slash, den = body.partition("/")
+
+    def digits(t):
+        return t != "" and all(ch in "0123456789" for ch in t)
+
+    if digits(num) and (not slash or digits(den)) and int(den or 1):
+        want = Fraction(int(num), int(den or 1)) * (-1 if body != text else 1)
+        assert jsonio.fraction_from_str(text, "f") == want
+    else:
+        with pytest.raises(jsonio.SchemaError, match="^f: invalid rational "):
+            jsonio.fraction_from_str(text, "f")
 
 
 def test_curve_round_trip_byte_stable():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fixtures_lib import (
     concave_lift,
     figure_eight,
+    reference_perturb,
     reference_project_to_closure,
     tail_cycle_curve,
     theta_curve,
@@ -20,9 +21,10 @@ from fixtures_lib import (
     unit_triangle_cycle,
     wedge_l,
     wedge_m,
+    weight_two_edge_curve,
 )
 from tropcurve.curve import (
-    BalanceReport,
+    InvalidCurveError,
     StructureError,
     TropicalCurve,
     canonical_form,
@@ -225,26 +227,19 @@ def _step(p: ParamPoint, q: ParamPoint):
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_perturb_halves_the_step_per_refused_candidate(monkeypatch, k):
-    params = importlib.import_module("tropcurve.params")
+def test_perturb_halves_the_step_per_refused_candidate(k):
+    # the per-candidate check lives on in reference_perturb: with no
+    # refusal it returns perturb's step, and each refusal halves it
     p = params_from_curve(two_triangles_bridged())
     seen = []
 
-    def refuse_first(n):
-        def fake(c):
-            seen.append(c)
-            report = validate(c)
-            if len(seen) > n:
-                return report
-            return BalanceReport(report.residuals, ("refused",))
-        return fake
+    def refuse_first(c):
+        seen.append(c)
+        return len(seen) > k and validate(c).passed
 
-    monkeypatch.setattr(params, "validate", refuse_first(0))
     base = perturb(p, 7)
-    assert len(seen) == 1  # the unpatched first candidate passes
-    seen.clear()
-    monkeypatch.setattr(params, "validate", refuse_first(k))
-    got = perturb(p, 7)
+    assert reference_perturb(p, 7) == base
+    got = reference_perturb(p, 7, refuse_first)
     assert len(seen) == k + 1
     lengths, anchor = _step(p, base)
     assert _step(p, got) == ([d / 2 ** k for d in lengths], anchor * Fraction(1, 2 ** k))
@@ -342,11 +337,17 @@ def test_curve_from_params_builds_once_per_point():
 
 
 def test_perturb_hands_its_accepted_curve_on(monkeypatch):
+    # the one curve perturb validates is its start's own, built once; the
+    # candidate comes unbuilt and carries the certified skeleton on
     params = importlib.import_module("tropcurve.params")
     checked = []
     monkeypatch.setattr(params, "validate", lambda c: checked.append(c) or validate(c))
-    q = perturb(params_from_curve(figure_eight()), 5)
-    assert curve_from_params(q) is checked[-1]
+    p = params_from_curve(figure_eight())
+    q = perturb(p, 5)
+    assert len(checked) == 1 and checked[0] is curve_from_params(p)
+    assert q.skeleton is p.skeleton and "_curve" not in vars(q)
+    perturb(q, 6)
+    assert len(checked) == 1
 
 
 def test_a_point_that_does_not_close_raises_on_every_call():
@@ -463,10 +464,7 @@ def test_walk_denominators_divide_the_grid_from_any_seed(cubic_seed, walk_seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_perturb_takes_the_largest_power_of_two_under_the_bound(monkeypatch, seed):
-    # every candidate passes, so the first is returned
-    params = importlib.import_module("tropcurve.params")
-    monkeypatch.setattr(params, "validate", lambda c: BalanceReport((), ()))
+def test_perturb_takes_the_largest_power_of_two_under_the_bound(seed):
     rng = random.Random(seed)
     p = _cubic(seed)
     raw = [rng.randint(-60, 60) for _ in p.lengths]
@@ -481,18 +479,15 @@ def test_perturb_takes_the_largest_power_of_two_under_the_bound(monkeypatch, see
     assert q.anchor_pos == p.anchor_pos + pt(*anchor) * s
 
 
-def test_perturb_returns_its_input_when_every_candidate_is_refused(monkeypatch):
-    params = importlib.import_module("tropcurve.params")
+def test_perturb_returns_its_input_when_every_candidate_is_refused():
+    # reference_perturb refusing every candidate runs k = k0, ...,
+    # GRID_HALVINGS, each vertex moving half as far as in the last, and
+    # returns p; perturb refuses no candidate of a valid start
     p = params_from_curve(two_triangles_bridged())
     seen = []
-    monkeypatch.setattr(
-        params, "validate",
-        lambda c: seen.append(c) or BalanceReport(validate(c).residuals, ("refused",)),
-    )
-    first = perturb(p, 7)
+    first = reference_perturb(p, 7, lambda c: seen.append(c) or False)
     assert first is p
-    # the candidates run k = k0, ..., GRID_HALVINGS, each vertex moving
-    # half as far as in the last
+    assert perturb(p, 7) is not p
     assert 2 <= len(seen) <= GRID_HALVINGS + 1
     start = curve_from_params(p).vertices
     moved = [[v - v0 for v, v0 in zip(b.vertices, start)] for b in seen]
@@ -511,16 +506,22 @@ def _crossing_h():
     )
 
 
-def test_perturb_refuses_a_candidate_with_coincident_vertices(monkeypatch):
-    # the draws lengthen both branches by 1: the first candidate (k = 0,
+def test_perturb_refuses_a_candidate_with_coincident_vertices():
+    # _crossing_h fails validate, so perturb refuses it as a start, before
+    # any candidate, and certifies nothing.  reference_perturb checks each
+    # candidate: the draws lengthen both branches by 1, so the first (k = 0,
     # since no length shrinks) puts vertices 2 and 3 at (2, 2), where
-    # validate raises; perturb counts it as refused and halves the step
-    params = importlib.import_module("tropcurve.params")
+    # validate raises; it counts that as refused and halves the step
     p = params_from_curve(_crossing_h())
     assert p.lengths == (4, 1, 1)
+    for _ in range(2):
+        with pytest.raises(InvalidCurveError, match="not balanced and embedded"):
+            perturb(p, ScriptedRandom([0, 1, 1, 0, 0]))
+    assert "_certified" not in vars(p.skeleton)
     seen = []
-    monkeypatch.setattr(params, "validate", lambda c: seen.append(c) or validate(c))
-    q = perturb(p, ScriptedRandom([0, 1, 1, 0, 0]))
+    q = reference_perturb(
+        p, ScriptedRandom([0, 1, 1, 0, 0]), lambda c: seen.append(c) or validate(c).passed
+    )
     assert seen[0].vertices[2] == seen[0].vertices[3] == pt(2, 2)
     with pytest.raises(StructureError, match="vertices 2 and 3 coincide at \\(2, 2\\)"):
         validate(seen[0])
@@ -528,6 +529,52 @@ def test_perturb_refuses_a_candidate_with_coincident_vertices(monkeypatch):
     # every later candidate still crosses at (2, 2), so p comes back after
     # k = 0, ..., 60: the grid is no coarser than 60 halvings
     assert len(seen) == 61 and q is p
+
+
+# -- one certificate per skeleton: the first candidate, checked in tests --
+
+
+@pytest.mark.parametrize("c", FIXTURES + [weight_two_edge_curve()])
+def test_perturb_is_the_reference_on_every_fixture_type(c):
+    for anchor in range(len(c.vertices)):
+        p = params_from_curve(c, anchor)
+        for seed in range(4):
+            assert perturb(p, seed) == reference_perturb(p, seed)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_perturb_is_the_reference_along_a_cubic_walk(seed):
+    p = _cubic(seed)
+    for step in range(200):
+        q = perturb(p, random.Random(step))
+        assert q == reference_perturb(p, random.Random(step))
+        p = q
+
+
+def test_perturb_validates_once_per_skeleton(monkeypatch):
+    params = importlib.import_module("tropcurve.params")
+    checked = []
+    monkeypatch.setattr(params, "validate", lambda c: checked.append(c) or validate(c))
+    rng = random.Random(5)
+    for p in (_cubic(5), params_from_curve(two_triangles_bridged())):
+        start = p
+        for _ in range(50):
+            p = perturb(p, rng)
+            assert p.skeleton is start.skeleton
+        assert checked[-1] is curve_from_params(start)
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 6])
+def test_perturb_returns_its_input_past_the_finest_step(seed):
+    # a bridge of length 2^-80 that the draw shortens needs k > GRID_HALVINGS
+    p = params_from_curve(two_triangles_bridged())
+    assert p.skeleton.edges[6][:2] == (0, 3)  # the bridge, on no cycle
+    lengths = list(p.lengths)
+    lengths[6] = Fraction(1, 2 ** 80)
+    q = ParamPoint(p.skeleton, tuple(lengths), p.anchor_pos)
+    assert perturb(q, seed) is q
+    assert reference_perturb(q, seed) is q
 
 
 def _fresh(c):

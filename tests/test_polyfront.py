@@ -117,6 +117,11 @@ _PARSE_ERRORS = [
     ('x^(2)', "expected 'number', found '('", 2),
     ('(-1/3)*x^2*y + 4/0*x', 'zero denominator', 17),
     ('1e3', "unexpected character 'e'", 1),
+    # numbers are ASCII digits: str.isdigit would take these
+    ('0 + x^\u00b2 + y', "unexpected character '\u00b2'", 6),
+    ('0 + x^\u0663 + y', "unexpected character '\u0663'", 6),
+    ('\uff13*x + y', "unexpected character '\uff13'", 0),
+    ('2\u00b9*x', "unexpected character '\u00b9'", 1),
 ]
 
 
