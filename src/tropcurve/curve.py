@@ -3,6 +3,12 @@
 A curve is a weighted rational-slope 1-complex: vertices at rational points,
 finite edges between vertex indices, and rays (one vertex plus a primitive
 integer direction).  Weights are positive integers.
+
+Every construction reads the edges and rays as items (`Item`), each its
+own integer view on the curve's grid.  The pair predicates are the two
+products u.v and u x v on those integers (`_meet`), and each pair scan
+reads the items from the curve's index (`ItemIndex`), built once per
+curve.
 """
 
 from __future__ import annotations
@@ -181,12 +187,16 @@ class Item:
     edge reaches its head vertex after `length` lattice steps, read from the
     integer view; a ray has no head and no length.
 
-    The integer view is the item on the curve's grid: `lattice` holds the
-    origin times `scale` (the curve's least common denominator), then the
-    displacement times `scale` for an edge, or prim for a ray.  The pair
-    predicates run on it.  An item holds no Point and no reference to its
-    curve: a reader that needs an end as a Point takes the curve's vertex
-    by the item's tail or head.  Items are read-only by convention.
+    The item is its own integer view, on the grid of `scale`: `lattice`
+    holds the origin times `scale`, then the displacement times `scale` for
+    an edge, or prim for a ray.  A curve's items are on its grid, `scale`
+    its least common denominator, and its index holds them (`_index`); a
+    pair scan reads an item of a smaller scale as a copy raised to the
+    pair's grid (`_raise`), equal to it.  The pair predicates read the
+    coordinates and the scale from the item.  An item holds no Point and no
+    reference to its curve: a reader that needs an end as a Point takes the
+    curve's vertex by the item's tail or head.  Items are read-only by
+    convention.
 
     Two items are equal when they have the same index, tail, head, weight
     and direction and the same ends, compared on the integer views across
@@ -275,63 +285,53 @@ def _common_scale(its: Iterable[Item]) -> int:
     return lcm(*{it.scale for it in its})
 
 
-class View(NamedTuple):
-    """An item's integer view on a grid shared with other items."""
-
-    item: Item
-    ox: int
-    oy: int
-    vx: int
-    vy: int
-
-
-def _lattice(its: Iterable[Item], scale: int) -> list[View]:
-    """Each item's integer view raised to a common scale.
-
-    A ray keeps its primitive direction; only its parameter unit changes.
-    """
-    out = []
-    for it in its:
-        ox, oy, vx, vy = it.lattice
-        f = scale // it.scale
-        if f != 1:
-            ox, oy = ox * f, oy * f
-            if it.head is not None:
-                vx, vy = vx * f, vy * f
-        out.append(View(it, ox, oy, vx, vy))
-    return out
+def _raise(it: Item, f: int) -> Item:
+    """The item on the grid of f times its scale: the item itself for
+    f == 1, else a copy, equal to it.  A ray keeps its primitive direction;
+    only its parameter unit changes."""
+    if f == 1:
+        return it
+    ox, oy, vx, vy = it.lattice
+    if it.head is not None:
+        vx, vy = vx * f, vy * f
+    return Item(
+        it.index, it.tail, it.head, it.weight, it.prim, it.scale * f, (ox * f, oy * f, vx, vy)
+    )
 
 
 class ItemIndex(NamedTuple):
     """The integer index of a curve, or of a sequence of items, that every
-    pair scan reads: built once, at the items' own scale.
+    pair scan reads: built once, on the grid of `scale`.
 
-    `boxes` holds each view's finite box (x low, x high, y low, y high), for
-    a ray its origin; `extent` the box of them all (None without items).
-    `order` lists the positions by x low once each ray's open sides are
-    fitted to any extent: rays running toward -x first, then by the finite x
-    low, an order that no raise to a larger scale changes.  `keys` holds
-    each vertex of a curve as (X, Y, D) with gcd 1, the point (X/D, Y/D).
-    `raised` keeps the views and finite boxes raised by a factor f > 1 for
-    the pair scans (`_raised_by`), at most RAISED_KEPT factors.
+    `views` holds the items on that grid: a curve's own items, or copies of
+    items of a smaller scale raised to it (`_raise`).  `boxes` holds each
+    item's finite box (x low, x high, y low, y high), for a ray its origin;
+    `extent` the box of them all (None without items).  `order` lists the
+    positions by x low once each ray's open sides are fitted to any extent:
+    rays running toward -x first, then by the finite x low, an order that no
+    raise to a larger scale changes.  `keys` holds each vertex of a curve as
+    (X, Y, D) with gcd 1, the point (X/D, Y/D).  `raised` keeps the items
+    and finite boxes raised by a factor f > 1 for the pair scans
+    (`_raised_by`), at most RAISED_KEPT factors.
     """
 
     scale: int
-    views: tuple[View, ...]
+    views: tuple[Item, ...]
     boxes: tuple[tuple[int, int, int, int], ...]
     extent: tuple[int, int, int, int] | None
-    rays: tuple[int, ...]  # positions of the rays among the views
+    rays: tuple[int, ...]  # positions of the rays among the items
     order: tuple[int, ...]
     keys: tuple[tuple[int, int, int], ...] | None
-    raised: dict[int, tuple[Sequence[View], Sequence[tuple[int, int, int, int]]]]
+    raised: dict[int, tuple[Sequence[Item], Sequence[tuple[int, int, int, int]]]]
 
 
 def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
     """The index of items on the grid of `scale`, a multiple of each item's
     scale; with the vertex keys of a curve when its grid is given."""
-    views = tuple(_lattice(its, scale))
+    views = tuple(_raise(it, scale // it.scale) for it in its)
     boxes, rays = [], []
-    for k, (it, ox, oy, vx, vy) in enumerate(views):
+    for k, it in enumerate(views):
+        ox, oy, vx, vy = it.lattice
         if it.head is None:
             rays.append(k)
             boxes.append((ox, ox, oy, oy))
@@ -344,7 +344,7 @@ def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
             min(b[0] for b in boxes), max(b[1] for b in boxes),
             min(b[2] for b in boxes), max(b[3] for b in boxes),
         )
-    west = {k for k in rays if views[k].vx < 0}
+    west = {k for k in rays if views[k].prim.x < 0}
     order = sorted(range(len(views)), key=lambda k: (k not in west, boxes[k][0]))
     keys = None
     if grid is not None:
@@ -356,17 +356,13 @@ def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
     )
 
 
-def _raised(ix: ItemIndex, scale: int) -> Sequence[View]:
-    """The index's views on the grid of `scale`, a multiple of its own: the
-    views themselves when the scales agree."""
+def _raised(ix: ItemIndex, scale: int) -> Sequence[Item]:
+    """The index's items on the grid of `scale`, a multiple of its own: the
+    items themselves when the scales agree."""
     f = scale // ix.scale
     if f == 1:
         return ix.views
-    return [
-        View(it, ox * f, oy * f, vx * f, vy * f) if it.head is not None
-        else View(it, ox * f, oy * f, vx, vy)
-        for it, ox, oy, vx, vy in ix.views
-    ]
+    return [_raise(it, f) for it in ix.views]
 
 
 # The most raised copies an index keeps.  A walk's host meets a new mobile
@@ -376,7 +372,7 @@ RAISED_KEPT = 8
 
 
 def _raised_by(ix: ItemIndex, f: int):
-    """(views, finite boxes) of the index raised by f: its own for f == 1,
+    """(items, finite boxes) of the index raised by f: its own for f == 1,
     else kept in `ix.raised`, the least recently used factor dropped once
     RAISED_KEPT are kept."""
     if f == 1:
@@ -397,14 +393,14 @@ def _raised_by(ix: ItemIndex, f: int):
 def _boxes(ix: ItemIndex, f: int, extent) -> Sequence[tuple[int, int, int, int]]:
     """The index's boxes raised by f, each ray's open sides ending one unit
     past `extent` (x low, x high, y low, y high), the finite extent of all
-    the views scanned, where no other box ends: so the boxes of two items
+    the items scanned, where no other box ends: so the boxes of two items
     that meet overlap, and no unbounded value enters."""
     boxes = _raised_by(ix, f)[1]
     if ix.rays:
         boxes = list(boxes)
         ex0, ex1, ey0, ey1 = extent
         for k in ix.rays:
-            _, _, _, vx, vy = ix.views[k]
+            _, _, vx, vy = ix.views[k].lattice
             x0, x1, y0, y1 = boxes[k]
             boxes[k] = (
                 ex0 - 1 if vx < 0 else x0, ex1 + 1 if vx > 0 else x1,
@@ -413,24 +409,25 @@ def _boxes(ix: ItemIndex, f: int, extent) -> Sequence[tuple[int, int, int, int]]
     return boxes
 
 
-def _point_on(v: View, t: int, den: int, scale: int) -> Point:
-    """The point at parameter t/den along view v, with den > 0, built from
-    the grid of the given scale."""
-    n = scale * den
-    return Point(Fraction(v.ox * den + v.vx * t, n), Fraction(v.oy * den + v.vy * t, n))
+def _point_on(it: Item, t: int, den: int) -> Point:
+    """The point at parameter t/den along the item, with den > 0, built
+    from its integer view."""
+    ox, oy, vx, vy = it.lattice
+    n = it.scale * den
+    return Point(Fraction(ox * den + vx * t, n), Fraction(oy * den + vy * t, n))
 
 
-def _meet(a: View, b: View):
-    """Where two closed items, given as views of one scale, meet: None, a
-    point, or the Shared part with its one or two ends as points.
+def _meet(a: Item, b: Item):
+    """Where two closed items of one scale meet: None, a point, or the
+    Shared part with its one or two ends as points.
 
     A point is (s, t, den), den > 0: it lies s/den along a and t/den along
     b, so s == 0 is a's tail, s == den a's head for an edge, and t marks
     b's ends alike.  Every test is a sign test on integers; no Point is
     built.
     """
-    ia, aox, aoy, avx, avy = a
-    ib, box, boy, bvx, bvy = b
+    aox, aoy, avx, avy = a.lattice
+    box, boy, bvx, bvy = b.lattice
     dx, dy = box - aox, boy - aoy
     den = avx * bvy - bvx * avy
     if den:
@@ -441,7 +438,7 @@ def _meet(a: View, b: View):
             den, sn, tn = -den, -sn, -tn
         if sn < 0 or tn < 0:
             return None
-        if (ia.head is not None and sn > den) or (ib.head is not None and tn > den):
+        if (a.head is not None and sn > den) or (b.head is not None and tn > den):
             return None
         return sn, tn, den
     if avx * dy - dx * avy:
@@ -451,7 +448,7 @@ def _meet(a: View, b: View):
     # open.  An end of a is over |vb|^2 instead.
     q, c0 = avx * avx + avy * avy, dx * avx + dy * avy
     lo, hi = (c0, 0, q), None
-    if ib.head is not None:
+    if b.head is not None:
         hi = (c0 + bvx * avx + bvy * avy, q, q)
         lo, hi = (lo, hi) if lo[0] < hi[0] else (hi, lo)
     elif bvx * avx + bvy * avy < 0:
@@ -460,7 +457,7 @@ def _meet(a: View, b: View):
     s_lo, s_hi = (lo[0] if lo else 0), (hi[0] if hi else None)
     if lo is None or s_lo < 0:
         s_lo, lo = 0, (0, -(dx * bvx + dy * bvy), bvx * bvx + bvy * bvy)
-    if ia.head is not None and (hi is None or s_hi > q):
+    if a.head is not None and (hi is None or s_hi > q):
         qb = bvx * bvx + bvy * bvy
         s_hi, hi = q, (qb, (avx - dx) * bvx + (avy - dy) * bvy, qb)
     if hi is None:
@@ -480,29 +477,15 @@ def _end(it: Item, s: int, den: int) -> int | None:
     return None
 
 
-def _pair_grid(c1: TropicalCurve, c2: TropicalCurve):
-    """(scale, views of c1, views of c2, vertices of c1, vertices of c2), all
-    on the two curves' common scale."""
-    scale = lcm(c1._scale, c2._scale)
-    f1, f2 = scale // c1._scale, scale // c2._scale
-    return (
-        scale,
-        _raised(c1._index, scale),
-        _raised(c2._index, scale),
-        [(x * f1, y * f1) for x, y in c1._grid],
-        [(x * f2, y * f2) for x, y in c2._grid],
-    )
-
-
-def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, View]]:
-    """The pairs of views whose boxes overlap, on the grid of the two
+def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[Item, Item]]:
+    """The pairs of items whose boxes overlap, on the grid of the two
     indexes' common scale, in the order of the scan of all pairs: with one
     index, positions i < j in lexicographic order; with two, x-major.
 
     Sweep and prune: the boxes are visited by x low, each against the boxes
     still open at that x (of the other index, when there are two), and a
     pair is kept when its y intervals overlap too.  Each index keeps its
-    boxes and their order, and its views and boxes raised by each recent
+    boxes and their order, and its items and boxes raised by each recent
     factor (`_raised_by`), so a side whose scale is below the pair's is
     raised once per factor, and a scan fits only the rays' open sides to
     the pair's extent.
@@ -544,23 +527,10 @@ def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, Vi
     return [(views[i], views[j]) for i, j in pairs]
 
 
-def _scan(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[View, View, tuple]]:
-    """The pair scan: (a, b, report) for every pair of views of
+def _scan(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[Item, Item, tuple]]:
+    """The pair scan: (a, b, report) for every pair of items of
     `_candidates` that meet, report being _meet's, in that order."""
     return [(a, b, m) for a, b in _candidates(x, y) if (m := _meet(a, b)) is not None]
-
-
-def _end_at(it: Item, p: Point) -> int | None:
-    """Which end of the item p is: 0 its tail, 1 an edge's head, None
-    neither; tested on the item's integer view, with no Fraction built."""
-    xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-    ox, oy, vx, vy = it.lattice
-    L = it.scale
-    if ox * xd == xn * L and oy * yd == yn * L:
-        return 0
-    if it.head is not None and (ox + vx) * xd == xn * L and (oy + vy) * yd == yn * L:
-        return 1
-    return None
 
 
 def _star(its: Iterable[tuple[Item, int | None]]) -> list[tuple[int, int]]:
@@ -580,11 +550,6 @@ def _star(its: Iterable[tuple[Item, int | None]]) -> list[tuple[int, int]]:
         if end != 0:
             star.append((-wx, -wy))
     return star
-
-
-def star_at(p: Point, its: Iterable[Item]) -> list[tuple[int, int]]:
-    """_star at p, each item's end found on its integer view (_end_at)."""
-    return _star((it, _end_at(it, p)) for it in its)
 
 
 @dataclass(frozen=True)
@@ -620,9 +585,7 @@ def validate(c: TropicalCurve) -> BalanceReport:
         if i not in ends:
             raise StructureError(f"vertex {i} is isolated")
     violations = []
-    ix = c._index
-    for av, bv, m in _scan(ix):
-        a, b = av.item, bv.item
+    for a, b, m in _scan(c._index):
         if type(m) is Shared:
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} overlap "
@@ -635,7 +598,7 @@ def validate(c: TropicalCurve) -> BalanceReport:
         if _end(a, s, den) is None or _end(b, t, den) is None:
             violations.append(
                 f"{a.kind} {a.index} and {b.kind} {b.index} meet at "
-                f"{show(_point_on(av, s, den, ix.scale))} which is not a shared vertex"
+                f"{show(_point_on(a, s, den))} which is not a shared vertex"
             )
     residuals = tuple(IntVector(x, y) for x, y in _residuals(c))
     return BalanceReport(residuals, tuple(violations))
@@ -684,23 +647,26 @@ def translate(c: TropicalCurve, t: Point) -> TropicalCurve:
     )
 
 
-def items_at(c: TropicalCurve, p: Point) -> list[Item]:
-    """Every item that contains p, ends included, in item order; the test
-    cross-multiplies p and the views on the curve's own grid."""
+def items_at(c: TropicalCurve, p: Point) -> list[tuple[Item, int | None]]:
+    """Every item that contains p, ends included, in item order, each as
+    (item, end): end 0 where p is the item's tail, 1 an edge's head, None
+    inside.  The test cross-multiplies p and the items on the curve's own
+    grid: p lies t / (|v|^2 e) along an item of integer view v."""
     (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
     d = lcm(xd, yd)
     g = gcd(d, c._scale)
-    # on the grid of lcm(scale, d) = scale * e: p is (px, py), a view e times
+    # on the grid of lcm(scale, d) = scale * e: p is (px, py), an item e times
     e, s = d // g, c._scale // g
     px, py = xn * (d // xd) * s, yn * (d // yd) * s
     out = []
-    for it, ox, oy, vx, vy in c._index.views:
+    for it in c._items:
+        ox, oy, vx, vy = it.lattice
         dx, dy = px - ox * e, py - oy * e
         if vx * dy - dx * vy:
             continue
-        t = dx * vx + dy * vy
-        if 0 <= t and (it.head is None or t <= (vx * vx + vy * vy) * e):
-            out.append(it)
+        t, q = dx * vx + dy * vy, (vx * vx + vy * vy) * e
+        if 0 <= t and (it.head is None or t <= q):
+            out.append((it, _end(it, t, q)))
     return out
 
 
@@ -712,14 +678,14 @@ def locate(c: TropicalCurve, p: Point):
         if v == p:
             return ("vertex", i)
     hit = items_at(c, p)
-    return (hit[0].kind, hit[0].index) if hit else None
+    return (hit[0][0].kind, hit[0][0].index) if hit else None
 
 
 def local_star(c: TropicalCurve, p: Point) -> list[IntVector]:
     """Weighted primitive vectors leaving p along every item of items_at: a
     vertex's full star, both directions of an item through an interior
     point, nothing off the curve."""
-    return [IntVector(x, y) for x, y in star_at(p, items_at(c, p))]
+    return [IntVector(x, y) for x, y in _star(items_at(c, p))]
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +707,7 @@ def _loop_sides(loop: Sequence[Point]) -> ItemIndex:
     sides = polygon._index
     # Adjacent sides that do not overlap meet only at their shared corner.
     for a, b, m in _scan(sides):
-        i, j = a.item.index, b.item.index
+        i, j = a.index, b.index
         if type(m) is Shared or not (j == i + 1 or (i == 0 and j == n - 1)):
             raise LoopError("loop is not a simple polygon")
     return sides
@@ -759,20 +725,18 @@ def _loop_crossings(c: TropicalCurve, loop: Sequence[Point]):
     """
     sides = _loop_sides(loop)
     ccw = area2(loop) > 0
-    scale = lcm(c._index.scale, sides.scale)
     out = []
-    for av, side, m in _scan(c._index, sides):
-        it = av.item
+    for it, side, m in _scan(c._index, sides):
         if type(m) is Shared:
             raise LoopError(f"loop runs along {it.kind} {it.index}")
         s, t, den = m
-        if _end(side.item, t, den) is not None:
+        if _end(side, t, den) is not None:
             raise LoopError("loop corner touches the curve")
         if _end(it, s, den) is not None:
             raise LoopError("loop passes through a curve vertex")
         w = it.prim * it.weight
-        w = w if (cross(w, side.item.prim) > 0) == ccw else -w
-        out.append((it, w, _point_on(av, s, den, scale)))
+        w = w if (cross(w, side.prim) > 0) == ccw else -w
+        out.append((it, w, _point_on(it, s, den)))
     return out
 
 
@@ -809,30 +773,27 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     collinear overlapping portions merge with weights added.
 
     Each item is cut at the meetings inside it, a cut being u/den along the
-    item's view on the grid of both curves: a fraction of an edge, steps of
-    prim / scale along a ray.  Its ends are its curve's vertex Points.
+    item on the grid of both curves: a fraction of an edge, steps of prim /
+    scale along a ray.  Its ends are its curve's vertex Points.
     """
     n1 = len(items(c1))
     all_items = items(c1) + items(c2)
     ix = _index_of(all_items, _common_scale(all_items))
     # Keyed by value: an item that occurs twice, as in union(c, c), is one
     # segment and is cut at the same points both times.
-    splits: dict[Item, set[Fraction]] = {it: set() for it in all_items}
+    splits: dict[Item, set[Fraction]] = {it: set() for it in ix.views}
     for a, b, m in _scan(ix):
         for s, t, den in m.ends if type(m) is Shared else (m,):
-            for v, u in ((a, s), (b, t)):
-                if _end(v.item, u, den) is None:
-                    splits[v.item].add(Fraction(u, den))
+            for it, u in ((a, s), (b, t)):
+                if _end(it, u, den) is None:
+                    splits[it].add(Fraction(u, den))
 
     seg_weight: dict[tuple, int] = {}
     tail_weight: dict[tuple, int] = {}
 
-    for k, v in enumerate(ix.views):
-        it = v.item
+    for k, it in enumerate(ix.views):
         vs = c1.vertices if k < n1 else c2.vertices
-        cuts = [
-            _point_on(v, u.numerator, u.denominator, ix.scale) for u in sorted(splits[it])
-        ]
+        cuts = [_point_on(it, u.numerator, u.denominator) for u in sorted(splits[it])]
         pts = [vs[it.tail], *cuts]
         if it.head is not None:
             pts.append(vs[it.head])
@@ -877,7 +838,7 @@ def normalize(c: TropicalCurve) -> TropicalCurve:
             if len(pair) != 2:
                 continue
             a, b = pair
-            (ax, ay), (bx, by) = star_at(c.vertices[v], pair)
+            (ax, ay), (bx, by) = _star((it, 0 if it.tail == v else 1) for it in pair)
             if (a.bounded or b.bounded) and (ax, ay) == (-bx, -by):
                 c = _fuse_vertex(c, v, a, b)
                 break

@@ -8,12 +8,14 @@ on each, and whether every meeting was a crossing interior to both items.
 the last pair scanned is kept, by the identity of the two curves.
 
 The scan (`curve._scan`) reads each curve's integer index
-(`TropicalCurve._index`, built once per curve), so a curve that serves
-many pairs, such as a walk's host, is indexed once.  It and the oracle's
-crossing loop test only the item pairs whose integer bounding boxes
-overlap; a side whose scale is below the pair's is raised once per
-factor and kept (`curve._raised_by`), so a host that meets mobile curves
-of a few scales is not raised again on every step.  The record keys each
+(`TropicalCurve._index`, built once per curve, holding the curve's own
+items), so a curve that serves many pairs, such as a walk's host, is
+indexed once.  It and the oracle's crossing loop test only the item pairs
+whose integer bounding boxes overlap; a side whose scale is below the
+pair's is raised once per factor, as copies of its items equal to them,
+and kept (`curve._raised_by`), so a host that meets mobile curves of a few
+scales is not raised again on every step.  Every reader here takes an
+item's coordinates and scale from the item itself.  The record keys each
 point on integers, an item's end by its vertex's cached key, and compares
 no Point.  The divisor's entries are computed once per record, on
 integers, as (key, multiplicity, where it sits) (`_entries`):
@@ -41,11 +43,10 @@ from .curve import (
     Item,
     Shared,
     TropicalCurve,
-    View,
     _candidates,
     _end,
-    _pair_grid,
     _point_on,
+    _raised_by,
     _scan,
     _star,
     items,  # noqa: F401  perfbench's tracer and its tests patch this binding
@@ -126,41 +127,47 @@ def _int_direction(t: Point) -> tuple[int, int]:
     return t.x.numerator * (k // t.x.denominator), t.y.numerator * (k // t.y.denominator)
 
 
-def _line(v: View) -> tuple[int, int, int]:
-    """The line of view v as (dx, dy, dy*x - dx*y at any of its grid points),
-    (dx, dy) its primitive direction with the first nonzero entry positive:
-    two views lie on one line exactly when their keys are equal."""
-    dx, dy = v.item.prim.x, v.item.prim.y
+def _line(it: Item) -> tuple[int, int, int]:
+    """The line of the item as (dx, dy, dy*x - dx*y at any of its grid
+    points), (dx, dy) its primitive direction with the first nonzero entry
+    positive: two items of one scale lie on one line exactly when their
+    keys are equal."""
+    dx, dy = it.prim.x, it.prim.y
     if dx < 0 or (dx == 0 and dy < 0):
         dx, dy = -dx, -dy
-    return dx, dy, dy * v.ox - dx * v.oy
+    return dx, dy, dy * it.lattice[0] - dx * it.lattice[1]
 
 
-def _pins(c1: TropicalCurve, c2: TropicalCurve, keep: Callable[[View], bool]):
-    """Each kept view that a perturbation direction may not run along, as
-    (view, pin, whether the view is on c1), in the order _violations reports.
+def _pins(c1: TropicalCurve, c2: TropicalCurve, keep: Callable[[Item], bool]):
+    """Each kept item that a perturbation direction may not run along, as
+    (item, pin, whether the item is on c1), in the order _violations
+    reports; the items are on the two curves' common grid (`_raised_by`).
 
-    A view of c1 is pinned by the first parallel view of c2 on its line; then,
-    vertex by vertex and c1's first, a vertex (its Point) pins each kept view
-    of the other curve whose line holds it.  Both are lookups of line keys.
+    An item of c1 is pinned by the first parallel item of c2 on its line;
+    then, vertex by vertex and c1's first, a vertex (its Point) pins each
+    kept item of the other curve whose line holds it.  Both are lookups of
+    line keys.
     """
-    _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
+    scale = lcm(c1._scale, c2._scale)
+    f1, f2 = scale // c1._scale, scale // c2._scale
+    its1, its2 = _raised_by(c1._index, f1)[0], _raised_by(c2._index, f2)[0]
     kept1 = [a for a in its1 if keep(a)]
     kept2 = [b for b in its2 if keep(b)]
-    first_on: dict[tuple[int, int, int], View] = {}
+    first_on: dict[tuple[int, int, int], Item] = {}
     for b in its2:
         first_on.setdefault(_line(b), b)
     for a in kept1:
         b = first_on.get(_line(a))
         if b is not None:
             yield a, b, True
-    for c, grid, kept, first in ((c1, grid1, kept2, False), (c2, grid2, kept1, True)):
-        # direction -> line constant -> the kept views on that line, by position
+    for c, f, kept, first in ((c1, f1, kept2, False), (c2, f2, kept1, True)):
+        # direction -> line constant -> the kept items on that line, by position
         lines: dict[tuple[int, int], dict[int, list]] = {}
         for i, b in enumerate(kept):
             dx, dy, k = _line(b)
             lines.setdefault((dx, dy), {}).setdefault(k, []).append((i, b))
-        for q, (x, y) in zip(c.vertices, grid):
+        for q, (x, y) in zip(c.vertices, c._grid):
+            x, y = x * f, y * f
             hits = [
                 hit
                 for (dx, dy), on in lines.items()
@@ -173,15 +180,14 @@ def _pins(c1: TropicalCurve, c2: TropicalCurve, keep: Callable[[View], bool]):
 
 def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
     """Why direction t fails to separate the curves, or None: the first pin
-    of the views parallel to t, a collinear parallel pair or a vertex of one
+    of the items parallel to t, a collinear parallel pair or a vertex of one
     curve riding an item's line of the other."""
     tx, ty = _int_direction(t)
-    for view, pin, first in _pins(c1, c2, lambda v: v.vx * ty == tx * v.vy):
-        it = view.item
-        if isinstance(pin, View):
+    for it, pin, first in _pins(c1, c2, lambda it: it.prim.x * ty == tx * it.prim.y):
+        if isinstance(pin, Item):
             return (
                 f"{it.kind} {it.index} of the first curve stays collinear "
-                f"with {pin.item.kind} {pin.item.index} of the second"
+                f"with {pin.kind} {pin.index} of the second"
             )
         mine, other = ("second", "first") if first else ("first", "second")
         return (
@@ -194,12 +200,13 @@ def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
 def generic_direction(c1: TropicalCurve, c2: TropicalCurve) -> Point:
     """Deterministic direction passing the genericity test: the first
     (1, k), 1 <= k < 2000, that no item pins down.  One pass of _pins over
-    the views along some (1, k) collects the forbidden slopes."""
+    the items along some (1, k) collects the forbidden slopes."""
 
-    def along(v: View) -> bool:
-        return v.vx != 0 and v.vy % v.vx == 0 and 1 <= v.vy // v.vx < 2000
+    def along(it: Item) -> bool:
+        # prim is primitive: its slope is an integer exactly when x is +-1
+        return it.prim.x in (1, -1) and 1 <= it.prim.x * it.prim.y < 2000
 
-    forbidden = {v.vy // v.vx for v, _, _ in _pins(c1, c2, along)}
+    forbidden = {it.prim.x * it.prim.y for it, _, _ in _pins(c1, c2, along)}
     for k in range(1, 2000):
         if k not in forbidden:
             return pt(1, k)
@@ -221,13 +228,13 @@ def perturbation_oracle(
     why = _violations(c1, c2, direction)
     if why is not None:
         raise NonGenericDirection(why)
-    scale = lcm(c1._scale, c2._scale)
     tx, ty = _int_direction(direction)
     acc: dict[Point, int] = {}
     # A crossing's eps -> 0 limit lies on both closed items, so only pairs
     # whose boxes overlap can cross.
-    for a_view, (b, box, boy, bvx, bvy) in _candidates(c1._index, c2._index):
-        a, aox, aoy, avx, avy = a_view
+    for a, b in _candidates(c1._index, c2._index):
+        aox, aoy, avx, avy = a.lattice
+        box, boy, bvx, bvy = b.lattice
         den = avx * bvy - bvx * avy
         if den == 0:
             continue  # parallel pairs separate immediately
@@ -240,7 +247,7 @@ def perturbation_oracle(
             continue
         if (r0, r1) < (0, 0) or (b.head is not None and (r0, r1) > (den, 0)):
             continue
-        limit = _point_on(a_view, s0, den, scale)
+        limit = _point_on(a, s0, den)
         mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
         acc[limit] = acc.get(limit, 0) + mu
     return Divisor.of(acc, c1)
@@ -297,14 +304,12 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
     if c1 is last1 and c2 is last2:
         return rec
     x, y = c1._index, c2._index
-    scale = lcm(x.scale, y.scale)
     keys1, keys2 = x.keys, y.keys
     # An item misses a recorded point only when the point is inside the part
     # it shares with each item of the other curve there: it adds nothing.
     points: dict[tuple[int, int, int], _At] = {}
     transversal = True
-    for av, bv, m in _scan(x, y):
-        a, b = av.item, bv.item
+    for a, b, m in _scan(x, y):
         shared = type(m) is Shared
         for s, t, den in m.ends if shared else (m,):
             ea, eb = _end(a, s, den), _end(b, t, den)
@@ -315,7 +320,8 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
                 vertex = (1, b.tail if eb == 0 else b.head)
                 key = keys2[vertex[1]]
             else:
-                X, Y, D = av.ox * den + av.vx * s, av.oy * den + av.vy * s, scale * den
+                ox, oy, vx, vy = a.lattice
+                X, Y, D = ox * den + vx * s, oy * den + vy * s, a.scale * den
                 g = gcd(X, Y, D)
                 key, vertex = (X // g, Y // g, D // g), None
             at = points.get(key)

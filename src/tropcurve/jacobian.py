@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .geom import GeometryError, Point, RefusalError, area2
-from .curve import Item, TropicalCurve, _end_at, items, items_at
+from .curve import Item, TropicalCurve, items, items_at
 from .bunch import (
     BouquetStructure,
     BunchGraph,
@@ -181,7 +181,7 @@ def _on_curve(c: TropicalCurve, p: Point) -> tuple[Item, int | None, tuple[int, 
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
     (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
     D = lcm(xd, yd)
-    return hit[0], _end_at(hit[0], p), (xn * (D // xd), yn * (D // yd), D)
+    return (*hit[0], (xn * (D // xd), yn * (D // yd), D))
 
 
 def _place(ints, it: Item, end: int | None, key: tuple[int, int, int]):

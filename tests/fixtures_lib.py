@@ -22,19 +22,16 @@ from tropcurve.curve import (
     Shared,
     StructureError,
     TropicalCurve,
-    View,
     _common_scale,
     _index_of,
-    _lattice,
     _meet,
-    _pair_grid,
     _point_on,
-    _raised,
+    _raise,
     _scan,
+    _star,
     curve,
     items,
     items_at,
-    star_at,
     translate,
     validate,
 )
@@ -447,13 +444,19 @@ def _point_at(it: Item, t) -> Point:
     return item_ends(it)[0] + _vec(it) * t
 
 
-def _as_points(a: View, m, scale: int) -> Point | Shared:
-    """_meet's report m of view a and another with its points as Points,
-    read along a on the grid of `scale`."""
+def reference_ends(its, p: Point) -> list[tuple[Item, int | None]]:
+    """Each item with the end of it that p is, found by Point equality with
+    item_ends: 0 its tail, 1 an edge's head, None neither."""
+    return [(it, item_ends(it).index(p) if p in item_ends(it) else None) for it in its]
+
+
+def _as_points(a: Item, m) -> Point | Shared:
+    """_meet's report m of item a and another with its points as Points,
+    read along a on its grid."""
     if type(m) is Shared:
-        return Shared(tuple(_as_points(a, e, scale) for e in m.ends))
+        return Shared(tuple(_as_points(a, e) for e in m.ends))
     s, _, den = m
-    return _point_on(a, s, den, scale)
+    return _point_on(a, s, den)
 
 
 def meetings(xs, ys=None):
@@ -463,14 +466,14 @@ def meetings(xs, ys=None):
     With one sequence, each pair of distinct positions once, earlier item
     first; with two, every item of xs against every item of ys, xs-major.
     Each side is a curve's index or a sequence of items, indexed for this
-    call; the pairs are curve._scan's, in its order."""
+    call; the pairs are curve._scan's, in its order, an item of a side
+    raised to the pair's grid given as its raised copy (equal to it)."""
     x = xs if isinstance(xs, ItemIndex) else _index_of(xs, _common_scale(xs))
     y = ys
     if ys is not None and not isinstance(ys, ItemIndex):
         y = _index_of(ys, _common_scale(ys))
-    scale = x.scale if y is None else lcm(x.scale, y.scale)
     for a, b, m in _scan(x, y):
-        yield a.item, b.item, _as_points(a, m, scale)
+        yield a, b, _as_points(a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -540,38 +543,45 @@ def reference_meetings(xs, ys=None) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _on_grid(its, scale: int) -> list[Item]:
+    """Each item raised to the grid of `scale`, a multiple of its own."""
+    return [_raise(it, scale // it.scale) for it in its]
+
+
 def item_intersection(a: Item, b: Item):
     """Intersection of two closed items on their common grid: None, the
     meeting Point, or the Shared part for a collinear overlap of more than
     one point."""
-    scale = _common_scale((a, b))
-    va, vb = _lattice((a, b), scale)
+    va, vb = _on_grid((a, b), _common_scale((a, b)))
     m = _meet(va, vb)
-    return None if m is None else _as_points(va, m, scale)
+    return None if m is None else _as_points(va, m)
 
 
 def all_pairs_meetings(xs, ys=None) -> list:
-    """meetings as a list, by testing every pair of views."""
+    """meetings as a list, by testing every pair of items on their common
+    grid."""
     scale = _common_scale(chain(xs, ys or ()))
-    xv = _lattice(xs, scale)
-    pairs = combinations(xv, 2) if ys is None else product(xv, _lattice(ys, scale))
+    xv = _on_grid(xs, scale)
+    pairs = combinations(xv, 2) if ys is None else product(xv, _on_grid(ys, scale))
     out = []
     for a, b in pairs:
         m = _meet(a, b)
         if m is not None:
-            out.append((a.item, b.item, _as_points(a, m, scale)))
+            out.append((a, b, _as_points(a, m)))
     return out
 
 
 def all_pairs_crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) -> Divisor:
     """The crossing loop of intersect.perturbation_oracle over every pair of
-    views, none pruned."""
-    scale, its1, its2, _, _ = _pair_grid(c1, c2)
+    items on the curves' common grid, none pruned."""
+    scale = lcm(c1._scale, c2._scale)
+    its1, its2 = _on_grid(items(c1), scale), _on_grid(items(c2), scale)
     tx, ty = _int_direction(direction)
     acc: dict[Point, int] = {}
-    for a_view in its1:
-        a, aox, aoy, avx, avy = a_view
-        for b, box, boy, bvx, bvy in its2:
+    for a in its1:
+        aox, aoy, avx, avy = a.lattice
+        for b in its2:
+            box, boy, bvx, bvy = b.lattice
             den = avx * bvy - bvx * avy
             if den == 0:
                 continue
@@ -584,7 +594,7 @@ def all_pairs_crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) 
                 continue
             if (r0, r1) < (0, 0) or (b.head is not None and (r0, r1) > (den, 0)):
                 continue
-            limit = _point_on(a_view, s0, den, scale)
+            limit = _point_on(a, s0, den)
             mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
             acc[limit] = acc.get(limit, 0) + mu
     return Divisor.of(acc, c1)
@@ -645,42 +655,46 @@ def reference_perturb(
     return p
 
 
-def reference_items_at(c: TropicalCurve, p: Point) -> list[Item]:
-    """curve.items_at with every view raised to the lcm of the curve's scale
-    and p's denominators."""
+def reference_items_at(c: TropicalCurve, p: Point) -> list[tuple[Item, int | None]]:
+    """curve.items_at with every item raised to the lcm of the curve's scale
+    and p's denominators, each hit's end found by reference_ends."""
     qx, qy = p.x.denominator, p.y.denominator
     scale = lcm(c._scale, qx, qy)
     px, py = p.x.numerator * (scale // qx), p.y.numerator * (scale // qy)
     out = []
-    for it, ox, oy, vx, vy in _raised(c._index, scale):
+    for it in _on_grid(items(c), scale):
+        ox, oy, vx, vy = it.lattice
         dx, dy = px - ox, py - oy
         if vx * dy - dx * vy:
             continue
         t = dx * vx + dy * vy
         if 0 <= t and (it.head is None or t <= vx * vx + vy * vy):
             out.append(it)
-    return out
+    return reference_ends(out, p)
 
 
 def all_pairs_pins(c1: TropicalCurve, c2: TropicalCurve, keep) -> list:
-    """intersect._pins as a list, by testing every view against every view
-    and every vertex of the other curve."""
-    _, its1, its2, grid1, grid2 = _pair_grid(c1, c2)
+    """intersect._pins as a list, by testing every item against every item
+    and every vertex of the other curve, all on the curves' common grid."""
+    scale = lcm(c1._scale, c2._scale)
+    its1, its2 = _on_grid(items(c1), scale), _on_grid(items(c2), scale)
 
     def on_line(b, x, y):
-        return b.vx * (y - b.oy) == (x - b.ox) * b.vy
+        ox, oy, vx, vy = b.lattice
+        return vx * (y - oy) == (x - ox) * vy
 
     kept1 = [a for a in its1 if keep(a)]
     kept2 = [b for b in its2 if keep(b)]
     out = []
     for a in kept1:
         for b in its2:
-            if a.vx * b.vy == b.vx * a.vy and on_line(a, b.ox, b.oy):
+            if cross(a.prim, b.prim) == 0 and on_line(a, *b.lattice[:2]):
                 out.append((a, b, True))
                 break
-    for c, grid, kept, first in ((c1, grid1, kept2, False), (c2, grid2, kept1, True)):
-        for q, (x, y) in zip(c.vertices, grid):
-            out += [(b, q, first) for b in kept if on_line(b, x, y)]
+    for c, kept, first in ((c1, kept2, False), (c2, kept1, True)):
+        f = scale // c._scale
+        for q, (x, y) in zip(c.vertices, c._grid):
+            out += [(b, q, first) for b in kept if on_line(b, x * f, y * f)]
     return out
 
 
@@ -797,7 +811,9 @@ def reference_star_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor
                 through.append(it)
     acc = {}
     for p, (its1, its2) in met.items():
-        s1, s2 = ([IntVector(x, y) for x, y in star_at(p, its)] for its in (its1, its2))
+        s1, s2 = (
+            [IntVector(x, y) for x, y in _star(reference_ends(its, p))] for its in (its1, its2)
+        )
         m = star_multiplicity(s1 + s2) - star_multiplicity(s1) - star_multiplicity(s2)
         if m % 2 != 0 or m < 0:
             raise GeometryError("inconsistent multiplicity")
@@ -913,7 +929,7 @@ def reference_project_point(system: CycleSystem, p: Point):
     _reference_node_image, a cycle point's parameter by a scan of its
     cycle's sides (reference_param_of)."""
     c = system.curve
-    it = items_at(c, p)[0]
+    it, _ = items_at(c, p)[0]
     if p in item_ends(it):
         v = it.tail if p == item_ends(it)[0] else it.head
         return _reference_node_image(system, system.graph.node_of_vertex[v])

@@ -260,7 +260,7 @@ def test_loop_sides_refuses_exactly_the_non_simple_loops():
         simple = _reference_is_simple(loop)
         seen[simple] += 1
         if simple:
-            assert len(_loop_sides(loop).views) == n
+            assert [it.index for it in _loop_sides(loop).views] == list(range(n))
         else:
             with pytest.raises(LoopError, match="loop is not a simple polygon"):
                 _loop_sides(loop)

@@ -1,17 +1,20 @@
 """The integer index of a curve and the pair scans that read it.
 
-`TropicalCurve._index` holds each item's integer view, its finite box, the
-curve's finite extent and the positions of its rays, built once on first
-use.  `validate`, `_scan`, the intersection record, `has_shared_segment`
-and the oracle's candidates read it; a pair scan raises a side only when
-its scale is below the pair's, and keeps that raise per factor, a bounded
-number of factors per index.  Here the record route is checked against
-the routes that read no record on pairs where both sides are raised and on
-every ordered pair of the benchmark's intersect pools, the sweep against a
-scan of all pairs, and the index is counted: once per curve, and never by
-corner_locus.  `sigma`, which reads the record's integer entries and builds
-no Point, is checked against `reference_sigma` on odd translates raised on
-both sides, and the kept raises against their bound, on a long walk too.
+`TropicalCurve._index` holds the curve's own items, each its own integer
+view, with each item's finite box, the curve's finite extent and the
+positions of its rays, built once on first use.  `validate`, `_scan`, the
+intersection record, `has_shared_segment` and the oracle's candidates read
+it; a pair scan raises a side only when its scale is below the pair's, as
+copies of its items equal to them, and keeps that raise per factor, a
+bounded number of factors per index.  Here the record route is checked
+against the routes that read no record on pairs where both sides are
+raised and on every ordered pair of the benchmark's intersect pools, the
+sweep against a scan of all pairs, the index's items and their raised
+copies against the curve's items, and the index is counted: once per
+curve, and never by corner_locus.  `sigma`, which reads the record's
+integer entries and builds no Point, is checked against `reference_sigma`
+on odd translates raised on both sides, and the kept raises against their
+bound, on a long walk too.
 """
 
 import importlib
@@ -45,10 +48,13 @@ from fixtures_lib import (
     wedge_l,
 )
 from tropcurve.curve import (
+    Item,
     TropicalCurve,
     _candidates,
-    _lattice,
     _meet,
+    _point_on,
+    _raise,
+    _raised_by,
     items,
     translate,
     validate,
@@ -88,20 +94,18 @@ def assert_record_routes(c1: TropicalCurve, c2: TropicalCurve) -> None:
 
 
 def assert_candidates_cover(c1: TropicalCurve, c2: TropicalCurve) -> None:
-    """Every pair that _meet finds meeting, in a scan of all pairs of views
+    """Every pair that _meet finds meeting, in a scan of all pairs of items
     raised apart from the index, is a candidate of the sweep: of the pair
-    scan, and of each curve's own scan."""
+    scan, and of each curve's own scan.  Pairs are compared by value: a
+    raised copy equals its item, and no two items of a curve are equal."""
     scale = c1._scale * c2._scale
-    v1, v2 = _lattice(items(c1), scale), _lattice(items(c2), scale)
-    met = {(id(a.item), id(b.item)) for a, b in product(v1, v2) if _meet(a, b) is not None}
-    got = {(id(a.item), id(b.item)) for a, b in _candidates(c1._index, c2._index)}
+    v1, v2 = ([_raise(it, scale // it.scale) for it in items(c)] for c in (c1, c2))
+    met = {(a, b) for a, b in product(v1, v2) if _meet(a, b) is not None}
+    got = set(_candidates(c1._index, c2._index))
     assert met <= got
-    for c, views in ((c1, v1), (c2, v2)):
-        met = {
-            (id(a.item), id(b.item)) for a, b in combinations(views, 2) if _meet(a, b) is not None
-        }
-        got = {(id(a.item), id(b.item)) for a, b in _candidates(c._index)}
-        assert met <= got
+    for c, its in ((c1, v1), (c2, v2)):
+        met = {(a, b) for a, b in combinations(its, 2) if _meet(a, b) is not None}
+        assert met <= set(_candidates(c._index))
 
 
 # -- pairs whose scales force a raise of both sides --
@@ -227,6 +231,41 @@ def test_the_corner_op_builds_no_index(monkeypatch):
     assert "_index" not in vars(c) and "_index" not in vars(c2)
 
 
+# -- the index holds the curve's own items, and raises copies of them --
+
+
+def test_an_index_holds_its_curves_own_items():
+    rng = random.Random(13)
+    loci = [corner_locus(polynomial(concave_lift(rng, d))) for d in (2, 3, 4, 5)]
+    p = params_from_curve(loci[1])
+    candidates = []
+    for _ in range(20):
+        p = perturb(p, rng)
+        candidates.append(curve_from_params(p))
+    fixtures = INTEGRAL + BOUQUETS + SCALE16 + SCALE64
+    for c in loci + fixtures + candidates:
+        views = c._index.views
+        assert len(views) == len(c._items)
+        assert all(views[k] is c._items[k] for k in range(len(views)))
+
+
+@pytest.mark.parametrize("f", range(2, 8))
+def test_raised_copies_are_items_equal_to_their_originals(f):
+    c = translate(tail_cycle_curve(), pt(Fraction(1, 3), Fraction(-2, 5)))
+    raised = _raised_by(c._index, f)[0]
+    assert {it.kind for it in c._items} == {"edge", "ray"}
+    assert len(raised) == len(c._items)
+    for it, copy in zip(c._items, raised):
+        assert type(copy) is Item and copy is not it and copy.scale == it.scale * f
+        assert copy == it and it == copy and hash(copy) == hash(it)
+        assert (copy.length, copy.kind) == (it.length, it.kind)
+        # an edge's parameter is a fraction of its run; a ray's counts steps
+        # of prim / scale, so a copy's steps are f times as many
+        g = 1 if it.bounded else f
+        for t, den in ((0, 1), (1, 3), (2, 7), (1, 1), (5, 2)):
+            assert _point_on(copy, t * g, den) == _point_on(it, t, den)
+
+
 # -- sigma on the record's integer entries, and the kept raises --
 
 # bouquet hosts on the integer grid: an odd translate has an odd scale
@@ -280,7 +319,7 @@ def test_raises_are_kept_per_factor_and_bounded(monkeypatch):
         is_transversal(host, mobile)
         assert len(kept) <= curve_mod.RAISED_KEPT and next(reversed(kept)) == f
         views, boxes = kept[f]
-        assert [v.ox for v in views] == [v.ox * f for v in host._index.views]
+        assert [it.lattice[0] for it in views] == [it.lattice[0] * f for it in host._index.views]
         assert boxes == [tuple(x * f for x in box) for box in host._index.boxes]
     # the second 2 finds its raise kept; by the last 2 and 4, eight newer
     # factors have pushed theirs out

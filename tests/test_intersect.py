@@ -547,8 +547,9 @@ def test_record_is_kept_by_identity():
     d = stable_intersection(a, b)
     d2 = stable_intersection(a2, b)
     assert d2 == d and d2.host is a2
-    own = {id(it) for it in items(a2)}
-    assert all(
+    # a2's own items, or their copies raised in a2's own index
+    own = {id(it) for its in (items(a2), *(v for v, _ in a2._index.raised.values())) for it in its}
+    assert a2._index.raised and all(
         id(it) in own for at in _record(a2, b).points.values() for it, _ in at.its1
     )
 

@@ -578,7 +578,7 @@ def test_project_on_matches_param_of_along_a_walk():
         d = stable_intersection(host, curve_from_params(p))
         assert abel_coordinate(system, d) == reference_abel_coordinate(system, d)
         for q, _ in d.entries:
-            it = items_at(host, q)[0]
+            it, _ = items_at(host, q)[0]
             assert project_point(system, q) == reference_project_point(system, q)
             on = on_path.get(it.index) if it.bounded else None
             if on is None or q in item_ends(it):
@@ -606,6 +606,10 @@ def _points_along(c, q):
 def test_items_at_on_the_curves_grid_matches_the_raising_reference(monkeypatch, make):
     host = make()
     system = cycle_system(host)
+    # at a vertex, each item through it, at its tail or at an edge's head
+    for v, p in enumerate(host.vertices):
+        want = [(it, 0 if it.tail == v else 1) for it in items(host) if v in (it.tail, it.head)]
+        assert items_at(host, p) == want == reference_items_at(host, p)
     for q in (7, 11, 13):
         on, off = _points_along(host, q)
         for p in on + off:

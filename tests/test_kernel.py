@@ -343,18 +343,23 @@ def test_sweep_of_empty_and_single_sequences():
 def test_boxes_are_ints_past_the_finite_extent():
     c = translate(triangle_cycle_host(), BIG_SHIFT)
     ix = c._index
-    views = ix.views
+    its = ix.views
     boxes = _boxes(ix, 1, ix.extent)
     assert all(type(x) is int for box in boxes for x in box)
-    ends = [(v.ox, v.oy) for v in views]
-    ends += [(v.ox + v.vx, v.oy + v.vy) for v in views if v.item.head is not None]
+    ends = []
+    for it in its:
+        ox, oy, vx, vy = it.lattice
+        ends.append((ox, oy))
+        if it.head is not None:
+            ends.append((ox + vx, oy + vy))
     xs, ys = [x for x, _ in ends], [y for _, y in ends]
-    for v, (x0, x1, y0, y1) in zip(views, boxes):
-        assert x0 <= v.ox <= x1 and y0 <= v.oy <= y1
-        if v.item.head is None:
+    for it, (x0, x1, y0, y1) in zip(its, boxes):
+        ox, oy, vx, vy = it.lattice
+        assert x0 <= ox <= x1 and y0 <= oy <= y1
+        if it.head is None:
             # the open sides lie past every end, the closed ones at the origin
-            assert (x1 > max(xs)) == (v.vx > 0) and (x0 < min(xs)) == (v.vx < 0)
-            assert (y1 > max(ys)) == (v.vy > 0) and (y0 < min(ys)) == (v.vy < 0)
+            assert (x1 > max(xs)) == (vx > 0) and (x0 < min(xs)) == (vx < 0)
+            assert (y1 > max(ys)) == (vy > 0) and (y0 < min(ys)) == (vy < 0)
 
 
 def test_pruned_crossings_match_all_pairs():
@@ -374,9 +379,9 @@ def test_pruned_crossings_match_all_pairs():
 @settings(max_examples=40, deadline=None)
 @given(grid_curves(), grid_curves())
 def test_pin_lookups_match_all_pairs(c1, c2):
-    # every view kept, so one vertex can pin views of several directions
+    # every item kept, so one vertex can pin items of several directions
     for a, b in ((c1, c2), (c1, c1)):
-        assert list(_pins(a, b, lambda v: True)) == all_pairs_pins(a, b, lambda v: True)
+        assert list(_pins(a, b, lambda it: True)) == all_pairs_pins(a, b, lambda it: True)
 
 
 def test_pin_lookups_keep_view_order_across_directions():
@@ -385,7 +390,7 @@ def test_pin_lookups_keep_view_order_across_directions():
     c1 = curve([(-2, 0), (-1, 0), (-1, -1), (1, 1), (1, 0), (3, 0)],
                edges=[(0, 1), (2, 3), (4, 5)])
     c2 = curve([(0, 0)], rays=[(0, (0, 1)), (0, (0, -1))])
-    pins = list(_pins(c1, c2, lambda v: True))
-    assert [(v.item.index, q) for v, q, first in pins if first] == [
+    pins = list(_pins(c1, c2, lambda it: True))
+    assert [(it.index, q) for it, q, first in pins if first] == [
         (0, pt(0, 0)), (1, pt(0, 0)), (2, pt(0, 0))]
-    assert pins == all_pairs_pins(c1, c2, lambda v: True)
+    assert pins == all_pairs_pins(c1, c2, lambda it: True)
