@@ -14,7 +14,7 @@ import sys
 
 from .geom import GeometryError, IntVector, RefusalError
 from .curve import TropicalCurve, require_valid, validate
-from .bunch import NotABouquet, bouquet_structure, bunch
+from .bunch import NotABouquet, bouquet_structure, bunch, classify_edges
 from .intersect import bezout_degree, is_transversal, stable_intersection
 from .jacobian import (
     CycleSystem,
@@ -167,11 +167,8 @@ def cmd_bezout(args) -> int:
 
 def cmd_bunch(args) -> int:
     c = _load(args.curve)
+    classes = classify_edges(c)
     b = bunch(c)
-    cycle_edges = {i for i, _, _ in b.arcs}
-    classes = tuple(
-        "cycle" if i in cycle_edges else "tentacle" for i in range(len(c.edges))
-    )
     bq = bouquet_structure(c, b)
     if args.svg:
         colors = {}

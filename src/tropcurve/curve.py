@@ -159,7 +159,15 @@ class TropicalCurve:
     def _index(self) -> ItemIndex:
         """The integer index of the items that every pair scan reads, built
         on first use: never by the constructor or corner_locus."""
-        return _index_of(self._items, self._scale, self._grid)
+        return _index_of(self._items, self._scale)
+
+    @cached_property
+    def _keys(self) -> tuple[tuple[int, int, int], ...]:
+        """Each vertex as (X, Y, D) with gcd 1, the point (X/D, Y/D): the
+        intersection record's key of a meeting on the vertex, built on the
+        first such meeting."""
+        L = self._scale
+        return tuple((x // g, y // g, L // g) for x, y in self._grid for g in (gcd(x, y, L),))
 
 
 def curve(
@@ -309,10 +317,9 @@ class ItemIndex(NamedTuple):
     `extent` the box of them all (None without items).  `order` lists the
     positions by x low once each ray's open sides are fitted to any extent:
     rays running toward -x first, then by the finite x low, an order that no
-    raise to a larger scale changes.  `keys` holds each vertex of a curve as
-    (X, Y, D) with gcd 1, the point (X/D, Y/D).  `raised` keeps the items
-    and finite boxes raised by a factor f > 1 for the pair scans
-    (`_raised_by`), at most RAISED_KEPT factors.
+    raise to a larger scale changes.  `raised` keeps the items and finite
+    boxes raised by a factor f > 1 for the pair scans (`_raised_by`), at
+    most RAISED_KEPT factors.
     """
 
     scale: int
@@ -321,13 +328,12 @@ class ItemIndex(NamedTuple):
     extent: tuple[int, int, int, int] | None
     rays: tuple[int, ...]  # positions of the rays among the items
     order: tuple[int, ...]
-    keys: tuple[tuple[int, int, int], ...] | None
     raised: dict[int, tuple[Sequence[Item], Sequence[tuple[int, int, int, int]]]]
 
 
-def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
+def _index_of(its: Sequence[Item], scale: int) -> ItemIndex:
     """The index of items on the grid of `scale`, a multiple of each item's
-    scale; with the vertex keys of a curve when its grid is given."""
+    scale."""
     views = tuple(_raise(it, scale // it.scale) for it in its)
     boxes, rays = [], []
     for k, it in enumerate(views):
@@ -346,14 +352,7 @@ def _index_of(its: Sequence[Item], scale: int, grid=None) -> ItemIndex:
         )
     west = {k for k in rays if views[k].prim.x < 0}
     order = sorted(range(len(views)), key=lambda k: (k not in west, boxes[k][0]))
-    keys = None
-    if grid is not None:
-        keys = tuple(
-            (x // g, y // g, scale // g) for x, y in grid for g in (gcd(x, y, scale),)
-        )
-    return ItemIndex(
-        scale, views, tuple(boxes), extent, tuple(rays), tuple(order), keys, {}
-    )
+    return ItemIndex(scale, views, tuple(boxes), extent, tuple(rays), tuple(order), {})
 
 
 def _raised(ix: ItemIndex, scale: int) -> Sequence[Item]:

@@ -16,13 +16,14 @@ pair's is raised once per factor, as copies of its items equal to them,
 and kept (`curve._raised_by`), so a host that meets mobile curves of a few
 scales is not raised again on every step.  Every reader here takes an
 item's coordinates and scale from the item itself.  The record keys each
-point on integers, an item's end by its vertex's cached key, and compares
-no Point.  The divisor's entries are computed once per record, on
-integers, as (key, multiplicity, where it sits) (`_entries`):
-`jacobian.sigma` reads them as they are, and `stable_intersection` puts
-them in order on one common denominator (`_support`), taking a curve's
-own vertex Point at a vertex and building a Point only for any other
-entry.
+point on integers, an item's end by its vertex's key (`TropicalCurve._keys`,
+built at the first meeting on one of the curve's vertices), and compares
+no Point.  The record is the one classifier: the divisor's entries, each
+(key, multiplicity, where it sits), are computed from it on each call
+(`_entries`), on integers.  `jacobian.sigma` reads them as they are;
+`stable_intersection` puts them in order on one common denominator,
+taking a curve's own vertex Point at a vertex and building a Point for
+any other entry.
 
 Each recorded point gets its local multiplicity from the fan displacement
 rule (Fulton-Sturmfels; Jensen-Yu), an integer count on the two stars.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .geom import GeometryError, IntVector, Point, cross, pt
 from .curve import (
@@ -267,22 +268,14 @@ class _At:
         self.vertex = vertex
 
 
-class _Record:
+class _Record(NamedTuple):
     """The meetings of two curves."""
 
-    __slots__ = ("points", "transversal", "entries", "support")
-
-    def __init__(self, points: dict[tuple[int, int, int], _At], transversal: bool):
-        # each meeting point and end of a shared part, by its reduced grid
-        # key (X, Y, D), gcd 1, the point (X/D, Y/D)
-        self.points = points
-        # every meeting is interior to both of its items
-        self.transversal = transversal
-        # the divisor's entries (key, multiplicity, _At) on ints, in the
-        # order of `points`; built on first use
-        self.entries: list[tuple[tuple[int, int, int], int, _At]] | None = None
-        # stable_intersection's (Point, multiplicity) entries; built on first use
-        self.support: tuple[tuple[Point, int], ...] | None = None
+    # each meeting point and end of a shared part, by its reduced grid key
+    # (X, Y, D), gcd 1, the point (X/D, Y/D)
+    points: dict[tuple[int, int, int], _At]
+    # every meeting is interior to both of its items
+    transversal: bool
 
 
 # The last pair scanned and its record, replaced as one tuple.  The strong
@@ -296,15 +289,14 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
     """The intersection record of the pair: one pair scan of the two
     curves' indexes, reused while the same pair is asked for again.
 
-    Each meeting is keyed on integers: an item's end by its vertex's cached
-    key, any other point by its grid coordinates over their gcd.  No Point
-    is built or compared here."""
+    Each meeting is keyed on integers: an item's end by its vertex's key
+    (`TropicalCurve._keys`), any other point by its grid coordinates over
+    their gcd.  No Point is built or compared here."""
     global _last
     last1, last2, rec = _last
     if c1 is last1 and c2 is last2:
         return rec
     x, y = c1._index, c2._index
-    keys1, keys2 = x.keys, y.keys
     # An item misses a recorded point only when the point is inside the part
     # it shares with each item of the other curve there: it adds nothing.
     points: dict[tuple[int, int, int], _At] = {}
@@ -315,10 +307,10 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
             ea, eb = _end(a, s, den), _end(b, t, den)
             if ea is not None:
                 vertex = (0, a.tail if ea == 0 else a.head)
-                key = keys1[vertex[1]]
+                key = c1._keys[vertex[1]]
             elif eb is not None:
                 vertex = (1, b.tail if eb == 0 else b.head)
-                key = keys2[vertex[1]]
+                key = c2._keys[vertex[1]]
             else:
                 ox, oy, vx, vy = a.lattice
                 X, Y, D = ox * den + vx * s, oy * den + vy * s, a.scale * den
@@ -376,13 +368,10 @@ def _local_multiplicity(s1: list[tuple[int, int]], s2: list[tuple[int, int]]) ->
 
 def _entries(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[tuple[int, int, int], int, _At]]:
     """The stable intersection's entries, each (key, multiplicity, _At) with
-    a nonzero multiplicity, in the record's order.  The first call for a
-    record computes them, on integers: no Point is built and none sorted."""
-    rec = _record(c1, c2)
-    if rec.entries is not None:
-        return rec.entries
+    a nonzero multiplicity, in the record's order, computed on integers from
+    the record: no Point is built and none sorted."""
     found = []
-    for key, at in rec.points.items():
+    for key, at in _record(c1, c2).points.items():
         its1, its2 = at.its1, at.its2
         if len(its1) == 1 == len(its2) and its1[0][1] is None and its2[0][1] is None:
             # one item of each curve, crossing inside both: |det|
@@ -393,32 +382,7 @@ def _entries(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[tuple[int, int,
             if not mu:
                 continue
         found.append((key, mu, at))
-    rec.entries = found
     return found
-
-
-def _support(c1: TropicalCurve, c2: TropicalCurve) -> tuple[tuple[Point, int], ...]:
-    """The stable intersection's (Point, multiplicity) entries in point
-    order.  The first call for a record puts `_entries` in order; a vertex
-    is the curve's own vertex Point, and each other Point is built here,
-    once."""
-    rec = _record(c1, c2)
-    if rec.support is not None:
-        return rec.support
-    found = _entries(c1, c2)
-    # by x, then y, on one common denominator
-    L = lcm(*(D for (_, _, D), _, _ in found))
-    found = sorted(found, key=lambda e: (e[0][0] * (L // e[0][2]), e[0][1] * (L // e[0][2])))
-    curves = (c1, c2)
-    rec.support = tuple(
-        (
-            Point(Fraction(X, D), Fraction(Y, D)) if at.vertex is None
-            else curves[at.vertex[0]].vertices[at.vertex[1]],
-            mu,
-        )
-        for (X, Y, D), mu, at in found
-    )
-    return rec.support
 
 
 def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
@@ -428,5 +392,18 @@ def stable_intersection(c1: TropicalCurve, c2: TropicalCurve) -> Divisor:
     where one item of each curve crosses the other in their interiors, and
     elsewhere (vertices, ends of shared segments) the local count on the
     stars of the recorded items.  Inside a shared segment nothing is added.
+    The entries are put in point order on one common denominator; a vertex
+    is the curve's own vertex Point.
     """
-    return Divisor(_support(c1, c2), c1)
+    found = _entries(c1, c2)
+    L = lcm(*(D for (_, _, D), _, _ in found))
+    found.sort(key=lambda e: (e[0][0] * (L // e[0][2]), e[0][1] * (L // e[0][2])))
+    curves = (c1, c2)
+    return Divisor(tuple(
+        (
+            Point(Fraction(X, D), Fraction(Y, D)) if at.vertex is None
+            else curves[at.vertex[0]].vertices[at.vertex[1]],
+            mu,
+        )
+        for (X, Y, D), mu, at in found
+    ), c1)

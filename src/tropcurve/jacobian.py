@@ -114,34 +114,34 @@ class CycleSystem:
 
     @cached_property
     def _on_ints(self):
-        """The cycle data as integer numerators over one common denominator
-        D, a multiple of the curve's scale: (D, each cycle's total length,
-        each vertex's image (cycle or None, parameter), and for each edge on
-        a cycle (cycle, parameter of its tail, +1 when the path runs along
-        the edge and -1 against it, its tail's grid point, prim)).
+        """The cycle data as integer numerators over the curve's scale D:
+        (D, each cycle's total length, each vertex's image (cycle or None,
+        parameter), and for each edge on a cycle (cycle, parameter of its
+        tail, +1 when the path runs along the edge and -1 against it, its
+        tail's grid point, prim)).  Every breakpoint is a sum of item
+        lengths, each gcd(v)/D, so D is a common denominator of them all.
 
         A vertex's image is that of its bunch node: (None, 0) at the
         bouquet center, else the node's first breakpoint in cycle order,
         then path order.  `_place` reads these."""
         c = self.curve
-        D = lcm(c._scale, *(t.denominator for cp in self.cycles for t in cp.breakpoints))
+        D = c._scale
 
         def on(t: Fraction) -> int:
             return t.numerator * (D // t.denominator)
 
         node_of = self.graph.node_of_vertex
         images: dict[int, tuple[int | None, int]] = {self.bouquet.center_node: (None, 0)}
-        f = D // c._scale
         edges = {}
         for cp in self.cycles:
             for i, (v, e) in enumerate(zip(cp.vertex_path, cp.edge_indices)):
                 images.setdefault(node_of[v], (cp.index, on(cp.breakpoints[i])))
                 it = c._items[e]
                 along = it.tail == v
-                ox, oy = c._grid[it.tail]
+                ox, oy, _, _ = it.lattice
                 edges[e] = (
                     cp.index, on(cp.breakpoints[i if along else i + 1]), 1 if along else -1,
-                    ox * f, oy * f, it.prim.x, it.prim.y,
+                    ox, oy, it.prim.x, it.prim.y,
                 )
         vertex = [images[node_of[v]] for v in range(len(c._grid))]
         return D, [on(cp.total_length) for cp in self.cycles], vertex, edges

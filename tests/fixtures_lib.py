@@ -11,6 +11,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from tropcurve import intersect as intersect_mod
+from tropcurve import jacobian as jacobian_mod
 from tropcurve import jsonio
 from tropcurve.bunch import BouquetStructure, BunchGraph, CurveCycle, NotABouquet, bunch
 from tropcurve.curve import (
@@ -960,13 +961,19 @@ def reference_sigma(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinat
 
 
 def sigma_on_the_record(system: CycleSystem, mobile: TropicalCurve) -> AbelCoordinate:
-    """sigma of a pair not scanned before, checked to have read the
-    record's integer entries and left its sorted support, with its Points,
-    unbuilt."""
-    coord = sigma(system, mobile)
-    c1, c2, rec = intersect_mod._last
-    assert c1 is system.curve and c2 is mobile
-    assert rec.entries is not None and rec.support is None
+    """sigma of a pair, checked to have read the record's integer entries
+    (`intersect._entries`) once and to have built no Point in `intersect`,
+    as stable_intersection does for every entry that is no vertex."""
+    read, built = [], []
+    entries, point = jacobian_mod._entries, intersect_mod.Point
+    jacobian_mod._entries = lambda c1, c2: read.append((c1, c2)) or entries(c1, c2)
+    intersect_mod.Point = lambda *a: built.append(a) or point(*a)
+    try:
+        coord = sigma(system, mobile)
+    finally:
+        jacobian_mod._entries, intersect_mod.Point = entries, point
+    assert len(read) == 1 and read[0][0] is system.curve and read[0][1] is mobile
+    assert not built
     return coord
 
 

@@ -386,15 +386,18 @@ def test_self_crossing_first_curve_takes_the_star_route():
 
 def test_loose_end_on_an_item_keeps_the_star_route():
     # a lone segment's ends each have one item, whose star does not close:
-    # both routes refuse them, and agree on the crossing inside
+    # both routes refuse them, and agree on the crossing inside;
+    # is_transversal reads the record only, before and after the refusal
     seg = curve([(0, 0), (1, 0)], edges=[(0, 1)])
     for x in (0, 1):
         line = vertical_line((x, -3))
         for a, b in ((seg, line), (line, seg)):
             with pytest.raises(GeometryError, match="do not close up"):
                 reference_star_intersection(a, b)
+            assert is_transversal(a, b) is False
             with pytest.raises(GeometryError, match="do not close up"):
                 stable_intersection(a, b)
+            assert is_transversal(a, b) is False
     assert_record_routes(seg, vertical_line(("1/2", -3)))
 
 
@@ -597,6 +600,56 @@ def test_one_pair_scan_serves_sigma_and_is_transversal(monkeypatch):
     sigma(system, mobile)
     assert is_transversal(system.curve, mobile)
     assert len(scans) == 1
+
+
+def test_stable_intersection_after_sigma_and_after_is_transversal(monkeypatch):
+    # the record keeps no entries: each call computes them again from the
+    # one scan, and a vertex entry is the vertex object of its curve
+    host = triangle_cycle_host()
+    system = cycle_system(host)
+    scans = []
+    real = intersect._scan
+    monkeypatch.setattr(intersect, "_scan", lambda *a: scans.append(a) or real(*a))
+    vertex_entries = 0
+    mobiles = [tropical_line(("8/3", "-3/4")), tropical_line(("5/2", "-3/4"))]
+    mobiles += [
+        translate(host, (host.vertices[e.b] - host.vertices[e.a]) * Fraction(1, 3))
+        for e in host.edges
+    ]
+    for mobile in mobiles:
+        sigma(system, mobile)
+        d1 = stable_intersection(host, mobile)
+        assert is_transversal(host, mobile) == reference_is_transversal(host, mobile)
+        d2 = stable_intersection(host, mobile)
+        assert d1 == d2 == reference_star_intersection(host, mobile)
+        at_point = {(p.x, p.y): p for p, _ in d2.entries}
+        for (X, Y, D), _, at in intersect._entries(host, mobile):
+            if at.vertex is not None:
+                k, v = at.vertex
+                assert at_point[Fraction(X, D), Fraction(Y, D)] is (host, mobile)[k].vertices[v]
+                vertex_entries += 1
+    assert len(scans) == len(mobiles)
+    assert vertex_entries
+
+
+def test_vertex_keys_are_built_at_a_meeting_on_a_vertex():
+    def built(*cs):
+        return ["_keys" in c.__dict__ for c in cs]
+
+    # crossings inside items on both curves: no keys
+    a, b = tropical_line(), vertical_line((1, 5))
+    assert entries(stable_intersection(a, b)) == {((1, 1), 1)}
+    assert is_transversal(a, b)
+    assert built(a, b) == [False, False]
+    # the second curve's vertex inside the first's ray: its keys only
+    a, b = tropical_line(), vertical_line((1, 1))
+    assert entries(stable_intersection(a, b)) == {((1, 1), 1)}
+    assert built(a, b) == [False, True]
+    # the first curve's vertex at the end of a shared ray: its keys only
+    a, b = tropical_line(), vertical_line((0, 3))
+    assert entries(stable_intersection(a, b)) == {((0, 0), 1)}
+    assert built(a, b) == [True, False]
+    assert a._keys == ((0, 0, 1),)
 
 
 def test_has_shared_segment_keeps_no_record():

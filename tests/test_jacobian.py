@@ -296,6 +296,19 @@ def _bouquet_hosts():
     return out
 
 
+def test_cycle_data_sit_on_the_host_scale():
+    # every breakpoint is a sum of item lengths, each gcd(v) over the
+    # host's scale, so the cycle data need no larger denominator
+    systems = _bouquet_hosts() + [
+        cycle_system(corner_locus(polynomial(concave_lift(random.Random(seed), 3))))
+        for seed in range(12)
+    ]
+    for s in systems:
+        ints = s._on_ints
+        assert ints[0] == s.curve._scale
+        assert ints[1] == [cp.total_length * s.curve._scale for cp in s.cycles]
+
+
 def test_project_point_matches_reference_route():
     for s in _bouquet_hosts():
         assert s.genus >= 1
