@@ -25,6 +25,7 @@ from .geom import (
     IntVector,
     Point,
     RefusalError,
+    _over_lcd,
     area2,
     cross,
     moment,
@@ -109,12 +110,8 @@ class TropicalCurve:
     @cached_property
     def _grid(self) -> tuple[tuple[int, int], ...]:
         """The vertices multiplied by the scale, as integer pairs."""
-        L = self._scale
-        return tuple(
-            (v.x.numerator * (L // v.x.denominator),
-             v.y.numerator * (L // v.y.denominator))
-            for v in self.vertices
-        )
+        _, ns = _over_lcd(q for v in self.vertices for q in (v.x, v.y))
+        return tuple(zip(ns[::2], ns[1::2]))
 
     @cached_property
     def _items(self) -> tuple[Item, ...]:
@@ -651,12 +648,11 @@ def items_at(c: TropicalCurve, p: Point) -> list[tuple[Item, int | None]]:
     (item, end): end 0 where p is the item's tail, 1 an edge's head, None
     inside.  The test cross-multiplies p and the items on the curve's own
     grid: p lies t / (|v|^2 e) along an item of integer view v."""
-    (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
-    d = lcm(xd, yd)
+    d, (xn, yn) = _over_lcd((p.x, p.y))
     g = gcd(d, c._scale)
     # on the grid of lcm(scale, d) = scale * e: p is (px, py), an item e times
     e, s = d // g, c._scale // g
-    px, py = xn * (d // xd) * s, yn * (d // yd) * s
+    px, py = xn * s, yn * s
     out = []
     for it in c._items:
         ox, oy, vx, vy = it.lattice

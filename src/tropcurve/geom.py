@@ -7,12 +7,13 @@ floating-point trigonometry.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd
-from typing import Union
+from math import gcd, lcm
+from typing import Callable, Iterable, Union
 
 #: Exact rational scalar used for all coordinates.
 Rational = Fraction
@@ -45,6 +46,32 @@ def decimal_digits(x: Scalar) -> int:
     while n >= 10 ** k:
         k += 1
     return k
+
+
+#: The one number grammar of polynomials and files, ASCII digits only:
+#: int() and Fraction() would also take spaces, underscores and '٣'.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _read_ratio(s: str, refuse: Callable[[str, int], Exception]) -> tuple[int, int]:
+    """The (n, d) ints of a string of _RATIONAL, d = 0 for a zero
+    denominator.  Past the int-string limit, raises refuse(message, offset
+    in s) for the longer digit run, the numerator's on a tie."""
+    num, _, den = s.partition("/")
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError:  # past the interpreter's int-string limit
+        lead = 1 if num[0] == "-" else 0
+        k, at = (len(den), len(num) + 1) if len(den) > len(num) - lead else (len(num) - lead, lead)
+        raise refuse(f"number of {k} digits exceeds the {digit_limit()}-digit limit", at) from None
+
+
+def _over_lcd(qs: Iterable[Scalar]) -> tuple[int, list[int]]:
+    """(d, [q * d for q in qs]): the rationals as integer numerators over
+    d, their least common denominator."""
+    qs = list(qs)
+    d = lcm(*(q.denominator for q in qs))
+    return d, [q.numerator * (d // q.denominator) for q in qs]
 
 
 def show(x: Scalar | Point) -> str:
@@ -165,11 +192,8 @@ def primitive_direction(v: Point) -> tuple[IntVector, Fraction]:
     """
     if not v:
         raise GeometryError("zero vector has no direction")
-    k = (v.x.denominator * v.y.denominator) // gcd(
-        v.x.denominator, v.y.denominator
-    )
-    w = IntVector(int(v.x * k), int(v.y * k))
-    u, m = primitive_decompose(w)
+    k, (x, y) = _over_lcd((v.x, v.y))
+    u, m = primitive_decompose(IntVector(x, y))
     return u, Fraction(m, k)
 
 

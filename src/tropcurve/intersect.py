@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, NamedTuple
 
-from .geom import GeometryError, IntVector, Point, cross, pt
+from .geom import GeometryError, IntVector, Point, _over_lcd, cross, pt
 from .curve import (
     Item,
     Shared,
@@ -122,12 +122,6 @@ def bezout_degree(p: LatticePolygon, q: LatticePolygon) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_direction(t: Point) -> tuple[int, int]:
-    """A positive integer multiple of a rational direction."""
-    k = lcm(t.x.denominator, t.y.denominator)
-    return t.x.numerator * (k // t.x.denominator), t.y.numerator * (k // t.y.denominator)
-
-
 def _line(it: Item) -> tuple[int, int, int]:
     """The line of the item as (dx, dy, dy*x - dx*y at any of its grid
     points), (dx, dy) its primitive direction with the first nonzero entry
@@ -183,7 +177,7 @@ def _violations(c1: TropicalCurve, c2: TropicalCurve, t: Point):
     """Why direction t fails to separate the curves, or None: the first pin
     of the items parallel to t, a collinear parallel pair or a vertex of one
     curve riding an item's line of the other."""
-    tx, ty = _int_direction(t)
+    _, (tx, ty) = _over_lcd((t.x, t.y))  # a positive integer multiple of t
     for it, pin, first in _pins(c1, c2, lambda it: it.prim.x * ty == tx * it.prim.y):
         if isinstance(pin, Item):
             return (
@@ -229,7 +223,7 @@ def perturbation_oracle(
     why = _violations(c1, c2, direction)
     if why is not None:
         raise NonGenericDirection(why)
-    tx, ty = _int_direction(direction)
+    _, (tx, ty) = _over_lcd((direction.x, direction.y))
     acc: dict[Point, int] = {}
     # A crossing's eps -> 0 limit lies on both closed items, so only pairs
     # whose boxes overlap can cross.

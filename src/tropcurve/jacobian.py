@@ -20,9 +20,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
-from .geom import GeometryError, Point, RefusalError, area2
+from .geom import GeometryError, Point, RefusalError, _over_lcd, area2
 from .curve import Item, TropicalCurve, items, items_at
 from .bunch import (
     BouquetStructure,
@@ -179,9 +179,8 @@ def _on_curve(c: TropicalCurve, p: Point) -> tuple[Item, int | None, tuple[int, 
     hit = items_at(c, p)
     if not hit:
         raise GeometryError(f"point ({p.x}, {p.y}) is not on the curve")
-    (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
-    D = lcm(xd, yd)
-    return (*hit[0], (xn * (D // xd), yn * (D // yd), D))
+    D, (X, Y) = _over_lcd((p.x, p.y))
+    return (*hit[0], (X, Y, D))
 
 
 def _place(ints, it: Item, end: int | None, key: tuple[int, int, int]):

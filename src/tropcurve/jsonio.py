@@ -1,25 +1,28 @@
 """JSON schemas for curves, divisors, dual complexes and polygons.
 
-Rationals serialize as strings "p/q" (or "p" when the denominator is 1);
-lattice data serializes as plain integers.  Emission is canonical: fixed key
-order, two-space indent, trailing newline, so serialize-parse-serialize is
+Rationals serialize as strings "p/q" (or "p" when the denominator is 1),
+read in the polynomials' grammar (`geom._RATIONAL`); lattice data
+serializes as plain integers.  Emission is canonical: fixed key order,
+two-space indent, trailing newline, so serialize-parse-serialize is
 byte-stable.  A curve is written directly in that layout by curve_to_json,
 without the json module's pure-Python indenting encoder, each coordinate
 read off the curve's integer grid (its vertices times their common
 denominator) and reduced there, so a curve built on the grid writes no
-Fraction; the other schemas go through dumps.  A number beyond the interpreter's int-string limit is
-refused on input with a SchemaError that names the field and the digit
-count, and on output with an OutputLimitError that names the digit count.
+Fraction; the other schemas go through dumps.  A number beyond the
+interpreter's int-string limit is refused on input with a SchemaError that
+names the field and the digit count, and on output with an OutputLimitError
+that names the digit count; a file that is not UTF-8 is a SchemaError.
 """
 
 from __future__ import annotations
 
 import json
-import re
+from dataclasses import astuple
 from fractions import Fraction
 from math import gcd
 
-from .geom import GeometryError, IntVector, Point, RefusalError, decimal_digits, digit_limit
+from .geom import _RATIONAL, GeometryError, IntVector, Point, RefusalError, _read_ratio
+from .geom import decimal_digits, digit_limit
 from .curve import Edge, Ray, TropicalCurve
 from .intersect import Divisor
 from .newton import LatticePolygon, NewtonComplex
@@ -45,15 +48,7 @@ def _ratio_to_str(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:  # past the interpreter's int-string limit
-        raise OutputLimitError(
-            f"number of {decimal_digits(max(abs(n), d))} digits exceeds "
-            f"the {digit_limit()}-digit output limit"
-        ) from None
-
-
-# The documented grammar, ASCII digits only: Fraction() would also take
-# spaces, underscores, signs, decimals and non-ASCII digits.
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+        raise _past_limit((n, d)) from None
 
 
 def fraction_from_str(s, field: str) -> Fraction:
@@ -61,19 +56,11 @@ def fraction_from_str(s, field: str) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"{field}: expected a rational string, got {s!r}")
-    m = _RATIONAL.fullmatch(s)
-    if m is None:
-        raise SchemaError(f"{field}: invalid rational {s!r}")
-    num, den = m.groups()
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError:
-        raise SchemaError(f"{field}: invalid rational {s!r}") from None
-    except ValueError:  # past the interpreter's int-string limit
-        longest = max(len(num.lstrip("-")), len(den or ""))
-        raise SchemaError(
-            f"{field}: number of {longest} digits exceeds the {digit_limit()}-digit limit"
-        ) from None
+    if _RATIONAL.fullmatch(s):
+        n, d = _read_ratio(s, lambda message, _: SchemaError(f"{field}: {message}"))
+        if d:
+            return Fraction(n, d)
+    raise SchemaError(f"{field}: invalid rational {s!r}")
 
 
 def _point_to_list(p: Point) -> list[str]:
@@ -149,10 +136,7 @@ def dumps(obj, indent: int | None = 2) -> str:
     try:
         return json.dumps(obj, indent=indent) + "\n"
     except ValueError:  # an int past the int-string limit
-        raise OutputLimitError(
-            f"number of {decimal_digits(_largest_int(obj))} digits exceeds "
-            f"the {digit_limit()}-digit output limit"
-        ) from None
+        raise _past_limit(obj) from None
 
 
 def _largest_int(obj) -> int:
@@ -163,6 +147,14 @@ def _largest_int(obj) -> int:
     if isinstance(obj, (list, tuple)):
         return max((_largest_int(x) for x in obj), key=abs, default=0)
     return obj if isinstance(obj, int) and not isinstance(obj, bool) else 0
+
+
+def _past_limit(obj) -> OutputLimitError:
+    """The refusal of a payload that holds an int past the limit."""
+    return OutputLimitError(
+        f"number of {decimal_digits(_largest_int(obj))} digits exceeds "
+        f"the {digit_limit()}-digit output limit"
+    )
 
 
 def _block(entries: list[str]) -> str:
@@ -178,16 +170,19 @@ def curve_to_json(c: TropicalCurve) -> str:
         f'    [\n      "{_ratio_to_str(x, L)}",\n      "{_ratio_to_str(y, L)}"\n    ]'
         for x, y in c._grid
     ])
-    edges = _block([
-        f'    {{\n      "v": [\n        {e.a},\n        {e.b}\n      ],\n'
-        f'      "w": {e.weight}\n    }}'
-        for e in c.edges
-    ])
-    rays = _block([
-        f'    {{\n      "v": {r.vertex},\n      "dir": [\n        {r.direction.x},\n'
-        f'        {r.direction.y}\n      ],\n      "w": {r.weight}\n    }}'
-        for r in c.rays
-    ])
+    try:
+        edges = _block([
+            f'    {{\n      "v": [\n        {e.a},\n        {e.b}\n      ],\n'
+            f'      "w": {e.weight}\n    }}'
+            for e in c.edges
+        ])
+        rays = _block([
+            f'    {{\n      "v": {r.vertex},\n      "dir": [\n        {r.direction.x},\n'
+            f'        {r.direction.y}\n      ],\n      "w": {r.weight}\n    }}'
+            for r in c.rays
+        ])
+    except ValueError:  # an int past the int-string limit
+        raise _past_limit([astuple(it) for it in (*c.edges, *c.rays)]) from None
     return (
         f'{{\n  "vertices": {vertices},\n  "edges": {edges},\n'
         f'  "rays": {rays}\n}}\n'
@@ -211,9 +206,16 @@ def curve_from_json(text: str) -> TropicalCurve:
     return curve_from_dict(_loads(text, "curve"))
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{what}: not UTF-8 ({err.reason} at byte {err.start})") from None
+
+
 def load_curve(path: str) -> TropicalCurve:
-    with open(path, "r", encoding="utf-8") as fh:
-        return curve_from_json(fh.read())
+    return curve_from_json(_read(path, "curve"))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +243,7 @@ def divisor_from_list(data, host: TropicalCurve | None = None) -> Divisor:
 
 
 def load_divisor(path: str, host: TropicalCurve | None = None) -> Divisor:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _loads(fh.read(), "divisor")
-    return divisor_from_list(data, host)
+    return divisor_from_list(_loads(_read(path, "divisor"), "divisor"), host)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .geom import GeometryError, IntVector, Point, show
+from .geom import GeometryError, IntVector, Point, _over_lcd, show
 from .curve import Edge, InvalidCurveError, Ray, TropicalCurve, items, validate
 from .newton import newton_complex, newton_polygon
 from .bunch import spanning_forest
@@ -100,8 +100,8 @@ class CurveSkeleton:
                 basis.append(q)
         n = len(self.edges)
         rows = [_reject([Fraction(i == j) for j in range(n)], basis) for i in range(n)]
-        den = lcm(*(x.denominator for row in rows for x in row))
-        return tuple(tuple(int(x * den) for x in row) for row in rows), den
+        den, flat = _over_lcd(x for row in rows for x in row)
+        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), den
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,8 @@ class ParamPoint:
         """(D, the lengths times D, the anchor's x and y times D), D a common
         denominator of them all; _on_grid sets it for perturb's candidates."""
         a = self.anchor_pos
-        den = lcm(a.x.denominator, a.y.denominator, *(ll.denominator for ll in self.lengths))
-        return (
-            den,
-            tuple(ll.numerator * (den // ll.denominator) for ll in self.lengths),
-            a.x.numerator * (den // a.x.denominator),
-            a.y.numerator * (den // a.y.denominator),
-        )
+        den, (x, y, *lengths) = _over_lcd((a.x, a.y, *self.lengths))
+        return den, tuple(lengths), x, y
 
     @cached_property
     def _curve(self) -> TropicalCurve:
@@ -234,8 +229,7 @@ def project_to_closure(
     with the skeleton's integer projector L*P gives the numerators over L*d.
     """
     rows, den = skel._projector
-    d = lcm(*(x.denominator for x in direction))
-    u = [x.numerator * (d // x.denominator) for x in direction]
+    d, u = _over_lcd(direction)
     return [Fraction(sum(a * b for a, b in zip(row, u)), den * d) for row in rows]
 
 

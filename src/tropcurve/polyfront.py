@@ -18,9 +18,11 @@ where its two terms tie.  So every support has one route, with two readers:
 corner_locus places the dual vertices on one integer denominator and reads
 cell sides as int differences, building no per-cell object, and
 dual_subdivision builds each cell's Fractions, Point and IntVectors from the
-same ints.  The parser keeps each coefficient as an int pair until
-its term ends, and refuses a number past the interpreter's int-string
-limit with a PolyParseError at its position.
+same ints.  A number is one token of the curve files' grammar
+(`geom._RATIONAL`), read by the files' routine; an exponent is a plain
+non-negative integer.  The parser keeps each coefficient as an int pair
+until its term ends, and refuses a number past the interpreter's
+int-string limit with a PolyParseError at its longer digit run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import GeometryError, IntVector, Point, digit_limit
+from .geom import _RATIONAL, GeometryError, IntVector, Point, _over_lcd, _read_ratio
 from .curve import Edge, Ray, TropicalCurve
 from .newton import LatticePolygon, _chain, _hull_ring
 
@@ -83,10 +85,9 @@ def polynomial(
 # ---------------------------------------------------------------------------
 
 
-_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes '²' and '٣'
-
-
 def _tokenize(text: str):
+    """(kind, text, position) per token; a number, sign and denominator
+    included, is one, so '-' and '/' are no tokens of their own."""
     out = []
     i = 0
     while i < len(text):
@@ -94,14 +95,13 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            out.append(("number", text[i:j], i))
-            i = j
-            continue
-        if ch in "xy+*^()-/":
+        if ch in "-0123456789":  # where a number can start: a match per position costs time
+            m = _RATIONAL.match(text, i)
+            if m:
+                out.append(("number", m.group(), i))
+                i = m.end()
+                continue
+        elif ch in "xy+*^()":
             out.append((ch, ch, i))
             i += 1
             continue
@@ -126,31 +126,13 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def number(self) -> int:
-        tok = self.take("number")
-        try:
-            return int(tok[1])
-        except ValueError:  # past the interpreter's int-string limit
-            raise PolyParseError(
-                f"number of {len(tok[1])} digits exceeds the "
-                f"{digit_limit()}-digit limit",
-                tok[2],
-            ) from None
-
-    def rational(self) -> tuple[int, int]:
-        sign = 1
-        if self.tokens[self.pos][0] == "-":
-            self.pos += 1
-            sign = -1
-        num = sign * self.number()
-        if self.tokens[self.pos][0] == "/":
-            self.pos += 1
-            den_tok = self.tokens[self.pos]
-            den = self.number()
-            if den == 0:
-                raise PolyParseError("zero denominator", den_tok[2])
-            return num, den
-        return num, 1
+    def number(self) -> tuple[int, int]:
+        """The next token, a number, as an (n, d) int pair with d > 0."""
+        _, text, at = self.take("number")
+        n, d = _read_ratio(text, lambda message, k: PolyParseError(message, at + k))
+        if d == 0:
+            raise PolyParseError("zero denominator", at + text.index("/") + 1)
+        return n, d
 
     def term(self) -> tuple[tuple[int, int], Fraction]:
         """Factors joined by '*': exponents and coefficients add up."""
@@ -165,10 +147,12 @@ class _Parser:
                 exp = 1
                 if tokens[self.pos][0] == "^":
                     self.pos += 1
-                    etok = tokens[self.pos]
-                    if etok[0] == "-":
-                        raise PolyParseError("negative exponent", etok[2])
-                    exp = self.number()
+                    _, etext, at = tokens[self.pos]
+                    if etext.startswith("-"):
+                        raise PolyParseError("negative exponent", at)
+                    if "/" in etext:
+                        raise PolyParseError("fractional exponent", at)
+                    exp = self.number()[0]
                 if kind == "x":
                     i += exp
                 else:
@@ -176,10 +160,10 @@ class _Parser:
             else:
                 if kind == "(":
                     self.pos += 1
-                    n, d = self.rational()
+                    n, d = self.number()
                     self.take(")")
-                elif kind == "number" or kind == "-":
-                    n, d = self.rational()
+                elif kind == "number":
+                    n, d = self.number()
                 else:
                     raise PolyParseError(f"expected a term, found {tok[1]!r}", tok[2])
                 num, den = num * d + n * den, den * d
@@ -304,11 +288,8 @@ def _cells(f: TropicalPolynomial):
     if len(f.terms) < 2:
         raise EmptyCurveError("single-term polynomial has no corner locus")
     sign = 1 if f.convention == "max" else -1  # the min form's lift, negated
-    scale = math.lcm(*(c.denominator for _, c in f.terms))
-    lifted = [
-        (i, j, sign * c.numerator * (scale // c.denominator))
-        for (i, j), c in f.terms
-    ]
+    scale, hs = _over_lcd(c for _, c in f.terms)
+    lifted = [(i, j, sign * h) for ((i, j), _), h in zip(f.terms, hs)]
     ring = _hull_ring(e for e, _ in f.terms)
     if len(ring) < 3:
         # Support order runs along the line from ring[0]: the upper chain of

@@ -51,7 +51,6 @@ from tropcurve.geom import (
 from tropcurve.intersect import (
     Divisor,
     NonGenericDirection,
-    _int_direction,
     generic_direction,
     perturbation_oracle,
 )
@@ -577,7 +576,8 @@ def all_pairs_crossings(c1: TropicalCurve, c2: TropicalCurve, direction: Point) 
     items on the curves' common grid, none pruned."""
     scale = lcm(c1._scale, c2._scale)
     its1, its2 = _on_grid(items(c1), scale), _on_grid(items(c2), scale)
-    tx, ty = _int_direction(direction)
+    k = lcm(direction.x.denominator, direction.y.denominator)
+    tx, ty = int(direction.x * k), int(direction.y * k)
     acc: dict[Point, int] = {}
     for a in its1:
         aox, aoy, avx, avy = a.lattice

@@ -425,6 +425,21 @@ def test_schema_errors_exit_2(tmp_path, capsys, kind, text, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["curve", "divisor"])
+def test_file_that_is_not_utf8_exit_2(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = ["validate", str(bad)]
+    if kind == "divisor":
+        line = tmp_path / "line.json"
+        line.write_text(_LINE)
+        argv = ["jacobi", str(line), str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind}: not UTF-8 (invalid start byte at byte 0)\n"
+
+
 # Numbers past the interpreter's int-string limit, at each input boundary:
 # refused by name with exit 2, never a ValueError traceback.
 _BIG = "1" * 5000

@@ -1,11 +1,13 @@
 """The CLI's boundaries: numbers past the int-string limit on output, deeply
-nested JSON on input, and a property test that drives `main` in-process over
-mutated curve files, divisor files and polynomial texts."""
+nested JSON on input, the one number grammar of polynomials and files, and
+a property test that drives `main` in-process over mutated curve files,
+divisor files and polynomial texts."""
 
 import contextlib
 import copy
 import io
 import json
+import re
 import signal
 import sys
 import tempfile
@@ -31,6 +33,7 @@ from tropcurve import jsonio
 from tropcurve.cli import main
 from tropcurve.curve import TropicalCurve, curve, translate
 from tropcurve.geom import Point, decimal_digits, pt
+from tropcurve.polyfront import PolyParseError, parse as parse_poly
 
 needs_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"),
@@ -185,6 +188,19 @@ def test_product_of_two_large_weights_is_refused(tmp_path, argv):
     assert err == "refused: number of 8001 digits exceeds the 4300-digit output limit\n"
 
 
+@needs_limit
+def test_curve_weight_past_the_limit_is_refused(tmp_path):
+    # each exponent has 4300 digits, at the limit; the ray's weight is their
+    # sum, with 4301, and no -o file is written
+    a = "9" * 4300
+    out_file = tmp_path / "big.json"
+    with int_digit_limit(4300):
+        code, out, err = run(["from-poly", f"0 + x^{a}*x^{a}", "-o", str(out_file)])
+    assert (code, out) == (1, "")
+    assert err == "refused: number of 4301 digits exceeds the 4300-digit output limit\n"
+    assert not out_file.exists()
+
+
 @contextlib.contextmanager
 def time_bound(seconds):
     """Fail the block with TimeoutError once it runs past `seconds`."""
@@ -233,6 +249,59 @@ def test_deeply_nested_divisor_file_exit_2(tmp_path):
     bad.write_text("[" * 100_000)
     line = write_curve(tmp_path / "line.json", tropical_line())
     assert run(["jacobi", line, str(bad)]) == (2, "", "error: divisor: nesting too deep\n")
+
+
+# ---------------------------------------------------------------------------
+# One number grammar for polynomials and files
+# ---------------------------------------------------------------------------
+
+_NUMBERISH = "0123456789-/+_.e \t\u0663\u00b2\uff13"
+_RUNS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=3), st.integers(635, 645).map("7".__mul__)
+)
+
+
+@st.composite
+def numberish(draw):
+    """A rational of the files' grammar, its digit runs short or around a
+    640-digit limit, with up to two characters of _NUMBERISH put in; or
+    any short text of _NUMBERISH.  No whitespace at either end."""
+    if draw(st.booleans()):
+        s = draw(st.text(_NUMBERISH, max_size=8))
+    else:
+        s = draw(st.sampled_from(["", "-"])) + draw(_RUNS)
+        if draw(st.booleans()):
+            s += "/" + draw(_RUNS)
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, len(s)))
+            s = s[:k] + draw(st.sampled_from(_NUMBERISH)) + s[k:]
+    return s.strip(" \t")
+
+
+@needs_limit
+@settings(max_examples=300, deadline=None)
+@given(numberish())
+def test_polynomials_and_files_read_one_number_grammar(s):
+    file_value = poly_value = file_err = poly_err = None
+    with int_digit_limit(640):
+        try:
+            file_value = jsonio.fraction_from_str(s, "f")
+        except jsonio.SchemaError as err:
+            file_err = str(err)
+        try:
+            poly_value = parse_poly(f"({s})*x + y").coefficients()[1, 0]
+        except PolyParseError as err:
+            poly_err = str(err)
+    # both accept s with one value, or both refuse it
+    assert file_value == poly_value
+    assert (file_err is None) == (poly_err is None)
+    longest = max(map(len, re.findall("[0-9]+", s)), default=0)
+    for err in (file_err, poly_err):
+        if err and "-digit limit" in err:
+            assert longest > 640
+    if longest > 640 and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+        for err in (file_err, poly_err):
+            assert f"number of {longest} digits exceeds the 640-digit limit" in err
 
 
 # ---------------------------------------------------------------------------

@@ -93,22 +93,22 @@ _PARSE_ERRORS = [
     ('x y', "expected 'end', found 'y'", 2),
     ('x^', "expected 'number', found ''", 2),
     ('x^y', "expected 'number', found 'y'", 2),
-    ('1/', "expected 'number', found ''", 2),
-    ('1/-2', "expected 'number', found '-'", 2),
-    ('--1', "expected 'number', found '-'", 1),
+    ('1/', "unexpected character '/'", 1),
+    ('1/-2', "unexpected character '/'", 1),
+    ('--1', "unexpected character '-'", 0),
     ('x**y', "expected a term, found '*'", 2),
     ('x ++ y', "expected a term, found '+'", 3),
     ('2 * ) ', "expected a term, found ')'", 4),
-    ('3/2/5', "expected 'end', found '/'", 3),
+    ('3/2/5', "unexpected character '/'", 3),
     ('x^2^3', "expected 'end', found '^'", 3),
-    ('(-)', "expected 'number', found ')'", 2),
+    ('(-)', "unexpected character '-'", 1),
     ('((1))', "expected 'number', found '('", 1),
     ('x + 1/00', 'zero denominator', 6),
     ('y^ -3', 'negative exponent', 3),
     ('0.5*x', "unexpected character '.'", 1),
     ('x + z', "unexpected character 'z'", 4),
     ('x*', "expected a term, found ''", 2),
-    ('-', "expected 'number', found ''", 1),
+    ('-', "unexpected character '-'", 0),
     ('^2', "expected a term, found '^'", 0),
     ('1 2', "expected 'end', found '2'", 2),
     ('+ x', "expected a term, found '+'", 0),
@@ -117,6 +117,13 @@ _PARSE_ERRORS = [
     ('x^(2)', "expected 'number', found '('", 2),
     ('(-1/3)*x^2*y + 4/0*x', 'zero denominator', 17),
     ('1e3', "unexpected character 'e'", 1),
+    # a number is one token, '-'? digits ('/' digits)?, as in a curve file:
+    # no space inside it, and an exponent is a plain non-negative integer
+    ('3 / 2*x + y', "unexpected character '/'", 2),
+    ('( - 1)*x + y', "unexpected character '-'", 2),
+    ('- 1*x + y', "unexpected character '-'", 0),
+    ('x^-0', 'negative exponent', 2),
+    ('x^3/2', 'fractional exponent', 2),
     # numbers are ASCII digits: str.isdigit would take these
     ('0 + x^\u00b2 + y', "unexpected character '\u00b2'", 6),
     ('0 + x^\u0663 + y', "unexpected character '\u0663'", 6),
