@@ -95,8 +95,14 @@ def bridges(c: TropicalCurve) -> set[int]:
 
 def classify_edges(c: TropicalCurve) -> tuple[str, ...]:
     """'tentacle' or 'cycle' for each finite edge of a connected curve."""
-    b = bridges(c)
-    return tuple("tentacle" if i in b else "cycle" for i in range(len(c.edges)))
+    return _classes(bunch(c), len(c.edges))
+
+
+def _classes(b: BunchGraph, edge_count: int) -> tuple[str, ...]:
+    """'tentacle' or 'cycle' for each of a curve's finite edges, read off its
+    bunch: the arcs are the edges on a cycle."""
+    on_cycle = {i for i, _, _ in b.arcs}
+    return tuple("cycle" if i in on_cycle else "tentacle" for i in range(edge_count))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 domain refusal (any RefusalError: imbalance, a
 self-crossing, unmet hypotheses), 2 input or usage error.  Every curve file
-passes the validity gate on load, except in `validate`, which reports.
+passes the validity gate (`curve.require_valid`) on load, except in
+`validate`, which reports, so a bad file is refused before any output.  The
+library's analyses admit through the same gate, which keeps its verdict on
+the curve: a loaded curve is validated once.
 `--json` switches every subcommand to machine-readable output on stdout.
 """
 
@@ -14,7 +17,7 @@ import sys
 
 from .geom import GeometryError, IntVector, RefusalError
 from .curve import TropicalCurve, require_valid, validate
-from .bunch import NotABouquet, bouquet_structure, bunch, classify_edges
+from .bunch import NotABouquet, _classes, bouquet_structure, bunch
 from .intersect import bezout_degree, is_transversal, stable_intersection
 from .jacobian import (
     CycleSystem,
@@ -167,8 +170,8 @@ def cmd_bezout(args) -> int:
 
 def cmd_bunch(args) -> int:
     c = _load(args.curve)
-    classes = classify_edges(c)
     b = bunch(c)
+    classes = _classes(b, len(c.edges))
     bq = bouquet_structure(c, b)
     if args.svg:
         colors = {}

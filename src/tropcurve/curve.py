@@ -623,24 +623,36 @@ def _require_balanced(residuals: Iterable[tuple[int, int]]) -> None:
 
 
 def require_valid(c: TropicalCurve) -> TropicalCurve:
-    """Return c if it is a balanced embedded curve, else refuse it.
+    """Return c if it is a balanced embedded curve, else refuse it: the one
+    admission gate of every analysis.
 
     Malformed data raises StructureError; imbalance or a crossing raises
-    InvalidCurveError naming the first defect found by validate.
+    InvalidCurveError naming the first defect found by validate.  A pass
+    is kept in the curve's __dict__ as `_valid`, so validate runs once per
+    curve; a curve valid by construction (corner_locus, translate of a
+    valid curve, a point of a certified skeleton) is born with it.  A curve
+    that fails keeps nothing and is refused on every call.
     """
-    report = validate(c)
-    _require_balanced((r.x, r.y) for r in report.residuals)
-    if report.embedding_violations:
-        raise InvalidCurveError(
-            f"curve crosses itself: {report.embedding_violations[0]}"
-        )
+    if "_valid" not in c.__dict__:
+        report = validate(c)
+        _require_balanced((r.x, r.y) for r in report.residuals)
+        if report.embedding_violations:
+            raise InvalidCurveError(
+                f"curve crosses itself: {report.embedding_violations[0]}"
+            )
+        c.__dict__["_valid"] = True
     return c
 
 
 def translate(c: TropicalCurve, t: Point) -> TropicalCurve:
-    return TropicalCurve(
+    """c moved by t; the copy of a curve that passed require_valid is born
+    valid."""
+    moved = TropicalCurve(
         tuple(v + t for v in c.vertices), c.edges, c.rays
     )
+    if "_valid" in c.__dict__:
+        moved.__dict__["_valid"] = True
+    return moved
 
 
 def items_at(c: TropicalCurve, p: Point) -> list[tuple[Item, int | None]]:

@@ -152,9 +152,23 @@ class Point:
         return hash((x.numerator, x.denominator, y.numerator, y.denominator))
 
 
+def _fraction(x: Scalar | str) -> Fraction:
+    """x as a Fraction: a number as Fraction() takes it, a string by the one
+    number grammar (_RATIONAL).  Any other string, or a zero denominator,
+    is a GeometryError that names it."""
+    if not isinstance(x, str):
+        return Fraction(x)
+    if _RATIONAL.fullmatch(x):
+        n, d = _read_ratio(x, lambda message, _: GeometryError(message))
+        if d:
+            return Fraction(n, d)
+    raise GeometryError(f"invalid rational {x!r}")
+
+
 def pt(x: Scalar | str, y: Scalar | str) -> Point:
-    """Build a Point, coercing ints and 'p/q' strings to Fraction."""
-    return Point(Fraction(x), Fraction(y))
+    """Build a Point, coercing ints and 'p/q' strings of the number grammar
+    to Fraction."""
+    return Point(_fraction(x), _fraction(y))
 
 
 def vec(x: int, y: int) -> IntVector:

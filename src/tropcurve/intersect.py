@@ -5,7 +5,11 @@ One scan of the item pairs of two curves gives their intersection record
 share, with the items of each curve through it and where the point sits
 on each, and whether every meeting was a crossing interior to both items.
 `stable_intersection`, `is_transversal` and `jacobian.sigma` read it; only
-the last pair scanned is kept, by the identity of the two curves.
+the last pair scanned is kept, by the identity of the two curves.  The
+record admits its pair: each curve passes `curve.require_valid`, one dict
+lookup for a curve that carries the verdict, before the scan.  The
+perturbation oracle, `generic_direction` and `has_shared_segment` are the
+tests' and the benchmark's cross-checks and admit nothing.
 
 The scan (`curve._scan`) reads each curve's integer index
 (`TropicalCurve._index`, built once per curve, holding the curve's own
@@ -50,6 +54,7 @@ from .curve import (
     _raised_by,
     _scan,
     _star,
+    require_valid,
     items,  # noqa: F401  perfbench's tracer and its tests patch this binding
 )
 from .newton import LatticePolygon, minkowski_sum
@@ -281,7 +286,8 @@ _last: tuple = (None, None, None)
 
 def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
     """The intersection record of the pair: one pair scan of the two
-    curves' indexes, reused while the same pair is asked for again.
+    curves' indexes, reused while the same pair is asked for again.  A new
+    pair is admitted first: each curve passes require_valid.
 
     Each meeting is keyed on integers: an item's end by its vertex's key
     (`TropicalCurve._keys`), any other point by its grid coordinates over
@@ -290,6 +296,8 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
     last1, last2, rec = _last
     if c1 is last1 and c2 is last2:
         return rec
+    require_valid(c1)
+    require_valid(c2)
     x, y = c1._index, c2._index
     # An item misses a recorded point only when the point is inside the part
     # it shares with each item of the other curve there: it adds nothing.

@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd
 
 from .geom import GeometryError, Point, RefusalError, _over_lcd, area2
-from .curve import Item, TropicalCurve, items, items_at
+from .curve import Item, TropicalCurve, items, items_at, require_valid
 from .bunch import (
     BouquetStructure,
     BunchGraph,
@@ -148,8 +148,9 @@ class CycleSystem:
 
 
 def cycle_system(curve: TropicalCurve) -> CycleSystem:
-    """Build the cycle coordinates; refuses non-bouquet topologies."""
-    g = bunch(curve)
+    """Build the cycle coordinates of a curve admitted by require_valid;
+    refuses non-bouquet topologies."""
+    g = bunch(require_valid(curve))
     bq = bouquet_structure(curve, g)
     if isinstance(bq, NotABouquet):
         raise UnsupportedCurveError(f"bunch is not a bouquet: {bq.reason}")

@@ -21,7 +21,7 @@ from dataclasses import astuple
 from fractions import Fraction
 from math import gcd
 
-from .geom import _RATIONAL, GeometryError, IntVector, Point, RefusalError, _read_ratio
+from .geom import GeometryError, IntVector, Point, RefusalError, _fraction
 from .geom import decimal_digits, digit_limit
 from .curve import Edge, Ray, TropicalCurve
 from .intersect import Divisor
@@ -56,11 +56,10 @@ def fraction_from_str(s, field: str) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"{field}: expected a rational string, got {s!r}")
-    if _RATIONAL.fullmatch(s):
-        n, d = _read_ratio(s, lambda message, _: SchemaError(f"{field}: {message}"))
-        if d:
-            return Fraction(n, d)
-    raise SchemaError(f"{field}: invalid rational {s!r}")
+    try:
+        return _fraction(s)
+    except GeometryError as err:
+        raise SchemaError(f"{field}: {err}") from None
 
 
 def _point_to_list(p: Point) -> list[str]:

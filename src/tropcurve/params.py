@@ -5,7 +5,11 @@ data), the lattice lengths of its finite edges, and the position of one
 anchor vertex.  The admissible lengths form a relatively open convex cone cut
 out by one closure equation per independent cycle; `perturb` walks inside it
 with exact rational steps on a dyadic grid, so the denominators stay bounded.
-It validates one curve per skeleton: every point of a valid type is valid.
+Validity is one certificate per skeleton (`_certified`): every point of a
+valid type is valid.  `params_from_curve` certifies the skeleton of a curve
+that carries require_valid's verdict, and otherwise the first `perturb` on
+it admits its start curve through require_valid.  The curve of a point of a
+certified skeleton is born with the verdict, so no analysis validates it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from fractions import Fraction
 from math import lcm
 
 from .geom import GeometryError, IntVector, Point, _over_lcd, show
-from .curve import Edge, InvalidCurveError, Ray, TropicalCurve, items, validate
+from .curve import Edge, Ray, TropicalCurve, items, require_valid
+from .curve import validate  # noqa: F401  perfbench's tracer and its tests patch this binding
 from .newton import newton_complex, newton_polygon
 from .bunch import spanning_forest
 
@@ -146,7 +151,8 @@ class ParamPoint:
     @cached_property
     def _curve(self) -> TropicalCurve:
         """The embedded curve of curve_from_params, built on its first call.
-        A point that fails to build caches nothing and raises on every call.
+        A point that fails to build caches nothing and raises on every call;
+        on a certified skeleton the curve is born valid (see perturb).
 
         The vertices are propagated from the anchor as integer numerators
         over one denominator, cycle closure is checked on them, and the
@@ -170,17 +176,24 @@ class ParamPoint:
             m = lengths[eid]
             if xs[b] - xs[a] != ux * m or ys[b] - ys[a] != uy * m:
                 raise ClosureError(f"cycle through edges {cycle} does not close")
-        return TropicalCurve._on_grid(den, xs, ys, *skel._parts)
+        c = TropicalCurve._on_grid(den, xs, ys, *skel._parts)
+        if "_certified" in skel.__dict__:
+            c.__dict__["_valid"] = True
+        return c
 
 
 def params_from_curve(c: TropicalCurve, anchor: int = 0) -> ParamPoint:
-    """Extract (combinatorial type, lattice lengths, anchor position)."""
+    """Extract (combinatorial type, lattice lengths, anchor position).
+    The skeleton of a curve that carries require_valid's verdict is
+    certified."""
     if not (0 <= anchor < len(c.vertices)):
         raise GeometryError(f"no vertex {anchor}")
     its = items(c)[: len(c.edges)]
     edges = tuple((it.tail, it.head, it.prim, it.weight) for it in its)
     rays = tuple((r.vertex, r.direction, r.weight) for r in c.rays)
     skel = CurveSkeleton(len(c.vertices), edges, rays, anchor)
+    if "_valid" in c.__dict__:
+        skel.__dict__["_certified"] = True
     return ParamPoint(skel, tuple(it.length for it in its), c.vertices[anchor])
 
 
@@ -241,13 +254,14 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
     both times 2^-k for the least k that keeps every length at least half
     its value; p when that k exceeds GRID_HALVINGS.  p's curve is built first.
 
-    The first perturb on a skeleton validates p's curve (InvalidCurveError
-    if it fails) and no candidate, as none can fail: p's curve is the corner
-    locus of some sum of c_a x^a, dual to a subdivision S of its Newton
-    polygon.  For new positive lengths that close every cycle, the c_a read
-    from the ties at the vertices agree (an edge is orthogonal to its dual
-    edge), and each edge folds the lift across its dual edge with the type's
-    sign.  Locally concave across every interior edge of S, the lift is
+    The first perturb on an uncertified skeleton admits p's curve through
+    require_valid (InvalidCurveError if it fails) and certifies the
+    skeleton.  No candidate is validated, as none can fail: p's curve is
+    the corner locus of some sum of c_a x^a, dual to a subdivision S of its
+    Newton polygon.  For new positive lengths that close every cycle, the
+    c_a read from the ties at the vertices agree (an edge is orthogonal to
+    its dual edge), and each edge folds the lift across its dual edge with
+    the type's sign.  Locally concave across every interior edge of S, the lift is
     concave on the convex polygon and induces S: a type's lifts form the open
     secondary cone of S (Gelfand-Kapranov-Zelevinsky 1994, ch. 7; Mikhalkin,
     JAMS 2005), and the candidate is the corner locus of the new sum.
@@ -260,8 +274,7 @@ def perturb(p: ParamPoint, seed_or_rng) -> ParamPoint:
     skel = p.skeleton
     c = p._curve  # read directly: perfbench counts curve_from_params calls
     if "_certified" not in skel.__dict__:
-        if not validate(c).passed:
-            raise InvalidCurveError("perturb's start curve is not balanced and embedded")
+        require_valid(c)
         skel.__dict__["_certified"] = True
     rows, L = skel._projector
     raw = [rng.randint(-60, 60) for _ in skel.edges]

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import _RATIONAL, GeometryError, IntVector, Point, _over_lcd, _read_ratio
+from .geom import _RATIONAL, GeometryError, IntVector, Point, _fraction, _over_lcd, _read_ratio
 from .curve import Edge, Ray, TropicalCurve
 from .newton import LatticePolygon, _chain, _hull_ring
 
@@ -65,12 +65,14 @@ def polynomial(
     coeffs: dict[tuple[int, int], Fraction | int | str],
     convention: str = "max",
 ) -> TropicalPolynomial:
+    """The polynomial of the given coefficients; a string coefficient is
+    read by the one number grammar, as in pt."""
     if convention not in ("max", "min"):
         raise GeometryError("convention must be 'max' or 'min'")
     if not coeffs:
         raise GeometryError("a tropical polynomial needs at least one term")
     items = tuple(
-        sorted(((i, j), Fraction(c)) for (i, j), c in coeffs.items())
+        sorted(((i, j), _fraction(c)) for (i, j), c in coeffs.items())
     )
     for (i, j), _ in items:
         if i < 0 or j < 0:
@@ -406,7 +408,8 @@ def corner_locus(f: TropicalPolynomial) -> TropicalCurve:
     owners) or one ray (one owner, the side rotated by -90 degrees).  A
     segment cell of a support on one line owns both sides of its ring and
     gets both rays, its backward side's first.  The min convention negates
-    the vertices and the ray directions."""
+    the vertices and the ray directions.  The curve is balanced and
+    embedded by construction, so it is born with require_valid's verdict."""
     scale, cells = _cells(f)
     sign = 1 if f.convention == "max" else -1
     m = math.lcm(*(nz for (_, _, nz), *_ in cells))
@@ -434,4 +437,6 @@ def corner_locus(f: TropicalPolynomial) -> TropicalCurve:
             w = math.gcd(dx, dy)
             # the side rotated by -90 degrees; under min, by +90
             rays.append(Ray(i, IntVector(sign * dy // w, -sign * dx // w), w))
-    return TropicalCurve._on_grid(scale * m, xs, ys, tuple(edges), tuple(rays))
+    c = TropicalCurve._on_grid(scale * m, xs, ys, tuple(edges), tuple(rays))
+    c.__dict__["_valid"] = True
+    return c

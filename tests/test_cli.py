@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from fixtures_lib import (
     wedge_l,
     wedge_m,
 )
+from tropcurve.bunch import classify_edges
 from tropcurve.cli import main
 from tropcurve.curve import canonical_form, curve
 from tropcurve.intersect import Divisor
@@ -139,6 +141,32 @@ def test_bunch_verdicts(paths, capsys):
     assert main(["bunch", t, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["bouquet"] is False and data["genus"] == 2
+
+
+def test_bunch_runs_one_bridge_search(paths, capsys, monkeypatch):
+    # the command reads its edge classes off the bunch it builds: one
+    # spanning forest per file, with and without --json, and the classes
+    # are classify_edges'
+    forest = importlib.import_module("tropcurve.bunch")
+    calls = []
+    real = forest.spanning_forest
+    monkeypatch.setattr(forest, "spanning_forest", lambda *a: calls.append(a) or real(*a))
+    _, wc, _ = paths
+    kinds = set()
+    for c in (triangle_cycle_host(), corner_locus(polynomial(concave_lift(random.Random(4), 3)))):
+        f = wc("host.json", c)
+        classes = classify_edges(c)
+        kinds.update(classes)
+        calls.clear()
+        assert main(["bunch", f]) == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[: len(classes)] == [f"edge {i}: {k}" for i, k in enumerate(classes)]
+        calls.clear()
+        assert main(["bunch", f, "--json"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["edges"] == list(classes)
+    assert kinds == {"tentacle", "cycle"}
 
 
 def test_jacobi_moduli(paths, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from tropcurve.geom import (
     IntVector,
     Point,
     cross,
+    digit_limit,
     dot,
     moment,
     primitive_decompose,
@@ -163,3 +165,37 @@ def test_distinct_points_are_distinct_keys():
           for q in (1, 2, 3)]
     assert len(set(ps)) == len({(p.x, p.y) for p in ps})
     assert pt(1, 2) not in {pt(2, 1), pt(1, -2), pt("1/2", 2)}
+
+
+# pt reads a string by the one number grammar of polynomials and files,
+# -?[0-9]+(/[0-9]+)?, and refuses any other string by name
+_OFF_GRAMMAR = [
+    ((" 1_0 ", "\u0663"), " 1_0 "),  # read (10, 3) through Fraction(str)
+    ((2, "\u0663"), "\u0663"),
+    (("1/0", 1), "1/0"),  # a ZeroDivisionError through Fraction(str)
+    (("1.5", 2), "1.5"),
+    ((1, "+3"), "+3"),
+    ((1, " 3"), " 3"),
+    (("1e3", 1), "1e3"),
+]
+
+
+@pytest.mark.parametrize("args, bad", _OFF_GRAMMAR)
+def test_pt_refuses_a_string_off_the_number_grammar(args, bad):
+    with pytest.raises(GeometryError, match=f"^invalid rational {re.escape(repr(bad))}$"):
+        pt(*args)
+
+
+def test_pt_reads_the_number_grammar_and_passes_numbers_on():
+    assert pt("-3/4", "6/8") == Point(Fraction(-3, 4), Fraction(3, 4))
+    assert pt("0", "-12") == Point(Fraction(0), Fraction(-12))
+    assert pt(3, Fraction(-1, 2)) == Point(Fraction(3), Fraction(-1, 2))
+
+
+@pytest.mark.skipif(
+    not 0 < digit_limit() < 5000, reason="the interpreter has no int-string limit"
+)
+def test_pt_refuses_a_number_past_the_digit_limit():
+    limit = digit_limit()
+    with pytest.raises(GeometryError, match=f"^number of {limit + 1} digits exceeds the {limit}-digit limit$"):
+        pt("1/" + "9" * (limit + 1), 0)

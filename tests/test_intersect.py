@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from fixtures_lib import (
     wedge_m,
 )
 from tropcurve.curve import (
+    InvalidCurveError,
     Shared,
     TropicalCurve,
     curve,
@@ -373,32 +375,44 @@ def test_record_matches_star_route_on_translates(c1, c2, shift):
     assert_record_routes(c1, translate(c2, shift))
 
 
+def assert_refused_by_the_record(c1: TropicalCurve, c2: TropicalCurve, message: str) -> None:
+    """Every reader of the record refuses the pair with require_valid's
+    message, on every call."""
+    for _ in range(2):
+        for read in (_record, stable_intersection, is_transversal):
+            with pytest.raises(InvalidCurveError, match=f"^{re.escape(message)}$"):
+                read(c1, c2)
+
+
 def test_self_crossing_first_curve_takes_the_star_route():
     # the two edges of x cross each other at the origin, on an item of the
-    # other curve; the record puts both at the point, so its star is used
+    # other curve: the reference's star route counts both there, and the
+    # record admits neither order of the pair, as x's lone edges leave its
+    # vertices unbalanced
     x = curve([(-1, -1), (1, 1), (-1, 1), (1, -1)], edges=[(0, 1), (2, 3)])
     for other, mu in ((vertical_line((0, -3)), 2), (coordinate_cross(), 4)):
-        assert len(_record(x, other).points[(0, 0, 1)].its1) == 2
-        assert entries(stable_intersection(x, other)) == {((0, 0), mu)}
-        assert_record_routes(x, other)
-        assert_record_routes(other, x)
+        for a, b in ((x, other), (other, x)):
+            assert entries(reference_star_intersection(a, b)) == {((0, 0), mu)}
+            assert_refused_by_the_record(a, b, "curve is not balanced: vertex 0 has residual (1, 1)")
+    assert "_valid" not in vars(x)
 
 
 def test_loose_end_on_an_item_keeps_the_star_route():
     # a lone segment's ends each have one item, whose star does not close:
-    # both routes refuse them, and agree on the crossing inside;
-    # is_transversal reads the record only, before and after the refusal
+    # the star route refuses them and counts the crossing inside; the
+    # record refuses the unbalanced segment before any scan
     seg = curve([(0, 0), (1, 0)], edges=[(0, 1)])
     for x in (0, 1):
         line = vertical_line((x, -3))
         for a, b in ((seg, line), (line, seg)):
             with pytest.raises(GeometryError, match="do not close up"):
                 reference_star_intersection(a, b)
-            assert is_transversal(a, b) is False
-            with pytest.raises(GeometryError, match="do not close up"):
-                stable_intersection(a, b)
-            assert is_transversal(a, b) is False
-    assert_record_routes(seg, vertical_line(("1/2", -3)))
+            assert reference_is_transversal(a, b) is False
+            assert_refused_by_the_record(a, b, "curve is not balanced: vertex 0 has residual (1, 0)")
+    inside = vertical_line(("1/2", -3))
+    assert entries(reference_star_intersection(seg, inside)) == {((Fraction(1, 2), 0), 1)}
+    assert reference_is_transversal(seg, inside) is True
+    assert_refused_by_the_record(seg, inside, "curve is not balanced: vertex 0 has residual (1, 0)")
 
 
 def assert_one_route(pairs, monkeypatch) -> int:

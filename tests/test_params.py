@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -337,11 +338,12 @@ def test_curve_from_params_builds_once_per_point():
 
 
 def test_perturb_hands_its_accepted_curve_on(monkeypatch):
-    # the one curve perturb validates is its start's own, built once; the
-    # candidate comes unbuilt and carries the certified skeleton on
-    params = importlib.import_module("tropcurve.params")
+    # the one curve perturb validates, through the gate, is its start's
+    # own, built once; the candidate comes unbuilt and carries the
+    # certified skeleton on
+    gate = importlib.import_module("tropcurve.curve")
     checked = []
-    monkeypatch.setattr(params, "validate", lambda c: checked.append(c) or validate(c))
+    monkeypatch.setattr(gate, "validate", lambda c: checked.append(c) or validate(c))
     p = params_from_curve(figure_eight())
     q = perturb(p, 5)
     assert len(checked) == 1 and checked[0] is curve_from_params(p)
@@ -515,7 +517,10 @@ def test_perturb_refuses_a_candidate_with_coincident_vertices():
     p = params_from_curve(_crossing_h())
     assert p.lengths == (4, 1, 1)
     for _ in range(2):
-        with pytest.raises(InvalidCurveError, match="not balanced and embedded"):
+        with pytest.raises(
+            InvalidCurveError,
+            match=re.escape("curve crosses itself: ray 2 and ray 3 meet at (2, 2) "),
+        ):
             perturb(p, ScriptedRandom([0, 1, 1, 0, 0]))
     assert "_certified" not in vars(p.skeleton)
     seen = []
@@ -552,11 +557,14 @@ def test_perturb_is_the_reference_along_a_cubic_walk(seed):
 
 
 def test_perturb_validates_once_per_skeleton(monkeypatch):
-    params = importlib.import_module("tropcurve.params")
+    # two starts built by the raw constructor, so neither is born valid:
+    # the gate validates each once, and none of their candidates
+    gate = importlib.import_module("tropcurve.curve")
     checked = []
-    monkeypatch.setattr(params, "validate", lambda c: checked.append(c) or validate(c))
+    monkeypatch.setattr(gate, "validate", lambda c: checked.append(c) or validate(c))
     rng = random.Random(5)
-    for p in (_cubic(5), params_from_curve(two_triangles_bridged())):
+    cubic = _fresh(curve_from_params(_cubic(5)))
+    for p in (params_from_curve(cubic), params_from_curve(two_triangles_bridged())):
         start = p
         for _ in range(50):
             p = perturb(p, rng)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from fixtures_lib import (
 )
 from tropcurve.bunch import bouquet_structure, bunch
 from tropcurve.curve import TropicalCurve, canonical_form, validate
-from tropcurve.geom import pt, vec
+from tropcurve.geom import GeometryError, pt, vec
 from tropcurve.newton import (
     convex_hull,
     newton_complex,
@@ -130,6 +131,20 @@ _PARSE_ERRORS = [
     ('\uff13*x + y', "unexpected character '\uff13'", 0),
     ('2\u00b9*x', "unexpected character '\u00b9'", 1),
 ]
+
+
+@pytest.mark.parametrize("coefficient", [" 3_0", "\u0663/2", "1.5", "1/0", "3 "])
+def test_polynomial_refuses_a_coefficient_off_the_number_grammar(coefficient):
+    # " 3_0" read 30 and "\u0663/2" read 3/2 through Fraction(str)
+    with pytest.raises(GeometryError, match=f"^invalid rational {re.escape(repr(coefficient))}$"):
+        polynomial({(0, 0): 0, (1, 0): coefficient})
+
+
+def test_polynomial_reads_string_coefficients_by_the_number_grammar():
+    f = polynomial({(0, 0): "-3/2", (1, 0): "4", (0, 1): Fraction(1, 3), (1, 1): 2})
+    assert f.coefficients() == {
+        (0, 0): Fraction(-3, 2), (1, 0): 4, (0, 1): Fraction(1, 3), (1, 1): 2,
+    }
 
 
 @pytest.mark.parametrize("text, message, position", _PARSE_ERRORS)
