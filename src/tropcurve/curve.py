@@ -353,11 +353,9 @@ def _index_of(its: Sequence[Item], scale: int) -> ItemIndex:
 
 
 def _raised(ix: ItemIndex, scale: int) -> Sequence[Item]:
-    """The index's items on the grid of `scale`, a multiple of its own: the
-    items themselves when the scales agree."""
+    """The index's items on the grid of `scale`, a proper multiple of its
+    own, as new copies."""
     f = scale // ix.scale
-    if f == 1:
-        return ix.views
     return [_raise(it, f) for it in ix.views]
 
 

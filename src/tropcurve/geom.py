@@ -232,18 +232,10 @@ class PseudoAngle:
     half: int
     direction: IntVector  # primitive representative, for hashing/equality
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PseudoAngle):
-            return NotImplemented
-        return self.half == other.half and self.direction == other.direction
-
     def __lt__(self, other: "PseudoAngle") -> bool:
         if self.half != other.half:
             return self.half < other.half
         return cross(self.direction, other.direction) > 0
-
-    def __hash__(self) -> int:
-        return hash((self.half, self.direction))
 
 
 def pseudo_angle(v: IntVector) -> PseudoAngle:

@@ -2,8 +2,8 @@
 
 One scan of the item pairs of two curves gives their intersection record
 (`_record`): each meeting point and each end of a part that two items
-share, with the items of each curve through it and where the point sits
-on each, and whether every meeting was a crossing interior to both items.
+share, with the items of each curve through it, where the point sits on
+each, and its vertex mark: the vertex of either curve it is, if any.
 `stable_intersection`, `is_transversal` and `jacobian.sigma` read it; only
 the last pair scanned is kept, by the identity of the two curves.  The
 record admits its pair: each curve passes `curve.require_valid`, one dict
@@ -22,18 +22,20 @@ scales is not raised again on every step.  Every reader here takes an
 item's coordinates and scale from the item itself.  The record keys each
 point on integers, an item's end by its vertex's key (`TropicalCurve._keys`,
 built at the first meeting on one of the curve's vertices), and compares
-no Point.  The record is the one classifier: the divisor's entries, each
-(key, multiplicity, where it sits), are computed from it on each call
-(`_entries`), on integers.  `jacobian.sigma` reads them as they are;
-`stable_intersection` puts them in order on one common denominator,
-taking a curve's own vertex Point at a vertex and building a Point for
-any other entry.
+no Point.  The vertex mark is the one classifier: a pair is transversal
+when no point has one, and the divisor's entries, each (key, multiplicity,
+where it sits), are computed from the record on each call (`_entries`),
+on integers, with |det| at each unmarked point.  `jacobian.sigma` reads
+them as they are; `stable_intersection` puts them in order on one common
+denominator, taking a curve's own vertex Point at a vertex and building a
+Point for any other entry.
 
-Each recorded point gets its local multiplicity from the fan displacement
-rule (Fulton-Sturmfels; Jensen-Yu), an integer count on the two stars.
-The perturbation oracle translates the second curve by an infinitesimal
-generic amount and takes the limit of the transversal intersection: it is
-the independent route that the test suite checks the record route against.
+Each marked point gets its local multiplicity from the fan displacement
+rule (Fulton-Sturmfels; Jensen-Yu), an integer count on the two stars,
+which close since both curves are admitted.  The perturbation oracle
+translates the second curve by an infinitesimal generic amount and takes
+the limit of the transversal intersection: it is the independent route
+that the test suite checks the record route against.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .geom import GeometryError, IntVector, Point, _over_lcd, cross, pt
 from .curve import (
@@ -267,16 +269,6 @@ class _At:
         self.vertex = vertex
 
 
-class _Record(NamedTuple):
-    """The meetings of two curves."""
-
-    # each meeting point and end of a shared part, by its reduced grid key
-    # (X, Y, D), gcd 1, the point (X/D, Y/D)
-    points: dict[tuple[int, int, int], _At]
-    # every meeting is interior to both of its items
-    transversal: bool
-
-
 # The last pair scanned and its record, replaced as one tuple.  The strong
 # references keep both curves alive, so no other curve can take their ids
 # while the entry lives; curves are frozen, so the same objects have the
@@ -284,28 +276,27 @@ class _Record(NamedTuple):
 _last: tuple = (None, None, None)
 
 
-def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
-    """The intersection record of the pair: one pair scan of the two
-    curves' indexes, reused while the same pair is asked for again.  A new
-    pair is admitted first: each curve passes require_valid.
+def _record(c1: TropicalCurve, c2: TropicalCurve) -> dict[tuple[int, int, int], _At]:
+    """The intersection record of the pair, each point by its reduced grid
+    key (X, Y, D), gcd 1, the point (X/D, Y/D): one pair scan of the two
+    curves' indexes after each curve of a new pair passes require_valid,
+    reused while the same pair is asked for again.
 
-    Each meeting is keyed on integers: an item's end by its vertex's key
+    Items of an admitted curve meet only at its vertices, where they all
+    end, so a point's first meeting gives its vertex mark, and a marked
+    point records each curve's whole vertex star, or the one item it lies
+    inside.  An item's end is keyed by its vertex's key
     (`TropicalCurve._keys`), any other point by its grid coordinates over
     their gcd.  No Point is built or compared here."""
     global _last
-    last1, last2, rec = _last
+    last1, last2, points = _last
     if c1 is last1 and c2 is last2:
-        return rec
+        return points
     require_valid(c1)
     require_valid(c2)
-    x, y = c1._index, c2._index
-    # An item misses a recorded point only when the point is inside the part
-    # it shares with each item of the other curve there: it adds nothing.
-    points: dict[tuple[int, int, int], _At] = {}
-    transversal = True
-    for a, b, m in _scan(x, y):
-        shared = type(m) is Shared
-        for s, t, den in m.ends if shared else (m,):
+    points = {}
+    for a, b, m in _scan(c1._index, c2._index):
+        for s, t, den in m.ends if type(m) is Shared else (m,):
             ea, eb = _end(a, s, den), _end(b, t, den)
             if ea is not None:
                 vertex = (0, a.tail if ea == 0 else a.head)
@@ -321,8 +312,6 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
             at = points.get(key)
             if at is None:
                 at = points[key] = _At(vertex)
-            elif at.vertex is None:
-                at.vertex = vertex
             # the scan runs x-major: a met this point before only if it came last
             if not at.its1 or at.its1[-1][0] is not a:
                 at.its1.append((a, ea))
@@ -331,12 +320,8 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> _Record:
                     break
             else:
                 at.its2.append((b, eb))
-            # a shared part's ends are item ends too
-            if ea is not None or eb is not None:
-                transversal = False
-    rec = _Record(points, transversal)
-    _last = (c1, c2, rec)
-    return rec
+    _last = (c1, c2, points)
+    return points
 
 
 def has_shared_segment(c1: TropicalCurve, c2: TropicalCurve) -> bool:
@@ -345,8 +330,9 @@ def has_shared_segment(c1: TropicalCurve, c2: TropicalCurve) -> bool:
 
 
 def is_transversal(c1: TropicalCurve, c2: TropicalCurve) -> bool:
-    """True when every common point is a plain interior-interior crossing."""
-    return _record(c1, c2).transversal
+    """True when every common point is a plain interior-interior crossing:
+    no recorded point is a vertex of either curve."""
+    return all(at.vertex is None for at in _record(c1, c2).values())
 
 
 def _local_multiplicity(s1: list[tuple[int, int]], s2: list[tuple[int, int]]) -> int:
@@ -354,8 +340,6 @@ def _local_multiplicity(s1: list[tuple[int, int]], s2: list[tuple[int, int]]) ->
     pairs: |cross(u, v)| summed over the pairs whose rays cross once s2 moves
     along d = (1, k), k above every |y| so that d is parallel to none, that
     is, when cross(d, v) and cross(d, u) have the sign of cross(u, v)."""
-    if any(map(sum, zip(*s1))) or any(map(sum, zip(*s2))):
-        raise GeometryError("edge vectors do not close up")
     k = 1 + max(abs(y) for _, y in s1 + s2)
     side2 = [(vx, vy, vy - k * vx > 0) for vx, vy in s2]
     mu = 0
@@ -371,16 +355,16 @@ def _local_multiplicity(s1: list[tuple[int, int]], s2: list[tuple[int, int]]) ->
 def _entries(c1: TropicalCurve, c2: TropicalCurve) -> list[tuple[tuple[int, int, int], int, _At]]:
     """The stable intersection's entries, each (key, multiplicity, _At) with
     a nonzero multiplicity, in the record's order, computed on integers from
-    the record: no Point is built and none sorted."""
+    the record, |det| at an unmarked point and the local count on the two
+    stars at a vertex: no Point is built and none sorted."""
     found = []
-    for key, at in _record(c1, c2).points.items():
-        its1, its2 = at.its1, at.its2
-        if len(its1) == 1 == len(its2) and its1[0][1] is None and its2[0][1] is None:
+    for key, at in _record(c1, c2).items():
+        if at.vertex is None:
             # one item of each curve, crossing inside both: |det|
-            (a, _), (b, _) = its1[0], its2[0]
+            (a, _), (b, _) = at.its1[0], at.its2[0]
             mu = transversal_multiplicity(a.prim, a.weight, b.prim, b.weight)
         else:
-            mu = _local_multiplicity(_star(its1), _star(its2))
+            mu = _local_multiplicity(_star(at.its1), _star(at.its2))
             if not mu:
                 continue
         found.append((key, mu, at))

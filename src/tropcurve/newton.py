@@ -93,8 +93,7 @@ def _chain(seq: list[tuple]) -> list[tuple]:
 def _hull_ring(points) -> list[tuple]:
     """The extreme points of a nonempty set of (x, y) pairs, counterclockwise
     from the lex-min one (Andrew's monotone chain).  A collinear set gives
-    its two ends, a single point itself.  The coordinates may be ints or
-    Fractions; only differences, products and comparisons are taken."""
+    its two ends, a single point itself.  The coordinates are ints."""
     pts = sorted(set(points))
     if len(pts) == 1:
         return pts

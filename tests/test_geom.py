@@ -138,6 +138,16 @@ def test_pseudo_angle_equality_iff_positive_multiple():
     assert pseudo_angle(vec(0, -1)) < pseudo_angle(vec(1, -1))
 
 
+def test_pseudo_angle_hashes_as_it_compares():
+    keys = [pseudo_angle(vec(k, 2 * k)) for k in (1, 2, 7)]
+    assert keys[0] == keys[1] == keys[2]
+    assert len({hash(k) for k in keys}) == 1 and len(set(keys)) == 1
+    assert pseudo_angle(vec(-3, 1)) != pseudo_angle(vec(3, -1))
+    assert len({pseudo_angle(vec(-3, 1)), pseudo_angle(vec(3, -1))}) == 2
+    for other in ((0, vec(1, 2)), vec(1, 2), None):
+        assert (pseudo_angle(vec(1, 2)) == other) is False
+
+
 BIG = Fraction(3 ** 120 + 1, 5 ** 90 + 2)
 
 

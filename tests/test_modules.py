@@ -1,5 +1,5 @@
-"""The package's own import graph: relative imports, those inside
-functions included, form no cycle."""
+"""The package's own imports: relative imports, those inside functions
+included, form no cycle, and every imported name is read."""
 
 import ast
 from pathlib import Path
@@ -62,3 +62,28 @@ def test_import_graph_has_no_cycle():
 def test_find_cycle():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+# The bindings that perfbench's tracer and its tests patch by name, and that
+# the module itself never reads (tests/test_benchmark_lookups.py).
+PATCHED = {("intersect", "items"), ("params", "validate"), ("jacobian", "stable_intersection")}
+
+
+def unused_imports(name: str) -> set[str]:
+    """The names the module imports and never reads."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    unused = {
+        (p.stem, n)
+        for p in PACKAGE.glob("*.py")
+        if p.stem != "__init__"
+        for n in unused_imports(p.stem)
+    }
+    assert unused == PATCHED
