@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .geom import (
     GeometryError,
@@ -285,11 +285,6 @@ class Shared(NamedTuple):
     ends: tuple
 
 
-def _common_scale(its: Iterable[Item]) -> int:
-    """The least common multiple of the items' scales."""
-    return lcm(*{it.scale for it in its})
-
-
 def _raise(it: Item, f: int) -> Item:
     """The item on the grid of f times its scale: the item itself for
     f == 1, else a copy, equal to it.  A ray keeps its primitive direction;
@@ -305,8 +300,8 @@ def _raise(it: Item, f: int) -> Item:
 
 
 class ItemIndex(NamedTuple):
-    """The integer index of a curve, or of a sequence of items, that every
-    pair scan reads: built once, on the grid of `scale`.
+    """The integer index of a curve, or of a sequence of items, that the one
+    pair sweep (`_sweep`) reads: built once, on the grid of `scale`.
 
     `views` holds the items on that grid: a curve's own items, or copies of
     items of a smaller scale raised to it (`_raise`).  `boxes` holds each
@@ -315,8 +310,8 @@ class ItemIndex(NamedTuple):
     positions by x low once each ray's open sides are fitted to any extent:
     rays running toward -x first, then by the finite x low, an order that no
     raise to a larger scale changes.  `raised` keeps the items and finite
-    boxes raised by a factor f > 1 for the pair scans (`_raised_by`), at
-    most RAISED_KEPT factors.
+    boxes raised by a factor f > 1 for the sweep (`_raised_by`), at most
+    RAISED_KEPT factors.
     """
 
     scale: int
@@ -471,18 +466,18 @@ def _end(it: Item, s: int, den: int) -> int | None:
     return None
 
 
-def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[Item, Item]]:
-    """The pairs of items whose boxes overlap, on the grid of the two
-    indexes' common scale, in the order of the scan of all pairs: with one
-    index, positions i < j in lexicographic order; with two, x-major.
+def _sweep(x: ItemIndex, y: ItemIndex | None, test: Callable[[Item, Item], object]) -> list:
+    """(a, b, report) for each pair of items whose boxes overlap and whose
+    report test(a, b) is not None, on the grid of the two indexes' common
+    scale, in the order of the scan of all pairs: with one index, positions
+    i < j in lexicographic order; with two, x-major.
 
     Sweep and prune: the boxes are visited by x low, each against the boxes
     still open at that x (of the other index, when there are two), and a
-    pair is kept when its y intervals overlap too.  Each index keeps its
-    boxes and their order, and its items and boxes raised by each recent
-    factor (`_raised_by`), so a side whose scale is below the pair's is
-    raised once per factor, and a scan fits only the rays' open sides to
-    the pair's extent.
+    pair is tested the moment its y intervals overlap too; only the pairs
+    it reports on are kept, then put in order.  A side whose scale is below
+    the pair's is read raised (`_raised_by`), and only the rays' open sides
+    are fitted to the pair's extent (`_boxes`).
     """
     if y is None:
         views, boxes, order, n = x.views, _boxes(x, 1, x.extent), x.order, len(x.views)
@@ -505,26 +500,29 @@ def _candidates(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[Item, It
     # Each box is tested against the open boxes of side `side ^ two`: with
     # one index every box is on side 0 and meets side 0; with two, the
     # boxes of y are on side 1 and each side meets the other.
-    two = int(y is not None)
-    open_: tuple[list, list] = ([], [])  # per side, by x high: (x high, y low, y high, k)
-    pairs = []
+    two = y is not None
+    open_: tuple[list, list] = ([], [])  # per side, by x high: (x high, y low, y high, k, item)
+    kept = []
     for k in order:
         x0, x1, y0, y1 = boxes[k]
-        side = int(k >= n)
+        side = k >= n
         other = open_[side ^ two]
-        del other[:bisect_left(other, (x0,))]
-        for _, b0, b1, j in other:
+        if other and other[0][0] < x0:
+            del other[:bisect_left(other, (x0,))]
+        it = views[k]
+        for _, b0, b1, j, jt in other:
             if b0 <= y1 and y0 <= b1:
-                pairs.append((j, k) if j < k else (k, j))
-        insort(open_[side], (x1, y0, y1, k))
-    pairs.sort()
-    return [(views[i], views[j]) for i, j in pairs]
+                m = test(jt, it) if j < k else test(it, jt)
+                if m is not None:
+                    kept.append((j, k, m) if j < k else (k, j, m))
+        insort(open_[side], (x1, y0, y1, k, it))
+    kept.sort()  # by positions: no two pairs share them, so no report is compared
+    return [(views[i], views[j], m) for i, j, m in kept]
 
 
 def _scan(x: ItemIndex, y: ItemIndex | None = None) -> list[tuple[Item, Item, tuple]]:
-    """The pair scan: (a, b, report) for every pair of items of
-    `_candidates` that meet, report being _meet's, in that order."""
-    return [(a, b, m) for a, b in _candidates(x, y) if (m := _meet(a, b)) is not None]
+    """The pair scan: _sweep's (a, b, report) for each pair that _meet finds meeting."""
+    return _sweep(x, y, _meet)
 
 
 def _star(its: Iterable[tuple[Item, int | None]]) -> list[tuple[int, int]]:
@@ -783,7 +781,7 @@ def union(c1: TropicalCurve, c2: TropicalCurve) -> TropicalCurve:
     """
     n1 = len(items(c1))
     all_items = items(c1) + items(c2)
-    ix = _index_of(all_items, _common_scale(all_items))
+    ix = _index_of(all_items, lcm(c1._scale, c2._scale))
     # Keyed by value: an item that occurs twice, as in union(c, c), is one
     # segment and is cut at the same points both times.
     splits: dict[Item, set[Fraction]] = {it: set() for it in ix.views}

@@ -11,14 +11,14 @@ lookup for a curve that carries the verdict, before the scan.  The
 perturbation oracle, `generic_direction` and `has_shared_segment` are the
 tests' and the benchmark's cross-checks and admit nothing.
 
-The scan (`curve._scan`) reads each curve's integer index
+The scan (`curve._scan`) and the oracle's crossing test run on one sweep
+(`curve._sweep`), which tests just the item pairs whose integer bounding
+boxes overlap, each as it finds it.  It reads each curve's integer index
 (`TropicalCurve._index`, built once per curve, holding the curve's own
 items), so a curve that serves many pairs, such as a walk's host, is
-indexed once.  It and the oracle's crossing loop test only the item pairs
-whose integer bounding boxes overlap; a side whose scale is below the
-pair's is raised once per factor, as copies of its items equal to them,
-and kept (`curve._raised_by`), so a host that meets mobile curves of a few
-scales is not raised again on every step.  Every reader here takes an
+indexed once; a side whose scale is below the pair's is raised once per
+factor and kept (`curve._raised_by`), so a host that meets mobile curves
+of a few scales is not raised again on every step.  Every reader here takes an
 item's coordinates and scale from the item itself.  The record keys each
 point on integers, an item's end by its vertex's key (`TropicalCurve._keys`,
 built at the first meeting on one of the curve's vertices), and compares
@@ -50,12 +50,11 @@ from .curve import (
     Item,
     Shared,
     TropicalCurve,
-    _candidates,
-    _end,
     _point_on,
     _raised_by,
     _scan,
     _star,
+    _sweep,
     require_valid,
     items,  # noqa: F401  perfbench's tracer and its tests patch this binding
 )
@@ -231,26 +230,27 @@ def perturbation_oracle(
     if why is not None:
         raise NonGenericDirection(why)
     _, (tx, ty) = _over_lcd((direction.x, direction.y))
-    acc: dict[Point, int] = {}
-    # A crossing's eps -> 0 limit lies on both closed items, so only pairs
-    # whose boxes overlap can cross.
-    for a, b in _candidates(c1._index, c2._index):
+
+    def crossing(a: Item, b: Item):
+        # the limit lies on both closed items, so only box-overlapping pairs cross
         aox, aoy, avx, avy = a.lattice
         box, boy, bvx, bvy = b.lattice
         den = avx * bvy - bvx * avy
         if den == 0:
-            continue  # parallel pairs separate immediately
+            return None  # parallel pairs separate immediately
         dx, dy = box - aox, boy - aoy
         s0, s1 = dx * bvy - bvx * dy, tx * bvy - bvx * ty
         r0, r1 = dx * avy - avx * dy, tx * avy - avx * ty
         if den < 0:
             den, s0, s1, r0, r1 = -den, -s0, -s1, -r0, -r1
         if (s0, s1) < (0, 0) or (a.head is not None and (s0, s1) > (den, 0)):
-            continue
+            return None
         if (r0, r1) < (0, 0) or (b.head is not None and (r0, r1) > (den, 0)):
-            continue
-        limit = _point_on(a, s0, den)
-        mu = abs(cross(a.prim * a.weight, b.prim * b.weight))
+            return None
+        return _point_on(a, s0, den), abs(cross(a.prim * a.weight, b.prim * b.weight))
+
+    acc: dict[Point, int] = {}
+    for _, _, (limit, mu) in _sweep(c1._index, c2._index, crossing):
         acc[limit] = acc.get(limit, 0) + mu
     return Divisor.of(acc, c1)
 
@@ -297,7 +297,8 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> dict[tuple[int, int, int], 
     points = {}
     for a, b, m in _scan(c1._index, c2._index):
         for s, t, den in m.ends if type(m) is Shared else (m,):
-            ea, eb = _end(a, s, den), _end(b, t, den)
+            ea = 0 if s == 0 else 1 if s == den and a.head is not None else None
+            eb = 0 if t == 0 else 1 if t == den and b.head is not None else None
             if ea is not None:
                 vertex = (0, a.tail if ea == 0 else a.head)
                 key = c1._keys[vertex[1]]
@@ -312,7 +313,7 @@ def _record(c1: TropicalCurve, c2: TropicalCurve) -> dict[tuple[int, int, int], 
             at = points.get(key)
             if at is None:
                 at = points[key] = _At(vertex)
-            # the scan runs x-major: a met this point before only if it came last
+            # pairs come x-major: a met this point before only if it came last
             if not at.its1 or at.its1[-1][0] is not a:
                 at.its1.append((a, ea))
             for it, _ in at.its2:

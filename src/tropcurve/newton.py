@@ -327,10 +327,11 @@ def newton_polygon(c: TropicalCurve) -> LatticePolygon:
 
     Needs a balanced curve, which need not be embedded.  An unbalanced one
     is refused with InvalidCurveError naming the first vertex whose residual
-    is not zero, as require_valid does; a balanced curve with no rays raises
-    GeometryError.
+    is not zero, as require_valid does, unless it carries that verdict; a
+    balanced curve with no rays raises GeometryError.
     """
-    _require_balanced(_residuals(c))
+    if "_valid" not in c.__dict__:
+        _require_balanced(_residuals(c))
     if not c.rays:
         raise GeometryError("a curve with no rays has no Newton polygon")
     return _polygon(

@@ -23,7 +23,6 @@ from tropcurve.curve import (
     Shared,
     StructureError,
     TropicalCurve,
-    _common_scale,
     _index_of,
     _meet,
     _point_on,
@@ -537,10 +536,15 @@ def reference_meetings(xs, ys=None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The scans of every pair that the box-pruned sweep (curve._candidates)
+# The scans of every pair that the box-pruned sweep (curve._sweep)
 # replaced, on the same integer kernel: the sweep must give their output, in
 # their order.
 # ---------------------------------------------------------------------------
+
+
+def _common_scale(its) -> int:
+    """The least common multiple of the items' scales."""
+    return lcm(*{it.scale for it in its})
 
 
 def _on_grid(its, scale: int) -> list[Item]:

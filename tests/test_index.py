@@ -3,7 +3,7 @@
 `TropicalCurve._index` holds the curve's own items, each its own integer
 view, with each item's finite box, the curve's finite extent and the
 positions of its rays, built once on first use.  `validate`, `_scan`, the
-intersection record, `has_shared_segment` and the oracle's candidates read
+intersection record, `has_shared_segment` and the oracle's crossing test read
 it; a pair scan raises a side only when its scale is below the pair's, as
 copies of its items equal to them, and keeps that raise per factor, a
 bounded number of factors per index.  Here the record route is checked
@@ -50,11 +50,13 @@ from fixtures_lib import (
 from tropcurve.curve import (
     Item,
     TropicalCurve,
-    _candidates,
     _meet,
     _point_on,
+    _boxes,
+    _index_of,
     _raise,
     _raised_by,
+    _sweep,
     items,
     translate,
     validate,
@@ -93,19 +95,103 @@ def assert_record_routes(c1: TropicalCurve, c2: TropicalCurve) -> None:
         assert sigma(system, c2) == reference_sigma(system, c2)
 
 
+def swept_pairs(x, y=None) -> set:
+    """The pairs that _sweep hands its test, each accepted."""
+    return {(a, b) for a, b, _ in _sweep(x, y, lambda a, b: True)}
+
+
 def assert_candidates_cover(c1: TropicalCurve, c2: TropicalCurve) -> None:
     """Every pair that _meet finds meeting, in a scan of all pairs of items
-    raised apart from the index, is a candidate of the sweep: of the pair
-    scan, and of each curve's own scan.  Pairs are compared by value: a
-    raised copy equals its item, and no two items of a curve are equal."""
+    raised apart from the index, is tested by the sweep: of the pair scan,
+    and of each curve's own scan.  Pairs are compared by value: a raised
+    copy equals its item, and no two items of a curve are equal."""
     scale = c1._scale * c2._scale
     v1, v2 = ([_raise(it, scale // it.scale) for it in items(c)] for c in (c1, c2))
     met = {(a, b) for a, b in product(v1, v2) if _meet(a, b) is not None}
-    got = set(_candidates(c1._index, c2._index))
+    got = swept_pairs(c1._index, c2._index)
     assert met <= got
     for c, its in ((c1, v1), (c2, v2)):
         met = {(a, b) for a, b in combinations(its, 2) if _meet(a, b) is not None}
-        assert met <= set(_candidates(c._index))
+        assert met <= swept_pairs(c._index)
+
+
+# -- the sweep tests each box-overlapping pair once --
+
+
+def overlapping_pairs(x, y=None) -> set:
+    """The pairs of positions whose boxes overlap on the pair's grid, each
+    ray's box fitted to the extent of all the items, by testing every pair:
+    with one index (i, j), i < j; with two, (position in x, in y)."""
+    if y is None:
+        boxes = _boxes(x, 1, x.extent)
+        pairs = combinations(range(len(boxes)), 2)
+        b1 = b2 = boxes
+    else:
+        scale = lcm(x.scale, y.scale)
+        fs = scale // x.scale, scale // y.scale
+        extents = [[v * f for v in ix.extent] for ix, f in zip((x, y), fs) if ix.extent]
+        extent = (
+            min(e[0] for e in extents), max(e[1] for e in extents),
+            min(e[2] for e in extents), max(e[3] for e in extents),
+        )
+        b1, b2 = (_boxes(ix, f, extent) for ix, f in zip((x, y), fs))
+        pairs = product(range(len(b1)), range(len(b2)))
+    return {
+        (i, j) for i, j in pairs
+        if b1[i][0] <= b2[j][1] and b2[j][0] <= b1[i][1]
+        and b1[i][2] <= b2[j][3] and b2[j][2] <= b1[i][3]
+    }
+
+
+def sweep_calls(x, y=None) -> list:
+    """The pairs of positions that _sweep hands its test, in call order."""
+    if y is None:
+        v1 = v2 = x.views
+    else:
+        scale = lcm(x.scale, y.scale)
+        v1, v2 = (_raised_by(ix, scale // ix.scale)[0] for ix in (x, y))
+    at1, at2 = ({id(it): k for k, it in enumerate(v)} for v in (v1, v2))
+    calls = []
+    assert _sweep(x, y, lambda a, b: calls.append((at1[id(a)], at2[id(b)]))) == []
+    return calls
+
+
+def degree_4_locus(den: int, linear) -> TropicalCurve:
+    """A smooth degree-4 corner locus on the grid of den: the honeycomb lift
+    over den plus a linear term."""
+    return corner_locus(polynomial({
+        (i, j): Fraction(-den * (i * i + i * j + j * j) + linear(i, j), den)
+        for i in range(5) for j in range(5 - i)
+    }))
+
+
+def test_the_sweep_tests_each_overlapping_pair_once():
+    halves = degree_4_locus(2, lambda i, j: i)
+    thirds = degree_4_locus(3, lambda i, j: 2 * i - 3 * j)
+    assert (halves._scale, thirds._scale) == (2, 3)
+    other_halves = degree_4_locus(2, lambda i, j: j)
+    assert other_halves._scale == 2
+    cases = [
+        (halves._index, None),  # one index
+        (halves._index, other_halves._index),  # two of one scale
+        (halves._index, thirds._index),  # raised on both sides, by 3 and by 2
+        (thirds._index, halves._index),
+    ]
+    for x, y in cases:
+        calls = sweep_calls(x, y)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == overlapping_pairs(x, y)
+        assert len(calls) < len(x.views) * len(x.views if y is None else y.views) / 2
+
+
+def test_the_sweep_of_an_index_without_items_calls_no_test():
+    def refuse(a, b):
+        raise AssertionError("the test was called")
+
+    empty = _index_of((), 1)
+    full = tropical_line()._index
+    for x, y in ((empty, None), (empty, empty), (empty, full), (full, empty)):
+        assert _sweep(x, y, refuse) == []
 
 
 # -- pairs whose scales force a raise of both sides --

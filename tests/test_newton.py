@@ -254,6 +254,30 @@ def test_unbalanced_curve_with_closing_rays_refused():
     )
 
 
+def test_a_curve_refused_by_require_valid_is_refused_by_name_again():
+    # the refusal keeps no verdict, so newton_polygon still runs the
+    # residual pass and names the vertex, on every call
+    c = curve([(0, 0)], rays=[(0, (1, 0)), (0, (0, 1)), (0, (-1, -1)), (0, (1, 1))])
+    with pytest.raises(InvalidCurveError):
+        require_valid(c)
+    assert "_valid" not in c.__dict__
+    for _ in range(2):
+        with pytest.raises(InvalidCurveError, match=r"^curve is not balanced: vertex 0 has residual \(1, 1\)$"):
+            newton_polygon(c)
+
+
+def test_a_born_valid_corner_locus_skips_the_residual_pass(monkeypatch):
+    c = corner_locus(polynomial(concave_lift(random.Random(3), 4)))
+    assert "_valid" in c.__dict__
+    want = reference_newton_polygon(c)
+
+    def refuse(*args):
+        raise AssertionError("the residual pass ran")
+
+    monkeypatch.setattr(newton_module, "_residuals", refuse)
+    assert newton_polygon(c) == want == poly((0, 0), (4, 0), (0, 4))
+
+
 def test_curve_without_rays_refused():
     with pytest.raises(GeometryError, match="no rays has no Newton polygon"):
         newton_polygon(curve([(0, 0)]))
