@@ -50,10 +50,10 @@ from fixtures_lib import (
 from tropcurve.curve import (
     Item,
     TropicalCurve,
-    _meet,
-    _point_on,
     _boxes,
     _index_of,
+    _meet,
+    _point_on,
     _raise,
     _raised_by,
     _sweep,
